@@ -120,10 +120,6 @@ class LeibnizAlgebra:
         return unit_vector(self.dim, i)
 
 
-def bracket_eval(alg: LeibnizAlgebra, x: Vector, y: Vector) -> Vector:
-    return alg.bracket(x, y)
-
-
 def check_leibniz(alg: LeibnizAlgebra) -> Optional[Counterexample]:
     """Leibniz identity [ei,[ej,ek]] = [[ei,ej],ek] + [ej,[ei,ek]] on all basis triples."""
     for i, j, k in product(range(alg.dim), repeat=3):
@@ -170,29 +166,21 @@ class Representation:
         return self.left[0].rows if self.left else 0
 
     def left_action(self, x: Vector) -> Matrix:
-        acc = Matrix.zero(self.module_dim, self.module_dim)
-        for xi, mat in zip(x, self.left):
-            if xi:
-                acc = acc + mat.scale(xi)
-        return acc
+        return self._act(self.left, x)
 
     def right_action(self, x: Vector) -> Matrix:
+        return self._act(self.right, x)
+
+    def _act(self, mats: tuple[Matrix, ...], x: Vector) -> Matrix:
+        """The combination sum_i x_i mats[i] of action matrices."""
         acc = Matrix.zero(self.module_dim, self.module_dim)
-        for xi, mat in zip(x, self.right):
+        for xi, mat in zip(x, mats):
             if xi:
                 acc = acc + mat.scale(xi)
         return acc
 
     def with_module_operator(self, op: Optional[Matrix]) -> "Representation":
         return Representation(self.left, self.right, op)
-
-
-def _combine(mats: Sequence[Matrix], coeffs: Vector) -> Matrix:
-    acc = Matrix.zero(mats[0].rows, mats[0].cols)
-    for c, mat in zip(coeffs, mats):
-        if c:
-            acc = acc + mat.scale(c)
-    return acc
 
 
 def check_representation(
@@ -207,8 +195,8 @@ def check_representation(
     L, R = rep.left, rep.right
     for i, j in product(range(alg.dim), repeat=2):
         c = alg.bracket_basis(i, j)
-        l_bracket = _combine(L, c)
-        r_bracket = _combine(R, c)
+        l_bracket = rep.left_action(c)
+        r_bracket = rep.right_action(c)
         res1 = L[i] * L[j] - l_bracket - L[j] * L[i]
         if not res1.is_zero():
             return Counterexample("rep-left-left", (i, j), res1)
@@ -224,8 +212,8 @@ def check_representation(
             raise ShapeError("operator dimension does not match the algebra")
         nv2 = nv * nv
         for i in range(alg.dim):
-            l_n = _combine(L, n_op.column(i))
-            r_n = _combine(R, n_op.column(i))
+            l_n = rep.left_action(n_op.column(i))
+            r_n = rep.right_action(n_op.column(i))
             res4 = l_n * nv - nv * l_n - nv * L[i] * nv + nv2 * L[i]
             if not res4.is_zero():
                 return Counterexample("rep-nijenhuis-left", (i,), res4)
@@ -270,27 +258,6 @@ def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
         structure.append(tuple(row))
     basis = tuple(f"a.{name}" for name in a.basis) + tuple(f"b.{name}" for name in b.basis)
     return LeibnizAlgebra(dim, basis, tuple(structure))
-
-
-def direct_sum_rep(ra: Representation, rb: Representation) -> Representation:
-    """Representation of the direct-sum algebra on the direct-sum module."""
-    ma, mb = ra.module_dim, rb.module_dim
-    za, zb = Matrix.zero(ma, ma), Matrix.zero(mb, mb)
-    left = tuple(block_diag([mat, zb]) for mat in ra.left) + tuple(
-        block_diag([za, mat]) for mat in rb.left
-    )
-    right = tuple(block_diag([mat, zb]) for mat in ra.right) + tuple(
-        block_diag([za, mat]) for mat in rb.right
-    )
-    op = None
-    if ra.module_operator is not None and rb.module_operator is not None:
-        op = block_diag([ra.module_operator, rb.module_operator])
-    return Representation(left, right, op)
-
-
-def restrict_operator(op: Matrix, start: int, size: int) -> Matrix:
-    """Diagonal block of an operator (e.g. a summand of a direct sum)."""
-    return Matrix([[op.data[start + i][start + j] for j in range(size)] for i in range(size)])
 
 
 # ---------------------------------------------------------------------------

@@ -329,28 +329,9 @@ def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "ful
             terms.append((sign, slots, nv.pow(missing)))
     total = Matrix.zero(m * dim**degree, m * dim**degree)
     for sign, slots, post in terms:
-        term = reduce(_sparse_kron, slots + [post])
+        term = reduce(kron, slots + [post])
         total = total + (term if sign == 1 else -term)
     return total
-
-
-def _sparse_kron(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    zero_row = [Fraction(0)] * (a.cols * b.cols)
-    for i in range(a.rows):
-        arow = a.data[i]
-        for k in range(b.rows):
-            brow = b.data[k]
-            row = list(zero_row)
-            for j in range(a.cols):
-                aij = arow[j]
-                if aij:
-                    base = j * b.cols
-                    for col, x in enumerate(brow):
-                        if x:
-                            row[base + col] = aij * x
-            rows.append(row)
-    return Matrix(rows)
 
 
 def phi_map(f: Cochain, n_op: Matrix, module_op: Matrix, variant: str = "full") -> Cochain:

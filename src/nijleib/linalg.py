@@ -5,14 +5,14 @@ representation exists anywhere.  Matrices are dense, immutable, and use the
 column-action convention: entry [i][j] is the coefficient of basis vector i
 in the image of basis vector j.
 
-Rank is computed by fraction-free (Bareiss) elimination; a plain exact
-Gaussian elimination is kept solely as a cross-check oracle.
+Rank, kernel and solve share one sparse Gauss-Jordan elimination that picks
+the sparsest row as pivot; a plain dense Gaussian elimination, `gauss_rank`,
+is kept solely as a cross-check oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeError
@@ -228,51 +228,70 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product, skipping zero entries of both factors."""
     rows = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                aij = a.data[i][j]
+    width = a.cols * b.cols
+    for arow in a.data:
+        for brow in b.data:
+            row = [Fraction(0)] * width
+            for j, aij in enumerate(arow):
                 if aij:
-                    row.extend(aij * x for x in b.data[k])
-                else:
-                    row.extend([Fraction(0)] * b.cols)
+                    base = j * b.cols
+                    for col, x in enumerate(brow):
+                        if x:
+                            row[base + col] = aij * x
             rows.append(row)
     return Matrix(rows)
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    """Clear denominators row by row; rank is unchanged."""
-    out = []
-    for row in m.data:
-        mult = lcm(*(e.denominator for e in row)) if row else 1
-        out.append([int(e * mult) for e in row])
-    return out
+def _eliminate(
+    m: Matrix, rhs: Optional[Vector] = None
+) -> tuple[dict[int, dict[int, Fraction]], list[dict[int, Fraction]]]:
+    """Sparse Gauss-Jordan elimination to reduced row echelon form.
+
+    Rows are dicts of their nonzero entries; a right-hand side is carried as
+    column m.cols and never pivoted.  Columns are eliminated in index order,
+    each with the sparsest candidate row as pivot (Markowitz), the first by
+    position on a tie.  Since the reduced echelon form is unique, the choice
+    of pivot row changes no result, only the fill-in.
+
+    Returns the normalised pivot rows keyed by pivot column, in column order,
+    and the rows left without a pivot (by then they hold at most the
+    right-hand-side entry).
+    """
+    rows = [{j: e for j, e in enumerate(row) if e} for row in m.data]
+    if rhs is not None:
+        for row, b in zip(rows, rhs):
+            if b:
+                row[m.cols] = frac(b)
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for c in range(m.cols):
+        best = None
+        for k, row in enumerate(rows):
+            if c in row and (best is None or len(row) < len(rows[best])):
+                best = k
+        if best is None:
+            continue
+        prow = rows.pop(best)
+        inv = 1 / prow[c]
+        prow = {j: e * inv for j, e in prow.items()}
+        for other in (*rows, *pivots.values()):
+            f = other.get(c)
+            if f is None:
+                continue
+            for j, e in prow.items():
+                v = other.get(j, 0) - f * e
+                if v:
+                    other[j] = v
+                else:
+                    del other[j]
+        pivots[c] = prow
+    return pivots, rows
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination with column pivoting."""
-    rows = _integer_rows(m)
-    n_rows, n_cols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, n_rows):
-            ric = rows[i][c]
-            rrc = rows[r][c]
-            for j in range(c + 1, n_cols):
-                rows[i][j] = (rows[i][j] * rrc - ric * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    """Exact rank: the number of pivots of the sparse elimination."""
+    return len(_eliminate(m)[0])
 
 
 def gauss_rank(m: Matrix) -> int:
@@ -297,45 +316,22 @@ def gauss_rank(m: Matrix) -> int:
     return r
 
 
-def _rref(rows: list[list[Fraction]], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column indices)."""
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Canonical basis of the right null space.
 
     Free columns in ascending index order; each basis vector carries a 1 in
     its own free slot, pivot slots filled from the reduced echelon form.
     """
-    rows = [list(row) for row in m.data]
-    rows, pivots = _rref(rows, m.cols)
-    pivot_set = set(pivots)
+    pivots, _ = _eliminate(m)
     basis = []
     for free in range(m.cols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [Fraction(0)] * m.cols
         v[free] = Fraction(1)
-        for r_idx, p in enumerate(pivots):
-            v[p] = -rows[r_idx][free]
+        for p, row in pivots.items():
+            if free in row:
+                v[p] = -row[free]
         basis.append(tuple(v))
     return basis
 
@@ -347,17 +343,11 @@ def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:
     """
     if len(rhs) != m.rows:
         raise ShapeError(f"rhs length {len(rhs)} != rows {m.rows}")
-    rows = [list(row) + [frac(b)] for row, b in zip(m.data, rhs)]
-    if m.rows == 0:
-        return zero_vector(m.cols)
-    rows, pivots = _rref(rows, m.cols)
-    # A pivot cannot land in the augmented column because _rref only scans
-    # the first m.cols columns; inconsistency shows as a nonzero tail entry.
-    used = len(pivots)
-    for i in range(used, m.rows):
-        if rows[i][m.cols] != 0:
-            return None
+    pivots, rest = _eliminate(m, rhs)
+    if any(rest):  # a row reduced to 0 = b with b != 0
+        return None
     x = [Fraction(0)] * m.cols
-    for r_idx, p in enumerate(pivots):
-        x[p] = rows[r_idx][m.cols]
+    for p, row in pivots.items():
+        if m.cols in row:
+            x[p] = row[m.cols]
     return tuple(x)

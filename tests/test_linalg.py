@@ -1,8 +1,8 @@
 """Exact linear algebra: rank/kernel/solve over the rationals.
 
-The fraction-free (Bareiss) rank is the production routine; plain Gaussian
-elimination is kept purely as an independent oracle and the two are compared
-on random rational matrices.
+Rank, kernel and solve share one sparse Gauss-Jordan elimination; plain dense
+Gaussian elimination (`gauss_rank`) is kept purely as an independent oracle,
+and the two are compared on random dense and sparse rational matrices.
 """
 
 from fractions import Fraction
@@ -66,9 +66,62 @@ def test_rational_entries_exact():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.data())
-def test_bareiss_agrees_with_gauss_oracle(n, data):
+def test_rank_agrees_with_gauss_oracle(n, data):
     m = data.draw(random_matrix(n, n + 1))
     assert rank(m) == gauss_rank(m)
+
+
+sparse_entries = st.tuples(st.integers(min_value=0, max_value=3), rationals).map(
+    lambda t: t[1] if t[0] == 0 else Fraction(0)
+)
+
+
+@st.composite
+def sparse_systems(draw):
+    """A mostly-zero matrix up to 6x9 with repeated and all-zero rows, and a
+    right-hand side that is consistent by construction or drawn freely."""
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    n_cols = draw(st.integers(min_value=1, max_value=9))
+    rows: list[list[Fraction]] = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * n_cols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(st.lists(sparse_entries, min_size=n_cols, max_size=n_cols)))
+    m = Matrix(rows)
+    if draw(st.booleans()):
+        rhs = m.apply(tuple(draw(sparse_entries) for _ in range(n_cols)))
+    else:
+        rhs = tuple(draw(sparse_entries) for _ in range(n_rows))
+    return m, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_elimination_agrees_with_gauss_oracle_on_sparse_systems(system):
+    m, rhs = system
+    assert rank(m) == gauss_rank(m)
+
+    # free columns are those whose column prefix does not gain rank
+    prefix_ranks = [gauss_rank(Matrix([row[:c] for row in m.data])) for c in range(m.cols + 1)]
+    free = [c for c in range(m.cols) if prefix_ranks[c + 1] == prefix_ranks[c]]
+    basis = kernel_basis(m)
+    assert len(basis) == len(free)
+    for own, v in zip(free, basis):
+        assert [v[c] for c in free] == [1 if c == own else 0 for c in free]
+        assert all(x == 0 for x in m.apply(v))
+
+    sol = solve_linear(m, rhs)
+    augmented = Matrix([list(row) + [b] for row, b in zip(m.data, rhs)])
+    if gauss_rank(augmented) > gauss_rank(m):
+        assert sol is None
+    else:
+        assert sol is not None
+        assert m.apply(sol) == rhs
+        assert all(sol[c] == 0 for c in free)
 
 
 @settings(max_examples=60, deadline=None)
