@@ -28,7 +28,16 @@ from .linalg import Matrix, Vector, format_rational, parse_rational
 TOOL_VERSION = "0.1.0"
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"malformed JSON: {exc}") from None
+
+
 def _require(obj, key, where):
+    if not isinstance(obj, dict):
+        raise BundleError(f"{where} must be an object")
     if key not in obj:
         raise BundleError(f"{where}: missing key {key!r}")
     return obj[key]
@@ -93,12 +102,7 @@ class AlgebraBundle:
 
 
 def parse_algebra_bundle(text: str, *, verify: bool = True) -> AlgebraBundle:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"malformed JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise BundleError("top level must be an object")
+    doc = _load_json(text)
     alg_doc = _require(doc, "algebra", "bundle")
     dim = _require(alg_doc, "dimension", "algebra")
     basis = _require(alg_doc, "basis", "algebra")
@@ -199,16 +203,13 @@ def serialize_algebra_bundle(bundle: AlgebraBundle) -> str:
 
 
 def parse_deformation(text: str, dim: int) -> TruncatedDeformation:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"malformed JSON: {exc}") from None
+    doc = _load_json(text)
     order = _require(doc, "order", "deformation")
     if not isinstance(order, int) or order < 0:
         raise BundleError("deformation.order must be a nonnegative integer")
     mu_doc = _require(doc, "mu", "deformation")
     n_doc = _require(doc, "n", "deformation")
-    if len(mu_doc) != order + 1 or len(n_doc) != order + 1:
+    if not all(isinstance(d, list) and len(d) == order + 1 for d in (mu_doc, n_doc)):
         raise BundleError("deformation needs order+1 mu tensors and n matrices")
     mu_terms = tuple(
         tensor_from_json(t, f"deformation.mu[{i}]", dim, dim) for i, t in enumerate(mu_doc)
@@ -230,13 +231,10 @@ def serialize_deformation(d: TruncatedDeformation) -> str:
 
 
 def parse_isomorphism(text: str, dim: int) -> FormalIsomorphism:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"malformed JSON: {exc}") from None
+    doc = _load_json(text)
     order = _require(doc, "order", "isomorphism")
     psi_doc = _require(doc, "psi", "isomorphism")
-    if not isinstance(order, int) or order < 0 or len(psi_doc) != order + 1:
+    if not isinstance(order, int) or order < 0 or not isinstance(psi_doc, list) or len(psi_doc) != order + 1:
         raise BundleError("isomorphism needs order+1 psi matrices")
     psi = tuple(
         matrix_from_json(m, f"isomorphism.psi[{i}]", (dim, dim)) for i, m in enumerate(psi_doc)
@@ -259,10 +257,7 @@ class ExtensionFile:
 
 
 def parse_extension(text: str, dim: int) -> ExtensionFile:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"malformed JSON: {exc}") from None
+    doc = _load_json(text)
     m = _require(doc, "fiber_dim", "extension")
     if not isinstance(m, int) or m < 0:
         raise BundleError("extension.fiber_dim must be a nonnegative integer")
@@ -286,6 +281,14 @@ def serialize_extension(ext: ExtensionFile) -> str:
             "chi": matrix_to_json(ext.pair.chi.as_matrix()),
         }
     )
+
+
+def parse_corner(text: str, shape: tuple[int, int]) -> Matrix:
+    """An extension isomorphism's corner block: a matrix or {"corner": matrix}."""
+    doc = _load_json(text)
+    if isinstance(doc, dict):
+        doc = _require(doc, "corner", "corner file")
+    return matrix_from_json(doc, "corner", shape)
 
 
 def emit_json(doc) -> str:

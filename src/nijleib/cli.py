@@ -10,6 +10,7 @@ or a resource guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .bundles import (
     emit_json,
     matrix_to_json,
     parse_algebra_bundle,
+    parse_corner,
     parse_deformation,
     parse_extension,
     parse_isomorphism,
@@ -45,7 +47,7 @@ from .deformation import (
     residual_report,
     twist_by_isomorphism,
 )
-from .errors import BundleError, NijleibError, PreconditionError, ResourceLimitError
+from .errors import BundleError, NijleibError
 from .extensions import build_extension, section_to_cocycle, transport_cocycle_via_isomorphism
 from .linalg import Matrix, format_rational
 from .operators import (
@@ -90,6 +92,15 @@ def _emit(report: dict) -> None:
     sys.stdout.write(emit_json(report))
 
 
+def _weight(args) -> Fraction:
+    if args.weight is None:
+        raise BundleError("--weight is required for weighted kinds")
+    try:
+        return Fraction(args.weight)
+    except (ValueError, ZeroDivisionError):
+        raise BundleError(f"bad --weight {args.weight!r}; expected a rational") from None
+
+
 def _kind_from_args(args) -> OperatorKind:
     kind = args.kind
     if kind == "nijenhuis":
@@ -97,13 +108,9 @@ def _kind_from_args(args) -> OperatorKind:
     if kind == "rota_baxter":
         return rota_baxter()
     if kind == "rota_baxter_weighted":
-        if args.weight is None:
-            raise BundleError("--weight is required for weighted kinds")
-        return rota_baxter_weighted(Fraction(args.weight), args.convention)
+        return rota_baxter_weighted(_weight(args), args.convention)
     if kind == "modified_rota_baxter":
-        if args.weight is None:
-            raise BundleError("--weight is required for weighted kinds")
-        return modified_rota_baxter(Fraction(args.weight))
+        return modified_rota_baxter(_weight(args))
     raise BundleError(f"unknown operator kind {kind!r}")
 
 
@@ -221,9 +228,7 @@ def _cmd_search(args) -> int:
         raise BundleError(f"bad --range {args.range!r}; expected 'lo..hi'")
     lo, hi = int(m.group(1)), int(m.group(2))
     kind = _kind_from_args(args)
-    found = search_operators_grid(
-        bundle.algebra, kind, lo, hi, args.den, guard=args.guard
-    )
+    found = search_operators_grid(bundle.algebra, kind, lo, hi, args.den, guard=args.guard)
     report = {
         "command": "search",
         "kind": kind.describe(),
@@ -242,7 +247,6 @@ def _cmd_selfcheck(args) -> int:
     if bundle.operator is None:
         raise BundleError("selfcheck needs an operator in the bundle")
     rep = bundle.resolve_representation()
-    cap = max(args.max_degree + 1, 4)
 
     def diag_entries(corrected: bool):
         entries = chain_map_diagnostic(
@@ -251,7 +255,6 @@ def _cmd_selfcheck(args) -> int:
             rep,
             max_degree=args.max_degree,
             variant=args.phi,
-            cap=cap,
             corrected=corrected,
         )
         out = []
@@ -280,7 +283,6 @@ def _cmd_selfcheck(args) -> int:
         bundle.operator,
         max_degree=args.max_degree,
         variant=args.phi,
-        cap=max(args.max_degree, 4),
     )
     ok = all(e.commutes for e in corr_entries) and all(coh.junctions)
     report = {
@@ -388,16 +390,7 @@ def _cmd_extend(args) -> int:
     if args.other is None or args.corner is None:
         raise BundleError("extend compare needs OTHER_EXTENSION and --corner")
     other_file = parse_extension(Path(args.other).read_text(), bundle.algebra.dim)
-    import json as _json
-
-    corner_doc = _json.loads(Path(args.corner).read_text())
-    from .bundles import matrix_from_json
-
-    corner = matrix_from_json(
-        corner_doc["corner"] if isinstance(corner_doc, dict) else corner_doc,
-        "corner",
-        (ext_file.fiber_dim, bundle.algebra.dim),
-    )
+    corner = parse_corner(Path(args.corner).read_text(), (ext_file.fiber_dim, bundle.algebra.dim))
     ext_a = _build_from_files(bundle, ext_file)
     ext_b = _build_from_files(bundle, other_file)
     result = transport_cocycle_via_isomorphism(ext_a, ext_b, corner)
@@ -425,6 +418,7 @@ def _add_kind_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--convention", default="standard", choices=["standard", "as_printed"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nijleib",
@@ -502,10 +496,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(merged)
     try:
         return args.fn(args)
-    except (BundleError, ResourceLimitError, PreconditionError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NijleibError as exc:
+    except (NijleibError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -6,11 +6,15 @@ the star algebra with the induced representation (a single code path, so
 partial o partial = 0 is inherited).  The combined complex acts on pairs by
 d(f, g) = (delta f, -partial g - phi f).
 
-phi comes in two variants.  `printed` uses single-slot lower terms plus a
-trailing N_V^2 term; `full` is the inclusion-exclusion sum over slot subsets.
-They agree at degrees 0 and 2 and differ elsewhere; `full` is the default
-because it is the only variant under which the chain-map identity
-phi(delta f) = partial(phi f) holds (see chain_map_diagnostic).
+phi is the identity at degree 0.  At degree n >= 1 `full` is the product over
+the slots of (precompose with N in that slot) - (postcompose with N_V); the
+factors commute, so its m x m block linking output tuple t to input tuple s
+is p(N_V) with p(x) = prod_a (N[s_a][t_a] - [s_a = t_a] x).  `printed` keeps
+the x^0 and x^1 coefficients of p and adds [s = t] x^2.  The variants agree
+at degrees 0 and 2 and differ at degree 1 and at degrees >= 3 unless
+N_V^2 = 0.  `full` is the default because it is the only variant under which
+the chain-map identity phi(delta f) = partial(phi f) holds (see
+chain_map_diagnostic).
 
 Flattening is canonical everywhere: basis tuples in lexicographic order,
 module coordinate fastest; combined-complex blocks ordered [upper; lower].
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
 
@@ -196,7 +200,7 @@ def identity_cochain(dim: int) -> Cochain:
 # tuple to one input tuple.
 
 
-def _add_block(rows, out_idx: int, in_idx: int, mat: Matrix, m: int, sign: int) -> None:
+def _add_block(rows, out_idx: int, in_idx: int, mat: Matrix, m: int, coeff) -> None:
     base_r, base_c = out_idx * m, in_idx * m
     for a in range(m):
         target = rows[base_r + a]
@@ -204,7 +208,7 @@ def _add_block(rows, out_idx: int, in_idx: int, mat: Matrix, m: int, sign: int) 
         for b in range(m):
             v = source[b]
             if v:
-                target[base_c + b] += sign * v
+                target[base_c + b] += coeff * v
 
 
 def _add_scalar_block(rows, out_idx: int, in_idx: int, coeff: Fraction, m: int) -> None:
@@ -301,37 +305,40 @@ def combined_partial(alg: LeibnizAlgebra, n_op: Matrix, rep: Representation, f: 
 def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "full") -> Matrix:
     """Matrix of the comparison map at the given degree.
 
-    Built as a sum of Kronecker products: precomposition with N in a subset of
-    slots tensored with a postcomposition power of N_V.  Degree 0 is the
-    identity under both variants.
+    Degree 0 is the identity.  At degree n >= 1 block (t, s) is p(N_V), with
+    p(x) = prod_a (N[s_a][t_a] - [s_a = t_a] x) for `full`; `printed` keeps
+    the x^0 and x^1 coefficients of that product and adds [s = t] x^2.
     """
     if variant not in PHI_VARIANTS:
         raise ValueError(f"unknown phi variant {variant!r}")
     dim, m = n_op.rows, module_op.rows
     if degree == 0:
         return Matrix.identity(m)
-    nt = n_op.transpose()
-    ident = Matrix.identity(dim)
-    nv = module_op
-    terms: list[tuple[int, list[Matrix], Matrix]] = []
-    if variant == "printed":
-        terms.append((1, [nt] * degree, Matrix.identity(m)))
-        for j in range(degree):
-            slots = [nt] * degree
-            slots[j] = ident
-            terms.append((-1, slots, nv))
-        terms.append((1, [ident] * degree, nv * nv))
-    else:
-        for mask in range(1 << degree):
-            slots = [nt if (mask >> a) & 1 else ident for a in range(degree)]
-            missing = degree - bin(mask).count("1")
-            sign = 1 if missing % 2 == 0 else -1
-            terms.append((sign, slots, nv.pow(missing)))
-    total = Matrix.zero(m * dim**degree, m * dim**degree)
-    for sign, slots, post in terms:
-        term = reduce(kron, slots + [post])
-        total = total + (term if sign == 1 else -term)
-    return total
+    powers = [Matrix.identity(m)]
+    for _ in range(max(degree, 2)):
+        powers.append(powers[-1] * module_op)
+    # per slot value j, the (i, N[i][j], [i = j]) whose factor is nonzero
+    factors = [
+        [(i, row[j], int(i == j)) for i, row in enumerate(n_op.data) if row[j] or i == j]
+        for j in range(dim)
+    ]
+    size = space_dim(dim, m, degree)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for oi, t in enumerate(all_tuples(dim, degree)):
+        terms = [(0, [Fraction(1)])]  # (input tuple index, coefficients of p), slot by slot
+        for j in t:
+            terms = [
+                (si * dim + i, [c * a - d * b for a, b in zip(poly + [0], [0] + poly)])
+                for si, poly in terms
+                for i, c, d in factors[j]
+            ]
+        for si, poly in terms:
+            if variant == "printed":
+                poly = poly[:2] + [int(si == oi)]
+            for k, c in enumerate(poly):
+                if c:
+                    _add_block(rows, oi, si, powers[k], m, c)
+    return Matrix(rows)
 
 
 def phi_map(f: Cochain, n_op: Matrix, module_op: Matrix, variant: str = "full") -> Cochain:
@@ -446,6 +453,13 @@ def d_nla(
 COMPLEX_KINDS = ("la", "no", "nla")
 
 
+def _check_degree(degree: int, cap: int) -> None:
+    if degree < 0:
+        raise PreconditionError(f"degree {degree} is negative")
+    if degree > cap:
+        raise ResourceLimitError(f"degree {degree} exceeds cap {cap}")
+
+
 def coboundary_matrix(
     kind: str,
     alg: LeibnizAlgebra,
@@ -457,8 +471,7 @@ def coboundary_matrix(
 ) -> Matrix:
     if kind not in COMPLEX_KINDS:
         raise ValueError(f"unknown complex kind {kind!r}")
-    if degree > cap:
-        raise ResourceLimitError(f"degree {degree} exceeds cap {cap}")
+    _check_degree(degree, cap)
     if kind == "la":
         return delta_matrix(alg, rep, degree)
     if n_op is None:
@@ -520,6 +533,7 @@ def cohomology_dims(
     """Per-degree cocycle/coboundary/cohomology dimensions with junction
     validity flags.  `rank_fn` exists so the plain-elimination oracle can be
     swapped in for cross-checks."""
+    _check_degree(max_degree, cap)
     mats = [
         coboundary_matrix(kind, alg, rep, n_op, d, variant, cap) for d in range(max_degree + 1)
     ]
@@ -652,8 +666,7 @@ def chain_map_diagnostic(
     nv = rep.module_operator
     if nv is None:
         raise PreconditionError("chain-map diagnostic needs a module operator")
-    if max_degree > cap:
-        raise ResourceLimitError(f"degree {max_degree} exceeds cap {cap}")
+    _check_degree(max_degree, cap)
     lower = combined_partial_matrix if corrected else partial_matrix
     entries = []
     for n in range(max_degree + 1):

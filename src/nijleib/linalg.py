@@ -155,14 +155,6 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
-    def pow(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ShapeError("pow needs a square matrix")
-        result = Matrix.identity(self.rows)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ShapeError(f"matrix {self.rows}x{self.cols} applied to length-{len(v)} vector")
@@ -180,9 +172,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.data for e in row)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -217,9 +217,9 @@ def search_operators_grid(
     """Exhaustive classification over the grid; purely verification-based,
     no polynomial solving."""
     if denominator < 1:
-        raise ValueError("denominator must be positive")
+        raise PreconditionError("denominator must be positive")
     if hi < lo:
-        raise ValueError("empty entry range")
+        raise PreconditionError("empty entry range")
     count = (hi - lo + 1) ** (alg.dim * alg.dim)
     if count > guard:
         raise ResourceLimitError(f"grid of {count} candidates exceeds guard {guard}")

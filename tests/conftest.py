@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -6,6 +7,12 @@ from nijleib import adjoint_representation, catalog_get
 from nijleib.linalg import Matrix, frac
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# `python -m nijleib.cli` subprocesses import the package from this checkout,
+# like the tests themselves (pytest's `pythonpath` setting covers only this
+# interpreter)
+SRC = str(pathlib.Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

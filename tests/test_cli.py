@@ -38,11 +38,41 @@ def test_verify_fail_with_certificate(capsys, fixtures_dir):
     assert cert["residual"]
 
 
-def test_verify_invalid_input(capsys, fixtures_dir):
-    code, out, err = run(capsys, "verify", fx(fixtures_dir, "bad_rational.json"))
-    assert code == EXIT_INVALID
-    assert out == ""
-    assert "error:" in err
+def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
+    # each case is invalid input to some verb: exit 2, no report, and one
+    # error: line in place of a traceback
+    bundle = fx(fixtures_dir, "loday2_classified.json")
+    mu_not_a_list = tmp_path / "mu5.json"
+    mu_not_a_list.write_text('{"order": 0, "mu": 5, "n": 5}')
+    not_an_object = tmp_path / "five.json"
+    not_an_object.write_text("5")
+    bad_corner = tmp_path / "corner.json"
+    bad_corner.write_text('{"corner": [[')
+    cases = [
+        ("verify", fx(fixtures_dir, "bad_rational.json")),
+        ("verify", bundle, "--kind", "rota_baxter_weighted", "--weight", "abc"),
+        ("search", fx(fixtures_dir, "loday2_plain.json"), "--range", "-1..1", "--den", "0"),
+        ("deform", "check", bundle, str(mu_not_a_list)),
+        ("deform", "check", bundle, str(not_an_object)),
+        ("extend", "build", bundle, str(not_an_object)),
+        (
+            "extend",
+            "compare",
+            bundle,
+            fx(fixtures_dir, "extension_related.json"),
+            fx(fixtures_dir, "extension_cocycle.json"),
+            "--corner",
+            str(bad_corner),
+        ),
+        ("selfcheck", bundle, "--max-degree", "9"),
+        ("selfcheck", bundle, "--max-degree", "-1"),
+        ("cohomology", bundle, "--max-degree", "-1"),
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVALID, argv
+        assert out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
 def test_missing_file_is_invalid(capsys, fixtures_dir):

@@ -3,12 +3,17 @@ the comparison map, the combined complex, and cohomology dimensions.
 
 delta and partial are assembled as matrices term by term, so the main oracle
 here is a slow pointwise evaluator written straight from the defining sum
-(signs and hat-slots spelled out) that never touches the matrix path.
+(signs and hat-slots spelled out) that never touches the matrix path.  The
+comparison map is checked against its defining sum of Kronecker products.
 """
 
 import random
+from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nijleib.algebra import adjoint_representation, catalog_get, catalog_nijenhuis_pairs, trivial_representation
 from nijleib.cochain import (
@@ -133,6 +138,39 @@ def _act_right(rep, v, x):
     return out
 
 
+def slow_phi(n_op, module_op, degree, variant):
+    """The comparison map as its defining sum of Kronecker products: N^T in
+    some slots, the identity in the rest, tensored with a power of N_V.
+    `full` sums all 2^n slot subsets with inclusion-exclusion signs;
+    `printed` keeps the all-N^T term, the single-slot terms and a trailing
+    N_V^2 term."""
+    dim, m = n_op.rows, module_op.rows
+    if degree == 0:
+        return Matrix.identity(m)
+    nt = n_op.transpose()
+    ident = Matrix.identity(dim)
+    powers = [Matrix.identity(m)]
+    for _ in range(max(degree, 2)):
+        powers.append(powers[-1] * module_op)
+    if variant == "printed":
+        terms = [(1, [nt] * degree, powers[0])]
+        for j in range(degree):
+            slots = [nt] * degree
+            slots[j] = ident
+            terms.append((-1, slots, powers[1]))
+        terms.append((1, [ident] * degree, powers[2]))
+    else:
+        terms = []
+        for mask in range(1 << degree):
+            slots = [nt if (mask >> a) & 1 else ident for a in range(degree)]
+            missing = degree - bin(mask).count("1")
+            terms.append(((-1) ** missing, slots, powers[missing]))
+    total = Matrix.zero(m * dim**degree, m * dim**degree)
+    for sign, slots, post in terms:
+        total = total + reduce(kron, slots + [post]).scale(sign)
+    return total
+
+
 def random_cochain(rng, degree, alg_dim, module_dim, lo=-3, hi=3):
     table = {
         t: tuple(frac(rng.randint(lo, hi)) for _ in range(module_dim))
@@ -223,6 +261,34 @@ def test_partial_is_star_delta(loday2, classified_op, loday2_adjoint):
 def test_phi_degree0_is_identity(classified_op):
     for variant in ("full", "printed"):
         assert phi_matrix(classified_op, classified_op, 0, variant) == Matrix.identity(2)
+
+
+@pytest.mark.parametrize("variant", ["full", "printed"])
+def test_phi_matches_kronecker_sum_oracle_all_catalog(variant):
+    for name, _, op in catalog_nijenhuis_pairs():
+        for n in range(5):
+            assert phi_matrix(op, op, n, variant) == slow_phi(op, op, n, variant), (name, n)
+
+
+def _square_matrices(size):
+    entries = st.lists(
+        st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)]), min_size=size * size, max_size=size * size
+    )
+    return entries.map(lambda e: Matrix([e[r * size : (r + 1) * size] for r in range(size)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 3))
+    .filter(lambda dims: dims[0] != dims[1])
+    .flatmap(lambda dims: st.tuples(_square_matrices(dims[0]), _square_matrices(dims[1]))),
+    st.integers(0, 3),
+    st.sampled_from(["full", "printed"]),
+)
+def test_phi_matches_kronecker_sum_oracle_random(ops, degree, variant):
+    # algebra and module dimensions differ, so a mix-up between them shows
+    n_op, module_op = ops
+    assert phi_matrix(n_op, module_op, degree, variant) == slow_phi(n_op, module_op, degree, variant)
 
 
 def test_phi_variants_agree_at_degree2(classified_op):
