@@ -108,7 +108,9 @@ def parse_algebra_bundle(text: str, *, verify: bool = True) -> AlgebraBundle:
     basis = _require(alg_doc, "basis", "algebra")
     if not isinstance(dim, int) or dim < 0:
         raise BundleError("algebra.dimension must be a nonnegative integer")
-    if not isinstance(basis, list) or len(basis) != dim or len(set(basis)) != dim:
+    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+        raise BundleError("algebra.basis must be a list of string labels")
+    if len(basis) != dim or len(set(basis)) != dim:
         raise BundleError("algebra.basis must list dimension-many distinct labels")
     index = {label: i for i, label in enumerate(basis)}
     structure = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
@@ -148,8 +150,8 @@ def parse_algebra_bundle(text: str, *, verify: bool = True) -> AlgebraBundle:
                 raise BundleError("representation.dimension must be a nonnegative integer")
             left_doc = _require(rep_doc, "left", "representation")
             right_doc = _require(rep_doc, "right", "representation")
-            if len(left_doc) != dim or len(right_doc) != dim:
-                raise BundleError("representation needs one left and one right matrix per basis vector")
+            if not all(isinstance(d, list) and len(d) == dim for d in (left_doc, right_doc)):
+                raise BundleError("representation.left/right need one matrix per basis vector")
             left = tuple(
                 matrix_from_json(mat, f"representation.left[{i}]", (m, m))
                 for i, mat in enumerate(left_doc)
@@ -269,15 +271,11 @@ def parse_extension(text: str, dim: int) -> ExtensionFile:
 
 
 def serialize_extension(ext: ExtensionFile) -> str:
-    dim = ext.pair.psi.alg_dim
-    psi_tensor = tuple(
-        tuple(ext.pair.psi.value((i, j)) for j in range(dim)) for i in range(dim)
-    )
     return emit_json(
         {
             "fiber_dim": ext.fiber_dim,
             "fiber_operator": matrix_to_json(ext.fiber_operator),
-            "psi": tensor_to_json(psi_tensor),
+            "psi": tensor_to_json(ext.pair.psi.as_tensor()),
             "chi": matrix_to_json(ext.pair.chi.as_matrix()),
         }
     )

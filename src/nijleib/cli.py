@@ -376,11 +376,9 @@ def _cmd_extend(args) -> int:
     if args.what == "extract":
         ext = _build_from_files(bundle, ext_file)
         pair = section_to_cocycle(ext)
-        dim = bundle.algebra.dim
-        psi_tensor = tuple(tuple(pair.psi.value((i, j)) for j in range(dim)) for i in range(dim))
         report = {
             "command": "extend-extract",
-            "psi": tensor_to_json(psi_tensor),
+            "psi": tensor_to_json(pair.psi.as_tensor()),
             "chi": matrix_to_json(pair.chi.as_matrix()),
             "verdict": "pass",
         }
@@ -418,9 +416,17 @@ def _add_kind_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--convention", default="standard", choices=["standard", "as_printed"])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line like any other invalid input: one
+    `error:` line and exit 2, instead of a usage block.  Subparsers inherit it."""
+
+    def error(self, message):
+        raise BundleError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nijleib",
         description="Exact verification engine for Nijenhuis operators on Leibniz algebras",
     )
@@ -493,8 +499,8 @@ def main(argv=None) -> int:
         else:
             merged.append(tok)
             i += 1
-    args = parser.parse_args(merged)
     try:
+        args = parser.parse_args(merged)
         return args.fn(args)
     except (NijleibError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,11 +18,13 @@ chain_map_diagnostic).
 
 Flattening is canonical everywhere: basis tuples in lexicographic order,
 module coordinate fastest; combined-complex blocks ordered [upper; lower].
+A `Cochain` stores exactly this vector (`Cochain.vec`), so every coboundary
+acts on it as a matrix; `Cochain.values` is a tuple-keyed view of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -39,6 +41,9 @@ from .linalg import (
     mat_mul,
     rank,
     solve_linear,
+    vec_add,
+    vec_scale,
+    vec_sub,
     zero_vector,
 )
 from .operators import induced_bracket, induced_representation
@@ -57,64 +62,69 @@ def space_dim(alg_dim: int, module_dim: int, degree: int) -> int:
     return module_dim * alg_dim**degree
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Cochain:
-    """Degree-n multilinear map g^(x)n -> V as a total table over basis tuples."""
+    """Degree-n multilinear map g^(x)n -> V, stored as its canonical flat
+    vector `vec`: basis tuples in lexicographic order, module coordinate
+    fastest.  `values` is a tuple-keyed view of the same numbers."""
 
     degree: int
     alg_dim: int
     module_dim: int
-    values: dict
+    vec: Vector
 
     def __post_init__(self):
-        expected = all_tuples(self.alg_dim, self.degree)
-        if set(self.values) != set(expected):
-            raise ShapeError("cochain table must be total over all basis tuples")
-        for v in self.values.values():
-            if len(v) != self.module_dim:
-                raise ShapeError("cochain values must have module dimension")
+        if len(self.vec) != space_dim(self.alg_dim, self.module_dim, self.degree):
+            raise ShapeError("cochain vector length must be module_dim * alg_dim**degree")
 
     @classmethod
     def zero(cls, degree: int, alg_dim: int, module_dim: int) -> "Cochain":
-        z = zero_vector(module_dim)
-        return cls(degree, alg_dim, module_dim, {t: z for t in all_tuples(alg_dim, degree)})
+        return cls(degree, alg_dim, module_dim, zero_vector(space_dim(alg_dim, module_dim, degree)))
 
     @classmethod
     def from_table(cls, degree: int, alg_dim: int, module_dim: int, table: dict) -> "Cochain":
-        base = {t: zero_vector(module_dim) for t in all_tuples(alg_dim, degree)}
-        for t, v in table.items():
-            base[tuple(t)] = tuple(Fraction(c) for c in v)
-        return cls(degree, alg_dim, module_dim, base)
-
-    @classmethod
-    def basis(cls, degree: int, alg_dim: int, module_dim: int, t: tuple, coord: int) -> "Cochain":
-        v = tuple(Fraction(1 if i == coord else 0) for i in range(module_dim))
-        return cls.from_table(degree, alg_dim, module_dim, {tuple(t): v})
+        """A cochain from {basis tuple: value}; missing tuples map to zero."""
+        tuples = all_tuples(alg_dim, degree)
+        if not set(table) <= set(tuples):
+            raise ShapeError("cochain table has a key that is not a basis tuple")
+        z = zero_vector(module_dim)
+        vec = tuple(Fraction(c) for t in tuples for c in table.get(t, z))
+        return cls(degree, alg_dim, module_dim, vec)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Cochain":
         """A linear map as a degree-1 cochain (columns are basis values)."""
-        return cls(1, m.cols, m.rows, {(j,): m.column(j) for j in range(m.cols)})
+        return cls(1, m.cols, m.rows, tuple(c for col in m.transpose().data for c in col))
 
     @classmethod
     def from_bilinear_tensor(cls, tensor) -> "Cochain":
         dim = len(tensor)
         out_dim = len(tensor[0][0]) if dim else 0
-        return cls(2, dim, out_dim, {(i, j): tensor[i][j] for i in range(dim) for j in range(dim)})
+        return cls(2, dim, out_dim, tuple(c for row in tensor for v in row for c in v))
 
     @classmethod
     def from_vector(cls, v: Vector, alg_dim: int) -> "Cochain":
         """A module element as a degree-0 cochain."""
-        return cls(0, alg_dim, len(v), {(): tuple(v)})
+        return cls(0, alg_dim, len(v), tuple(v))
 
     def value(self, t: tuple) -> Vector:
-        return self.values[tuple(t)]
+        if len(t) != self.degree or not all(0 <= i < self.alg_dim for i in t):
+            raise ShapeError(f"{tuple(t)} is not a basis tuple of degree {self.degree}")
+        idx = 0
+        for i in t:
+            idx = idx * self.alg_dim + i
+        m = self.module_dim
+        return self.vec[idx * m : (idx + 1) * m]
+
+    @property
+    def values(self) -> dict:
+        return {t: self.value(t) for t in all_tuples(self.alg_dim, self.degree)}
 
     def __call__(self, *vectors: Vector) -> Vector:
         if len(vectors) != self.degree:
             raise ShapeError(f"degree-{self.degree} cochain called with {len(vectors)} arguments")
         acc = list(zero_vector(self.module_dim))
-        for t in all_tuples(self.alg_dim, self.degree):
+        for t, v in self.values.items():
             coeff = Fraction(1)
             for slot, idx in enumerate(t):
                 coeff *= vectors[slot][idx]
@@ -122,54 +132,39 @@ class Cochain:
                     break
             if not coeff:
                 continue
-            for k, c in enumerate(self.values[t]):
+            for k, c in enumerate(v):
                 if c:
                     acc[k] += coeff * c
         return tuple(acc)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        return Cochain(
-            self.degree,
-            self.alg_dim,
-            self.module_dim,
-            {t: tuple(a + b for a, b in zip(self.values[t], other.values[t])) for t in self.values},
-        )
+        return replace(self, vec=vec_add(self.vec, other.vec))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        return Cochain(
-            self.degree,
-            self.alg_dim,
-            self.module_dim,
-            {t: tuple(a - b for a, b in zip(self.values[t], other.values[t])) for t in self.values},
-        )
+        return replace(self, vec=vec_sub(self.vec, other.vec))
 
     def __neg__(self) -> "Cochain":
         return self.scale(-1)
 
     def scale(self, c) -> "Cochain":
-        c = Fraction(c)
-        return Cochain(
-            self.degree,
-            self.alg_dim,
-            self.module_dim,
-            {t: tuple(c * a for a in v) for t, v in self.values.items()},
-        )
+        return replace(self, vec=vec_scale(c, self.vec))
 
     def is_zero(self) -> bool:
-        return all(is_zero_vector(v) for v in self.values.values())
-
-    def flatten(self) -> Vector:
-        out: list[Fraction] = []
-        for t in all_tuples(self.alg_dim, self.degree):
-            out.extend(self.values[t])
-        return tuple(out)
+        return is_zero_vector(self.vec)
 
     def as_matrix(self) -> Matrix:
         if self.degree != 1:
             raise ShapeError("only degree-1 cochains are matrices")
-        return Matrix.from_columns([self.values[(j,)] for j in range(self.alg_dim)])
+        return Matrix.from_columns([self.value((j,)) for j in range(self.alg_dim)])
+
+    def as_tensor(self) -> tuple:
+        """A degree-2 cochain as the nested tuple tensor[i][j] = value((i, j))."""
+        if self.degree != 2:
+            raise ShapeError("only degree-2 cochains are bilinear tensors")
+        n = self.alg_dim
+        return tuple(tuple(self.value((i, j)) for j in range(n)) for i in range(n))
 
     def _check_compatible(self, other: "Cochain") -> None:
         if (self.degree, self.alg_dim, self.module_dim) != (
@@ -178,16 +173,6 @@ class Cochain:
             other.module_dim,
         ):
             raise ShapeError("incompatible cochains")
-
-
-def unflatten(vec: Vector, degree: int, alg_dim: int, module_dim: int) -> Cochain:
-    tuples = all_tuples(alg_dim, degree)
-    if len(vec) != len(tuples) * module_dim:
-        raise ShapeError("flattened vector has wrong length")
-    values = {
-        t: tuple(vec[idx * module_dim : (idx + 1) * module_dim]) for idx, t in enumerate(tuples)
-    }
-    return Cochain(degree, alg_dim, module_dim, values)
 
 
 def identity_cochain(dim: int) -> Cochain:
@@ -250,7 +235,7 @@ def delta_matrix(alg: LeibnizAlgebra, rep: Representation, degree: int) -> Matri
 
 def delta(alg: LeibnizAlgebra, rep: Representation, f: Cochain) -> Cochain:
     mat = delta_matrix(alg, rep, f.degree)
-    return unflatten(mat.apply(f.flatten()), f.degree + 1, alg.dim, rep.module_dim)
+    return Cochain(f.degree + 1, alg.dim, rep.module_dim, mat.apply(f.vec))
 
 
 @lru_cache(maxsize=None)
@@ -269,7 +254,7 @@ def partial_matrix(alg: LeibnizAlgebra, n_op: Matrix, rep: Representation, degre
 
 def partial(alg: LeibnizAlgebra, n_op: Matrix, rep: Representation, f: Cochain) -> Cochain:
     mat = partial_matrix(alg, n_op, rep, f.degree)
-    return unflatten(mat.apply(f.flatten()), f.degree + 1, alg.dim, rep.module_dim)
+    return Cochain(f.degree + 1, alg.dim, rep.module_dim, mat.apply(f.vec))
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +283,7 @@ def combined_partial_matrix(
 
 def combined_partial(alg: LeibnizAlgebra, n_op: Matrix, rep: Representation, f: Cochain) -> Cochain:
     mat = combined_partial_matrix(alg, n_op, rep, f.degree)
-    return unflatten(mat.apply(f.flatten()), f.degree + 1, alg.dim, rep.module_dim)
+    return Cochain(f.degree + 1, alg.dim, rep.module_dim, mat.apply(f.vec))
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +328,7 @@ def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "ful
 
 def phi_map(f: Cochain, n_op: Matrix, module_op: Matrix, variant: str = "full") -> Cochain:
     mat = phi_matrix(n_op, module_op, f.degree, variant)
-    return unflatten(mat.apply(f.flatten()), f.degree, f.alg_dim, f.module_dim)
+    return replace(f, vec=mat.apply(f.vec))
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +371,9 @@ class NLACochain:
     def is_zero(self) -> bool:
         return self.upper.is_zero() and self.lower.is_zero()
 
-    def flatten(self) -> Vector:
-        return self.upper.flatten() + self.lower.flatten()
-
-
-def nla_space_dim(alg_dim: int, module_dim: int, degree: int) -> int:
-    if degree == 0:
-        return module_dim
-    return space_dim(alg_dim, module_dim, degree) + space_dim(alg_dim, module_dim, degree - 1)
+    @property
+    def vec(self) -> Vector:
+        return self.upper.vec + self.lower.vec
 
 
 def nla_unflatten(vec: Vector, degree: int, alg_dim: int, module_dim: int):
@@ -401,8 +381,8 @@ def nla_unflatten(vec: Vector, degree: int, alg_dim: int, module_dim: int):
         return Cochain.from_vector(vec, alg_dim)
     split = space_dim(alg_dim, module_dim, degree)
     return NLACochain(
-        unflatten(vec[:split], degree, alg_dim, module_dim),
-        unflatten(vec[split:], degree - 1, alg_dim, module_dim),
+        Cochain(degree, alg_dim, module_dim, vec[:split]),
+        Cochain(degree - 1, alg_dim, module_dim, vec[split:]),
     )
 
 
@@ -444,7 +424,7 @@ def d_nla(
 ):
     degree = element.degree
     mat = nla_matrix(alg, n_op, rep, degree, variant)
-    return nla_unflatten(mat.apply(element.flatten()), degree + 1, alg.dim, rep.module_dim)
+    return nla_unflatten(mat.apply(element.vec), degree + 1, alg.dim, rep.module_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +561,7 @@ def cocycle_membership(
     cap: int = DEGREE_CAP,
 ) -> MembershipResult:
     degree = element.degree
-    flat = element.flatten()
+    flat = element.vec
     out_mat = coboundary_matrix(kind, alg, rep, n_op, degree, variant, cap)
     is_cocycle = is_zero_vector(out_mat.apply(flat))
     if degree == 0:
@@ -594,7 +574,7 @@ def cocycle_membership(
     if kind == "nla":
         preimage = nla_unflatten(sol, degree - 1, alg.dim, rep.module_dim)
     else:
-        preimage = unflatten(sol, degree - 1, alg.dim, rep.module_dim)
+        preimage = Cochain(degree - 1, alg.dim, rep.module_dim, sol)
     return MembershipResult(is_cocycle, True, preimage)
 
 
@@ -613,7 +593,7 @@ def sample_cocycles(
     basis = kernel_basis(mat)
     if kind == "nla":
         return [nla_unflatten(v, degree, alg.dim, rep.module_dim) for v in basis]
-    return [unflatten(v, degree, alg.dim, rep.module_dim) for v in basis]
+    return [Cochain(degree, alg.dim, rep.module_dim, v) for v in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +660,6 @@ def chain_map_diagnostic(
         in_tuples = all_tuples(alg.dim, n)
         col = next(j for j in range(diff.cols) if any(row[j] for row in diff.data))
         witness = (in_tuples[col // m], col % m)
-        residual = unflatten(diff.column(col), n + 1, alg.dim, m)
+        residual = Cochain(n + 1, alg.dim, m, diff.column(col))
         entries.append(ChainMapEntry(n, False, witness, residual))
     return tuple(entries)

@@ -49,13 +49,6 @@ class CocyclePair:
     def as_nla(self) -> NLACochain:
         return NLACochain(self.psi, self.chi)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CocyclePair)
-            and self.psi == other.psi
-            and self.chi == other.chi
-        )
-
     def __sub__(self, other: "CocyclePair") -> NLACochain:
         return self.as_nla() - other.as_nla()
 
@@ -88,9 +81,6 @@ class ExtensionDatum:
     @property
     def ok(self) -> bool:
         return not self.certificates
-
-    def base_dim(self) -> int:
-        return self.base_alg.dim
 
     def project(self, z: Vector) -> Vector:
         return z[: self.base_alg.dim]
@@ -126,12 +116,13 @@ def build_extension(
     if bad is not None:
         raise PreconditionError(f"invalid governing representation: {bad.describe()}")
 
+    psi = pair.psi.as_tensor()
     structure = []
     for i in range(n + m):
         row = []
         for j in range(n + m):
             if i < n and j < n:
-                v = alg.structure[i][j] + pair.psi.value((i, j))
+                v = alg.structure[i][j] + psi[i][j]
             elif i < n <= j:
                 v = zero_vector(n) + rep.left[i].column(j - n)
             elif j < n <= i:
@@ -232,10 +223,7 @@ def section_to_cocycle(ext: ExtensionDatum, s: Optional[Section] = None) -> Cocy
         if not is_zero_vector(ext.project(w)):
             raise PreconditionError(f"chi({j}) does not land in the fiber")
         chi_table[(j,)] = ext.fiber_part(w)
-    return CocyclePair(
-        Cochain(2, n, m, {t: psi_table[t] for t in product(range(n), repeat=2)}),
-        Cochain(1, n, m, chi_table),
-    )
+    return CocyclePair(Cochain.from_table(2, n, m, psi_table), Cochain.from_table(1, n, m, chi_table))
 
 
 def induced_rep_from_section(ext: ExtensionDatum, s: Optional[Section] = None) -> Representation:

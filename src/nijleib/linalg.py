@@ -126,14 +126,8 @@ class Matrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.data)
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -198,7 +198,7 @@ def test_criterion_06_degree_one_diagnostic():
     ok = ok and printed.values == delta(alg, rep, f).values
     rng = random.Random(99)
     for degree in (1, 2, 3):
-        g = Cochain(
+        g = Cochain.from_table(
             degree,
             2,
             2,

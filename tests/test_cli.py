@@ -1,10 +1,16 @@
 """Command-line behavior: exit codes, canonical JSON reports, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from nijleib import adjoint_representation
+from nijleib.bundles import AlgebraBundle, serialize_algebra_bundle
 from nijleib.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
 
 
@@ -48,6 +54,13 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
     not_an_object.write_text("5")
     bad_corner = tmp_path / "corner.json"
     bad_corner.write_text('{"corner": [[')
+    actions_not_lists = tmp_path / "rep5.json"
+    actions_not_lists.write_text(
+        '{"algebra": {"dimension": 1, "basis": ["a"]},'
+        ' "representation": {"dimension": 1, "left": 5, "right": 5}}'
+    )
+    labels_not_strings = tmp_path / "labels.json"
+    labels_not_strings.write_text('{"algebra": {"dimension": 2, "basis": [["a"], ["b"]]}}')
     cases = [
         ("verify", fx(fixtures_dir, "bad_rational.json")),
         ("verify", bundle, "--kind", "rota_baxter_weighted", "--weight", "abc"),
@@ -67,12 +80,77 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
         ("selfcheck", bundle, "--max-degree", "9"),
         ("selfcheck", bundle, "--max-degree", "-1"),
         ("cohomology", bundle, "--max-degree", "-1"),
+        ("cohomology", bundle, "--max-degree", "abc"),
+        ("cohomology", bundle, "--complex", "xyz"),
+        ("verify",),
+        (),
+        ("verify", str(actions_not_lists)),
+        ("verify", str(labels_not_strings)),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INVALID, argv
         assert out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+def _fuzz_bundles(fixtures_dir, loday2, classified_op):
+    # two valid documents: a fixture, and the same algebra with its adjoint
+    # representation written out explicitly (so representation fields exist)
+    fixture = json.loads((fixtures_dir / "loday2_classified.json").read_text())
+    explicit = AlgebraBundle(loday2, classified_op, adjoint_representation(loday2, classified_op))
+    return [fixture, json.loads(serialize_algebra_bundle(explicit))]
+
+
+def _field_paths(node, path=()):
+    """Every key/index path below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# any JSON value, weighted towards the labels and rationals a bundle uses
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["0", "1", "-1/2", "e1", "e2", "e2,e1", "adjoint"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(["e1", "e2", "e2,e1"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=JSON_VALUES)
+def test_exit_code_contract_on_mutated_bundles(fixtures_dir, loday2, classified_op, tmp_path, value):
+    # each field of a valid bundle in turn replaced by a JSON value: exit 0,
+    # 1 or 2, and an exit 2 prints no report and exactly one error: line
+    bundle = tmp_path / "fuzzed.json"
+    for doc in _fuzz_bundles(fixtures_dir, loday2, classified_op):
+        for path in _field_paths(doc):
+            bundle.write_text(json.dumps(_replaced(doc, path, value)))
+            for argv in (["verify", str(bundle)], ["cohomology", str(bundle), "--max-degree", "1"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INVALID), (argv, path)
+                if code == EXIT_INVALID:
+                    err = err.getvalue()
+                    assert out.getvalue() == "", (argv, path)
+                    assert err.startswith("error:") and err.count("\n") == 1, (argv, path, err)
 
 
 def test_missing_file_is_invalid(capsys, fixtures_dir):

@@ -37,9 +37,8 @@ from nijleib.cochain import (
     phi_matrix,
     sample_cocycles,
     space_dim,
-    unflatten,
 )
-from nijleib.errors import ResourceLimitError
+from nijleib.errors import ResourceLimitError, ShapeError
 from nijleib.linalg import (
     Matrix,
     frac,
@@ -463,10 +462,25 @@ def test_nla_degree0_junction_holds(loday2, classified_op, loday2_adjoint):
 # --- cochain container ------------------------------------------------------
 
 
-def test_cochain_flatten_roundtrip():
+def test_cochain_flat_layout():
+    # vec is the canonical order: tuple rank in all_tuples, coordinate fastest
     rng = random.Random(3)
-    f = random_cochain(rng, 2, 2, 3)
-    assert unflatten(f.flatten(), 2, 2, 3).values == f.values
+    for degree in range(4):
+        alg_dim, m = rng.choice([(2, 3), (3, 1), (1, 2)])
+        tuples = all_tuples(alg_dim, degree)
+        table = {t: tuple(frac(rng.randint(-3, 3)) for _ in range(m)) for t in tuples}
+        f = Cochain.from_table(degree, alg_dim, m, table)
+        for rank_t, t in enumerate(tuples):
+            assert f.vec[rank_t * m : rank_t * m + m] == table[t]
+            assert f.value(t) == table[t]
+        assert f.values == table
+        for bad in (f.vec + (frac(0),), f.vec[:-1]):
+            with pytest.raises(ShapeError):
+                Cochain(degree, alg_dim, m, bad)
+    tensor = tuple(
+        tuple(tuple(frac(rng.randint(-3, 3)) for _ in range(3)) for _ in range(2)) for _ in range(2)
+    )
+    assert Cochain.from_bilinear_tensor(tensor).as_tensor() == tensor
 
 
 def test_cochain_multilinear_call(loday2):
