@@ -43,6 +43,14 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _require_count(obj, key, where) -> int:
+    """A nonnegative JSON integer; not a boolean, which Python counts as an int."""
+    value = _require(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise BundleError(f"{where}.{key} must be a nonnegative integer")
+    return value
+
+
 def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [[format_rational(e) for e in row] for row in m.data]
 
@@ -104,10 +112,8 @@ class AlgebraBundle:
 def parse_algebra_bundle(text: str, *, verify: bool = True) -> AlgebraBundle:
     doc = _load_json(text)
     alg_doc = _require(doc, "algebra", "bundle")
-    dim = _require(alg_doc, "dimension", "algebra")
+    dim = _require_count(alg_doc, "dimension", "algebra")
     basis = _require(alg_doc, "basis", "algebra")
-    if not isinstance(dim, int) or dim < 0:
-        raise BundleError("algebra.dimension must be a nonnegative integer")
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise BundleError("algebra.basis must be a list of string labels")
     if len(basis) != dim or len(set(basis)) != dim:
@@ -145,9 +151,7 @@ def parse_algebra_bundle(text: str, *, verify: bool = True) -> AlgebraBundle:
         if rep_doc == "adjoint":
             representation = "adjoint"
         elif isinstance(rep_doc, dict):
-            m = _require(rep_doc, "dimension", "representation")
-            if not isinstance(m, int) or m < 0:
-                raise BundleError("representation.dimension must be a nonnegative integer")
+            m = _require_count(rep_doc, "dimension", "representation")
             left_doc = _require(rep_doc, "left", "representation")
             right_doc = _require(rep_doc, "right", "representation")
             if not all(isinstance(d, list) and len(d) == dim for d in (left_doc, right_doc)):
@@ -206,9 +210,7 @@ def serialize_algebra_bundle(bundle: AlgebraBundle) -> str:
 
 def parse_deformation(text: str, dim: int) -> TruncatedDeformation:
     doc = _load_json(text)
-    order = _require(doc, "order", "deformation")
-    if not isinstance(order, int) or order < 0:
-        raise BundleError("deformation.order must be a nonnegative integer")
+    order = _require_count(doc, "order", "deformation")
     mu_doc = _require(doc, "mu", "deformation")
     n_doc = _require(doc, "n", "deformation")
     if not all(isinstance(d, list) and len(d) == order + 1 for d in (mu_doc, n_doc)):
@@ -234,9 +236,9 @@ def serialize_deformation(d: TruncatedDeformation) -> str:
 
 def parse_isomorphism(text: str, dim: int) -> FormalIsomorphism:
     doc = _load_json(text)
-    order = _require(doc, "order", "isomorphism")
+    order = _require_count(doc, "order", "isomorphism")
     psi_doc = _require(doc, "psi", "isomorphism")
-    if not isinstance(order, int) or order < 0 or not isinstance(psi_doc, list) or len(psi_doc) != order + 1:
+    if not isinstance(psi_doc, list) or len(psi_doc) != order + 1:
         raise BundleError("isomorphism needs order+1 psi matrices")
     psi = tuple(
         matrix_from_json(m, f"isomorphism.psi[{i}]", (dim, dim)) for i, m in enumerate(psi_doc)
@@ -260,9 +262,7 @@ class ExtensionFile:
 
 def parse_extension(text: str, dim: int) -> ExtensionFile:
     doc = _load_json(text)
-    m = _require(doc, "fiber_dim", "extension")
-    if not isinstance(m, int) or m < 0:
-        raise BundleError("extension.fiber_dim must be a nonnegative integer")
+    m = _require_count(doc, "fiber_dim", "extension")
     fiber_op = matrix_from_json(_require(doc, "fiber_operator", "extension"), "extension.fiber_operator", (m, m))
     psi_tensor = tensor_from_json(_require(doc, "psi", "extension"), "extension.psi", dim, m)
     chi = matrix_from_json(_require(doc, "chi", "extension"), "extension.chi", (m, dim))

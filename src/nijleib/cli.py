@@ -182,7 +182,6 @@ def _cmd_cohomology(args) -> int:
         bundle.operator,
         max_degree=args.max_degree,
         variant=args.phi,
-        cap=args.cap,
     )
     degrees = [
         {
@@ -349,10 +348,7 @@ def _cmd_deform(args) -> int:
 def _build_from_files(bundle: AlgebraBundle, ext_file: ExtensionFile):
     if bundle.operator is None:
         raise BundleError("extension commands need an operator in the bundle")
-    if isinstance(bundle.representation, str) or bundle.representation is None:
-        rep = bundle.resolve_representation()
-    else:
-        rep = bundle.representation
+    rep = bundle.resolve_representation()
     if rep.module_dim != ext_file.fiber_dim:
         raise BundleError("representation module dimension != fiber_dim")
     rep = rep.with_module_operator(ext_file.fiber_operator)
@@ -448,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", default="la", choices=["la", "no", "nla"])
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--phi", default="full", choices=["full", "printed"])
-    p.add_argument("--cap", type=int, default=4)
     p.set_defaults(fn=_cmd_cohomology)
 
     p = sub.add_parser("search", help="exhaustive operator grid classification")
@@ -502,7 +497,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(merged)
         return args.fn(args)
-    except (NijleibError, FileNotFoundError) as exc:
+    except (NijleibError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

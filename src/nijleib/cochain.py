@@ -355,13 +355,6 @@ class NLACochain:
     def degree(self) -> int:
         return self.upper.degree
 
-    @classmethod
-    def zero(cls, degree: int, alg_dim: int, module_dim: int) -> "NLACochain":
-        return cls(
-            Cochain.zero(degree, alg_dim, module_dim),
-            Cochain.zero(degree - 1, alg_dim, module_dim),
-        )
-
     def __add__(self, other: "NLACochain") -> "NLACochain":
         return NLACochain(self.upper + other.upper, self.lower + other.lower)
 
@@ -433,11 +426,11 @@ def d_nla(
 COMPLEX_KINDS = ("la", "no", "nla")
 
 
-def _check_degree(degree: int, cap: int) -> None:
+def _check_degree(degree: int) -> None:
     if degree < 0:
         raise PreconditionError(f"degree {degree} is negative")
-    if degree > cap:
-        raise ResourceLimitError(f"degree {degree} exceeds cap {cap}")
+    if degree > DEGREE_CAP:
+        raise ResourceLimitError(f"degree {degree} exceeds cap {DEGREE_CAP}")
 
 
 def coboundary_matrix(
@@ -447,11 +440,10 @@ def coboundary_matrix(
     n_op: Optional[Matrix],
     degree: int,
     variant: str = "full",
-    cap: int = DEGREE_CAP,
 ) -> Matrix:
     if kind not in COMPLEX_KINDS:
         raise ValueError(f"unknown complex kind {kind!r}")
-    _check_degree(degree, cap)
+    _check_degree(degree)
     if kind == "la":
         return delta_matrix(alg, rep, degree)
     if n_op is None:
@@ -507,16 +499,13 @@ def cohomology_dims(
     n_op: Optional[Matrix] = None,
     max_degree: int = 2,
     variant: str = "full",
-    cap: int = DEGREE_CAP,
     rank_fn=rank,
 ) -> CohomologyReport:
     """Per-degree cocycle/coboundary/cohomology dimensions with junction
     validity flags.  `rank_fn` exists so the plain-elimination oracle can be
     swapped in for cross-checks."""
-    _check_degree(max_degree, cap)
-    mats = [
-        coboundary_matrix(kind, alg, rep, n_op, d, variant, cap) for d in range(max_degree + 1)
-    ]
+    _check_degree(max_degree)
+    mats = [coboundary_matrix(kind, alg, rep, n_op, d, variant) for d in range(max_degree + 1)]
     junctions = []
     failures = []
     for d in range(max_degree):
@@ -558,16 +547,15 @@ def cocycle_membership(
     n_op: Optional[Matrix],
     element,
     variant: str = "full",
-    cap: int = DEGREE_CAP,
 ) -> MembershipResult:
     degree = element.degree
     flat = element.vec
-    out_mat = coboundary_matrix(kind, alg, rep, n_op, degree, variant, cap)
+    out_mat = coboundary_matrix(kind, alg, rep, n_op, degree, variant)
     is_cocycle = is_zero_vector(out_mat.apply(flat))
     if degree == 0:
         # no coboundaries below degree 0
         return MembershipResult(is_cocycle, is_zero_vector(flat), None)
-    in_mat = coboundary_matrix(kind, alg, rep, n_op, degree - 1, variant, cap)
+    in_mat = coboundary_matrix(kind, alg, rep, n_op, degree - 1, variant)
     sol = solve_linear(in_mat, flat)
     if sol is None:
         return MembershipResult(is_cocycle, False, None)
@@ -585,11 +573,10 @@ def sample_cocycles(
     n_op: Optional[Matrix],
     degree: int,
     variant: str = "full",
-    cap: int = DEGREE_CAP,
 ) -> list:
     """Canonical kernel basis of the degree-n coboundary matrix, lifted back
     to cochains (or combined-complex pairs)."""
-    mat = coboundary_matrix(kind, alg, rep, n_op, degree, variant, cap)
+    mat = coboundary_matrix(kind, alg, rep, n_op, degree, variant)
     basis = kernel_basis(mat)
     if kind == "nla":
         return [nla_unflatten(v, degree, alg.dim, rep.module_dim) for v in basis]
@@ -639,14 +626,13 @@ def chain_map_diagnostic(
     rep: Representation,
     max_degree: int = 2,
     variant: str = "full",
-    cap: int = DEGREE_CAP,
     corrected: bool = False,
 ) -> tuple[ChainMapEntry, ...]:
     """Compare the matrices of phi o delta and partial o phi per degree."""
     nv = rep.module_operator
     if nv is None:
         raise PreconditionError("chain-map diagnostic needs a module operator")
-    _check_degree(max_degree, cap)
+    _check_degree(max_degree)
     lower = combined_partial_matrix if corrected else partial_matrix
     entries = []
     for n in range(max_degree + 1):

@@ -8,7 +8,7 @@ is order-by-order; there is no formal-completion machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import partial, reduce
 from typing import Optional
 
 from .algebra import (
@@ -19,15 +19,9 @@ from .algebra import (
     bilinear_tensor_is_zero,
     zero_bilinear_tensor,
 )
-from .cochain import (
-    Cochain,
-    CohomologyReport,
-    NLACochain,
-    cohomology_dims,
-    d_nla,
-)
+from .cochain import Cochain, CohomologyReport, NLACochain, cohomology_dims, d_nla
 from .errors import PreconditionError, ShapeError
-from .linalg import Matrix, Vector, vec_add, vec_sub, zero_vector
+from .linalg import Matrix, Vector, unit_vector, vec_add, vec_sub, zero_vector
 from .operators import check_operator, nijenhuis
 
 
@@ -59,6 +53,32 @@ def trivial_deformation(alg: LeibnizAlgebra, n_op: Matrix, order: int) -> Trunca
     )
 
 
+def _compositions(n: int, *series):
+    """Term tuples (s_1[i_1], ..., s_k[i_k]) over all i_1 + ... + i_k = n, in
+    lexicographic order of the indices.  An index never runs past its series,
+    so a short series contributes only the terms it holds.  Every order-n
+    coefficient of a product of truncated series is a sum over these tuples."""
+    head, *rest = series
+    if not rest:
+        if n < len(head):
+            yield (head[n],)
+        return
+    for i, term in enumerate(head[: n + 1]):
+        for tail in _compositions(n - i, *rest):
+            yield (term,) + tail
+
+
+def _vec_sum(vectors, dim: int) -> Vector:
+    return reduce(vec_add, vectors, zero_vector(dim))
+
+
+def _on_basis(dim: int, arity: int, f, *head: Vector) -> tuple:
+    """The table of f on all tuples of basis vectors, first argument outermost."""
+    if len(head) == arity:
+        return f(*head)
+    return tuple(_on_basis(dim, arity, f, *head, unit_vector(dim, i)) for i in range(dim))
+
+
 def _check_base(alg: LeibnizAlgebra, n_op: Matrix, d: TruncatedDeformation) -> None:
     if d.mu_terms[0] != alg.structure or d.n_terms[0] != n_op:
         raise PreconditionError("deformation does not start at the given base structure")
@@ -72,49 +92,33 @@ def deformation_residual(
     _check_base(alg, n_op, d)
     if not 0 <= order <= d.order:
         raise PreconditionError(f"order {order} outside 0..{d.order}")
-    dim = alg.dim
-    units = [alg.unit(i) for i in range(dim)]
-    tri = []
-    for x in units:
-        plane = []
-        for y in units:
-            row = []
-            for z in units:
-                acc = list(zero_vector(dim))
-                for i in range(order + 1):
-                    j = order - i
-                    lhs = d.mu(i, x, d.mu(j, y, z))
-                    rhs = vec_add(d.mu(i, d.mu(j, x, y), z), d.mu(i, y, d.mu(j, x, z)))
-                    for k, v in enumerate(vec_sub(lhs, rhs)):
-                        acc[k] += v
-                row.append(tuple(acc))
-            plane.append(tuple(row))
-        tri.append(tuple(plane))
-    bi = []
-    for u in units:
-        row = []
-        for v in units:
-            acc = list(zero_vector(dim))
-            for i, j in product(range(order + 1), repeat=2):
-                k = order - i - j
-                if k < 0:
-                    continue
-                ni, nj, nk = d.n_terms[i], d.n_terms[j], d.n_terms[k]
-                lhs = d.mu(i, nj.apply(u), nk.apply(v))
-                rhs = vec_add(
-                    ni.apply(d.mu(j, nk.apply(u), v)),
-                    ni.apply(d.mu(j, u, nk.apply(v))),
-                )
-                rhs = vec_sub(rhs, ni.apply(nj.apply(d.mu(k, u, v))))
-                for idx, val in enumerate(vec_sub(lhs, rhs)):
-                    acc[idx] += val
-            row.append(tuple(acc))
-        bi.append(tuple(row))
-    return tuple(tri), tuple(bi)
+    dim, mu = alg.dim, bilinear_eval
+    mus, ns = d.mu_terms, d.n_terms
+    pairs = list(_compositions(order, mus, mus))
+    # terms (mu_i, N_i), so that one index tuple serves all four Nijenhuis terms
+    triples = list(_compositions(order, *[tuple(zip(mus, ns))] * 3))
 
+    def leibniz(x, y, z):
+        # sum over i + j = n of mu_i(x, mu_j(y, z)) - mu_i(mu_j(x, y), z) - mu_i(y, mu_j(x, z))
+        terms = (
+            vec_sub(mu(a, x, mu(b, y, z)), vec_add(mu(a, mu(b, x, y), z), mu(a, y, mu(b, x, z))))
+            for a, b in pairs
+        )
+        return _vec_sum(terms, dim)
 
-def _tri_is_zero(tri) -> bool:
-    return all(all(x == 0 for x in vec) for plane in tri for row in plane for vec in row)
+    def nijenhuis_(u, v):
+        # sum over i + j + k = n of mu_i(N_j u, N_k v) + N_i N_j mu_k(u, v)
+        #   - N_i (mu_j(N_k u, v) + mu_j(u, N_k v))
+        terms = (
+            vec_sub(
+                vec_add(mu(mi, nj.apply(u), nk.apply(v)), ni.apply(nj.apply(mu(mk, u, v)))),
+                ni.apply(vec_add(mu(mj, nk.apply(u), v), mu(mj, u, nk.apply(v)))),
+            )
+            for (mi, ni), (mj, nj), (mk, nk) in triples
+        )
+        return _vec_sum(terms, dim)
+
+    return _on_basis(dim, 3, leibniz), _on_basis(dim, 2, nijenhuis_)
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,7 @@ class ResidualReport:
 def residual_report(alg: LeibnizAlgebra, n_op: Matrix, d: TruncatedDeformation) -> ResidualReport:
     for n in range(d.order + 1):
         tri, bi = deformation_residual(alg, n_op, d, n)
-        if not (_tri_is_zero(tri) and bilinear_tensor_is_zero(bi)):
+        if not all(map(bilinear_tensor_is_zero, tri + (bi,))):
             return ResidualReport(d.order, n, tri, bi)
     return ResidualReport(d.order, None, None, None)
 
@@ -178,65 +182,44 @@ class FormalIsomorphism:
 
 def formal_inverse(iso: FormalIsomorphism) -> FormalIsomorphism:
     """Truncated series inverse via eta_n = -sum_{i=1..n} psi_i eta_{n-i}."""
-    eta: list[Matrix] = [Matrix.identity(iso.dim)]
+    zero = Matrix.zero(iso.dim, iso.dim)
+    eta: tuple[Matrix, ...] = (Matrix.identity(iso.dim),)
     for n in range(1, iso.order + 1):
-        acc = Matrix.zero(iso.dim, iso.dim)
-        for i in range(1, n + 1):
-            acc = acc + iso.psi_terms[i] * eta[n - i]
-        eta.append(-acc)
-    return FormalIsomorphism(iso.order, tuple(eta))
+        # eta holds n terms here, so the sum leaves out psi_0 eta_n
+        eta += (-sum((p * e for p, e in _compositions(n, iso.psi_terms, eta)), zero),)
+    return FormalIsomorphism(iso.order, eta)
 
 
 def compose_isomorphisms(a: FormalIsomorphism, b: FormalIsomorphism) -> FormalIsomorphism:
     if a.order != b.order:
         raise ShapeError("series orders differ")
-    terms = []
-    for n in range(a.order + 1):
-        acc = Matrix.zero(a.dim, a.dim)
-        for i in range(n + 1):
-            acc = acc + a.psi_terms[i] * b.psi_terms[n - i]
-        terms.append(acc)
+    zero = Matrix.zero(a.dim, a.dim)
+    terms = (
+        sum((p * q for p, q in _compositions(n, a.psi_terms, b.psi_terms)), zero)
+        for n in range(a.order + 1)
+    )
     return FormalIsomorphism(a.order, tuple(terms))
 
 
-def twist_by_isomorphism(
-    d: TruncatedDeformation, iso: FormalIsomorphism
-) -> TruncatedDeformation:
+def twist_by_isomorphism(d: TruncatedDeformation, iso: FormalIsomorphism) -> TruncatedDeformation:
     """The deformation (mu', N') with psi o mu' = mu o (psi x psi) and
     psi o N' = N o psi, truncated at the common order."""
     if iso.order != d.order:
         raise ShapeError("deformation and isomorphism orders differ")
-    dim = d.dim
-    eta = formal_inverse(iso)
-    units = [tuple(Matrix.identity(dim).column(i)) for i in range(dim)]
-    mu_terms = []
-    for n in range(d.order + 1):
-        tensor = []
-        for x in units:
-            row = []
-            for y in units:
-                acc = list(zero_vector(dim))
-                for b in range(n + 1):
-                    for c in range(n - b + 1):
-                        for e in range(n - b - c + 1):
-                            a = n - b - c - e
-                            val = eta.psi_terms[a].apply(
-                                d.mu(b, iso.psi_terms[c].apply(x), iso.psi_terms[e].apply(y))
-                            )
-                            for k, v in enumerate(val):
-                                acc[k] += v
-                row.append(tuple(acc))
-            tensor.append(tuple(row))
-        mu_terms.append(tuple(tensor))
-    n_terms = []
-    for n in range(d.order + 1):
-        acc = Matrix.zero(dim, dim)
-        for a in range(n + 1):
-            for b in range(n - a + 1):
-                c = n - a - b
-                acc = acc + eta.psi_terms[a] * d.n_terms[b] * iso.psi_terms[c]
-        n_terms.append(acc)
-    return TruncatedDeformation(d.order, tuple(mu_terms), tuple(n_terms))
+    dim, mu = d.dim, bilinear_eval
+    eta, psi = formal_inverse(iso).psi_terms, iso.psi_terms
+    zero = Matrix.zero(dim, dim)
+
+    def mu_term(terms, x, y):
+        return _vec_sum((e.apply(mu(m, p.apply(x), q.apply(y))) for e, m, p, q in terms), dim)
+
+    orders = range(d.order + 1)
+    mu_series = [list(_compositions(n, eta, d.mu_terms, psi, psi)) for n in orders]
+    mu_terms = tuple(_on_basis(dim, 2, partial(mu_term, terms)) for terms in mu_series)
+    n_terms = tuple(
+        sum((e * m * p for e, m, p in _compositions(n, eta, d.n_terms, psi)), zero) for n in orders
+    )
+    return TruncatedDeformation(d.order, mu_terms, n_terms)
 
 
 @dataclass(frozen=True)
@@ -259,35 +242,23 @@ def equivalence_check(
     psi o N' = N o psi."""
     if not (d_plain.order == d_primed.order == iso.order):
         raise ShapeError("orders differ")
-    dim = d_plain.dim
-    units = [tuple(Matrix.identity(dim).column(i)) for i in range(dim)]
+    dim, mu, psi = d_plain.dim, bilinear_eval, iso.psi_terms
+    zero = Matrix.zero(dim, dim)
     for n in range(iso.order + 1):
-        tensor = []
-        for x in units:
-            row = []
-            for y in units:
-                acc = list(zero_vector(dim))
-                for i in range(n + 1):
-                    val = iso.psi_terms[i].apply(d_primed.mu(n - i, x, y))
-                    for k, v in enumerate(val):
-                        acc[k] += v
-                for i in range(n + 1):
-                    for j in range(n - i + 1):
-                        k = n - i - j
-                        val = d_plain.mu(
-                            i, iso.psi_terms[j].apply(x), iso.psi_terms[k].apply(y)
-                        )
-                        for idx, v in enumerate(val):
-                            acc[idx] -= v
-                row.append(tuple(acc))
-            tensor.append(tuple(row))
-        mu_res = tuple(tensor)
-        n_res = Matrix.zero(dim, dim)
-        for i in range(n + 1):
-            n_res = n_res + iso.psi_terms[i] * d_primed.n_terms[n - i]
-            n_res = n_res - d_plain.n_terms[i] * iso.psi_terms[n - i]
-        if not (bilinear_tensor_is_zero(mu_res) and n_res.is_zero()):
-            return EquivalenceReport(n, mu_res, n_res)
+        lhs = list(_compositions(n, psi, d_primed.mu_terms))
+        rhs = list(_compositions(n, d_plain.mu_terms, psi, psi))
+
+        def mu_res(x, y):
+            return vec_sub(
+                _vec_sum((p.apply(mu(m, x, y)) for p, m in lhs), dim),
+                _vec_sum((mu(m, p.apply(x), q.apply(y)) for m, p, q in rhs), dim),
+            )
+
+        mu_tensor = _on_basis(dim, 2, mu_res)
+        n_res = sum((p * m for p, m in _compositions(n, psi, d_primed.n_terms)), zero)
+        n_res -= sum((m * p for m, p in _compositions(n, d_plain.n_terms, psi)), zero)
+        if not (bilinear_tensor_is_zero(mu_tensor) and n_res.is_zero()):
+            return EquivalenceReport(n, mu_tensor, n_res)
     return EquivalenceReport(None, None, None)
 
 
@@ -333,16 +304,14 @@ class RigidityReport:
     criterion_satisfied: Optional[bool]  # None when a junction failure withholds the verdict
 
 
-def rigidity_report(
-    alg: LeibnizAlgebra, n_op: Matrix, variant: str = "full", cap: int = 4
-) -> RigidityReport:
+def rigidity_report(alg: LeibnizAlgebra, n_op: Matrix, variant: str = "full") -> RigidityReport:
     """One-directional criterion: H^2 of the combined complex = 0 implies
     rigidity.  Nothing is claimed when H^2 is nonzero or a junction fails."""
     bad = check_operator(alg, n_op, nijenhuis())
     if bad is not None:
         raise PreconditionError(f"not a Nijenhuis operator: {bad.describe()}")
     rep = adjoint_representation(alg, n_op)
-    report = cohomology_dims("nla", alg, rep, n_op, max_degree=2, variant=variant, cap=cap)
+    report = cohomology_dims("nla", alg, rep, n_op, max_degree=2, variant=variant)
     h2 = report.entry(2).dim_h
     if h2 is None or not all(report.junctions):
         return RigidityReport(h2, report, None)

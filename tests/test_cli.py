@@ -61,6 +61,12 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
     )
     labels_not_strings = tmp_path / "labels.json"
     labels_not_strings.write_text('{"algebra": {"dimension": 2, "basis": [["a"], ["b"]]}}')
+    # JSON booleans are not integers, although Python's bool is an int
+    dimension_true = tmp_path / "dimtrue.json"
+    dimension_true.write_text('{"algebra": {"dimension": true, "basis": ["a"]}}')
+    order_true = tmp_path / "ordertrue.json"
+    trivial = json.loads((fixtures_dir / "deformation_trivial.json").read_text())
+    order_true.write_text(json.dumps({"order": True, "mu": trivial["mu"][:2], "n": trivial["n"][:2]}))
     cases = [
         ("verify", fx(fixtures_dir, "bad_rational.json")),
         ("verify", bundle, "--kind", "rota_baxter_weighted", "--weight", "abc"),
@@ -86,6 +92,10 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
         (),
         ("verify", str(actions_not_lists)),
         ("verify", str(labels_not_strings)),
+        ("verify", str(dimension_true)),
+        ("deform", "check", bundle, str(order_true)),
+        # the degree cap is fixed: there is no option to raise it
+        ("cohomology", bundle, "--complex", "la", "--max-degree", "6", "--cap", "6"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -157,6 +167,13 @@ def test_missing_file_is_invalid(capsys, fixtures_dir):
     code, _, err = run(capsys, "verify", fx(fixtures_dir, "no_such_file.json"))
     assert code == EXIT_INVALID
     assert "error:" in err
+
+
+def test_directory_argument_is_invalid(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", str(tmp_path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_verify_weighted_kind_requires_weight(capsys, fixtures_dir):

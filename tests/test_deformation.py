@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nijleib.algebra import adjoint_representation, catalog_get, catalog_nijenhuis_pairs
+from nijleib.algebra import adjoint_representation, bilinear_tensor, catalog_get, catalog_nijenhuis_pairs
 from nijleib.cochain import Cochain, NLACochain, cocycle_membership, d_nla
 from nijleib.deformation import (
     FormalIsomorphism,
@@ -144,6 +144,35 @@ def test_formal_inverse_composes_to_identity():
         comp = compose_isomorphisms(formal_inverse(psi), psi)
         assert comp.psi_terms[0] == Matrix.identity(2)
         assert all(m.is_zero() for m in comp.psi_terms[1:])
+
+
+def random_tensor(rng, dim):
+    return bilinear_tensor([[[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)])
+
+
+def random_series_deformation(rng, alg, op, order):
+    """The base structure followed by random terms; not a deformation in general."""
+    mu = tuple(random_tensor(rng, alg.dim) for _ in range(order))
+    n = tuple(random_psi1(rng, alg.dim, -2, 2) for _ in range(order))
+    return TruncatedDeformation(order, (alg.structure,) + mu, (op,) + n)
+
+
+def random_iso(rng, dim, order):
+    return FormalIsomorphism(order, (Matrix.identity(dim),) + tuple(random_psi1(rng, dim) for _ in range(order)))
+
+
+def test_twist_is_an_action_of_composed_isomorphisms():
+    """Every series term is drawn, so each order-n coefficient of twisting,
+    composing and the equivalence residual sums over all of its terms."""
+    rng = random.Random(5)
+    for name, alg, op in catalog_nijenhuis_pairs():
+        for order in range(4):
+            d = random_series_deformation(rng, alg, op, order)
+            a, b = random_iso(rng, alg.dim, order), random_iso(rng, alg.dim, order)
+            twisted = twist_by_isomorphism(d, a)
+            composed = twist_by_isomorphism(d, compose_isomorphisms(a, b))
+            assert twist_by_isomorphism(twisted, b) == composed, (name, order)
+            assert equivalence_check(d, twisted, a).passes, (name, order)
 
 
 def test_iso_requires_identity_head():
