@@ -223,14 +223,11 @@ def check_representation(
     return None
 
 
-def adjoint_representation(
-    alg: LeibnizAlgebra, n_op: Optional[Matrix] = None, *, unchecked: bool = False
-) -> Representation:
+def adjoint_representation(alg: LeibnizAlgebra, n_op: Optional[Matrix] = None) -> Representation:
     """The algebra acting on itself by its own bracket; N_V = n_op when given."""
-    if not unchecked:
-        bad = check_leibniz(alg)
-        if bad is not None:
-            raise PreconditionError(bad.describe())
+    bad = check_leibniz(alg)
+    if bad is not None:
+        raise PreconditionError(bad.describe())
     left = tuple(alg.left_multiplier(i) for i in range(alg.dim))
     right = tuple(alg.right_multiplier(i) for i in range(alg.dim))
     return Representation(left, right, n_op)

@@ -87,9 +87,12 @@ def _certificate_json(c: Counterexample) -> dict:
     }
 
 
-def _emit(report: dict) -> None:
+def _finish(report: dict, ok: bool) -> int:
+    """Set the verdict, write the report and return the matching exit code."""
+    report["verdict"] = "pass" if ok else "fail"
     report.setdefault("tool_version", TOOL_VERSION)
     sys.stdout.write(emit_json(report))
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 def _weight(args) -> Fraction:
@@ -139,13 +142,11 @@ def _cmd_verify(args) -> int:
         checks["representation"] = rep_bad is None
         if rep_bad is not None:
             certificates.append(_certificate_json(rep_bad))
-    verdict = "pass" if not certificates else "fail"
-    report = {"command": "verify", "verdict": verdict, "checks": checks}
+    report = {"command": "verify", "checks": checks}
     if certificates:
         report["counterexample"] = certificates[0]
         report["certificates"] = certificates
-    _emit(report)
-    return EXIT_PASS if verdict == "pass" else EXIT_FAIL
+    return _finish(report, not certificates)
 
 
 def _cmd_induce(args) -> int:
@@ -161,13 +162,11 @@ def _cmd_induce(args) -> int:
     star_rep = induced_representation(rep, bundle.algebra, bundle.operator)
     report = {
         "command": "induce-rep",
-        "verdict": "pass",
         "left": [matrix_to_json(m) for m in star_rep.left],
         "right": [matrix_to_json(m) for m in star_rep.right],
         "operator": matrix_to_json(star_rep.module_operator),
     }
-    _emit(report)
-    return EXIT_PASS
+    return _finish(report, True)
 
 
 def _cmd_cohomology(args) -> int:
@@ -201,7 +200,6 @@ def _cmd_cohomology(args) -> int:
         "degrees": degrees,
         "junctions": list(report.junctions),
         "degree0_caveat": report.degree0_caveat,
-        "verdict": "pass" if all(report.junctions) else "fail",
     }
     if report.failures:
         doc["counterexample"] = [
@@ -213,8 +211,7 @@ def _cmd_cohomology(args) -> int:
             }
             for f in report.failures
         ]
-    _emit(doc)
-    return EXIT_PASS if all(report.junctions) else EXIT_FAIL
+    return _finish(doc, all(report.junctions))
 
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -227,7 +224,7 @@ def _cmd_search(args) -> int:
         raise BundleError(f"bad --range {args.range!r}; expected 'lo..hi'")
     lo, hi = int(m.group(1)), int(m.group(2))
     kind = _kind_from_args(args)
-    found = search_operators_grid(bundle.algebra, kind, lo, hi, args.den, guard=args.guard)
+    found = search_operators_grid(bundle.algebra, kind, lo, hi, args.den)
     report = {
         "command": "search",
         "kind": kind.describe(),
@@ -235,10 +232,8 @@ def _cmd_search(args) -> int:
         "denominator": args.den,
         "count": len(found),
         "operators": [matrix_to_json(op) for op in found],
-        "verdict": "pass",
     }
-    _emit(report)
-    return EXIT_PASS
+    return _finish(report, True)
 
 
 def _cmd_selfcheck(args) -> int:
@@ -291,10 +286,8 @@ def _cmd_selfcheck(args) -> int:
         "chain_map_combined": corr_diag,
         "junctions": list(coh.junctions),
         "degree0_caveat": coh.degree0_caveat,
-        "verdict": "pass" if ok else "fail",
     }
-    _emit(report)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _finish(report, ok)
 
 
 def _cmd_deform(args) -> int:
@@ -305,19 +298,14 @@ def _cmd_deform(args) -> int:
     d = parse_deformation(Path(args.deformation).read_text(), alg.dim)
     if args.what == "check":
         rep = residual_report(alg, n_op, d)
-        report = {
-            "command": "deform-check",
-            "order": d.order,
-            "verdict": "pass" if rep.passes else "fail",
-        }
+        report = {"command": "deform-check", "order": d.order}
         if not rep.passes:
             report["counterexample"] = {
                 "first_failing_order": rep.first_failing_order,
                 "leibniz_residual": _residual_json(rep.leibniz_residual),
                 "nijenhuis_residual": _residual_json(rep.nijenhuis_residual),
             }
-        _emit(report)
-        return EXIT_PASS if rep.passes else EXIT_FAIL
+        return _finish(report, rep.passes)
     if args.what == "twist":
         if args.iso is None:
             raise BundleError("deform twist needs --iso")
@@ -334,15 +322,13 @@ def _cmd_deform(args) -> int:
         "phi_variant": args.phi,
         "is_cocycle": member.is_cocycle,
         "is_coboundary": member.is_coboundary,
-        "verdict": "pass" if member.is_cocycle else "fail",
     }
     if not member.is_cocycle:
         report["counterexample"] = {
             "mu1": tensor_to_json(d.mu_terms[1]),
             "n1": matrix_to_json(d.n_terms[1]),
         }
-    _emit(report)
-    return EXIT_PASS if member.is_cocycle else EXIT_FAIL
+    return _finish(report, member.is_cocycle)
 
 
 def _build_from_files(bundle: AlgebraBundle, ext_file: ExtensionFile):
@@ -360,15 +346,10 @@ def _cmd_extend(args) -> int:
     ext_file = parse_extension(Path(args.extension).read_text(), bundle.algebra.dim)
     if args.what == "build":
         ext = _build_from_files(bundle, ext_file)
-        report = {
-            "command": "extend-build",
-            "total_dimension": ext.total.dim,
-            "verdict": "pass" if ext.ok else "fail",
-        }
+        report = {"command": "extend-build", "total_dimension": ext.total.dim}
         if not ext.ok:
             report["counterexample"] = [_certificate_json(c) for c in ext.certificates]
-        _emit(report)
-        return EXIT_PASS if ext.ok else EXIT_FAIL
+        return _finish(report, ext.ok)
     if args.what == "extract":
         ext = _build_from_files(bundle, ext_file)
         pair = section_to_cocycle(ext)
@@ -376,10 +357,8 @@ def _cmd_extend(args) -> int:
             "command": "extend-extract",
             "psi": tensor_to_json(pair.psi.as_tensor()),
             "chi": matrix_to_json(pair.chi.as_matrix()),
-            "verdict": "pass",
         }
-        _emit(report)
-        return EXIT_PASS
+        return _finish(report, True)
     # compare
     if args.other is None or args.corner is None:
         raise BundleError("extend compare needs OTHER_EXTENSION and --corner")
@@ -388,18 +367,13 @@ def _cmd_extend(args) -> int:
     ext_a = _build_from_files(bundle, ext_file)
     ext_b = _build_from_files(bundle, other_file)
     result = transport_cocycle_via_isomorphism(ext_a, ext_b, corner)
-    report = {
-        "command": "extend-compare",
-        "equal": result.equal,
-        "verdict": "pass" if result.equal else "fail",
-    }
+    report = {"command": "extend-compare", "equal": result.equal}
     if not result.equal:
         report["counterexample"] = {
             "chi_a": matrix_to_json(result.pair_a.chi.as_matrix()),
             "chi_b": matrix_to_json(result.pair_b.chi.as_matrix()),
         }
-    _emit(report)
-    return EXIT_PASS if result.equal else EXIT_FAIL
+    return _finish(report, result.equal)
 
 
 def _add_kind_options(p: argparse.ArgumentParser) -> None:
@@ -451,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kind_options(p)
     p.add_argument("--range", required=True, help="entry numerator range, e.g. -2..2")
     p.add_argument("--den", type=int, default=1)
-    p.add_argument("--guard", type=int, default=10**7)
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("selfcheck", help="chain-map and d*d junction diagnostics")

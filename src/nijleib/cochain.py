@@ -420,6 +420,30 @@ def d_nla(
     return nla_unflatten(mat.apply(element.vec), degree + 1, alg.dim, rep.module_dim)
 
 
+@dataclass(frozen=True)
+class CoboundaryDifference:
+    matches: bool
+    difference: NLACochain
+    expected: NLACochain  # d(gamma, 0) under the chosen phi variant
+    residual: NLACochain  # difference - expected (zero iff matches)
+
+
+def coboundary_difference(
+    alg: LeibnizAlgebra,
+    n_op: Matrix,
+    rep: Representation,
+    difference: NLACochain,
+    gamma: Matrix,
+    variant: str = "full",
+) -> CoboundaryDifference:
+    """Check that a difference of two degree-2 elements of the combined
+    complex is exactly the coboundary of (gamma, 0), gamma: g -> V."""
+    pair = NLACochain(Cochain.from_matrix(gamma), Cochain.zero(0, alg.dim, rep.module_dim))
+    expected = d_nla(alg, n_op, rep, pair, variant)
+    residual = difference - expected
+    return CoboundaryDifference(residual.is_zero(), difference, expected, residual)
+
+
 # ---------------------------------------------------------------------------
 # Assembled-complex reports.
 

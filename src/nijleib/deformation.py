@@ -3,6 +3,11 @@
 A deformation is a pair of truncated power series: bilinear terms mu_0..mu_k
 and operator terms N_0..N_k, with (mu_0, N_0) the base structure.  Everything
 is order-by-order; there is no formal-completion machinery.
+
+Equivalence is conjugation by a formal isomorphism psi with psi_0 = Id:
+`twist_by_isomorphism` computes the conjugate and `equivalence_check` compares
+against it.  Equivalent deformations have infinitesimals that differ by
+d(psi_1, 0), which `cochain.coboundary_difference` checks.
 """
 
 from __future__ import annotations
@@ -19,7 +24,14 @@ from .algebra import (
     bilinear_tensor_is_zero,
     zero_bilinear_tensor,
 )
-from .cochain import Cochain, CohomologyReport, NLACochain, cohomology_dims, d_nla
+from .cochain import (
+    Cochain,
+    CoboundaryDifference,
+    CohomologyReport,
+    NLACochain,
+    coboundary_difference,
+    cohomology_dims,
+)
 from .errors import PreconditionError, ShapeError
 from .linalg import Matrix, Vector, unit_vector, vec_add, vec_sub, zero_vector
 from .operators import check_operator, nijenhuis
@@ -38,9 +50,6 @@ class TruncatedDeformation:
     @property
     def dim(self) -> int:
         return len(self.mu_terms[0])
-
-    def mu(self, i: int, x: Vector, y: Vector) -> Vector:
-        return bilinear_eval(self.mu_terms[i], x, y)
 
 
 def trivial_deformation(alg: LeibnizAlgebra, n_op: Matrix, order: int) -> TruncatedDeformation:
@@ -239,35 +248,18 @@ def equivalence_check(
     iso: FormalIsomorphism,
 ) -> EquivalenceReport:
     """Exact order-by-order residuals of psi o mu' = mu o (psi x psi) and
-    psi o N' = N o psi."""
-    if not (d_plain.order == d_primed.order == iso.order):
+    psi o N' = N o psi.  As psi_0 = Id, they vanish below the first order where
+    d_primed departs from the twist of d_plain by psi, and equal d_primed - twist there."""
+    if d_primed.order != d_plain.order:
         raise ShapeError("orders differ")
-    dim, mu, psi = d_plain.dim, bilinear_eval, iso.psi_terms
-    zero = Matrix.zero(dim, dim)
+    twisted = twist_by_isomorphism(d_plain, iso)
     for n in range(iso.order + 1):
-        lhs = list(_compositions(n, psi, d_primed.mu_terms))
-        rhs = list(_compositions(n, d_plain.mu_terms, psi, psi))
-
-        def mu_res(x, y):
-            return vec_sub(
-                _vec_sum((p.apply(mu(m, x, y)) for p, m in lhs), dim),
-                _vec_sum((mu(m, p.apply(x), q.apply(y)) for m, p, q in rhs), dim),
-            )
-
-        mu_tensor = _on_basis(dim, 2, mu_res)
-        n_res = sum((p * m for p, m in _compositions(n, psi, d_primed.n_terms)), zero)
-        n_res -= sum((m * p for m, p in _compositions(n, d_plain.n_terms, psi)), zero)
-        if not (bilinear_tensor_is_zero(mu_tensor) and n_res.is_zero()):
-            return EquivalenceReport(n, mu_tensor, n_res)
+        mu_p, mu_t = d_primed.mu_terms[n], twisted.mu_terms[n]
+        mu_res = tuple(tuple(map(vec_sub, p, t)) for p, t in zip(mu_p, mu_t))
+        n_res = d_primed.n_terms[n] - twisted.n_terms[n]
+        if not (bilinear_tensor_is_zero(mu_res) and n_res.is_zero()):
+            return EquivalenceReport(n, mu_res, n_res)
     return EquivalenceReport(None, None, None)
-
-
-@dataclass(frozen=True)
-class ClassDifferenceResult:
-    matches: bool
-    difference: NLACochain  # infinitesimal(primed) - infinitesimal(plain)
-    expected: NLACochain  # d^1(psi_1, 0) under the chosen phi variant
-    residual: NLACochain  # difference - expected (zero iff matches)
 
 
 def infinitesimal_class_difference(
@@ -277,7 +269,7 @@ def infinitesimal_class_difference(
     d_primed: TruncatedDeformation,
     iso: FormalIsomorphism,
     variant: str = "full",
-) -> ClassDifferenceResult:
+) -> CoboundaryDifference:
     """Verify that equivalent deformations have infinitesimals differing by
     the coboundary of (psi_1, 0)."""
     check = equivalence_check(d_plain, d_primed, iso)
@@ -286,15 +278,9 @@ def infinitesimal_class_difference(
             f"deformations are not equivalent via the given isomorphism "
             f"(first failure at order {check.first_failing_order})"
         )
-    rep = adjoint_representation(alg, n_op)
     diff = infinitesimal(d_primed) - infinitesimal(d_plain)
-    psi1_pair = NLACochain(
-        Cochain.from_matrix(iso.psi_terms[1]),
-        Cochain.zero(0, alg.dim, alg.dim),
-    )
-    expected = d_nla(alg, n_op, rep, psi1_pair, variant)
-    residual = diff - expected
-    return ClassDifferenceResult(residual.is_zero(), diff, expected, residual)
+    rep = adjoint_representation(alg, n_op)
+    return coboundary_difference(alg, n_op, rep, diff, iso.psi_terms[1], variant)
 
 
 @dataclass(frozen=True)

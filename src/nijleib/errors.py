@@ -18,7 +18,7 @@ class CatalogError(NijleibError, KeyError):
 
 
 class ResourceLimitError(NijleibError, RuntimeError):
-    """A configured guard (grid size, degree cap) was exceeded."""
+    """A fixed resource guard (grid size, degree cap) was exceeded."""
 
 
 class BundleError(NijleibError, ValueError):

@@ -3,7 +3,8 @@ bracket, in split coordinates g (+) V.
 
 The build direction assembles the total algebra from a cocycle pair
 (psi: g x g -> V, chi: g -> V) over a given representation; extraction from a
-section recovers pairs, and two sections differ by an exact coboundary.
+section recovers pairs, and the pairs of two sections differ by d(gamma, 0),
+gamma the difference of the sections (`cochain.coboundary_difference`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .algebra import (
     check_leibniz,
     check_representation,
 )
-from .cochain import Cochain, NLACochain, d_nla
+from .cochain import Cochain, CoboundaryDifference, NLACochain, coboundary_difference
 from .errors import PreconditionError, ShapeError
 from .linalg import Matrix, Vector, block_matrix, is_zero_vector, zero_vector
 from .operators import check_operator, nijenhuis
@@ -252,34 +253,18 @@ def induced_rep_from_section(ext: ExtensionDatum, s: Optional[Section] = None) -
     return Representation(tuple(left), tuple(right), ext.fiber_op)
 
 
-@dataclass(frozen=True)
-class SectionDifferenceResult:
-    matches: bool
-    gamma: Matrix
-    difference: NLACochain  # pair(s1) - pair(s2)
-    expected: NLACochain  # d^1(gamma, 0)
-    residual: NLACochain
-
-
 def section_difference_class(
     ext: ExtensionDatum,
     s1: Section,
     s2: Section,
     variant: str = "full",
-) -> SectionDifferenceResult:
-    """pair(s1) - pair(s2) equals d^1 of gamma = s1 - s2 exactly under the
-    inclusion-exclusion phi; the printed phi leaves an N_V^2-type residual."""
-    _check_section(ext, s1)
-    _check_section(ext, s2)
-    gamma = s1.sigma - s2.sigma
+) -> CoboundaryDifference:
+    """pair(s1) - pair(s2) equals d of (gamma, 0), gamma = s1 - s2, exactly
+    under the inclusion-exclusion phi; the printed phi leaves an N_V^2-type
+    residual."""
     diff = section_to_cocycle(ext, s1) - section_to_cocycle(ext, s2)
-    gamma_pair = NLACochain(
-        Cochain.from_matrix(gamma),
-        Cochain.zero(0, ext.base_alg.dim, ext.fiber_dim),
-    )
-    expected = d_nla(ext.base_alg, ext.base_op, ext.rep, gamma_pair, variant)
-    residual = diff - expected
-    return SectionDifferenceResult(residual.is_zero(), gamma, diff, expected, residual)
+    gamma = s1.sigma - s2.sigma
+    return coboundary_difference(ext.base_alg, ext.base_op, ext.rep, diff, gamma, variant)
 
 
 def corner_isomorphism(ext: ExtensionDatum, corner: Matrix) -> Matrix:

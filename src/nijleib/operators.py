@@ -145,16 +145,12 @@ def correspondence_suite(alg: LeibnizAlgebra, n: Matrix) -> dict:
     return report
 
 
-def induced_bracket(alg: LeibnizAlgebra, n: Matrix, *, unchecked: bool = False) -> LeibnizAlgebra:
-    """Star bracket [x,y]* = [Nx,y] + [x,Ny] - N[x,y].
-
-    Requires a Nijenhuis operator unless `unchecked` (diagnostics that
-    intentionally feed non-operators).
-    """
-    if not unchecked:
-        bad = check_operator(alg, n, nijenhuis())
-        if bad is not None:
-            raise PreconditionError(f"not a Nijenhuis operator: {bad.describe()}")
+def induced_bracket(alg: LeibnizAlgebra, n: Matrix) -> LeibnizAlgebra:
+    """Star bracket [x,y]* = [Nx,y] + [x,Ny] - N[x,y]; requires a Nijenhuis
+    operator."""
+    bad = check_operator(alg, n, nijenhuis())
+    if bad is not None:
+        raise PreconditionError(f"not a Nijenhuis operator: {bad.describe()}")
     structure = []
     for i in range(alg.dim):
         row = []
@@ -168,22 +164,15 @@ def induced_bracket(alg: LeibnizAlgebra, n: Matrix, *, unchecked: bool = False) 
     return LeibnizAlgebra(alg.dim, alg.basis, tuple(structure))
 
 
-def induced_representation(
-    rep: Representation,
-    alg: LeibnizAlgebra,
-    n: Matrix,
-    *,
-    unchecked: bool = False,
-) -> Representation:
+def induced_representation(rep: Representation, alg: LeibnizAlgebra, n: Matrix) -> Representation:
     """Actions of the star algebra: L'_i = L_{Ne_i} - N_V L_i + L_i N_V and the
     right-hand analogue; the module operator is unchanged."""
     nv = rep.module_operator
     if nv is None:
         raise PreconditionError("induced representation needs a module operator")
-    if not unchecked:
-        bad = check_representation(alg, rep, n)
-        if bad is not None:
-            raise PreconditionError(f"not a Nijenhuis representation: {bad.describe()}")
+    bad = check_representation(alg, rep, n)
+    if bad is not None:
+        raise PreconditionError(f"not a Nijenhuis representation: {bad.describe()}")
     left = []
     right = []
     for i in range(alg.dim):
@@ -211,8 +200,6 @@ def search_operators_grid(
     lo: int,
     hi: int,
     denominator: int = 1,
-    *,
-    guard: int = GRID_GUARD,
 ) -> list[Matrix]:
     """Exhaustive classification over the grid; purely verification-based,
     no polynomial solving."""
@@ -221,8 +208,8 @@ def search_operators_grid(
     if hi < lo:
         raise PreconditionError("empty entry range")
     count = (hi - lo + 1) ** (alg.dim * alg.dim)
-    if count > guard:
-        raise ResourceLimitError(f"grid of {count} candidates exceeds guard {guard}")
+    if count > GRID_GUARD:
+        raise ResourceLimitError(f"grid of {count} candidates exceeds guard {GRID_GUARD}")
     return [
         m
         for m in iter_grid_matrices(alg.dim, lo, hi, denominator)

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -94,8 +95,9 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
         ("verify", str(labels_not_strings)),
         ("verify", str(dimension_true)),
         ("deform", "check", bundle, str(order_true)),
-        # the degree cap is fixed: there is no option to raise it
+        # the degree cap and the grid guard are fixed: no option raises them
         ("cohomology", bundle, "--complex", "la", "--max-degree", "6", "--cap", "6"),
+        ("search", fx(fixtures_dir, "loday2_plain.json"), "--range", "-1..1", "--guard", "10"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -252,17 +254,10 @@ def test_search_grid_count(capsys, fixtures_dir):
 
 
 def test_search_guard_trips(capsys, fixtures_dir):
-    code, _, err = run(
-        capsys,
-        "search",
-        fx(fixtures_dir, "loday2_plain.json"),
-        "--range",
-        "-2..2",
-        "--guard",
-        "10",
-    )
+    # 61^4 candidates exceed the fixed grid guard; rejected before enumeration
+    code, _, err = run(capsys, "search", fx(fixtures_dir, "loday2_plain.json"), "--range", "-30..30")
     assert code == EXIT_INVALID
-    assert "error:" in err
+    assert "error:" in err and "guard" in err
 
 
 def test_search_bad_range(capsys, fixtures_dir):
@@ -386,6 +381,57 @@ def test_extend_compare_requires_corner(capsys, fixtures_dir):
     )
     assert code == EXIT_INVALID
     assert "corner" in err
+
+
+# Every report verb, on passing and failing inputs, with its expected exit
+# code.  The two bad_* files are written by the test: mu_1(e1, e1) = e1 is not
+# a Leibniz 2-cocycle of loday2 with its adjoint representation.
+VERDICT_RUNS = {
+    "verify-pass": (EXIT_PASS, "verify", "loday2_classified.json"),
+    "verify-fail": (EXIT_FAIL, "verify", "loday2_nonnijenhuis.json"),
+    "induce-rep": (EXIT_PASS, "induce", "rep", "loday2_classified.json"),
+    "cohomology-pass": (EXIT_PASS, "cohomology", "loday2_classified.json", "--complex", "nla"),
+    "cohomology-fail": (
+        EXIT_FAIL, "cohomology", "loday2_classified.json", "--complex", "nla", "--phi", "printed",
+        "--max-degree", "3",
+    ),
+    "search": (EXIT_PASS, "search", "loday2_plain.json", "--range", "-1..1"),
+    "selfcheck-pass": (EXIT_PASS, "selfcheck", "loday2_classified.json"),
+    "selfcheck-fail": (EXIT_FAIL, "selfcheck", "loday2_classified.json", "--phi", "printed"),
+    "deform-check-pass": (EXIT_PASS, "deform", "check", "loday2_classified.json", "deformation_twisted.json"),
+    "deform-check-fail": (EXIT_FAIL, "deform", "check", "loday2_classified.json", "bad_deformation.json"),
+    "deform-cocycle-pass": (
+        EXIT_PASS, "deform", "cocycle", "loday2_classified.json", "deformation_twisted.json",
+    ),
+    "deform-cocycle-fail": (EXIT_FAIL, "deform", "cocycle", "loday2_classified.json", "bad_deformation.json"),
+    "extend-build-pass": (EXIT_PASS, "extend", "build", "loday2_classified.json", "extension_cocycle.json"),
+    "extend-build-fail": (EXIT_FAIL, "extend", "build", "loday2_classified.json", "bad_extension.json"),
+    "extend-extract": (EXIT_PASS, "extend", "extract", "loday2_classified.json", "extension_cocycle.json"),
+    "extend-compare": (
+        EXIT_PASS, "extend", "compare", "loday2_classified.json", "extension_related.json",
+        "extension_cocycle.json", "--corner", "corner.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("run_spec", VERDICT_RUNS.values(), ids=VERDICT_RUNS.keys())
+def test_verdict_matches_exit_code(capsys, fixtures_dir, tmp_path, run_spec):
+    expected, *argv = run_spec
+    deformation = json.loads((fixtures_dir / "deformation_trivial.json").read_text())
+    deformation["mu"][1][0][0] = ["1", "0"]
+    (tmp_path / "bad_deformation.json").write_text(json.dumps(deformation))
+    extension = json.loads((fixtures_dir / "extension_zero.json").read_text())
+    extension["psi"][0][0] = ["1", "0"]
+    (tmp_path / "bad_extension.json").write_text(json.dumps(extension))
+    paths = [
+        str(tmp_path / a) if a.startswith("bad_") else fx(fixtures_dir, a) if a.endswith(".json") else a
+        for a in argv
+    ]
+    code, out, _ = run(capsys, *paths)
+    doc = json.loads(out)
+    assert code == expected
+    assert doc["verdict"] == ("pass" if code == EXIT_PASS else "fail")
+    assert "tool_version" in doc
 
 
 def run_proc(*argv):

@@ -2,12 +2,21 @@
 by formal isomorphisms, infinitesimal cocycles, and the rigidity report."""
 
 import random
+from itertools import product
 
 import pytest
 
-from nijleib.algebra import adjoint_representation, bilinear_tensor, catalog_get, catalog_nijenhuis_pairs
+from nijleib.algebra import (
+    adjoint_representation,
+    bilinear_eval,
+    bilinear_tensor,
+    bilinear_tensor_is_zero,
+    catalog_get,
+    catalog_nijenhuis_pairs,
+)
 from nijleib.cochain import Cochain, NLACochain, cocycle_membership, d_nla
 from nijleib.deformation import (
+    EquivalenceReport,
     FormalIsomorphism,
     TruncatedDeformation,
     compose_isomorphisms,
@@ -21,7 +30,7 @@ from nijleib.deformation import (
     twist_by_isomorphism,
 )
 from nijleib.errors import PreconditionError
-from nijleib.linalg import Matrix, frac
+from nijleib.linalg import Matrix, frac, unit_vector, vec_add, vec_sub, zero_vector
 
 
 def random_psi1(rng, dim, lo=-3, hi=3):
@@ -173,6 +182,71 @@ def test_twist_is_an_action_of_composed_isomorphisms():
             composed = twist_by_isomorphism(d, compose_isomorphisms(a, b))
             assert twist_by_isomorphism(twisted, b) == composed, (name, order)
             assert equivalence_check(d, twisted, a).passes, (name, order)
+
+
+def slow_equivalence_check(d_plain, d_primed, iso):
+    """The conjugation residuals psi o mu' - mu o (psi x psi) and
+    psi o N' - N o psi, summed term by term at each order n over every index
+    tuple with i + j = n (i + j + k = n for mu o (psi x psi)); the first order
+    where either is nonzero fails."""
+    dim, psi = d_plain.dim, iso.psi_terms
+    basis = [unit_vector(dim, i) for i in range(dim)]
+    for n in range(iso.order + 1):
+
+        def mu_res(x, y):
+            out = zero_vector(dim)
+            for i in range(n + 1):
+                out = vec_add(out, psi[i].apply(bilinear_eval(d_primed.mu_terms[n - i], x, y)))
+            for i, j in product(range(n + 1), repeat=2):
+                if i + j <= n:
+                    rhs = bilinear_eval(d_plain.mu_terms[i], psi[j].apply(x), psi[n - i - j].apply(y))
+                    out = vec_sub(out, rhs)
+            return out
+
+        mu_tensor = tuple(tuple(mu_res(x, y) for y in basis) for x in basis)
+        n_res = Matrix.zero(dim, dim)
+        for i in range(n + 1):
+            n_res = n_res + psi[i] * d_primed.n_terms[n - i] - d_plain.n_terms[i] * psi[n - i]
+        if not (bilinear_tensor_is_zero(mu_tensor) and n_res.is_zero()):
+            return EquivalenceReport(n, mu_tensor, n_res)
+    return EquivalenceReport(None, None, None)
+
+
+def perturbed(rng, d, order, which):
+    """d with one nonzero entry added to mu_order, N_order or both."""
+    mus, ns, dim = list(d.mu_terms), list(d.n_terms), d.dim
+    if which in ("mu", "both"):
+        tensor = [[list(v) for v in row] for row in mus[order]]
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+        tensor[i][j][k] += rng.choice([-2, -1, 1, 2])
+        mus[order] = bilinear_tensor(tensor)
+    if which in ("n", "both"):
+        entries = [list(row) for row in ns[order].data]
+        entries[rng.randrange(dim)][rng.randrange(dim)] += rng.choice([-2, -1, 1, 2])
+        ns[order] = Matrix(entries)
+    return TruncatedDeformation(d.order, tuple(mus), tuple(ns))
+
+
+def test_equivalence_check_matches_conjugation_oracle():
+    """The twist-based check against the conjugation residuals, on twists of
+    random series that are left intact or perturbed at one order; the whole
+    report (first failing order and both residuals) must agree."""
+    rng = random.Random(31)
+    failing = 0
+    for name, alg, op in catalog_nijenhuis_pairs():
+        for order in range(4):
+            for _ in range(6):
+                d = random_series_deformation(rng, alg, op, order)
+                iso = random_iso(rng, alg.dim, order)
+                primed = twist_by_isomorphism(d, iso)
+                at = rng.choice([None, *range(order + 1)])
+                if at is not None:
+                    primed = perturbed(rng, primed, at, rng.choice(["mu", "n", "both"]))
+                report = equivalence_check(d, primed, iso)
+                assert report == slow_equivalence_check(d, primed, iso), (name, order, at)
+                assert report.first_failing_order == at, (name, order, at)
+                failing += not report.passes
+    assert failing > 0
 
 
 def test_iso_requires_identity_head():
