@@ -367,13 +367,13 @@ def _cmd_extend(args) -> int:
     ext_a = _build_from_files(bundle, ext_file)
     ext_b = _build_from_files(bundle, other_file)
     result = transport_cocycle_via_isomorphism(ext_a, ext_b, corner)
-    report = {"command": "extend-compare", "equal": result.equal}
-    if not result.equal:
+    report = {"command": "extend-compare", "equal": result.matches}
+    if not result.matches:
         report["counterexample"] = {
-            "chi_a": matrix_to_json(result.pair_a.chi.as_matrix()),
-            "chi_b": matrix_to_json(result.pair_b.chi.as_matrix()),
+            "psi": tensor_to_json(result.residual.upper.as_tensor()),
+            "chi": matrix_to_json(result.residual.lower.as_matrix()),
         }
-    return _finish(report, result.equal)
+    return _finish(report, result.matches)
 
 
 def _add_kind_options(p: argparse.ArgumentParser) -> None:

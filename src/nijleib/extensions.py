@@ -3,8 +3,11 @@ bracket, in split coordinates g (+) V.
 
 The build direction assembles the total algebra from a cocycle pair
 (psi: g x g -> V, chi: g -> V) over a given representation; extraction from a
-section recovers pairs, and the pairs of two sections differ by d(gamma, 0),
-gamma the difference of the sections (`cochain.coboundary_difference`).
+section recovers pairs.  Both comparisons are one coboundary identity
+(`cochain.coboundary_difference`): the pairs of two sections differ by
+d(gamma, 0), gamma the difference of the sections, and two extensions are
+isomorphic through xi = (Id, 0; C, Id) exactly when their pairs differ by
+d(C, 0).
 """
 
 from __future__ import annotations
@@ -72,9 +75,7 @@ class Section:
 class ExtensionDatum:
     base_alg: LeibnizAlgebra
     base_op: Matrix
-    fiber_dim: int
-    fiber_op: Matrix
-    rep: Representation  # governing representation of the base on the fiber
+    rep: Representation  # governing representation of the base on the fiber, with N_V
     total: LeibnizAlgebra
     total_op: Matrix
     certificates: tuple[Counterexample, ...]  # empty iff all invariants hold
@@ -88,9 +89,6 @@ class ExtensionDatum:
 
     def fiber_part(self, z: Vector) -> Vector:
         return z[self.base_alg.dim :]
-
-    def include(self, u: Vector) -> Vector:
-        return zero_vector(self.base_alg.dim) + tuple(u)
 
 
 def build_extension(
@@ -151,8 +149,6 @@ def build_extension(
     return ExtensionDatum(
         base_alg=alg,
         base_op=n_op,
-        fiber_dim=m,
-        fiber_op=nv,
         rep=rep,
         total=total,
         total_op=total_op,
@@ -163,7 +159,7 @@ def build_extension(
 def verify_extension(ext: ExtensionDatum) -> list[Counterexample]:
     """Re-check every structural invariant of the split presentation."""
     problems = []
-    n, m = ext.base_alg.dim, ext.fiber_dim
+    n, m = ext.base_alg.dim, ext.rep.module_dim
     leib = check_leibniz(ext.total)
     if leib is not None:
         problems.append(leib)
@@ -199,14 +195,14 @@ def verify_extension(ext: ExtensionDatum) -> list[Counterexample]:
 
 
 def _check_section(ext: ExtensionDatum, s: Section) -> None:
-    if s.sigma.rows != ext.fiber_dim or s.sigma.cols != ext.base_alg.dim:
+    if s.sigma.rows != ext.rep.module_dim or s.sigma.cols != ext.base_alg.dim:
         raise PreconditionError("section block has wrong shape")
 
 
 def section_to_cocycle(ext: ExtensionDatum, s: Optional[Section] = None) -> CocyclePair:
     """psi(x,y) = [s x, s y] - s([x,y]) and chi(x) = N_hat(s x) - s(N x); both
     land in the fiber because the projection is a morphism."""
-    n, m = ext.base_alg.dim, ext.fiber_dim
+    n, m = ext.base_alg.dim, ext.rep.module_dim
     if s is None:
         s = Section.canonical(n, m)
     _check_section(ext, s)
@@ -227,32 +223,6 @@ def section_to_cocycle(ext: ExtensionDatum, s: Optional[Section] = None) -> Cocy
     return CocyclePair(Cochain.from_table(2, n, m, psi_table), Cochain.from_table(1, n, m, chi_table))
 
 
-def induced_rep_from_section(ext: ExtensionDatum, s: Optional[Section] = None) -> Representation:
-    """Actions l(x,u) = [s x, u] and r(u,x) = [u, s x] through the total
-    bracket; independent of the chosen section."""
-    n, m = ext.base_alg.dim, ext.fiber_dim
-    if s is None:
-        s = Section.canonical(n, m)
-    _check_section(ext, s)
-    left = []
-    right = []
-    for i in range(n):
-        sx = s.apply(ext.base_alg.unit(i))
-        lcols = []
-        rcols = []
-        for b in range(m):
-            vb = ext.include(tuple(1 if c == b else 0 for c in range(m)))
-            lv = ext.total.bracket(sx, vb)
-            rv = ext.total.bracket(vb, sx)
-            if not (is_zero_vector(ext.project(lv)) and is_zero_vector(ext.project(rv))):
-                raise PreconditionError("induced action does not preserve the fiber")
-            lcols.append(ext.fiber_part(lv))
-            rcols.append(ext.fiber_part(rv))
-        left.append(Matrix.from_columns(lcols))
-        right.append(Matrix.from_columns(rcols))
-    return Representation(tuple(left), tuple(right), ext.fiber_op)
-
-
 def section_difference_class(
     ext: ExtensionDatum,
     s1: Section,
@@ -267,50 +237,18 @@ def section_difference_class(
     return coboundary_difference(ext.base_alg, ext.base_op, ext.rep, diff, gamma, variant)
 
 
-def corner_isomorphism(ext: ExtensionDatum, corner: Matrix) -> Matrix:
-    if corner.rows != ext.fiber_dim or corner.cols != ext.base_alg.dim:
-        raise ShapeError("corner block has wrong shape")
-    n, m = ext.base_alg.dim, ext.fiber_dim
-    return block_matrix(
-        [
-            [Matrix.identity(n), Matrix.zero(n, m)],
-            [corner, Matrix.identity(m)],
-        ]
-    )
-
-
-@dataclass(frozen=True)
-class TransportResult:
-    equal: bool
-    pair_a: CocyclePair
-    pair_b: CocyclePair
-
-
 def transport_cocycle_via_isomorphism(
     ext_a: ExtensionDatum,
     ext_b: ExtensionDatum,
     corner: Matrix,
-) -> TransportResult:
-    """Check that a corner isomorphism xi = (Id, 0; corner, Id) carries the
-    cocycle of one extension to the other: pair_A(s) = pair_B(xi o s)."""
+) -> CoboundaryDifference:
+    """Check that xi = (Id, 0; corner, Id) is an isomorphism of Nijenhuis
+    extensions A -> B.  Split into blocks, xi[.,.]_A = [xi., xi.]_B and
+    xi N_A = N_B xi say exactly that pair_A - pair_B = d(corner, 0) under the
+    inclusion-exclusion phi, both pairs taken at the canonical section."""
     if (ext_a.base_alg, ext_a.base_op) != (ext_b.base_alg, ext_b.base_op):
         raise PreconditionError("extensions have different bases")
-    if (ext_a.fiber_dim, ext_a.fiber_op) != (ext_b.fiber_dim, ext_b.fiber_op):
+    if ext_a.rep != ext_b.rep:
         raise PreconditionError("extensions have different fibers")
-    xi = corner_isomorphism(ext_a, corner)
-    total_dim = ext_a.total.dim
-    # xi must be a bracket-preserving map (g+)V -> (g+)V between the totals
-    for i, j in product(range(total_dim), repeat=2):
-        lhs = xi.apply(ext_a.total.bracket_basis(i, j))
-        rhs = ext_b.total.bracket(xi.column(i), xi.column(j))
-        if lhs != rhs:
-            raise PreconditionError(
-                f"xi is not a Leibniz morphism: bracket identity fails at ({i},{j})"
-            )
-    if xi * ext_a.total_op != ext_b.total_op * xi:
-        raise PreconditionError("xi does not intertwine the total operators")
-    s1 = Section.canonical(ext_a.base_alg.dim, ext_a.fiber_dim)
-    pair_a = section_to_cocycle(ext_a, s1)
-    # xi o s1 has sigma block equal to the corner
-    pair_b = section_to_cocycle(ext_b, Section(corner))
-    return TransportResult(pair_a == pair_b, pair_a, pair_b)
+    diff = section_to_cocycle(ext_a) - section_to_cocycle(ext_b)
+    return coboundary_difference(ext_a.base_alg, ext_a.base_op, ext_a.rep, diff, corner)

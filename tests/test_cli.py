@@ -145,24 +145,55 @@ JSON_VALUES = st.recursive(
 )
 
 
+def _assert_exit_contract(argv, where):
+    """Exit 0, 1 or 2; exit 0/1 print a report and nothing on stderr, exit 2
+    prints no report and exactly one error: line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INVALID), (argv, where)
+    if code == EXIT_INVALID:
+        assert out == "", (argv, where)
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, where, err)
+    else:
+        assert err == "", (argv, where, err)
+        assert json.loads(out)["verdict"] == ("pass" if code == EXIT_PASS else "fail"), (argv, where)
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(value=JSON_VALUES)
 def test_exit_code_contract_on_mutated_bundles(fixtures_dir, loday2, classified_op, tmp_path, value):
-    # each field of a valid bundle in turn replaced by a JSON value: exit 0,
-    # 1 or 2, and an exit 2 prints no report and exactly one error: line
+    # each field of a valid bundle in turn replaced by a JSON value
     bundle = tmp_path / "fuzzed.json"
     for doc in _fuzz_bundles(fixtures_dir, loday2, classified_op):
         for path in _field_paths(doc):
             bundle.write_text(json.dumps(_replaced(doc, path, value)))
             for argv in (["verify", str(bundle)], ["cohomology", str(bundle), "--max-degree", "1"]):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
-                assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INVALID), (argv, path)
-                if code == EXIT_INVALID:
-                    err = err.getvalue()
-                    assert out.getvalue() == "", (argv, path)
-                    assert err.startswith("error:") and err.count("\n") == 1, (argv, path, err)
+                _assert_exit_contract(argv, path)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=JSON_VALUES)
+def test_exit_code_contract_on_mutated_extension_files(fixtures_dir, tmp_path, value):
+    # the whole document and each field of a valid extension file, then of a
+    # corner file, replaced by a JSON value, through extend build and compare
+    bundle, other = fx(fixtures_dir, "loday2_classified.json"), fx(fixtures_dir, "extension_cocycle.json")
+    extension, corner = fx(fixtures_dir, "extension_related.json"), fx(fixtures_dir, "corner.json")
+    fuzzed = tmp_path / "fuzzed.json"
+    for name in ("extension_related.json", "corner.json"):
+        doc = json.loads((fixtures_dir / name).read_text())
+        for path in [()] + list(_field_paths(doc)):
+            fuzzed.write_text(json.dumps(_replaced(doc, path, value) if path else value))
+            if name == "corner.json":
+                runs = [["extend", "compare", bundle, extension, other, "--corner", str(fuzzed)]]
+            else:
+                runs = [
+                    ["extend", "build", bundle, str(fuzzed)],
+                    ["extend", "compare", bundle, str(fuzzed), other, "--corner", corner],
+                ]
+            for argv in runs:
+                _assert_exit_contract(argv, (name, path))
 
 
 def test_missing_file_is_invalid(capsys, fixtures_dir):
@@ -411,6 +442,10 @@ VERDICT_RUNS = {
         EXIT_PASS, "extend", "compare", "loday2_classified.json", "extension_related.json",
         "extension_cocycle.json", "--corner", "corner.json",
     ),
+    "extend-compare-fail": (
+        EXIT_FAIL, "extend", "compare", "loday2_classified.json", "extension_related.json",
+        "extension_cocycle.json", "--corner", "bad_corner.json",
+    ),
 }
 
 
@@ -423,6 +458,8 @@ def test_verdict_matches_exit_code(capsys, fixtures_dir, tmp_path, run_spec):
     extension = json.loads((fixtures_dir / "extension_zero.json").read_text())
     extension["psi"][0][0] = ["1", "0"]
     (tmp_path / "bad_extension.json").write_text(json.dumps(extension))
+    # the identity corner is not an isomorphism between the two fixture extensions
+    (tmp_path / "bad_corner.json").write_text(json.dumps([["1", "0"], ["0", "1"]]))
     paths = [
         str(tmp_path / a) if a.startswith("bad_") else fx(fixtures_dir, a) if a.endswith(".json") else a
         for a in argv

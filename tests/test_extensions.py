@@ -1,6 +1,6 @@
 """Split abelian extensions: building a total algebra from a cocycle pair,
-extracting the pair back through sections, and transporting cocycles along
-corner isomorphisms."""
+extracting the pair back through sections, and deciding whether a corner
+block is an isomorphism of extensions."""
 
 import random
 from itertools import product
@@ -9,19 +9,17 @@ import pytest
 
 from nijleib.algebra import adjoint_representation, catalog_nijenhuis_pairs, check_leibniz
 from nijleib.cochain import Cochain, NLACochain, d_nla, sample_cocycles
-from nijleib.errors import PreconditionError
+from nijleib.errors import ShapeError
 from nijleib.extensions import (
     CocyclePair,
     Section,
     build_extension,
-    corner_isomorphism,
-    induced_rep_from_section,
     section_difference_class,
     section_to_cocycle,
     transport_cocycle_via_isomorphism,
     verify_extension,
 )
-from nijleib.linalg import Matrix, frac, is_zero_vector
+from nijleib.linalg import Matrix, block_matrix, frac, is_zero_vector, zero_vector
 from nijleib.operators import is_nijenhuis
 
 
@@ -40,6 +38,32 @@ def kernel_pairs(alg, op, rep, rng, count):
             acc = NLACochain(Cochain.zero(2, alg.dim, alg.dim), Cochain.zero(1, alg.dim, alg.dim))
         out.append(CocyclePair(acc.upper, acc.lower))
     return out
+
+
+def random_pair(rng, dim):
+    """A pair with random small entries, a cocycle only by accident."""
+    return CocyclePair(
+        Cochain(2, dim, dim, tuple(frac(rng.randint(-2, 2)) for _ in range(dim**3))),
+        Cochain(1, dim, dim, tuple(frac(rng.randint(-2, 2)) for _ in range(dim**2))),
+    )
+
+
+def random_square(rng, dim):
+    return Matrix([[frac(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)])
+
+
+def slow_transport(ext_a, ext_b, corner):
+    """Brute-force oracle: xi = (Id, 0; corner, Id) preserves every bracket of
+    total basis vectors and intertwines the total operators, and the cocycle
+    of A equals that of B at the section xi o s."""
+    n, m = ext_a.base_alg.dim, ext_a.rep.module_dim
+    xi = block_matrix([[Matrix.identity(n), Matrix.zero(n, m)], [corner, Matrix.identity(m)]])
+    for i, j in product(range(n + m), repeat=2):
+        if xi.apply(ext_a.total.bracket_basis(i, j)) != ext_b.total.bracket(xi.column(i), xi.column(j)):
+            return False
+    if xi * ext_a.total_op != ext_b.total_op * xi:
+        return False
+    return section_to_cocycle(ext_a) == section_to_cocycle(ext_b, Section(corner))
 
 
 def test_zero_pair_round_trip(loday2, classified_op, loday2_adjoint):
@@ -84,6 +108,10 @@ def test_total_structure_shape(loday2, classified_op, loday2_adjoint):
     # fiber brackets vanish and the projection is the coordinate projection
     for a, b in product(range(2), repeat=2):
         assert is_zero_vector(ext.total.bracket_basis(2 + a, 2 + b))
+    # mixed brackets are the governing actions on the fiber
+    for i, b in product(range(2), repeat=2):
+        assert ext.total.bracket_basis(i, 2 + b) == zero_vector(2) + loday2_adjoint.left[i].column(b)
+        assert ext.total.bracket_basis(2 + b, i) == zero_vector(2) + loday2_adjoint.right[i].column(b)
     # the operator matrix has the base operator in the corner
     for i, j in product(range(2), repeat=2):
         assert ext.total_op.entry(i, j) == classified_op.entry(i, j)
@@ -123,16 +151,6 @@ def test_section_difference_printed_variant_residual(loday2, classified_op, loda
     assert not res_printed.matches
 
 
-def test_induced_rep_matches_governing(loday2, classified_op, loday2_adjoint):
-    ext = build_extension(loday2, classified_op, loday2_adjoint, CocyclePair.zero(2, 2))
-    rep = induced_rep_from_section(ext)
-    assert rep.left == loday2_adjoint.left
-    assert rep.right == loday2_adjoint.right
-    # section independence
-    rep2 = induced_rep_from_section(ext, Section(Matrix([[frac(2), frac(0)], [frac(1), frac(1)]])))
-    assert rep2.left == rep.left and rep2.right == rep.right
-
-
 def test_transport_along_corner(loday2, classified_op, loday2_adjoint):
     rng = random.Random(67)
     pair = kernel_pairs(loday2, classified_op, loday2_adjoint, rng, 1)[0]
@@ -142,7 +160,7 @@ def test_transport_along_corner(loday2, classified_op, loday2_adjoint):
     ext_b = build_extension(loday2, classified_op, loday2_adjoint, pair_b)
     assert ext_b.ok
     res = transport_cocycle_via_isomorphism(ext_b, ext_a, lam)
-    assert res.equal
+    assert res.matches
 
 
 def test_transport_rejects_non_morphism(loday2, classified_op, loday2_adjoint):
@@ -154,18 +172,49 @@ def test_transport_rejects_non_morphism(loday2, classified_op, loday2_adjoint):
     pair_b = section_to_cocycle(ext_a, Section(lam))
     if pair_b == CocyclePair.zero(2, 2):
         pytest.skip("sampled pair happens to be shift-equivalent to zero")
-    with pytest.raises(PreconditionError):
-        transport_cocycle_via_isomorphism(ext_a, ext_b, lam)
+    res = transport_cocycle_via_isomorphism(ext_a, ext_b, lam)
+    assert not res.matches
+    assert not res.residual.is_zero()
 
 
-def test_corner_isomorphism_blocks(loday2, classified_op, loday2_adjoint):
+def test_transport_corner_shape(loday2, classified_op, loday2_adjoint):
     ext = build_extension(loday2, classified_op, loday2_adjoint, CocyclePair.zero(2, 2))
-    lam = Matrix([[frac(5), frac(0)], [frac(1), frac(2)]])
-    xi = corner_isomorphism(ext, lam)
-    assert xi.rows == xi.cols == 4
-    for i, j in product(range(2), repeat=2):
-        assert xi.entry(i, j) == (1 if i == j else 0)
-        assert xi.entry(2 + i, j) == lam.entry(i, j)
+    for rows, cols in ((2, 3), (3, 2), (1, 2)):
+        with pytest.raises(ShapeError):
+            transport_cocycle_via_isomorphism(ext, ext, Matrix.zero(rows, cols))
+
+
+def test_transport_matches_brute_force():
+    # cocycle and random pairs; B built from A shifted by a section (so the
+    # corner is related) or from an independent pair; related and perturbed
+    # corners, in both argument orders
+    rng = random.Random(73)
+    verdicts = set()
+    cases = 0
+    for name, alg, op in catalog_nijenhuis_pairs():
+        n = alg.dim
+        rep = adjoint_representation(alg, op)
+        cocycles = kernel_pairs(alg, op, rep, rng, 3)
+        for k in range(6):
+            pair_a = cocycles[k // 2] if k % 2 == 0 else random_pair(rng, n)
+            ext_a = build_extension(alg, op, rep, pair_a)
+            lam = random_square(rng, n)
+            pair_b = section_to_cocycle(ext_a, Section(lam)) if k % 3 else random_pair(rng, n)
+            ext_b = build_extension(alg, op, rep, pair_b)
+            perturb = random_square(rng, n)
+            for x, y, corner in (
+                (ext_a, ext_b, -lam),
+                (ext_b, ext_a, lam),
+                (ext_a, ext_b, perturb - lam),
+                (ext_b, ext_a, lam + perturb),
+            ):
+                res = transport_cocycle_via_isomorphism(x, y, corner)
+                assert res.matches == slow_transport(x, y, corner), (name, k, corner.data)
+                assert res.matches == res.residual.is_zero()
+                verdicts.add(res.matches)
+                cases += 1
+    assert cases == 144
+    assert verdicts == {True, False}
 
 
 def test_all_catalog_bases_zero_pair():
