@@ -35,6 +35,7 @@ from .errors import PreconditionError, ResourceLimitError, ShapeError
 from .linalg import (
     Matrix,
     Vector,
+    block_matrix,
     is_zero_vector,
     kernel_basis,
     kron,
@@ -187,19 +188,11 @@ def identity_cochain(dim: int) -> Cochain:
 
 def _add_block(rows, out_idx: int, in_idx: int, mat: Matrix, m: int, coeff) -> None:
     base_r, base_c = out_idx * m, in_idx * m
-    for a in range(m):
+    for a, source in enumerate(mat.nz):
         target = rows[base_r + a]
-        source = mat.data[a]
-        for b in range(m):
-            v = source[b]
-            if v:
-                target[base_c + b] += coeff * v
-
-
-def _add_scalar_block(rows, out_idx: int, in_idx: int, coeff: Fraction, m: int) -> None:
-    base_r, base_c = out_idx * m, in_idx * m
-    for a in range(m):
-        rows[base_r + a][base_c + a] += coeff
+        for b, v in source.items():
+            j = base_c + b
+            target[j] = target.get(j, 0) + coeff * v
 
 
 @lru_cache(maxsize=None)
@@ -211,7 +204,8 @@ def delta_matrix(alg: LeibnizAlgebra, rep: Representation, degree: int) -> Matri
     in_tuples = all_tuples(alg.dim, n)
     out_tuples = all_tuples(alg.dim, n + 1)
     in_index = {t: idx for idx, t in enumerate(in_tuples)}
-    rows = [[Fraction(0)] * (len(in_tuples) * m) for _ in range(len(out_tuples) * m)]
+    ident = Matrix.identity(m)
+    rows = [{} for _ in range(len(out_tuples) * m)]
     for oi, t in enumerate(out_tuples):
         # left-action terms: (-1)^(i+1) l(x_i, f(..., x_i hat, ...)), i = 1..n
         for p in range(n):
@@ -229,8 +223,8 @@ def delta_matrix(alg: LeibnizAlgebra, rep: Representation, degree: int) -> Matri
                 for k, ck in enumerate(c):
                     if ck:
                         s = t[:p] + t[p + 1 : q] + (k,) + t[q + 1 :]
-                        _add_scalar_block(rows, oi, in_index[s], sign * ck, m)
-    return Matrix(rows)
+                        _add_block(rows, oi, in_index[s], ident, m, sign * ck)
+    return Matrix.sparse(rows, len(in_tuples) * m)
 
 
 def delta(alg: LeibnizAlgebra, rep: Representation, f: Cochain) -> Cochain:
@@ -304,11 +298,11 @@ def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "ful
         powers.append(powers[-1] * module_op)
     # per slot value j, the (i, N[i][j], [i = j]) whose factor is nonzero
     factors = [
-        [(i, row[j], int(i == j)) for i, row in enumerate(n_op.data) if row[j] or i == j]
+        [(i, c, int(i == j)) for i, c in enumerate(n_op.column(j)) if c or i == j]
         for j in range(dim)
     ]
     size = space_dim(dim, m, degree)
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    rows = [{} for _ in range(size)]
     for oi, t in enumerate(all_tuples(dim, degree)):
         terms = [(0, [Fraction(1)])]  # (input tuple index, coefficients of p), slot by slot
         for j in t:
@@ -323,7 +317,7 @@ def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "ful
             for k, c in enumerate(poly):
                 if c:
                     _add_block(rows, oi, si, powers[k], m, c)
-    return Matrix(rows)
+    return Matrix.sparse(rows, size)
 
 
 def phi_map(f: Cochain, n_op: Matrix, module_op: Matrix, variant: str = "full") -> Cochain:
@@ -395,17 +389,12 @@ def nla_matrix(
     nv = rep.module_operator
     if nv is None:
         raise PreconditionError("combined complex needs a module operator")
-    m = rep.module_dim
     dlt = delta_matrix(alg, rep, degree)
     if degree == 0:
-        neg_ident = Matrix.identity(m).scale(-1)
-        return Matrix(list(dlt.data) + list(neg_ident.data))
+        return block_matrix([[dlt], [-Matrix.identity(rep.module_dim)]])
     phi = phi_matrix(n_op, nv, degree, variant)
     par = combined_partial_matrix(alg, n_op, rep, degree - 1)
-    rows = [list(r) + [Fraction(0)] * par.cols for r in dlt.data]
-    for phi_row, par_row in zip(phi.data, par.data):
-        rows.append([-v for v in phi_row] + [-v for v in par_row])
-    return Matrix(rows)
+    return block_matrix([[dlt, Matrix.zero(dlt.rows, par.cols)], [-phi, -par]])
 
 
 def d_nla(
@@ -509,10 +498,11 @@ class CohomologyReport:
 
 
 def _first_nonzero(m: Matrix) -> Optional[tuple[int, int, Fraction]]:
-    for i, row in enumerate(m.data):
-        for j, v in enumerate(row):
-            if v:
-                return i, j, v
+    """The row-major first nonzero entry as (row, col, value)."""
+    for i, row in enumerate(m.nz):
+        if row:
+            j = min(row)
+            return i, j, row[j]
     return None
 
 
@@ -668,7 +658,7 @@ def chain_map_diagnostic(
             continue
         m = rep.module_dim
         in_tuples = all_tuples(alg.dim, n)
-        col = next(j for j in range(diff.cols) if any(row[j] for row in diff.data))
+        col = min(min(row) for row in diff.nz if row)
         witness = (in_tuples[col // m], col % m)
         residual = Cochain(n + 1, alg.dim, m, diff.column(col))
         entries.append(ChainMapEntry(n, False, witness, residual))

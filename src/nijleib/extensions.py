@@ -156,44 +156,6 @@ def build_extension(
     )
 
 
-def verify_extension(ext: ExtensionDatum) -> list[Counterexample]:
-    """Re-check every structural invariant of the split presentation."""
-    problems = []
-    n, m = ext.base_alg.dim, ext.rep.module_dim
-    leib = check_leibniz(ext.total)
-    if leib is not None:
-        problems.append(leib)
-    nij = check_operator(ext.total, ext.total_op, nijenhuis())
-    if nij is not None:
-        problems.append(nij)
-    # the fiber block is an abelian ideal
-    for a, b in product(range(m), repeat=2):
-        v = ext.total.bracket_basis(n + a, n + b)
-        if not is_zero_vector(v):
-            problems.append(Counterexample("fiber-abelian", (a, b), v))
-            break
-    # the projection is a morphism
-    for i, j in product(range(n + m), repeat=2):
-        lhs = ext.project(ext.total.bracket_basis(i, j))
-        pi = ext.project(ext.total.unit(i))
-        pj = ext.project(ext.total.unit(j))
-        rhs = ext.base_alg.bracket(pi, pj)
-        if lhs != rhs:
-            problems.append(
-                Counterexample("projection-bracket", (i, j), tuple(a - b for a, b in zip(lhs, rhs)))
-            )
-            break
-    for j in range(n + m):
-        lhs = ext.project(ext.total_op.column(j))
-        rhs = ext.base_op.apply(ext.project(ext.total.unit(j)))
-        if lhs != rhs:
-            problems.append(
-                Counterexample("projection-operator", (j,), tuple(a - b for a, b in zip(lhs, rhs)))
-            )
-            break
-    return problems
-
-
 def _check_section(ext: ExtensionDatum, s: Section) -> None:
     if s.sigma.rows != ext.rep.module_dim or s.sigma.cols != ext.base_alg.dim:
         raise PreconditionError("section block has wrong shape")

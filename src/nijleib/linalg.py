@@ -1,9 +1,11 @@
 """Exact rational vectors and matrices.
 
 Everything in the package runs on `fractions.Fraction`; no floating point
-representation exists anywhere.  Matrices are dense, immutable, and use the
+representation exists anywhere.  Matrices are immutable, store only their
+nonzero entries (one {column: value} dict per row, `Matrix.nz`), and use the
 column-action convention: entry [i][j] is the coefficient of basis vector i
-in the image of basis vector j.
+in the image of basis vector j.  `Matrix.data` is a dense view for printing
+and for the oracle.
 
 Rank, kernel and solve share one sparse Gauss-Jordan elimination that picks
 the sparsest row as pivot; a plain dense Gaussian elimination, `gauss_rank`,
@@ -18,6 +20,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import ShapeError
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 
 def frac(x) -> Fraction:
@@ -80,71 +84,110 @@ def is_zero_vector(a: Vector) -> bool:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable matrix of Fractions that stores only its nonzero entries:
+    `nz[i]` is a {column: value} dict of row i."""
 
-    __slots__ = ("rows", "cols", "data", "_hash")
+    __slots__ = ("rows", "cols", "nz", "_hash")
 
     def __init__(self, rows_data: Sequence[Sequence]):
-        data = tuple(tuple(frac(e) for e in row) for row in rows_data)
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        if any(len(row) != self.cols for row in data):
+        dense = [tuple(row) for row in rows_data]
+        self.rows = len(dense)
+        self.cols = len(dense[0]) if dense else 0
+        if any(len(row) != self.cols for row in dense):
             raise ShapeError("ragged rows")
-        self.data = data
+        self.nz = tuple({j: frac(e) for j, e in enumerate(row) if e} for row in dense)
         self._hash = None
 
     @classmethod
+    def sparse(cls, rows: Sequence[dict], cols: int) -> "Matrix":
+        """A len(rows) x cols matrix from one {column: value} dict per row;
+        zero values are dropped."""
+        if any(row and (min(row) < 0 or max(row) >= cols) for row in rows):
+            raise ShapeError(f"column index outside 0..{cols - 1}")
+        return cls._of(tuple({j: frac(e) for j, e in row.items() if e} for row in rows), cols)
+
+    @classmethod
+    def _of(cls, nz: tuple, cols: int) -> "Matrix":
+        # trusted rows: in range, no zeros stored
+        m = object.__new__(cls)
+        m.rows, m.cols, m.nz, m._hash = len(nz), cols, nz, None
+        return m
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._of(tuple({} for _ in range(rows)), cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(tuple({i: Fraction(1)} for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector]) -> "Matrix":
         rows = len(columns[0]) if columns else 0
-        return cls([[col[i] for col in columns] for i in range(rows)])
+        return cls.sparse([{j: col[i] for j, col in enumerate(columns)} for i in range(rows)], len(columns))
 
     @classmethod
     def diag(cls, entries: Sequence) -> "Matrix":
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.sparse([{i: e} for i, e in enumerate(entries)], len(entries))
+
+    @property
+    def data(self) -> tuple[Vector, ...]:
+        """Read-only dense view, one tuple per row."""
+        return tuple(tuple(row.get(j, _ZERO) for j in range(self.cols)) for row in self.nz)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.data == other.data
+        return isinstance(other, Matrix) and (self.cols, self.nz) == (other.cols, other.nz)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.data)
+            self._hash = hash((self.cols, tuple(frozenset(row.items()) for row in self.nz)))
         return self._hash
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(format_rational(e) for e in row) for row in self.data)
         return f"Matrix[{body}]"
 
+    def _check_column(self, j: int) -> None:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside 0..{self.cols - 1}")
+
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
+        self._check_column(j)
+        return self.nz[i].get(j, _ZERO)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.data)
+        self._check_column(j)
+        return tuple(row.get(j, _ZERO) for row in self.nz)
+
+    def _add(self, other: "Matrix", sign: int, op: str) -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeError(f"{self.rows}x{self.cols} {op} {other.rows}x{other.cols}")
+        out = []
+        for ra, rb in zip(self.nz, other.nz):
+            row = dict(ra)
+            for j, b in rb.items():
+                v = row.get(j, 0) + sign * b
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            out.append(row)
+        return Matrix._of(tuple(out), self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        return self._add(other, 1, "+")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError(f"{self.rows}x{self.cols} - {other.rows}x{other.cols}")
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        return self._add(other, -1, "-")
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data])
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix([[c * a for a in row] for row in self.data])
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        return Matrix._of(tuple({j: c * a for j, a in row.items()} for row in self.nz), self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
@@ -152,55 +195,51 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ShapeError(f"matrix {self.rows}x{self.cols} applied to length-{len(v)} vector")
-        out = []
-        for row in self.data:
-            acc = Fraction(0)
-            for a, x in zip(row, v):
-                if a and x:
-                    acc += a * x
-            out.append(acc)
-        return tuple(out)
+        return tuple(sum((a * v[j] for j, a in row.items() if v[j]), _ZERO) for row in self.nz)
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nz):
+            for j, a in row.items():
+                out[j][i] = a
+        return Matrix._of(tuple(out), self.rows)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.data for e in row)
+        return not any(self.nz)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product, skipping zero entries (assembled coboundary matrices are sparse)."""
+    """Exact product over the nonzero entries of both factors."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = [[Fraction(0)] * b.cols for _ in range(a.rows)]
-    for i in range(a.rows):
-        arow = a.data[i]
-        orow = out[i]
-        for k in range(a.cols):
-            aik = arow[k]
-            if not aik:
-                continue
-            brow = b.data[k]
-            for j in range(b.cols):
-                bkj = brow[j]
-                if bkj:
-                    orow[j] += aik * bkj
-    return Matrix(out)
+    out = []
+    for arow in a.nz:
+        row: dict[int, Fraction] = {}
+        for k, aik in arow.items():
+            for j, bkj in b.nz[k].items():
+                row[j] = row.get(j, 0) + aik * bkj
+        out.append({j: v for j, v in row.items() if v})
+    return Matrix._of(tuple(out), b.cols)
 
 
 def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
     """Assemble a matrix from a grid of compatible blocks."""
+    widths = {sum(b.cols for b in block_row) for block_row in blocks}
+    if len(widths) > 1:
+        raise ShapeError("inconsistent block widths")
     rows = []
     for block_row in blocks:
         height = block_row[0].rows
         if any(b.rows != height for b in block_row):
             raise ShapeError("inconsistent block heights")
         for i in range(height):
-            row: list[Fraction] = []
+            row: dict[int, Fraction] = {}
+            base = 0
             for b in block_row:
-                row.extend(b.data[i])
+                row.update((base + j, e) for j, e in b.nz[i].items())
+                base += b.cols
             rows.append(row)
-    return Matrix(rows)
+    return Matrix._of(tuple(rows), widths.pop() if widths else 0)
 
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
@@ -211,20 +250,13 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product, skipping zero entries of both factors."""
-    rows = []
-    width = a.cols * b.cols
-    for arow in a.data:
-        for brow in b.data:
-            row = [Fraction(0)] * width
-            for j, aij in enumerate(arow):
-                if aij:
-                    base = j * b.cols
-                    for col, x in enumerate(brow):
-                        if x:
-                            row[base + col] = aij * x
-            rows.append(row)
-    return Matrix(rows)
+    """Kronecker product over the nonzero entries of both factors."""
+    rows = [
+        {j * b.cols + col: aij * x for j, aij in arow.items() for col, x in brow.items()}
+        for arow in a.nz
+        for brow in b.nz
+    ]
+    return Matrix._of(tuple(rows), a.cols * b.cols)
 
 
 def _eliminate(
@@ -232,7 +264,7 @@ def _eliminate(
 ) -> tuple[dict[int, dict[int, Fraction]], list[dict[int, Fraction]]]:
     """Sparse Gauss-Jordan elimination to reduced row echelon form.
 
-    Rows are dicts of their nonzero entries; a right-hand side is carried as
+    Works on copies of the rows of `m.nz`; a right-hand side is carried as
     column m.cols and never pivoted.  Columns are eliminated in index order,
     each with the sparsest candidate row as pivot (Markowitz), the first by
     position on a tie.  Since the reduced echelon form is unique, the choice
@@ -242,7 +274,7 @@ def _eliminate(
     and the rows left without a pivot (by then they hold at most the
     right-hand-side entry).
     """
-    rows = [{j: e for j, e in enumerate(row) if e} for row in m.data]
+    rows = [dict(row) for row in m.nz]
     if rhs is not None:
         for row, b in zip(rows, rhs):
             if b:

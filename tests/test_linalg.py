@@ -205,6 +205,88 @@ def test_parse_rational_rejects_noncanonical(bad):
         parse_rational(bad)
 
 
+small_ints = st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=-3, max_value=3)).map(
+    lambda t: t[1] if t[0] == 0 else 0
+)
+
+
+@st.composite
+def int_rows(draw, rows, cols):
+    return [[draw(small_ints) for _ in range(cols)] for _ in range(rows)]
+
+
+def sparse_of(rows, cols):
+    """The matrix of dense integer rows, built through `Matrix.sparse` with
+    every zero passed explicitly."""
+    return Matrix.sparse([dict(enumerate(row)) for row in rows], cols)
+
+
+def assert_dense(m, rows, cols, expected):
+    assert (m.rows, m.cols) == (rows, cols)
+    assert [list(row) for row in m.data] == expected
+    assert all(v != 0 for row in m.nz for v in row.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4), st.data())
+def test_sparse_operations_agree_with_dense_loops(shape, data):
+    p, q, r, s = shape
+    a_rows, c_rows = data.draw(int_rows(p, q)), data.draw(int_rows(p, q))
+    b_rows, e_rows, f_rows = data.draw(int_rows(q, r)), data.draw(int_rows(s, q)), data.draw(int_rows(s, r))
+    a, b, c = sparse_of(a_rows, q), sparse_of(b_rows, r), sparse_of(c_rows, q)
+    e, f, g = sparse_of(e_rows, q), sparse_of(f_rows, r), sparse_of(data.draw(int_rows(p, r)), r)
+    x = tuple(Fraction(v) for v in data.draw(int_rows(1, q))[0])
+    k = data.draw(st.integers(min_value=-2, max_value=2))
+    A, B, C, E, F, G = (m.data for m in (a, b, c, e, f, g))
+
+    for m in (a, b, c, e, f, g):
+        assert all(v != 0 for row in m.nz for v in row.values())
+    if p:
+        assert a == Matrix(a_rows) and hash(a) == hash(Matrix(a_rows))
+    assert sparse_of([[0] * q for _ in range(p)], q) == Matrix.zero(p, q)
+    assert hash(sparse_of([[0] * q for _ in range(p)], q)) == hash(Matrix.zero(p, q))
+
+    prod = [[sum((A[i][t] * B[t][j] for t in range(q)), Fraction(0)) for j in range(r)] for i in range(p)]
+    assert_dense(mat_mul(a, b), p, r, prod)
+    assert_dense(
+        kron(a, b), p * q, q * r, [[A[i // q][j // r] * B[i % q][j % r] for j in range(q * r)] for i in range(p * q)]
+    )
+    assert_dense(
+        block_matrix([[a, g], [e, f]]),
+        p + s,
+        q + r,
+        [list(A[i]) + list(G[i]) for i in range(p)] + [list(E[i]) + list(F[i]) for i in range(s)],
+    )
+    assert_dense(a + c, p, q, [[A[i][j] + C[i][j] for j in range(q)] for i in range(p)])
+    assert_dense(a - c, p, q, [[A[i][j] - C[i][j] for j in range(q)] for i in range(p)])
+    assert_dense(-a, p, q, [[-A[i][j] for j in range(q)] for i in range(p)])
+    assert_dense(a.scale(k), p, q, [[k * A[i][j] for j in range(q)] for i in range(p)])
+    assert_dense(a.transpose(), q, p, [[A[i][j] for i in range(p)] for j in range(q)])
+    assert a.apply(x) == tuple(sum((A[i][j] * x[j] for j in range(q)), Fraction(0)) for i in range(p))
+    for j in range(q):
+        assert a.column(j) == tuple(A[i][j] for i in range(p))
+        for i in range(p):
+            assert a.entry(i, j) == A[i][j]
+    assert a.is_zero() == all(v == 0 for row in A for v in row)
+
+
+def test_zero_row_matrix_keeps_its_columns():
+    m = Matrix.zero(0, 3)
+    assert m.cols == 3
+    assert kernel_basis(m) == [tuple(Fraction(int(i == j)) for i in range(3)) for j in range(3)]
+
+
+def test_out_of_range_columns_are_rejected():
+    with pytest.raises(ShapeError):
+        Matrix.sparse([{3: frac(1)}], 3)
+    m = Matrix.identity(3)
+    for bad in (-1, 3):
+        with pytest.raises(IndexError):
+            m.column(bad)
+        with pytest.raises(IndexError):
+            m.entry(0, bad)
+
+
 def test_matrix_hashable():
     a = Matrix.identity(2)
     b = Matrix.identity(2)
