@@ -106,12 +106,16 @@ def _weight(args) -> Fraction:
 
 def _kind_from_args(args) -> OperatorKind:
     kind = args.kind
+    if args.convention is not None and kind != "rota_baxter_weighted":
+        raise BundleError(f"--convention applies only to rota_baxter_weighted, not {kind}")
+    if args.weight is not None and kind in ("nijenhuis", "rota_baxter"):
+        raise BundleError(f"--weight applies only to weighted kinds, not {kind}")
     if kind == "nijenhuis":
         return nijenhuis()
     if kind == "rota_baxter":
         return rota_baxter()
     if kind == "rota_baxter_weighted":
-        return rota_baxter_weighted(_weight(args), args.convention)
+        return rota_baxter_weighted(_weight(args), args.convention or "standard")
     if kind == "modified_rota_baxter":
         return modified_rota_baxter(_weight(args))
     raise BundleError(f"unknown operator kind {kind!r}")
@@ -123,6 +127,7 @@ def _load_bundle(path: str, verify: bool = True) -> AlgebraBundle:
 
 def _cmd_verify(args) -> int:
     bundle = _load_bundle(args.bundle, verify=not args.no_verify)
+    kind = _kind_from_args(args)
     alg = bundle.algebra
     certificates = []
     checks = {}
@@ -131,7 +136,6 @@ def _cmd_verify(args) -> int:
     if leib is not None:
         certificates.append(_certificate_json(leib))
     if bundle.operator is not None:
-        kind = _kind_from_args(args)
         op_bad = check_operator(alg, bundle.operator, kind)
         checks[kind.describe()] = op_bad is None
         if op_bad is not None:
@@ -383,7 +387,8 @@ def _add_kind_options(p: argparse.ArgumentParser) -> None:
         choices=["nijenhuis", "rota_baxter", "rota_baxter_weighted", "modified_rota_baxter"],
     )
     p.add_argument("--weight", default=None, help="rational weight for weighted kinds")
-    p.add_argument("--convention", default="standard", choices=["standard", "as_printed"])
+    # None when not given, so that a convention passed to another kind is an error
+    p.add_argument("--convention", default=None, choices=["standard", "as_printed"])
 
 
 class _Parser(argparse.ArgumentParser):

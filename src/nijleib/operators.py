@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import lcm
 from typing import Iterator, Optional
 
 from .algebra import (
@@ -188,10 +189,72 @@ GRID_GUARD = 10**7
 
 def iter_grid_matrices(dim: int, lo: int, hi: int, denominator: int = 1) -> Iterator[Matrix]:
     """All dim x dim matrices with entries p/denominator, p in [lo, hi], in
-    lexicographic row-major entry order."""
+    lexicographic row-major entry order: the brute-force oracle of
+    `search_operators_grid`."""
     values = [Fraction(p, denominator) for p in range(lo, hi + 1)]
     for entries in product(values, repeat=dim * dim):
         yield Matrix([entries[r * dim : (r + 1) * dim] for r in range(dim)])
+
+
+def defect_polynomial(alg: LeibnizAlgebra, kind: OperatorKind) -> tuple[dict, ...]:
+    """Each component of the defect tensor as a polynomial in the entries of N.
+
+    Component (i*d + j)*d + l is coordinate l of the defect on (e_i, e_j), and
+    variable a = r*d + c is the entry N[r][c].  A polynomial is a
+    {monomial: coefficient} dict over the monomials (), (a,) and (a, b) with
+    a < b or a = b; zero coefficients are left out.  Every identity has degree
+    at most 2 in N, so the coefficients are read off `operator_defect` itself
+    at N = 0, E_a, 2E_a and E_a + E_b: 1 + 2k + k(k-1)/2 calls for k = d*d.
+    """
+    d = alg.dim
+
+    def at(entries: dict) -> list[Fraction]:
+        n = Matrix([[entries.get(r * d + c, 0) for c in range(d)] for r in range(d)])
+        return [v for row in operator_defect(alg, n, kind) for vec in row for v in vec]
+
+    const = at({})
+    polys = [{(): c} for c in const]
+    ones = [at({a: 1}) for a in range(d * d)]
+    for a, one in enumerate(ones):
+        for poly, c, f1, f2 in zip(polys, const, one, at({a: 2})):
+            q = (f2 - 2 * f1 + c) / 2
+            poly[(a,)] = f1 - c - q
+            poly[(a, a)] = q
+    for a, b in combinations(range(d * d), 2):
+        for poly, c, fa, fb, fab in zip(polys, const, ones[a], ones[b], at({a: 1, b: 1})):
+            poly[(a, b)] = fab - fa - fb + c
+    return tuple({mono: v for mono, v in poly.items() if v} for poly in polys)
+
+
+def _compile_grid_tests(polys, k: int, denominator: int) -> list[list[tuple]]:
+    """Per variable t, the components whose last variable is t, as integer
+    tests on the numerators p (entry = p / denominator).  A constant component
+    is tested with variable 0, so a nonzero one rejects every candidate.
+
+    A component is scaled by the LCM of its coefficient denominators, and a
+    degree-e term by denominator^(2-e).  Slot k of the numerator list holds 1,
+    so the constant and linear terms are products of two slots like the
+    quadratic ones.  A test (below, cross, square) reads
+    A + p_t * (B + square * p_t) with A = sum c * p_a * p_b over `below` and
+    B = sum c * p_a over `cross`.
+    """
+    by_last: list[list[tuple]] = [[] for _ in range(k)]
+    for poly in polys:
+        if not poly:
+            continue
+        scale = lcm(*(v.denominator for v in poly.values()))
+        coeff = {mono: int(v * scale) * denominator ** (2 - len(mono)) for mono, v in poly.items()}
+        t = max((a for mono in coeff for a in mono), default=0)
+        below, cross, square = [], [], 0
+        for mono, c in coeff.items():
+            if t not in mono:
+                below.append((mono + (k, k))[:2] + (c,))
+            elif mono == (t, t):
+                square = c
+            else:
+                cross.append((mono[0] if len(mono) == 2 else k, c))
+        by_last[t].append((tuple(below), tuple(cross), square))
+    return by_last
 
 
 def search_operators_grid(
@@ -201,17 +264,43 @@ def search_operators_grid(
     hi: int,
     denominator: int = 1,
 ) -> list[Matrix]:
-    """Exhaustive classification over the grid; purely verification-based,
-    no polynomial solving."""
+    """Every operator of the chosen kind with entries p/denominator, p in
+    [lo, hi], in the grid order of `iter_grid_matrices`.
+
+    The defect components are compiled once (`defect_polynomial`) into
+    integer polynomials in the numerators.  A depth-first walk fixes the
+    entries in row-major order, values ascending, and cuts a subtree at the
+    first component that has all its variables fixed and does not vanish.
+    Each surviving candidate is confirmed by `check_operator`.
+    """
     if denominator < 1:
         raise PreconditionError("denominator must be positive")
     if hi < lo:
         raise PreconditionError("empty entry range")
-    count = (hi - lo + 1) ** (alg.dim * alg.dim)
+    dim = alg.dim
+    k = dim * dim
+    count = (hi - lo + 1) ** k
     if count > GRID_GUARD:
         raise ResourceLimitError(f"grid of {count} candidates exceeds guard {GRID_GUARD}")
-    return [
-        m
-        for m in iter_grid_matrices(alg.dim, lo, hi, denominator)
-        if check_operator(alg, m, kind) is None
-    ]
+    by_last = _compile_grid_tests(defect_polynomial(alg, kind), k, denominator)
+    numerators = range(lo, hi + 1)
+    p = [0] * k + [1]
+    found = []
+
+    def walk(t: int) -> None:
+        if t == k:
+            m = Matrix([[Fraction(v, denominator) for v in p[r * dim : (r + 1) * dim]] for r in range(dim)])
+            if check_operator(alg, m, kind) is None:
+                found.append(m)
+            return
+        tests = [
+            (sum(c * p[a] * p[b] for a, b, c in below), sum(c * p[a] for a, c in cross), square)
+            for below, cross, square in by_last[t]
+        ]
+        for v in numerators:
+            if all(base + v * (slope + square * v) == 0 for base, slope, square in tests):
+                p[t] = v
+                walk(t + 1)
+
+    walk(0)
+    return found

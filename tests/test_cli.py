@@ -98,6 +98,13 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
         # the degree cap and the grid guard are fixed: no option raises them
         ("cohomology", bundle, "--complex", "la", "--max-degree", "6", "--cap", "6"),
         ("search", fx(fixtures_dir, "loday2_plain.json"), "--range", "-1..1", "--guard", "10"),
+        # a weight or a convention that the kind does not take is not ignored
+        ("search", fx(fixtures_dir, "loday2_plain.json"), "--range", "-1..1", "--kind", "rota_baxter",
+         "--convention", "as_printed"),
+        ("search", fx(fixtures_dir, "loday2_plain.json"), "--range", "-1..1", "--weight", "2"),
+        ("verify", bundle, "--kind", "modified_rota_baxter", "--weight", "1", "--convention", "standard"),
+        ("verify", bundle, "--kind", "rota_baxter", "--weight", "-1"),
+        ("verify", fx(fixtures_dir, "loday2_plain.json"), "--weight", "2"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

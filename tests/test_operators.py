@@ -9,10 +9,14 @@ filter (c = 0 and (a = d or a - d = b)) over the same grid.
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nijleib.algebra import (
+    LeibnizAlgebra,
     catalog_get,
     catalog_nijenhuis_pairs,
     check_leibniz,
@@ -22,8 +26,10 @@ from nijleib.algebra import (
 from nijleib.errors import PreconditionError, ResourceLimitError
 from nijleib.linalg import Matrix, frac
 from nijleib.operators import (
+    WEIGHT_CONVENTIONS,
     check_operator,
     correspondence_suite,
+    defect_polynomial,
     induced_bracket,
     induced_representation,
     is_nijenhuis,
@@ -46,10 +52,70 @@ def classification_filter(op: Matrix) -> bool:
 
 
 def test_grid_classification_golden(loday2):
+    # compared as lists: the order of the search is the order of the CLI report
     found = search_operators_grid(loday2, nijenhuis(), -2, 2, 1)
     assert len(found) == 39
-    expected = {op for op in iter_grid_matrices(2, -2, 2) if classification_filter(op)}
-    assert set(found) == expected
+    assert found == [op for op in iter_grid_matrices(2, -2, 2) if classification_filter(op)]
+
+
+def test_grid_counts_on_three_dimensional_sum():
+    # brute-force counts over the 3^9 candidates of dsum(loday2,abelian1)
+    alg = catalog_get("dsum(loday2,abelian1)")
+    assert len(search_operators_grid(alg, nijenhuis(), -1, 1)) == 447
+    assert len(search_operators_grid(alg, rota_baxter(), -1, 1)) == 171
+
+
+def test_grid_search_on_zero_dimensional_algebra():
+    # the one 0x0 matrix is the whole grid, and it passes every identity
+    alg = LeibnizAlgebra.abelian(0)
+    for kind in (nijenhuis(), modified_rota_baxter(3)):
+        assert search_operators_grid(alg, kind, 0, 1) == [Matrix([])]
+
+
+KINDS = st.one_of(
+    st.just(nijenhuis()),
+    st.just(rota_baxter()),
+    st.builds(rota_baxter_weighted, st.fractions(-2, 2, max_denominator=3), st.sampled_from(WEIGHT_CONVENTIONS)),
+    st.builds(modified_rota_baxter, st.fractions(-2, 2, max_denominator=3)),
+)
+
+
+@st.composite
+def sparse_brackets(draw):
+    """Dim 1-3 structure constants that are mostly zero, so that some
+    operators pass; they need not satisfy the Leibniz identity."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    entry = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2))
+    return LeibnizAlgebra.from_structure(
+        [[[draw(entry) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_brackets(), KINDS, st.data())
+def test_defect_polynomial_reproduces_defect(alg, kind, data):
+    """The premise of the compiled search: every defect component is a
+    polynomial of degree <= 2 in the entries, so interpolating it at
+    N = 0, E_a, 2E_a, E_a + E_b reproduces it at any rational N."""
+    polys = defect_polynomial(alg, kind)
+    entry = st.fractions(-5, 5, max_denominator=7)
+    n = Matrix([[data.draw(entry) for _ in range(alg.dim)] for _ in range(alg.dim)])
+    values = [n.entry(a // alg.dim, a % alg.dim) for a in range(alg.dim**2)]
+    got = [sum(c * prod(values[a] for a in mono) for mono, c in poly.items()) for poly in polys]
+    assert got == [v for row in operator_defect(alg, n, kind) for vec in row for v in vec]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_brackets(), KINDS, st.integers(-2, 0), st.integers(1, 3), st.data())
+def test_grid_search_matches_brute_force(alg, kind, lo, denominator, data):
+    """The pruned search returns exactly the candidates of the brute-force
+    grid that `check_operator` accepts, in grid order."""
+    width = data.draw(st.integers(1, {1: 5, 2: 3, 3: 2}[alg.dim]))
+    hi = lo + width - 1
+    expected = [
+        m for m in iter_grid_matrices(alg.dim, lo, hi, denominator) if check_operator(alg, m, kind) is None
+    ]
+    assert search_operators_grid(alg, kind, lo, hi, denominator) == expected
 
 
 def test_grid_iteration_count():
