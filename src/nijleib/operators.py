@@ -24,9 +24,11 @@ from .algebra import (
     is_zero_vector,
 )
 from .errors import PreconditionError, ResourceLimitError, ShapeError
-from .linalg import Matrix, Vector, frac, vec_sub
+from .linalg import Matrix, frac, vec_sub
 
 WEIGHT_CONVENTIONS = ("standard", "as_printed")
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -69,39 +71,75 @@ def modified_rota_baxter(weight) -> OperatorKind:
     return OperatorKind("modified_rota_baxter", frac(weight))
 
 
-def _defect_value(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind, x: Vector, y: Vector) -> Vector:
-    nx, ny = n.apply(x), n.apply(y)
-    lhs = alg.bracket(nx, ny)
-    inner_rb = tuple(a + b for a, b in zip(alg.bracket(x, ny), alg.bracket(nx, y)))
+def _combine(terms) -> dict:
+    """c1*v1 + c2*v2 + ... for (c, v) terms over sparse vectors, each a
+    {coordinate: Fraction} dict; zero coordinates are dropped."""
+    out: dict = {}
+    for c, v in terms:
+        for k, a in v.items():
+            ca = a if c == 1 else c * a  # a Fraction product by 1 costs as much as any other
+            out[k] = out[k] + ca if k in out else ca
+    return {k: a for k, a in out.items() if a}
+
+
+def _defect_value(kind: OperatorKind, bracket, apply, x: dict, nx: dict, y: dict, ny: dict) -> dict:
+    """The identity's left-minus-right side on sparse x and y, given Nx and Ny;
+    `bracket` and `apply` (of N) act on sparse vectors."""
+    lhs = bracket(nx, ny)
+    inner_rb = _combine(((1, bracket(x, ny)), (1, bracket(nx, y))))
     if kind.tag == "nijenhuis":
-        inner = vec_sub(inner_rb, n.apply(alg.bracket(x, y)))
-        return vec_sub(lhs, n.apply(inner))
+        inner = _combine(((1, inner_rb), (-1, apply(bracket(x, y)))))
+        return _combine(((1, lhs), (-1, apply(inner))))
     if kind.tag == "rota_baxter":
-        return vec_sub(lhs, n.apply(inner_rb))
+        return _combine(((1, lhs), (-1, apply(inner_rb))))
     if kind.tag == "rota_baxter_weighted":
         if kind.convention == "as_printed":
-            extra = n.apply(alg.bracket(x, y))
+            extra = apply(bracket(x, y))
         else:
-            extra = alg.bracket(x, y)
-        inner = tuple(a + kind.weight * b for a, b in zip(inner_rb, extra))
-        return vec_sub(lhs, n.apply(inner))
+            extra = bracket(x, y)
+        inner = _combine(((1, inner_rb), (kind.weight, extra)))
+        return _combine(((1, lhs), (-1, apply(inner))))
     if kind.tag == "modified_rota_baxter":
-        rhs = tuple(a + kind.weight * b for a, b in zip(n.apply(inner_rb), alg.bracket(x, y)))
-        return vec_sub(lhs, rhs)
+        return _combine(((1, lhs), (-1, apply(inner_rb)), (-kind.weight, bracket(x, y))))
     raise ValueError(f"unknown operator kind {kind.tag!r}")
 
 
 def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> BilinearTensor:
     """Left-minus-right side of the chosen identity on every basis pair.
 
-    Bilinearity extends a vanishing defect tensor to all inputs.
+    Bilinearity extends a vanishing defect tensor to all inputs.  The identity
+    is evaluated over the nonzero structure constants, {(a, b): [e_a, e_b]},
+    and the nonzero columns N e_i of `n`.
     """
     if n.rows != alg.dim or n.cols != alg.dim:
         raise ShapeError("operator dimension does not match the algebra")
-    return tuple(
-        tuple(_defect_value(alg, n, kind, alg.unit(i), alg.unit(j)) for j in range(alg.dim))
-        for i in range(alg.dim)
-    )
+    d = alg.dim
+    table = {}
+    for a, row in enumerate(alg.structure):
+        for b, vec in enumerate(row):
+            nz = {k: c for k, c in enumerate(vec) if c}
+            if nz:
+                table[a, b] = nz
+    cols: list[dict] = [{} for _ in range(d)]
+    for r, row in enumerate(n.nz):
+        for c, v in row.items():
+            cols[c][r] = v
+
+    def bracket(u: dict, v: dict) -> dict:
+        return _combine((s * t, table[a, b]) for a, s in u.items() for b, t in v.items() if (a, b) in table)
+
+    def apply(v: dict) -> dict:
+        return _combine((s, cols[a]) for a, s in v.items())
+
+    units = [{i: _ONE} for i in range(d)]
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            v = _defect_value(kind, bracket, apply, units[i], cols[i], units[j], cols[j])
+            row.append(tuple(v.get(k, _ZERO) for k in range(d)))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def check_operator(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> Optional[Counterexample]:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nijleib.algebra import (
+    Counterexample,
     LeibnizAlgebra,
     catalog_get,
     catalog_nijenhuis_pairs,
@@ -24,9 +25,10 @@ from nijleib.algebra import (
     adjoint_representation,
 )
 from nijleib.errors import PreconditionError, ResourceLimitError
-from nijleib.linalg import Matrix, frac
+from nijleib.linalg import Matrix, frac, vec_sub
 from nijleib.operators import (
     WEIGHT_CONVENTIONS,
+    OperatorKind,
     check_operator,
     correspondence_suite,
     defect_polynomial,
@@ -49,6 +51,45 @@ def classification_filter(op: Matrix) -> bool:
     a, b = op.entry(0, 0), op.entry(0, 1)
     c, d = op.entry(1, 0), op.entry(1, 1)
     return c == 0 and (a == d or a - d == b)
+
+
+def _slow_defect_value(alg, n, kind, x, y):
+    nx, ny = n.apply(x), n.apply(y)
+    lhs = alg.bracket(nx, ny)
+    inner_rb = tuple(a + b for a, b in zip(alg.bracket(x, ny), alg.bracket(nx, y)))
+    if kind.tag == "nijenhuis":
+        inner = vec_sub(inner_rb, n.apply(alg.bracket(x, y)))
+        return vec_sub(lhs, n.apply(inner))
+    if kind.tag == "rota_baxter":
+        return vec_sub(lhs, n.apply(inner_rb))
+    if kind.tag == "rota_baxter_weighted":
+        if kind.convention == "as_printed":
+            extra = n.apply(alg.bracket(x, y))
+        else:
+            extra = alg.bracket(x, y)
+        inner = tuple(a + kind.weight * b for a, b in zip(inner_rb, extra))
+        return vec_sub(lhs, n.apply(inner))
+    if kind.tag == "modified_rota_baxter":
+        rhs = tuple(a + kind.weight * b for a, b in zip(n.apply(inner_rb), alg.bracket(x, y)))
+        return vec_sub(lhs, rhs)
+    raise ValueError(kind.tag)
+
+
+def slow_operator_defect(alg, n, kind):
+    """Oracle of `operator_defect`: each identity evaluated on dense vectors
+    with the dense bracket `alg.bracket` and `Matrix.apply`."""
+    return tuple(
+        tuple(_slow_defect_value(alg, n, kind, alg.unit(i), alg.unit(j)) for j in range(alg.dim))
+        for i in range(alg.dim)
+    )
+
+
+def slow_check_operator(alg, n, kind):
+    defect = slow_operator_defect(alg, n, kind)
+    for i, j in product(range(alg.dim), repeat=2):
+        if any(defect[i][j]):
+            return Counterexample(kind.describe(), (i, j), defect[i][j])
+    return None
 
 
 def test_grid_classification_golden(loday2):
@@ -102,20 +143,60 @@ def test_defect_polynomial_reproduces_defect(alg, kind, data):
     n = Matrix([[data.draw(entry) for _ in range(alg.dim)] for _ in range(alg.dim)])
     values = [n.entry(a // alg.dim, a % alg.dim) for a in range(alg.dim**2)]
     got = [sum(c * prod(values[a] for a in mono) for mono, c in poly.items()) for poly in polys]
-    assert got == [v for row in operator_defect(alg, n, kind) for vec in row for v in vec]
+    assert got == [v for row in slow_operator_defect(alg, n, kind) for vec in row for v in vec]
 
 
 @settings(max_examples=80, deadline=None)
 @given(sparse_brackets(), KINDS, st.integers(-2, 0), st.integers(1, 3), st.data())
 def test_grid_search_matches_brute_force(alg, kind, lo, denominator, data):
     """The pruned search returns exactly the candidates of the brute-force
-    grid that `check_operator` accepts, in grid order."""
+    grid that the dense oracle accepts, in grid order."""
     width = data.draw(st.integers(1, {1: 5, 2: 3, 3: 2}[alg.dim]))
     hi = lo + width - 1
     expected = [
-        m for m in iter_grid_matrices(alg.dim, lo, hi, denominator) if check_operator(alg, m, kind) is None
+        m for m in iter_grid_matrices(alg.dim, lo, hi, denominator) if slow_check_operator(alg, m, kind) is None
     ]
     assert search_operators_grid(alg, kind, lo, hi, denominator) == expected
+
+
+@st.composite
+def any_brackets(draw):
+    """Dim 0-4 structure constants, mostly zero or dense rationals; they need
+    not satisfy the Leibniz identity."""
+    dim = draw(st.integers(0, 4))
+    entry = draw(
+        st.sampled_from((st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2)), st.fractions(-3, 3, max_denominator=4)))
+    )
+    return LeibnizAlgebra.from_structure(
+        [[[draw(entry) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_brackets(), KINDS, st.data())
+def test_operator_defect_matches_dense_oracle(alg, kind, data):
+    """The sparse evaluation gives the dense oracle's tensor and the same
+    first witness, for rational N with some columns zero."""
+    dim = alg.dim
+    zero_cols = data.draw(st.sets(st.integers(0, dim - 1))) if dim else set()
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=5))
+    n = Matrix([[Fraction(0) if c in zero_cols else data.draw(entry) for c in range(dim)] for _ in range(dim)])
+    defect = operator_defect(alg, n, kind)
+    assert defect == slow_operator_defect(alg, n, kind)
+    assert all(type(v) is Fraction for row in defect for vec in row for v in vec)
+    assert check_operator(alg, n, kind) == slow_check_operator(alg, n, kind)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [nijenhuis(), rota_baxter(), rota_baxter_weighted(-1, "as_printed"), modified_rota_baxter(Fraction(1, 2))],
+    ids=OperatorKind.describe,
+)
+def test_all_accepted_grid(kind):
+    # every bracket of abelian3 vanishes, so every candidate is confirmed
+    grid = list(iter_grid_matrices(3, 0, 1))
+    assert len(grid) == 512
+    assert search_operators_grid(catalog_get("abelian3"), kind, 0, 1) == grid
 
 
 def test_grid_iteration_count():
