@@ -4,6 +4,10 @@ Structure constants follow c[i][j][k]: [e_i, e_j] = sum_k c[i][j][k] e_k.
 All verdict-style checks return None on success or a `Counterexample`
 carrying the lexicographically first failing index tuple and the exact
 residual, so goldens are deterministic.
+
+Every bracket is evaluated by one sparse kernel: vectors are {coordinate:
+Fraction} dicts, a bilinear tensor is read as the table {(a, b): {k: c}} of
+its nonzero values, and `_combine` sums scaled vectors.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .linalg import (
     frac,
     is_zero_vector,
     unit_vector,
-    vec_add,
     zero_vector,
 )
 
@@ -40,23 +43,65 @@ def zero_bilinear_tensor(dim: int, out_dim: Optional[int] = None) -> BilinearTen
     return tuple(tuple(z for _ in range(dim)) for _ in range(dim))
 
 
-def bilinear_eval(tensor: BilinearTensor, x: Vector, y: Vector) -> Vector:
-    dim = len(tensor)
-    if len(x) != dim or len(y) != dim:
-        raise ShapeError(f"expected vectors of length {dim}, got {len(x)} and {len(y)}")
-    out_dim = len(tensor[0][0]) if dim else 0
-    acc = list(zero_vector(out_dim))
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            coeff = xi * yj
-            for k, c in enumerate(tensor[i][j]):
-                if c:
-                    acc[k] += coeff * c
-    return tuple(acc)
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _combine(terms) -> dict:
+    """c1*v1 + c2*v2 + ... for (c, v) terms over sparse vectors, each a
+    {coordinate: Fraction} dict; zero coordinates are dropped."""
+    out: dict = {}
+    for c, v in terms:
+        for k, a in v.items():
+            ca = a if c == 1 else c * a  # a Fraction product by 1 costs as much as any other
+            out[k] = out[k] + ca if k in out else ca
+    return {k: a for k, a in out.items() if a}
+
+
+def _sparse(v: Vector) -> dict:
+    return {k: c for k, c in enumerate(v) if c}
+
+
+def _dense(v: dict, dim: int) -> Vector:
+    return tuple(v.get(k, _ZERO) for k in range(dim))
+
+
+def _table(tensor: BilinearTensor) -> dict:
+    """The nonzero values {(a, b): {k: c}} of a bilinear tensor."""
+    return {(a, b): nz for a, row in enumerate(tensor) for b, vec in enumerate(row) if (nz := _sparse(vec))}
+
+
+def _bracket(table: dict, u: dict, v: dict) -> dict:
+    """The bilinear map with nonzero values `table` on sparse u and v."""
+    return _combine((s * t, table[a, b]) for a, s in u.items() for b, t in v.items() if (a, b) in table)
+
+
+def _leibniz(pairs, x: dict, y: dict, z: dict) -> dict:
+    """Sum over the table pairs (a, b) of a(x, b(y, z)) - a(b(x, y), z) - a(y, b(x, z)).
+
+    With the one pair (mu, mu) this is the Leibniz identity; with the pairs
+    (mu_i, mu_j), i + j = n, it is the order-n deformation equation."""
+    return _combine(
+        term
+        for a, b in pairs
+        for term in (
+            (1, _bracket(a, x, _bracket(b, y, z))),
+            (-1, _bracket(a, _bracket(b, x, y), z)),
+            (-1, _bracket(a, y, _bracket(b, x, z))),
+        )
+    )
+
+
+def _apply(cols, v: dict) -> dict:
+    """Sparse v under the matrix whose columns are `cols`, its transpose's `nz`."""
+    return _combine((s, cols[a]) for a, s in v.items())
+
+
+def _on_basis(dim: int, arity: int, f, *head: dict) -> tuple:
+    """The dense table of f on all tuples of basis vectors, first argument
+    outermost; f takes and returns sparse vectors."""
+    if len(head) == arity:
+        return _dense(f(*head), dim)
+    return tuple(_on_basis(dim, arity, f, *head, {i: _ONE}) for i in range(dim))
 
 
 def bilinear_tensor_is_zero(tensor: BilinearTensor) -> bool:
@@ -106,7 +151,9 @@ class LeibnizAlgebra:
         return self.structure[i][j]
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        return bilinear_eval(self.structure, x, y)
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ShapeError(f"expected vectors of length {self.dim}, got {len(x)} and {len(y)}")
+        return _dense(_bracket(_table(self.structure), _sparse(x), _sparse(y)), self.dim)
 
     def left_multiplier(self, i: int) -> Matrix:
         """L_i with column j = [e_i, e_j]."""
@@ -122,15 +169,10 @@ class LeibnizAlgebra:
 
 def check_leibniz(alg: LeibnizAlgebra) -> Optional[Counterexample]:
     """Leibniz identity [ei,[ej,ek]] = [[ei,ej],ek] + [ej,[ei,ek]] on all basis triples."""
+    pairs = ((_table(alg.structure),) * 2,)
     for i, j, k in product(range(alg.dim), repeat=3):
-        lhs = alg.bracket(alg.unit(i), alg.bracket_basis(j, k))
-        rhs = vec_add(
-            alg.bracket(alg.bracket_basis(i, j), alg.unit(k)),
-            alg.bracket(alg.unit(j), alg.bracket_basis(i, k)),
-        )
-        residual = tuple(a - b for a, b in zip(lhs, rhs))
-        if not is_zero_vector(residual):
-            return Counterexample("leibniz", (i, j, k), residual)
+        if residual := _leibniz(pairs, {i: _ONE}, {j: _ONE}, {k: _ONE}):
+            return Counterexample("leibniz", (i, j, k), _dense(residual, alg.dim))
     return None
 
 

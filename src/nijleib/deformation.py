@@ -13,17 +13,17 @@ d(psi_1, 0), which `cochain.coboundary_difference` checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from typing import Optional
 
 from .algebra import (
     BilinearTensor,
     LeibnizAlgebra,
     adjoint_representation,
-    bilinear_eval,
     bilinear_tensor_is_zero,
     zero_bilinear_tensor,
 )
+from .algebra import _apply, _bracket, _combine, _leibniz, _on_basis, _table
 from .cochain import (
     Cochain,
     CoboundaryDifference,
@@ -33,7 +33,7 @@ from .cochain import (
     cohomology_dims,
 )
 from .errors import PreconditionError, ShapeError
-from .linalg import Matrix, Vector, unit_vector, vec_add, vec_sub, zero_vector
+from .linalg import Matrix, vec_sub
 from .operators import check_operator, nijenhuis
 
 
@@ -77,17 +77,6 @@ def _compositions(n: int, *series):
             yield (term,) + tail
 
 
-def _vec_sum(vectors, dim: int) -> Vector:
-    return reduce(vec_add, vectors, zero_vector(dim))
-
-
-def _on_basis(dim: int, arity: int, f, *head: Vector) -> tuple:
-    """The table of f on all tuples of basis vectors, first argument outermost."""
-    if len(head) == arity:
-        return f(*head)
-    return tuple(_on_basis(dim, arity, f, *head, unit_vector(dim, i)) for i in range(dim))
-
-
 def _check_base(alg: LeibnizAlgebra, n_op: Matrix, d: TruncatedDeformation) -> None:
     if d.mu_terms[0] != alg.structure or d.n_terms[0] != n_op:
         raise PreconditionError("deformation does not start at the given base structure")
@@ -101,33 +90,27 @@ def deformation_residual(
     _check_base(alg, n_op, d)
     if not 0 <= order <= d.order:
         raise PreconditionError(f"order {order} outside 0..{d.order}")
-    dim, mu = alg.dim, bilinear_eval
-    mus, ns = d.mu_terms, d.n_terms
+    mus = [_table(m) for m in d.mu_terms]
+    cols = [m.transpose().nz for m in d.n_terms]
     pairs = list(_compositions(order, mus, mus))
     # terms (mu_i, N_i), so that one index tuple serves all four Nijenhuis terms
-    triples = list(_compositions(order, *[tuple(zip(mus, ns))] * 3))
-
-    def leibniz(x, y, z):
-        # sum over i + j = n of mu_i(x, mu_j(y, z)) - mu_i(mu_j(x, y), z) - mu_i(y, mu_j(x, z))
-        terms = (
-            vec_sub(mu(a, x, mu(b, y, z)), vec_add(mu(a, mu(b, x, y), z), mu(a, y, mu(b, x, z))))
-            for a, b in pairs
-        )
-        return _vec_sum(terms, dim)
+    triples = list(_compositions(order, *[tuple(zip(mus, cols))] * 3))
 
     def nijenhuis_(u, v):
         # sum over i + j + k = n of mu_i(N_j u, N_k v) + N_i N_j mu_k(u, v)
         #   - N_i (mu_j(N_k u, v) + mu_j(u, N_k v))
-        terms = (
-            vec_sub(
-                vec_add(mu(mi, nj.apply(u), nk.apply(v)), ni.apply(nj.apply(mu(mk, u, v)))),
-                ni.apply(vec_add(mu(mj, nk.apply(u), v), mu(mj, u, nk.apply(v)))),
-            )
+        return _combine(
+            term
             for (mi, ni), (mj, nj), (mk, nk) in triples
+            for term in (
+                (1, _bracket(mi, _apply(nj, u), _apply(nk, v))),
+                (1, _apply(ni, _apply(nj, _bracket(mk, u, v)))),
+                (-1, _apply(ni, _bracket(mj, _apply(nk, u), v))),
+                (-1, _apply(ni, _bracket(mj, u, _apply(nk, v)))),
+            )
         )
-        return _vec_sum(terms, dim)
 
-    return _on_basis(dim, 3, leibniz), _on_basis(dim, 2, nijenhuis_)
+    return _on_basis(alg.dim, 3, partial(_leibniz, pairs)), _on_basis(alg.dim, 2, nijenhuis_)
 
 
 @dataclass(frozen=True)
@@ -215,16 +198,17 @@ def twist_by_isomorphism(d: TruncatedDeformation, iso: FormalIsomorphism) -> Tru
     psi o N' = N o psi, truncated at the common order."""
     if iso.order != d.order:
         raise ShapeError("deformation and isomorphism orders differ")
-    dim, mu = d.dim, bilinear_eval
     eta, psi = formal_inverse(iso).psi_terms, iso.psi_terms
-    zero = Matrix.zero(dim, dim)
+    zero = Matrix.zero(d.dim, d.dim)
+    eta_cols, psi_cols = [e.transpose().nz for e in eta], [p.transpose().nz for p in psi]
+    mus = [_table(m) for m in d.mu_terms]
 
     def mu_term(terms, x, y):
-        return _vec_sum((e.apply(mu(m, p.apply(x), q.apply(y))) for e, m, p, q in terms), dim)
+        return _combine((1, _apply(e, _bracket(m, _apply(p, x), _apply(q, y)))) for e, m, p, q in terms)
 
     orders = range(d.order + 1)
-    mu_series = [list(_compositions(n, eta, d.mu_terms, psi, psi)) for n in orders]
-    mu_terms = tuple(_on_basis(dim, 2, partial(mu_term, terms)) for terms in mu_series)
+    mu_series = [list(_compositions(n, eta_cols, mus, psi_cols, psi_cols)) for n in orders]
+    mu_terms = tuple(_on_basis(d.dim, 2, partial(mu_term, terms)) for terms in mu_series)
     n_terms = tuple(
         sum((e * m * p for e, m, p in _compositions(n, eta, d.n_terms, psi)), zero) for n in orders
     )

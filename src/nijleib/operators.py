@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import lcm
 from typing import Iterator, Optional
@@ -23,12 +24,11 @@ from .algebra import (
     check_representation,
     is_zero_vector,
 )
+from .algebra import _ONE, _apply, _bracket, _combine, _dense, _on_basis, _table
 from .errors import PreconditionError, ResourceLimitError, ShapeError
-from .linalg import Matrix, frac, vec_sub
+from .linalg import Matrix, frac
 
 WEIGHT_CONVENTIONS = ("standard", "as_printed")
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -71,32 +71,23 @@ def modified_rota_baxter(weight) -> OperatorKind:
     return OperatorKind("modified_rota_baxter", frac(weight))
 
 
-def _combine(terms) -> dict:
-    """c1*v1 + c2*v2 + ... for (c, v) terms over sparse vectors, each a
-    {coordinate: Fraction} dict; zero coordinates are dropped."""
-    out: dict = {}
-    for c, v in terms:
-        for k, a in v.items():
-            ca = a if c == 1 else c * a  # a Fraction product by 1 costs as much as any other
-            out[k] = out[k] + ca if k in out else ca
-    return {k: a for k, a in out.items() if a}
+def _star(bracket, apply, x: dict, nx: dict, y: dict, ny: dict) -> dict:
+    """The star bracket [x, y]_N = [Nx, y] + [x, Ny] - N[x, y] on sparse x and y,
+    given Nx and Ny."""
+    return _combine(((1, bracket(x, ny)), (1, bracket(nx, y)), (-1, apply(bracket(x, y)))))
 
 
 def _defect_value(kind: OperatorKind, bracket, apply, x: dict, nx: dict, y: dict, ny: dict) -> dict:
     """The identity's left-minus-right side on sparse x and y, given Nx and Ny;
     `bracket` and `apply` (of N) act on sparse vectors."""
     lhs = bracket(nx, ny)
-    inner_rb = _combine(((1, bracket(x, ny)), (1, bracket(nx, y))))
     if kind.tag == "nijenhuis":
-        inner = _combine(((1, inner_rb), (-1, apply(bracket(x, y)))))
-        return _combine(((1, lhs), (-1, apply(inner))))
+        return _combine(((1, lhs), (-1, apply(_star(bracket, apply, x, nx, y, ny)))))
+    inner_rb = _combine(((1, bracket(x, ny)), (1, bracket(nx, y))))
     if kind.tag == "rota_baxter":
         return _combine(((1, lhs), (-1, apply(inner_rb))))
     if kind.tag == "rota_baxter_weighted":
-        if kind.convention == "as_printed":
-            extra = apply(bracket(x, y))
-        else:
-            extra = bracket(x, y)
+        extra = apply(bracket(x, y)) if kind.convention == "as_printed" else bracket(x, y)
         inner = _combine(((1, inner_rb), (kind.weight, extra)))
         return _combine(((1, lhs), (-1, apply(inner))))
     if kind.tag == "modified_rota_baxter":
@@ -114,17 +105,9 @@ def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> Bilin
     if n.rows != alg.dim or n.cols != alg.dim:
         raise ShapeError("operator dimension does not match the algebra")
     d = alg.dim
-    table = {}
-    for a, row in enumerate(alg.structure):
-        for b, vec in enumerate(row):
-            nz = {k: c for k, c in enumerate(vec) if c}
-            if nz:
-                table[a, b] = nz
-    cols: list[dict] = [{} for _ in range(d)]
-    for r, row in enumerate(n.nz):
-        for c, v in row.items():
-            cols[c][r] = v
+    table, cols = _table(alg.structure), n.transpose().nz
 
+    # _bracket and _apply inlined: grid-search confirmations run here, and partial() was slower
     def bracket(u: dict, v: dict) -> dict:
         return _combine((s * t, table[a, b]) for a, s in u.items() for b, t in v.items() if (a, b) in table)
 
@@ -136,8 +119,7 @@ def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> Bilin
     for i in range(d):
         row = []
         for j in range(d):
-            v = _defect_value(kind, bracket, apply, units[i], cols[i], units[j], cols[j])
-            row.append(tuple(v.get(k, _ZERO) for k in range(d)))
+            row.append(_dense(_defect_value(kind, bracket, apply, units[i], cols[i], units[j], cols[j]), d))
         out.append(tuple(row))
     return tuple(out)
 
@@ -190,17 +172,9 @@ def induced_bracket(alg: LeibnizAlgebra, n: Matrix) -> LeibnizAlgebra:
     bad = check_operator(alg, n, nijenhuis())
     if bad is not None:
         raise PreconditionError(f"not a Nijenhuis operator: {bad.describe()}")
-    structure = []
-    for i in range(alg.dim):
-        row = []
-        ne_i = n.column(i)
-        for j in range(alg.dim):
-            v = alg.bracket(ne_i, alg.unit(j))
-            v = tuple(a + b for a, b in zip(v, alg.bracket(alg.unit(i), n.column(j))))
-            v = vec_sub(v, n.apply(alg.bracket_basis(i, j)))
-            row.append(v)
-        structure.append(tuple(row))
-    return LeibnizAlgebra(alg.dim, alg.basis, tuple(structure))
+    bracket, apply = partial(_bracket, _table(alg.structure)), partial(_apply, n.transpose().nz)
+    star = _on_basis(alg.dim, 2, lambda x, y: _star(bracket, apply, x, apply(x), y, apply(y)))
+    return LeibnizAlgebra(alg.dim, alg.basis, star)
 
 
 def induced_representation(rep: Representation, alg: LeibnizAlgebra, n: Matrix) -> Representation:

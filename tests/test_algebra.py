@@ -2,12 +2,14 @@
 representations, and the built-in catalog."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nijleib.algebra import (
+    Counterexample,
     LeibnizAlgebra,
     Representation,
     adjoint_representation,
@@ -19,7 +21,8 @@ from nijleib.algebra import (
     trivial_representation,
 )
 from nijleib.errors import CatalogError, PreconditionError
-from nijleib.linalg import Matrix, frac, unit_vector, vec_sub
+from nijleib.linalg import Matrix, frac, unit_vector, vec_add, vec_sub
+from oracles import any_brackets, bilinear_eval
 
 
 def test_loday2_bracket_table(loday2):
@@ -60,6 +63,33 @@ def test_bracket_bilinear(loday2):
     z = loday2.bracket(x, y)
     # [x,y] for x = 2e1 - e2, y = e1/2 + 3e2: only the e2 part of x acts
     assert z == (frac(-1) * Fraction(1, 2) + frac(-1) * frac(3), frac(0))
+
+
+def slow_check_leibniz(alg):
+    """Oracle of `check_leibniz`: the identity on dense unit vectors with the
+    dense `bilinear_eval`, in the same triple order."""
+    def mu(x, y):
+        return bilinear_eval(alg.structure, x, y)
+
+    for i, j, k in product(range(alg.dim), repeat=3):
+        ei, ej, ek = alg.unit(i), alg.unit(j), alg.unit(k)
+        residual = vec_sub(mu(ei, mu(ej, ek)), vec_add(mu(mu(ei, ej), ek), mu(ej, mu(ei, ek))))
+        if any(residual):
+            return Counterexample("leibniz", (i, j, k), residual)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_brackets(), st.data())
+def test_sparse_kernel_matches_dense_oracle(alg, data):
+    """On brackets that need not be Leibniz: `check_leibniz` gives the dense
+    oracle's first failing triple and residual, and `bracket` its vectors."""
+    got = check_leibniz(alg)
+    assert got == slow_check_leibniz(alg)
+    assert got is None or all(type(v) is Fraction for v in got.residual)
+    vector = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=alg.dim, max_size=alg.dim).map(tuple)
+    x, y = data.draw(vector), data.draw(vector)
+    assert alg.bracket(x, y) == bilinear_eval(alg.structure, x, y)
 
 
 @settings(max_examples=40, deadline=None)

@@ -341,6 +341,46 @@ def test_deform_check_pass(capsys, fixtures_dir):
     assert json.loads(out)["verdict"] == "pass"
 
 
+def test_certificate_goldens(capsys, fixtures_dir, tmp_path):
+    """Exact reports of the two verbs that print bracket-evaluation residuals:
+    a Leibniz certificate from `verify --no-verify` (and the same failure as an
+    ingest error without it), and both residual families of `deform check`."""
+    bundle = tmp_path / "nonleibniz.json"
+    bundle.write_text(
+        '{"algebra":{"basis":["e1","e2"],"brackets":{"e1,e2":{"e1":"1/2"},"e2,e1":{"e1":"1","e2":"-2"},'
+        '"e2,e2":{"e1":"1"}},"dimension":2},"operator":[["2","1"],["0","1"]]}'
+    )
+    deformation = json.loads((fixtures_dir / "deformation_trivial.json").read_text())
+    deformation["mu"][1][0][0] = ["1", "0"]
+    (tmp_path / "bad_deformation.json").write_text(json.dumps(deformation))
+    assert run(capsys, "verify", str(bundle), "--no-verify") == (
+        EXIT_FAIL,
+        '{"certificates":[{"identity":"leibniz","indices":[0,1,0],"residual":["-1","0"]},'
+        '{"identity":"nijenhuis","indices":[1,1],"residual":["3/2","0"]}],'
+        '"checks":{"leibniz":false,"nijenhuis":false},"command":"verify",'
+        '"counterexample":{"identity":"leibniz","indices":[0,1,0],"residual":["-1","0"]},'
+        '"tool_version":"0.1.0","verdict":"fail"}\n',
+        "",
+    )
+    assert run(capsys, "verify", str(bundle)) == (
+        EXIT_INVALID,
+        "",
+        "error: algebra fails the Leibniz identity: leibniz fails at (0, 1, 0): "
+        "residual (Fraction(-1, 1), Fraction(0, 1))\n",
+    )
+    code, out, err = run(
+        capsys, "deform", "check", fx(fixtures_dir, "loday2_classified.json"), str(tmp_path / "bad_deformation.json")
+    )
+    assert (code, err) == (EXIT_FAIL, "")
+    assert out == (
+        '{"command":"deform-check","counterexample":{"first_failing_order":1,'
+        '"leibniz_residual":[[[["0","0"],["0","0"]],[["0","0"],["1","0"]]],'
+        '[[["-1","0"],["-1","0"]],[["-1","0"],["0","0"]]]],'
+        '"nijenhuis_residual":[[["0","0"],["0","0"]],[["0","0"],["1","0"]]]},'
+        '"order":2,"tool_version":"0.1.0","verdict":"fail"}\n'
+    )
+
+
 def test_deform_twist_then_check(capsys, fixtures_dir, tmp_path):
     code, out, _ = run(
         capsys,

@@ -7,12 +7,14 @@ from itertools import product
 import pytest
 
 from nijleib.algebra import (
+    Counterexample,
+    LeibnizAlgebra,
     adjoint_representation,
-    bilinear_eval,
     bilinear_tensor,
     bilinear_tensor_is_zero,
     catalog_get,
     catalog_nijenhuis_pairs,
+    check_leibniz,
 )
 from nijleib.cochain import Cochain, NLACochain, cocycle_membership, d_nla
 from nijleib.deformation import (
@@ -20,6 +22,7 @@ from nijleib.deformation import (
     FormalIsomorphism,
     TruncatedDeformation,
     compose_isomorphisms,
+    deformation_residual,
     equivalence_check,
     formal_inverse,
     infinitesimal,
@@ -31,6 +34,8 @@ from nijleib.deformation import (
 )
 from nijleib.errors import PreconditionError
 from nijleib.linalg import Matrix, frac, unit_vector, vec_add, vec_sub, zero_vector
+from nijleib.operators import nijenhuis, operator_defect
+from oracles import bilinear_eval
 
 
 def random_psi1(rng, dim, lo=-3, hi=3):
@@ -182,6 +187,64 @@ def test_twist_is_an_action_of_composed_isomorphisms():
             composed = twist_by_isomorphism(d, compose_isomorphisms(a, b))
             assert twist_by_isomorphism(twisted, b) == composed, (name, order)
             assert equivalence_check(d, twisted, a).passes, (name, order)
+
+
+def slow_deformation_residual(d, n):
+    """Oracle of `deformation_residual`: both order-n families summed term by
+    term over every index tuple with i + j = n (i + j + k = n), with the dense
+    `bilinear_eval` and `Matrix.apply`."""
+    dim, mu, nn = d.dim, d.mu_terms, d.n_terms
+    basis = [unit_vector(dim, i) for i in range(dim)]
+
+    def leibniz(x, y, z):
+        out = zero_vector(dim)
+        for i in range(n + 1):
+            a, b = mu[i], mu[n - i]
+            out = vec_add(out, bilinear_eval(a, x, bilinear_eval(b, y, z)))
+            out = vec_sub(out, bilinear_eval(a, bilinear_eval(b, x, y), z))
+            out = vec_sub(out, bilinear_eval(a, y, bilinear_eval(b, x, z)))
+        return out
+
+    def nijenhuis_(u, v):
+        out = zero_vector(dim)
+        for i, j in product(range(n + 1), repeat=2):
+            if i + j <= n:
+                k = n - i - j
+                out = vec_add(out, bilinear_eval(mu[i], nn[j].apply(u), nn[k].apply(v)))
+                out = vec_add(out, nn[i].apply(nn[j].apply(bilinear_eval(mu[k], u, v))))
+                out = vec_sub(out, nn[i].apply(bilinear_eval(mu[j], nn[k].apply(u), v)))
+                out = vec_sub(out, nn[i].apply(bilinear_eval(mu[j], u, nn[k].apply(v))))
+        return out
+
+    tri = tuple(tuple(tuple(leibniz(x, y, z) for z in basis) for y in basis) for x in basis)
+    return tri, tuple(tuple(nijenhuis_(u, v) for v in basis) for u in basis)
+
+
+def test_deformation_residual_matches_dense_oracle():
+    """Both families at every order of random series on the catalog pairs,
+    and on random brackets and operators that satisfy neither identity."""
+    rng = random.Random(19)
+    cases = list(catalog_nijenhuis_pairs())
+    for dim in (1, 2, 3):
+        alg = LeibnizAlgebra.from_structure(random_tensor(rng, dim))
+        cases.append((f"random{dim}", alg, random_psi1(rng, dim, -2, 2)))
+    failing = 0
+    for name, alg, op in cases:
+        for order in range(4):
+            d = random_series_deformation(rng, alg, op, order)
+            for n in range(order + 1):
+                tri, bi = deformation_residual(alg, op, d, n)
+                assert (tri, bi) == slow_deformation_residual(d, n), (name, order, n)
+                failing += not bilinear_tensor_is_zero(bi)
+            # order 0 is the Leibniz identity and the Nijenhuis identity of the base
+            tri, bi = deformation_residual(alg, op, d, 0)
+            first = next(
+                (((i, j, k), tri[i][j][k]) for i, j, k in product(range(alg.dim), repeat=3) if any(tri[i][j][k])),
+                None,
+            )
+            assert check_leibniz(alg) == (first and Counterexample("leibniz", *first)), name
+            assert bi == operator_defect(alg, op, nijenhuis()), name
+    assert failing > 0
 
 
 def slow_equivalence_check(d_plain, d_primed, iso):

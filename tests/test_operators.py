@@ -25,7 +25,7 @@ from nijleib.algebra import (
     adjoint_representation,
 )
 from nijleib.errors import PreconditionError, ResourceLimitError
-from nijleib.linalg import Matrix, frac, vec_sub
+from nijleib.linalg import Matrix, frac, vec_add, vec_sub
 from nijleib.operators import (
     WEIGHT_CONVENTIONS,
     OperatorKind,
@@ -43,6 +43,7 @@ from nijleib.operators import (
     rota_baxter_weighted,
     search_operators_grid,
 )
+from oracles import any_brackets, bilinear_eval
 
 
 def classification_filter(op: Matrix) -> bool:
@@ -54,30 +55,33 @@ def classification_filter(op: Matrix) -> bool:
 
 
 def _slow_defect_value(alg, n, kind, x, y):
+    def bracket(u, v):
+        return bilinear_eval(alg.structure, u, v)
+
     nx, ny = n.apply(x), n.apply(y)
-    lhs = alg.bracket(nx, ny)
-    inner_rb = tuple(a + b for a, b in zip(alg.bracket(x, ny), alg.bracket(nx, y)))
+    lhs = bracket(nx, ny)
+    inner_rb = tuple(a + b for a, b in zip(bracket(x, ny), bracket(nx, y)))
     if kind.tag == "nijenhuis":
-        inner = vec_sub(inner_rb, n.apply(alg.bracket(x, y)))
+        inner = vec_sub(inner_rb, n.apply(bracket(x, y)))
         return vec_sub(lhs, n.apply(inner))
     if kind.tag == "rota_baxter":
         return vec_sub(lhs, n.apply(inner_rb))
     if kind.tag == "rota_baxter_weighted":
         if kind.convention == "as_printed":
-            extra = n.apply(alg.bracket(x, y))
+            extra = n.apply(bracket(x, y))
         else:
-            extra = alg.bracket(x, y)
+            extra = bracket(x, y)
         inner = tuple(a + kind.weight * b for a, b in zip(inner_rb, extra))
         return vec_sub(lhs, n.apply(inner))
     if kind.tag == "modified_rota_baxter":
-        rhs = tuple(a + kind.weight * b for a, b in zip(n.apply(inner_rb), alg.bracket(x, y)))
+        rhs = tuple(a + kind.weight * b for a, b in zip(n.apply(inner_rb), bracket(x, y)))
         return vec_sub(lhs, rhs)
     raise ValueError(kind.tag)
 
 
 def slow_operator_defect(alg, n, kind):
     """Oracle of `operator_defect`: each identity evaluated on dense vectors
-    with the dense bracket `alg.bracket` and `Matrix.apply`."""
+    with the dense `bilinear_eval` and `Matrix.apply`."""
     return tuple(
         tuple(_slow_defect_value(alg, n, kind, alg.unit(i), alg.unit(j)) for j in range(alg.dim))
         for i in range(alg.dim)
@@ -157,19 +161,6 @@ def test_grid_search_matches_brute_force(alg, kind, lo, denominator, data):
         m for m in iter_grid_matrices(alg.dim, lo, hi, denominator) if slow_check_operator(alg, m, kind) is None
     ]
     assert search_operators_grid(alg, kind, lo, hi, denominator) == expected
-
-
-@st.composite
-def any_brackets(draw):
-    """Dim 0-4 structure constants, mostly zero or dense rationals; they need
-    not satisfy the Leibniz identity."""
-    dim = draw(st.integers(0, 4))
-    entry = draw(
-        st.sampled_from((st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2)), st.fractions(-3, 3, max_denominator=4)))
-    )
-    return LeibnizAlgebra.from_structure(
-        [[[draw(entry) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -337,11 +328,13 @@ def test_induced_bracket_properties():
         star = induced_bracket(alg, op)
         assert check_leibniz(star) is None, name
         assert is_nijenhuis(star, op), name
-        # N is a morphism from the star bracket to the original bracket
         for i, j in product(range(alg.dim), repeat=2):
-            lhs = op.apply(star.bracket_basis(i, j))
-            rhs = alg.bracket(op.column(i), op.column(j))
-            assert lhs == rhs, (name, i, j)
+            # the dense star formula [Ne_i, e_j] + [e_i, Ne_j] - N[e_i, e_j]
+            ei, ej, ni, nj = alg.unit(i), alg.unit(j), op.column(i), op.column(j)
+            rb = vec_add(bilinear_eval(alg.structure, ni, ej), bilinear_eval(alg.structure, ei, nj))
+            assert star.bracket_basis(i, j) == vec_sub(rb, op.apply(alg.structure[i][j])), (name, i, j)
+            # N is a morphism from the star bracket to the original bracket
+            assert op.apply(star.bracket_basis(i, j)) == bilinear_eval(alg.structure, ni, nj), (name, i, j)
 
 
 def test_induced_bracket_golden(loday2, classified_op):
