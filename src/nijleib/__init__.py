@@ -29,10 +29,7 @@ from .cochain import (
     cohomology_dims,
     chain_map_diagnostic,
     cocycle_membership,
-    combined_partial,
     delta,
-    partial,
-    phi_map,
 )
 from .deformation import (
     FormalIsomorphism,
@@ -40,7 +37,6 @@ from .deformation import (
     equivalence_check,
     infinitesimal,
     residual_report,
-    rigidity_report,
     twist_by_isomorphism,
 )
 from .errors import (
@@ -110,7 +106,6 @@ __all__ = [
     "coboundary_matrix",
     "cocycle_membership",
     "cohomology_dims",
-    "combined_partial",
     "correspondence_suite",
     "delta",
     "equivalence_check",
@@ -126,11 +121,8 @@ __all__ = [
     "operator_defect",
     "parse_algebra_bundle",
     "parse_rational",
-    "partial",
-    "phi_map",
     "rank",
     "residual_report",
-    "rigidity_report",
     "rota_baxter",
     "rota_baxter_weighted",
     "search_operators_grid",

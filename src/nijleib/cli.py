@@ -246,17 +246,11 @@ def _cmd_selfcheck(args) -> int:
         raise BundleError("selfcheck needs an operator in the bundle")
     rep = bundle.resolve_representation()
 
-    def diag_entries(corrected: bool):
-        entries = chain_map_diagnostic(
-            bundle.algebra,
-            bundle.operator,
-            rep,
-            max_degree=args.max_degree,
-            variant=args.phi,
-            corrected=corrected,
-        )
+    def diag_entries(corrected: bool) -> list:
         out = []
-        for e in entries:
+        for e in chain_map_diagnostic(
+            bundle.algebra, bundle.operator, rep, max_degree=args.max_degree, variant=args.phi, corrected=corrected
+        ):
             item = {"degree": e.degree, "commutes": e.commutes}
             if not e.commutes:
                 item["counterexample"] = {
@@ -270,10 +264,10 @@ def _cmd_selfcheck(args) -> int:
                     },
                 }
             out.append(item)
-        return entries, out
+        return out
 
-    plain_entries, plain_diag = diag_entries(False)
-    corr_entries, corr_diag = diag_entries(True)
+    plain_diag = diag_entries(False)
+    corr_diag = diag_entries(True)
     coh = cohomology_dims(
         "nla",
         bundle.algebra,
@@ -282,7 +276,7 @@ def _cmd_selfcheck(args) -> int:
         max_degree=args.max_degree,
         variant=args.phi,
     )
-    ok = all(e.commutes for e in corr_entries) and all(coh.junctions)
+    ok = all(item["commutes"] for item in corr_diag) and all(coh.junctions)
     report = {
         "command": "selfcheck",
         "phi_variant": args.phi,

@@ -1,10 +1,12 @@
 """The three cochain complexes and the comparison map.
 
 delta is the Loday-Pirashvili coboundary of a Leibniz algebra with a
-representation.  The operator complex `partial` is, by construction, delta of
-the star algebra with the induced representation (a single code path, so
-partial o partial = 0 is inherited).  The combined complex acts on pairs by
-d(f, g) = (delta f, -partial g - phi f).
+representation.  The operator complex partial (`partial_matrix`) is, by
+construction, delta of the star algebra with the induced representation (a
+single code path, so partial o partial = 0 is inherited).  The combined
+complex acts on pairs by d(f, g) = (delta f, -partial' g - phi f), partial'
+the corrected operator differential `combined_partial_matrix`.  Every
+differential is a matrix; `delta` and `d_nla` apply two of them to a cochain.
 
 phi is the identity at degree 0.  At degree n >= 1 `full` is the product over
 the slots of (precompose with N in that slot) - (postcompose with N_V); the
@@ -13,8 +15,10 @@ is p(N_V) with p(x) = prod_a (N[s_a][t_a] - [s_a = t_a] x).  `printed` keeps
 the x^0 and x^1 coefficients of p and adds [s = t] x^2.  The variants agree
 at degrees 0 and 2 and differ at degree 1 and at degrees >= 3 unless
 N_V^2 = 0.  `full` is the default because it is the only variant under which
-the chain-map identity phi(delta f) = partial(phi f) holds (see
-chain_map_diagnostic).
+the chain-map identity phi(delta f) = partial'(phi f) holds.  One difference
+matrix, lower_n phi_n - phi_(n+1) delta_n, decides that identity:
+`chain_map_diagnostic` reads its first nonzero column and `chain_map_residual`
+applies it to one cochain.
 
 Flattening is canonical everywhere: basis tuples in lexicographic order,
 module coordinate fastest; combined-complex blocks ordered [upper; lower].
@@ -246,11 +250,6 @@ def partial_matrix(alg: LeibnizAlgebra, n_op: Matrix, rep: Representation, degre
     return delta_matrix(star_alg, star_rep, degree)
 
 
-def partial(alg: LeibnizAlgebra, n_op: Matrix, rep: Representation, f: Cochain) -> Cochain:
-    mat = partial_matrix(alg, n_op, rep, f.degree)
-    return Cochain(f.degree + 1, alg.dim, rep.module_dim, mat.apply(f.vec))
-
-
 @lru_cache(maxsize=None)
 def combined_partial_matrix(
     alg: LeibnizAlgebra, n_op: Matrix, rep: Representation, degree: int
@@ -273,11 +272,6 @@ def combined_partial_matrix(
     return partial_matrix(alg, n_op, rep, degree) - mat_mul(
         delta_matrix(alg, rep, degree), post
     )
-
-
-def combined_partial(alg: LeibnizAlgebra, n_op: Matrix, rep: Representation, f: Cochain) -> Cochain:
-    mat = combined_partial_matrix(alg, n_op, rep, f.degree)
-    return Cochain(f.degree + 1, alg.dim, rep.module_dim, mat.apply(f.vec))
 
 
 @lru_cache(maxsize=None)
@@ -318,11 +312,6 @@ def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "ful
                 if c:
                     _add_block(rows, oi, si, powers[k], m, c)
     return Matrix.sparse(rows, size)
-
-
-def phi_map(f: Cochain, n_op: Matrix, module_op: Matrix, variant: str = "full") -> Cochain:
-    mat = phi_matrix(n_op, module_op, f.degree, variant)
-    return replace(f, vec=mat.apply(f.vec))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +401,7 @@ def d_nla(
 @dataclass(frozen=True)
 class CoboundaryDifference:
     matches: bool
-    difference: NLACochain
-    expected: NLACochain  # d(gamma, 0) under the chosen phi variant
-    residual: NLACochain  # difference - expected (zero iff matches)
+    residual: NLACochain  # difference - d(gamma, 0) under the chosen phi variant (zero iff matches)
 
 
 def coboundary_difference(
@@ -428,9 +415,8 @@ def coboundary_difference(
     """Check that a difference of two degree-2 elements of the combined
     complex is exactly the coboundary of (gamma, 0), gamma: g -> V."""
     pair = NLACochain(Cochain.from_matrix(gamma), Cochain.zero(0, alg.dim, rep.module_dim))
-    expected = d_nla(alg, n_op, rep, pair, variant)
-    residual = difference - expected
-    return CoboundaryDifference(residual.is_zero(), difference, expected, residual)
+    residual = difference - d_nla(alg, n_op, rep, pair, variant)
+    return CoboundaryDifference(residual.is_zero(), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +597,18 @@ class ChainMapEntry:
     residual: Optional[Cochain] = None
 
 
+def _chain_map_difference(
+    alg: LeibnizAlgebra, n_op: Matrix, rep: Representation, degree: int, variant: str, corrected: bool
+) -> Matrix:
+    """lower_n phi_n - phi_(n+1) delta_n, lower the plain operator
+    differential or, when corrected, the combined-complex one; zero iff phi
+    is a chain map at this degree."""
+    nv = rep.module_operator
+    lower = combined_partial_matrix if corrected else partial_matrix
+    lhs = lower(alg, n_op, rep, degree) * phi_matrix(n_op, nv, degree, variant)
+    return lhs - phi_matrix(n_op, nv, degree + 1, variant) * delta_matrix(alg, rep, degree)
+
+
 def chain_map_residual(
     alg: LeibnizAlgebra,
     n_op: Matrix,
@@ -625,13 +623,10 @@ def chain_map_residual(
     With corrected=True the combined-complex operator differential replaces
     the plain one; the full variant then commutes at every degree.
     """
-    nv = rep.module_operator
-    if nv is None:
+    if rep.module_operator is None:
         raise PreconditionError("chain-map residual needs a module operator")
-    lower = combined_partial if corrected else partial
-    lhs = lower(alg, n_op, rep, phi_map(f, n_op, nv, variant))
-    rhs = phi_map(delta(alg, rep, f), n_op, nv, variant)
-    return lhs - rhs
+    diff = _chain_map_difference(alg, n_op, rep, f.degree, variant, corrected)
+    return Cochain(f.degree + 1, alg.dim, rep.module_dim, diff.apply(f.vec))
 
 
 def chain_map_diagnostic(
@@ -643,16 +638,12 @@ def chain_map_diagnostic(
     corrected: bool = False,
 ) -> tuple[ChainMapEntry, ...]:
     """Compare the matrices of phi o delta and partial o phi per degree."""
-    nv = rep.module_operator
-    if nv is None:
+    if rep.module_operator is None:
         raise PreconditionError("chain-map diagnostic needs a module operator")
     _check_degree(max_degree)
-    lower = combined_partial_matrix if corrected else partial_matrix
     entries = []
     for n in range(max_degree + 1):
-        lhs = lower(alg, n_op, rep, n) * phi_matrix(n_op, nv, n, variant)
-        rhs = phi_matrix(n_op, nv, n + 1, variant) * delta_matrix(alg, rep, n)
-        diff = lhs - rhs
+        diff = _chain_map_difference(alg, n_op, rep, n, variant, corrected)
         if diff.is_zero():
             entries.append(ChainMapEntry(n, True))
             continue

@@ -7,7 +7,9 @@ is order-by-order; there is no formal-completion machinery.
 Equivalence is conjugation by a formal isomorphism psi with psi_0 = Id:
 `twist_by_isomorphism` computes the conjugate and `equivalence_check` compares
 against it.  Equivalent deformations have infinitesimals that differ by
-d(psi_1, 0), which `cochain.coboundary_difference` checks.
+d(psi_1, 0): pass `infinitesimal(d') - infinitesimal(d)` and psi_1 to
+`cochain.coboundary_difference`.  Rigidity (H^2 of the combined complex) is
+read off `cochain.cohomology_dims`.
 """
 
 from __future__ import annotations
@@ -16,25 +18,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .algebra import (
-    BilinearTensor,
-    LeibnizAlgebra,
-    adjoint_representation,
-    bilinear_tensor_is_zero,
-    zero_bilinear_tensor,
-)
+from .algebra import BilinearTensor, LeibnizAlgebra, bilinear_tensor_is_zero, zero_bilinear_tensor
 from .algebra import _apply, _bracket, _combine, _leibniz, _on_basis, _table
-from .cochain import (
-    Cochain,
-    CoboundaryDifference,
-    CohomologyReport,
-    NLACochain,
-    coboundary_difference,
-    cohomology_dims,
-)
+from .cochain import Cochain, NLACochain
 from .errors import PreconditionError, ShapeError
 from .linalg import Matrix, vec_sub
-from .operators import check_operator, nijenhuis
 
 
 @dataclass(frozen=True)
@@ -182,17 +170,6 @@ def formal_inverse(iso: FormalIsomorphism) -> FormalIsomorphism:
     return FormalIsomorphism(iso.order, eta)
 
 
-def compose_isomorphisms(a: FormalIsomorphism, b: FormalIsomorphism) -> FormalIsomorphism:
-    if a.order != b.order:
-        raise ShapeError("series orders differ")
-    zero = Matrix.zero(a.dim, a.dim)
-    terms = (
-        sum((p * q for p, q in _compositions(n, a.psi_terms, b.psi_terms)), zero)
-        for n in range(a.order + 1)
-    )
-    return FormalIsomorphism(a.order, tuple(terms))
-
-
 def twist_by_isomorphism(d: TruncatedDeformation, iso: FormalIsomorphism) -> TruncatedDeformation:
     """The deformation (mu', N') with psi o mu' = mu o (psi x psi) and
     psi o N' = N o psi, truncated at the common order."""
@@ -244,45 +221,3 @@ def equivalence_check(
         if not (bilinear_tensor_is_zero(mu_res) and n_res.is_zero()):
             return EquivalenceReport(n, mu_res, n_res)
     return EquivalenceReport(None, None, None)
-
-
-def infinitesimal_class_difference(
-    alg: LeibnizAlgebra,
-    n_op: Matrix,
-    d_plain: TruncatedDeformation,
-    d_primed: TruncatedDeformation,
-    iso: FormalIsomorphism,
-    variant: str = "full",
-) -> CoboundaryDifference:
-    """Verify that equivalent deformations have infinitesimals differing by
-    the coboundary of (psi_1, 0)."""
-    check = equivalence_check(d_plain, d_primed, iso)
-    if not check.passes:
-        raise PreconditionError(
-            f"deformations are not equivalent via the given isomorphism "
-            f"(first failure at order {check.first_failing_order})"
-        )
-    diff = infinitesimal(d_primed) - infinitesimal(d_plain)
-    rep = adjoint_representation(alg, n_op)
-    return coboundary_difference(alg, n_op, rep, diff, iso.psi_terms[1], variant)
-
-
-@dataclass(frozen=True)
-class RigidityReport:
-    h2: Optional[int]
-    cohomology: CohomologyReport
-    criterion_satisfied: Optional[bool]  # None when a junction failure withholds the verdict
-
-
-def rigidity_report(alg: LeibnizAlgebra, n_op: Matrix, variant: str = "full") -> RigidityReport:
-    """One-directional criterion: H^2 of the combined complex = 0 implies
-    rigidity.  Nothing is claimed when H^2 is nonzero or a junction fails."""
-    bad = check_operator(alg, n_op, nijenhuis())
-    if bad is not None:
-        raise PreconditionError(f"not a Nijenhuis operator: {bad.describe()}")
-    rep = adjoint_representation(alg, n_op)
-    report = cohomology_dims("nla", alg, rep, n_op, max_degree=2, variant=variant)
-    h2 = report.entry(2).dim_h
-    if h2 is None or not all(report.junctions):
-        return RigidityReport(h2, report, None)
-    return RigidityReport(h2, report, h2 == 0)

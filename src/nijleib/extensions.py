@@ -3,7 +3,8 @@ bracket, in split coordinates g (+) V.
 
 The build direction assembles the total algebra from a cocycle pair
 (psi: g x g -> V, chi: g -> V) over a given representation; extraction from a
-section recovers pairs.  Both comparisons are one coboundary identity
+section recovers pairs, in one pass of the sparse bracket kernel of `algebra`
+over the total structure table.  Both comparisons are one coboundary identity
 (`cochain.coboundary_difference`): the pairs of two sections differ by
 d(gamma, 0), gamma the difference of the sections, and two extensions are
 isomorphic through xi = (Id, 0; C, Id) exactly when their pairs differ by
@@ -13,6 +14,7 @@ d(C, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Optional
 
@@ -23,9 +25,10 @@ from .algebra import (
     check_leibniz,
     check_representation,
 )
+from .algebra import _apply, _bracket, _combine, _dense, _table
 from .cochain import Cochain, CoboundaryDifference, NLACochain, coboundary_difference
 from .errors import PreconditionError, ShapeError
-from .linalg import Matrix, Vector, block_matrix, is_zero_vector, zero_vector
+from .linalg import Matrix, Vector, block_matrix, zero_vector
 from .operators import check_operator, nijenhuis
 
 
@@ -63,13 +66,6 @@ class Section:
 
     sigma: Matrix  # fiber_dim x base_dim
 
-    @classmethod
-    def canonical(cls, base_dim: int, fiber_dim: int) -> "Section":
-        return cls(Matrix.zero(fiber_dim, base_dim))
-
-    def apply(self, x: Vector) -> Vector:
-        return tuple(x) + self.sigma.apply(x)
-
 
 @dataclass(frozen=True)
 class ExtensionDatum:
@@ -83,12 +79,6 @@ class ExtensionDatum:
     @property
     def ok(self) -> bool:
         return not self.certificates
-
-    def project(self, z: Vector) -> Vector:
-        return z[: self.base_alg.dim]
-
-    def fiber_part(self, z: Vector) -> Vector:
-        return z[self.base_alg.dim :]
 
 
 def build_extension(
@@ -156,33 +146,35 @@ def build_extension(
     )
 
 
-def _check_section(ext: ExtensionDatum, s: Section) -> None:
-    if s.sigma.rows != ext.rep.module_dim or s.sigma.cols != ext.base_alg.dim:
-        raise PreconditionError("section block has wrong shape")
-
-
 def section_to_cocycle(ext: ExtensionDatum, s: Optional[Section] = None) -> CocyclePair:
-    """psi(x,y) = [s x, s y] - s([x,y]) and chi(x) = N_hat(s x) - s(N x); both
-    land in the fiber because the projection is a morphism."""
+    """psi(i,j) = [s e_i, s e_j] - s[e_i,e_j] and chi(j) = N_hat s e_j - s N e_j,
+    with s v = (v, sigma v) and sigma = 0 when no section is given; both land
+    in the fiber because the projection is a morphism."""
     n, m = ext.base_alg.dim, ext.rep.module_dim
-    if s is None:
-        s = Section.canonical(n, m)
-    _check_section(ext, s)
-    psi_table = {}
-    for i, j in product(range(n), repeat=2):
-        z = ext.total.bracket(s.apply(ext.base_alg.unit(i)), s.apply(ext.base_alg.unit(j)))
-        w = tuple(a - b for a, b in zip(z, s.apply(ext.base_alg.bracket_basis(i, j))))
-        if not is_zero_vector(ext.project(w)):
-            raise PreconditionError(f"psi({i},{j}) does not land in the fiber")
-        psi_table[(i, j)] = ext.fiber_part(w)
-    chi_table = {}
-    for j in range(n):
-        z = ext.total_op.apply(s.apply(ext.base_alg.unit(j)))
-        w = tuple(a - b for a, b in zip(z, s.apply(ext.base_op.column(j))))
-        if not is_zero_vector(ext.project(w)):
-            raise PreconditionError(f"chi({j}) does not land in the fiber")
-        chi_table[(j,)] = ext.fiber_part(w)
-    return CocyclePair(Cochain.from_table(2, n, m, psi_table), Cochain.from_table(1, n, m, chi_table))
+    sigma = Matrix.zero(m, n) if s is None else s.sigma
+    if (sigma.rows, sigma.cols) != (m, n):
+        raise PreconditionError("section block has wrong shape")
+    sigma_cols = sigma.transpose().nz
+    total, hat_cols = _table(ext.total.structure), ext.total_op.transpose().nz
+    base, base_cols = _table(ext.base_alg.structure), ext.base_op.transpose().nz
+
+    def lift(v: dict) -> dict:
+        return {**v, **{n + k: c for k, c in _apply(sigma_cols, v).items()}}
+
+    def fiber(name: str, z: dict, v: dict) -> Vector:
+        """z - s v, which must vanish on the base, as a fiber vector."""
+        w = _combine(((1, z), (-1, lift(v))))
+        if any(k < n for k in w):
+            raise PreconditionError(f"{name} does not land in the fiber")
+        return _dense({k - n: c for k, c in w.items()}, m)
+
+    units = [lift({i: Fraction(1)}) for i in range(n)]
+    psi = {
+        (i, j): fiber(f"psi({i},{j})", _bracket(total, units[i], units[j]), base.get((i, j), {}))
+        for i, j in product(range(n), repeat=2)
+    }
+    chi = {(j,): fiber(f"chi({j})", _apply(hat_cols, units[j]), base_cols[j]) for j in range(n)}
+    return CocyclePair(Cochain.from_table(2, n, m, psi), Cochain.from_table(1, n, m, chi))
 
 
 def section_difference_class(

@@ -152,6 +152,13 @@ JSON_VALUES = st.recursive(
 )
 
 
+def _write_fresh(path, text):
+    # a new file each time: on some filesystems truncating an existing file
+    # costs tens of milliseconds, creating one a few microseconds
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def _assert_exit_contract(argv, where):
     """Exit 0, 1 or 2; exit 0/1 print a report and nothing on stderr, exit 2
     prints no report and exactly one error: line."""
@@ -175,7 +182,7 @@ def test_exit_code_contract_on_mutated_bundles(fixtures_dir, loday2, classified_
     bundle = tmp_path / "fuzzed.json"
     for doc in _fuzz_bundles(fixtures_dir, loday2, classified_op):
         for path in _field_paths(doc):
-            bundle.write_text(json.dumps(_replaced(doc, path, value)))
+            _write_fresh(bundle, json.dumps(_replaced(doc, path, value)))
             for argv in (["verify", str(bundle)], ["cohomology", str(bundle), "--max-degree", "1"]):
                 _assert_exit_contract(argv, path)
 
@@ -191,7 +198,7 @@ def test_exit_code_contract_on_mutated_extension_files(fixtures_dir, tmp_path, v
     for name in ("extension_related.json", "corner.json"):
         doc = json.loads((fixtures_dir / name).read_text())
         for path in [()] + list(_field_paths(doc)):
-            fuzzed.write_text(json.dumps(_replaced(doc, path, value) if path else value))
+            _write_fresh(fuzzed, json.dumps(_replaced(doc, path, value) if path else value))
             if name == "corner.json":
                 runs = [["extend", "compare", bundle, extension, other, "--corner", str(fuzzed)]]
             else:

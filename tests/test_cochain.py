@@ -24,16 +24,13 @@ from nijleib.cochain import (
     coboundary_matrix,
     cohomology_dims,
     cocycle_membership,
-    combined_partial,
     combined_partial_matrix,
     d_nla,
     delta,
     delta_matrix,
     identity_cochain,
     nla_matrix,
-    partial,
     partial_matrix,
-    phi_map,
     phi_matrix,
     sample_cocycles,
     space_dim,
@@ -170,6 +167,11 @@ def slow_phi(n_op, module_op, degree, variant):
     return total
 
 
+def image(mat, f, shift=1):
+    """The cochain of degree f.degree + shift whose vector is mat f.vec."""
+    return Cochain(f.degree + shift, f.alg_dim, f.module_dim, mat.apply(f.vec))
+
+
 def random_cochain(rng, degree, alg_dim, module_dim, lo=-3, hi=3):
     table = {
         t: tuple(frac(rng.randint(lo, hi)) for _ in range(module_dim))
@@ -209,7 +211,7 @@ def test_partial_matches_expanded_oracle(degree, loday2, classified_op, loday2_a
     rng = random.Random(23 + degree)
     for _ in range(5):
         f = random_cochain(rng, degree, 2, 2)
-        lhs = partial(loday2, classified_op, loday2_adjoint, f)
+        lhs = image(partial_matrix(loday2, classified_op, loday2_adjoint, degree), f)
         rhs = slow_partial(loday2, classified_op, loday2_adjoint, f)
         assert lhs.values == rhs.values
 
@@ -307,7 +309,7 @@ def test_phi_variants_differ_at_degree1(classified_op):
 def test_phi_full_degree1_formula(loday2, classified_op):
     n = classified_op
     f = Cochain.from_matrix(Matrix([[frac(1), frac(2)], [frac(0), frac(-1)]]))
-    pf = phi_map(f, n, n, "full")
+    pf = image(phi_matrix(n, n, 1, "full"), f, 0)
     assert pf.as_matrix() == (f.as_matrix() * n) - (n * f.as_matrix())
 
 
@@ -322,6 +324,37 @@ def test_chain_map_identity_operator(loday2):
     residual = chain_map_residual(loday2, ident, rep, f, "printed")
     assert residual.values == delta(loday2, rep, f).values
     assert chain_map_residual(loday2, ident, rep, f, "full").is_zero()
+
+
+def post_compose(nv, f):
+    """N_V o f, one basis tuple at a time."""
+    table = {t: nv.apply(v) for t, v in f.values.items()}
+    return Cochain.from_table(f.degree, f.alg_dim, f.module_dim, table)
+
+
+def test_chain_map_residual_matches_slow_oracles():
+    """partial(phi f) - phi(delta f) from the slow differentials and the
+    Kronecker-sum phi, with partial' = slow partial - slow delta o N_V when
+    corrected; every catalog pair, degrees 0-2, both variants."""
+    rng = random.Random(37)
+    nonzero = set()
+    for name, alg, op in catalog_nijenhuis_pairs():
+        rep = adjoint_representation(alg, op)
+        for n in range(3):
+            f = random_cochain(rng, n, alg.dim, alg.dim, -2, 2)
+            for variant in ("full", "printed"):
+                pf = image(slow_phi(op, op, n, variant), f, 0)
+                rhs = image(slow_phi(op, op, n + 1, variant), slow_delta(alg, rep, f), 0)
+                for corrected in (False, True):
+                    lhs = slow_partial(alg, op, rep, pf)
+                    if corrected:
+                        lhs = lhs - slow_delta(alg, rep, post_compose(op, pf))
+                    got = chain_map_residual(alg, op, rep, f, variant, corrected)
+                    assert got == lhs - rhs, (name, n, variant, corrected)
+                    if not got.is_zero():
+                        nonzero.add((variant, corrected))
+    # the plain map fails under both variants, the corrected one under printed
+    assert nonzero == {("full", False), ("printed", False), ("printed", True)}
 
 
 def test_corrected_chain_map_commutes_generically():
@@ -346,8 +379,8 @@ def test_combined_partial_is_the_correction(loday2, classified_op, loday2_adjoin
     rng = random.Random(31)
     g = random_cochain(rng, 1, 2, 2)
     nvg = Cochain.from_matrix(classified_op * g.as_matrix())
-    lhs = combined_partial(loday2, classified_op, loday2_adjoint, g)
-    rhs = partial(loday2, classified_op, loday2_adjoint, g) - delta(loday2, loday2_adjoint, nvg)
+    lhs = image(combined_partial_matrix(loday2, classified_op, loday2_adjoint, 1), g)
+    rhs = image(partial_matrix(loday2, classified_op, loday2_adjoint, 1), g) - delta(loday2, loday2_adjoint, nvg)
     assert lhs.values == rhs.values
 
 
