@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
 
 from .algebra import (
@@ -51,8 +52,17 @@ def _require_count(obj, key, where) -> int:
     return value
 
 
-def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [[format_rational(e) for e in row] for row in m.data]
+def to_json(value):
+    """The JSON form of a value: a Matrix becomes its list of rows, a tuple or
+    a list a list of JSON forms, a Fraction its canonical string; anything
+    else is returned as is."""
+    if isinstance(value, Matrix):
+        return [[format_rational(e) for e in row] for row in value.data]
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return value
 
 
 def matrix_from_json(rows, where: str, shape: Optional[tuple[int, int]] = None) -> Matrix:
@@ -67,10 +77,6 @@ def matrix_from_json(rows, where: str, shape: Optional[tuple[int, int]] = None) 
     return m
 
 
-def vector_to_json(v: Vector) -> list[str]:
-    return [format_rational(e) for e in v]
-
-
 def vector_from_json(entries, where: str, length: Optional[int] = None) -> Vector:
     if not isinstance(entries, list):
         raise BundleError(f"{where}: expected a list")
@@ -78,10 +84,6 @@ def vector_from_json(entries, where: str, length: Optional[int] = None) -> Vecto
     if length is not None and len(v) != length:
         raise BundleError(f"{where}: expected length {length}, got {len(v)}")
     return v
-
-
-def tensor_to_json(tensor) -> list[list[list[str]]]:
-    return [[vector_to_json(v) for v in row] for row in tensor]
 
 
 def tensor_from_json(entries, where: str, dim: int, out_dim: int):
@@ -192,18 +194,18 @@ def serialize_algebra_bundle(bundle: AlgebraBundle) -> str:
         }
     }
     if bundle.operator is not None:
-        doc["operator"] = matrix_to_json(bundle.operator)
+        doc["operator"] = to_json(bundle.operator)
     if bundle.representation == "adjoint":
         doc["representation"] = "adjoint"
     elif isinstance(bundle.representation, Representation):
         rep = bundle.representation
         rep_doc = {
             "dimension": rep.module_dim,
-            "left": [matrix_to_json(m) for m in rep.left],
-            "right": [matrix_to_json(m) for m in rep.right],
+            "left": to_json(rep.left),
+            "right": to_json(rep.right),
         }
         if rep.module_operator is not None:
-            rep_doc["operator"] = matrix_to_json(rep.module_operator)
+            rep_doc["operator"] = to_json(rep.module_operator)
         doc["representation"] = rep_doc
     return emit_json(doc)
 
@@ -228,8 +230,8 @@ def serialize_deformation(d: TruncatedDeformation) -> str:
     return emit_json(
         {
             "order": d.order,
-            "mu": [tensor_to_json(t) for t in d.mu_terms],
-            "n": [matrix_to_json(m) for m in d.n_terms],
+            "mu": to_json(d.mu_terms),
+            "n": to_json(d.n_terms),
         }
     )
 
@@ -250,7 +252,7 @@ def parse_isomorphism(text: str, dim: int) -> FormalIsomorphism:
 
 
 def serialize_isomorphism(iso: FormalIsomorphism) -> str:
-    return emit_json({"order": iso.order, "psi": [matrix_to_json(m) for m in iso.psi_terms]})
+    return emit_json({"order": iso.order, "psi": to_json(iso.psi_terms)})
 
 
 @dataclass(frozen=True)
@@ -274,9 +276,9 @@ def serialize_extension(ext: ExtensionFile) -> str:
     return emit_json(
         {
             "fiber_dim": ext.fiber_dim,
-            "fiber_operator": matrix_to_json(ext.fiber_operator),
-            "psi": tensor_to_json(ext.pair.psi.as_tensor()),
-            "chi": matrix_to_json(ext.pair.chi.as_matrix()),
+            "fiber_operator": to_json(ext.fiber_operator),
+            "psi": to_json(ext.pair.psi.as_tensor()),
+            "chi": to_json(ext.pair.chi.as_matrix()),
         }
     )
 

@@ -1,10 +1,13 @@
 """Command-line surface.
 
-One verb per construction: verify, induce, cohomology, deform, extend,
-search, selfcheck.  Reports are canonical JSON on stdout (byte-identical for
-identical invocations); diagnostics go to stderr.  Exit codes: 0 = pass,
-1 = a mathematical property fails (certificate attached), 2 = invalid input
-or a resource guard.
+One verb per construction: verify, cohomology, search, selfcheck, and the
+actions of induce (bracket, rep), deform (check, twist, cocycle) and extend
+(build, extract, compare).  `build_parser` declares each verb or action with
+its own operands, options and handler, so an operand or option that an
+action does not declare is invalid input.  Reports are canonical JSON on
+stdout (byte-identical for identical invocations); diagnostics go to stderr.
+Exit codes: 0 = pass, 1 = a mathematical property fails (certificate
+attached), 2 = invalid input or a resource guard.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .bundles import (
     AlgebraBundle,
     ExtensionFile,
     emit_json,
-    matrix_to_json,
     parse_algebra_bundle,
     parse_corner,
     parse_deformation,
@@ -34,10 +36,11 @@ from .bundles import (
     parse_isomorphism,
     serialize_algebra_bundle,
     serialize_deformation,
-    tensor_to_json,
-    vector_to_json,
+    to_json,
 )
 from .cochain import (
+    COMPLEX_KINDS,
+    PHI_VARIANTS,
     chain_map_diagnostic,
     cohomology_dims,
     cocycle_membership,
@@ -47,18 +50,15 @@ from .deformation import (
     residual_report,
     twist_by_isomorphism,
 )
-from .errors import BundleError, NijleibError
+from .errors import BundleError, NijleibError, PreconditionError
 from .extensions import build_extension, section_to_cocycle, transport_cocycle_via_isomorphism
 from .linalg import Matrix, format_rational
 from .operators import (
+    WEIGHT_CONVENTIONS,
     OperatorKind,
     check_operator,
     induced_bracket,
     induced_representation,
-    modified_rota_baxter,
-    nijenhuis,
-    rota_baxter,
-    rota_baxter_weighted,
     search_operators_grid,
 )
 
@@ -67,24 +67,8 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 
 
-def _residual_json(residual):
-    if isinstance(residual, Matrix):
-        return matrix_to_json(residual)
-    if isinstance(residual, tuple):
-        if residual and isinstance(residual[0], Fraction):
-            return vector_to_json(residual)
-        return [_residual_json(r) for r in residual]
-    if isinstance(residual, Fraction):
-        return format_rational(residual)
-    return residual
-
-
 def _certificate_json(c: Counterexample) -> dict:
-    return {
-        "identity": c.identity,
-        "indices": list(c.indices),
-        "residual": _residual_json(c.residual),
-    }
+    return {"identity": c.identity, "indices": list(c.indices), "residual": to_json(c.residual)}
 
 
 def _finish(report: dict, ok: bool) -> int:
@@ -95,34 +79,30 @@ def _finish(report: dict, ok: bool) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _weight(args) -> Fraction:
-    if args.weight is None:
-        raise BundleError("--weight is required for weighted kinds")
+def _kind_from_args(args) -> OperatorKind:
+    # OperatorKind defaults every kind to the standard convention, so only the
+    # command line can tell a convention given to another kind
+    if args.convention is not None and args.kind != "rota_baxter_weighted":
+        raise BundleError(f"--convention applies only to rota_baxter_weighted, not {args.kind}")
     try:
-        return Fraction(args.weight)
+        weight = None if args.weight is None else Fraction(args.weight)
     except (ValueError, ZeroDivisionError):
         raise BundleError(f"bad --weight {args.weight!r}; expected a rational") from None
-
-
-def _kind_from_args(args) -> OperatorKind:
-    kind = args.kind
-    if args.convention is not None and kind != "rota_baxter_weighted":
-        raise BundleError(f"--convention applies only to rota_baxter_weighted, not {kind}")
-    if args.weight is not None and kind in ("nijenhuis", "rota_baxter"):
-        raise BundleError(f"--weight applies only to weighted kinds, not {kind}")
-    if kind == "nijenhuis":
-        return nijenhuis()
-    if kind == "rota_baxter":
-        return rota_baxter()
-    if kind == "rota_baxter_weighted":
-        return rota_baxter_weighted(_weight(args), args.convention or "standard")
-    if kind == "modified_rota_baxter":
-        return modified_rota_baxter(_weight(args))
-    raise BundleError(f"unknown operator kind {kind!r}")
+    try:
+        return OperatorKind(args.kind, weight, args.convention or "standard")
+    except ValueError as exc:
+        raise BundleError(f"--weight: {exc}") from None
 
 
 def _load_bundle(path: str, verify: bool = True) -> AlgebraBundle:
     return parse_algebra_bundle(Path(path).read_text(), verify=verify)
+
+
+def _operator(bundle: AlgebraBundle, needed_by: str) -> Matrix:
+    """The bundle's operator; `needed_by` names what requires one."""
+    if bundle.operator is None:
+        raise BundleError(f"{needed_by} needs an operator in the bundle")
+    return bundle.operator
 
 
 def _cmd_verify(args) -> int:
@@ -141,11 +121,15 @@ def _cmd_verify(args) -> int:
         if op_bad is not None:
             certificates.append(_certificate_json(op_bad))
     if bundle.representation is not None:
-        rep = bundle.resolve_representation()
-        rep_bad = check_representation(alg, rep, bundle.operator)
-        checks["representation"] = rep_bad is None
-        if rep_bad is not None:
-            certificates.append(_certificate_json(rep_bad))
+        try:
+            rep = bundle.resolve_representation()
+        except PreconditionError:  # no adjoint action without the Leibniz identity, certified above
+            checks["representation"] = False
+        else:
+            rep_bad = check_representation(alg, rep, bundle.operator)
+            checks["representation"] = rep_bad is None
+            if rep_bad is not None:
+                certificates.append(_certificate_json(rep_bad))
     report = {"command": "verify", "checks": checks}
     if certificates:
         report["counterexample"] = certificates[0]
@@ -153,22 +137,22 @@ def _cmd_verify(args) -> int:
     return _finish(report, not certificates)
 
 
-def _cmd_induce(args) -> int:
+def _cmd_induce_bracket(args) -> int:
     bundle = _load_bundle(args.bundle)
-    if bundle.operator is None:
-        raise BundleError("bundle has no operator to induce from")
-    if args.what == "bracket":
-        star = induced_bracket(bundle.algebra, bundle.operator)
-        out = serialize_algebra_bundle(AlgebraBundle(star, bundle.operator, None))
-        sys.stdout.write(out)
-        return EXIT_PASS
-    rep = bundle.resolve_representation()
-    star_rep = induced_representation(rep, bundle.algebra, bundle.operator)
+    star = induced_bracket(bundle.algebra, _operator(bundle, "induce"))
+    sys.stdout.write(serialize_algebra_bundle(AlgebraBundle(star, bundle.operator, None)))
+    return EXIT_PASS
+
+
+def _cmd_induce_rep(args) -> int:
+    bundle = _load_bundle(args.bundle)
+    n_op = _operator(bundle, "induce")
+    star_rep = induced_representation(bundle.resolve_representation(), bundle.algebra, n_op)
     report = {
         "command": "induce-rep",
-        "left": [matrix_to_json(m) for m in star_rep.left],
-        "right": [matrix_to_json(m) for m in star_rep.right],
-        "operator": matrix_to_json(star_rep.module_operator),
+        "left": to_json(star_rep.left),
+        "right": to_json(star_rep.right),
+        "operator": to_json(star_rep.module_operator),
     }
     return _finish(report, True)
 
@@ -176,8 +160,8 @@ def _cmd_induce(args) -> int:
 def _cmd_cohomology(args) -> int:
     bundle = _load_bundle(args.bundle)
     rep = bundle.resolve_representation()
-    if args.complex != "la" and bundle.operator is None:
-        raise BundleError(f"complex {args.complex!r} needs an operator in the bundle")
+    if args.complex != "la":
+        _operator(bundle, f"complex {args.complex!r}")
     report = cohomology_dims(
         args.complex,
         bundle.algebra,
@@ -235,21 +219,20 @@ def _cmd_search(args) -> int:
         "range": [lo, hi],
         "denominator": args.den,
         "count": len(found),
-        "operators": [matrix_to_json(op) for op in found],
+        "operators": to_json(found),
     }
     return _finish(report, True)
 
 
 def _cmd_selfcheck(args) -> int:
     bundle = _load_bundle(args.bundle)
-    if bundle.operator is None:
-        raise BundleError("selfcheck needs an operator in the bundle")
+    n_op = _operator(bundle, "selfcheck")
     rep = bundle.resolve_representation()
 
     def diag_entries(corrected: bool) -> list:
         out = []
         for e in chain_map_diagnostic(
-            bundle.algebra, bundle.operator, rep, max_degree=args.max_degree, variant=args.phi, corrected=corrected
+            bundle.algebra, n_op, rep, max_degree=args.max_degree, variant=args.phi, corrected=corrected
         ):
             item = {"degree": e.degree, "commutes": e.commutes}
             if not e.commutes:
@@ -259,7 +242,7 @@ def _cmd_selfcheck(args) -> int:
                         "coordinate": e.witness_input[1],
                     },
                     "residual": {
-                        ",".join(map(str, t)): vector_to_json(v)
+                        ",".join(map(str, t)): to_json(v)
                         for t, v in sorted(e.residual.values.items())
                     },
                 }
@@ -268,14 +251,7 @@ def _cmd_selfcheck(args) -> int:
 
     plain_diag = diag_entries(False)
     corr_diag = diag_entries(True)
-    coh = cohomology_dims(
-        "nla",
-        bundle.algebra,
-        rep,
-        bundle.operator,
-        max_degree=args.max_degree,
-        variant=args.phi,
-    )
+    coh = cohomology_dims("nla", bundle.algebra, rep, n_op, max_degree=args.max_degree, variant=args.phi)
     ok = all(item["commutes"] for item in corr_diag) and all(coh.junctions)
     report = {
         "command": "selfcheck",
@@ -288,33 +264,38 @@ def _cmd_selfcheck(args) -> int:
     return _finish(report, ok)
 
 
-def _cmd_deform(args) -> int:
+def _deformation_args(args):
+    """The bundle, its operator and the deformation that a deform action reads."""
     bundle = _load_bundle(args.bundle)
-    if bundle.operator is None:
-        raise BundleError("deformation commands need an operator in the bundle")
-    alg, n_op = bundle.algebra, bundle.operator
-    d = parse_deformation(Path(args.deformation).read_text(), alg.dim)
-    if args.what == "check":
-        rep = residual_report(alg, n_op, d)
-        report = {"command": "deform-check", "order": d.order}
-        if not rep.passes:
-            report["counterexample"] = {
-                "first_failing_order": rep.first_failing_order,
-                "leibniz_residual": _residual_json(rep.leibniz_residual),
-                "nijenhuis_residual": _residual_json(rep.nijenhuis_residual),
-            }
-        return _finish(report, rep.passes)
-    if args.what == "twist":
-        if args.iso is None:
-            raise BundleError("deform twist needs --iso")
-        iso = parse_isomorphism(Path(args.iso).read_text(), alg.dim)
-        twisted = twist_by_isomorphism(d, iso)
-        sys.stdout.write(serialize_deformation(twisted))
-        return EXIT_PASS
-    # cocycle: is the infinitesimal a degree-2 cocycle of the combined complex
+    n_op = _operator(bundle, "deform")
+    return bundle, n_op, parse_deformation(Path(args.deformation).read_text(), bundle.algebra.dim)
+
+
+def _cmd_deform_check(args) -> int:
+    bundle, n_op, d = _deformation_args(args)
+    rep = residual_report(bundle.algebra, n_op, d)
+    report = {"command": "deform-check", "order": d.order}
+    if not rep.passes:
+        report["counterexample"] = {
+            "first_failing_order": rep.first_failing_order,
+            "leibniz_residual": to_json(rep.leibniz_residual),
+            "nijenhuis_residual": to_json(rep.nijenhuis_residual),
+        }
+    return _finish(report, rep.passes)
+
+
+def _cmd_deform_twist(args) -> int:
+    bundle, _, d = _deformation_args(args)
+    iso = parse_isomorphism(Path(args.iso).read_text(), bundle.algebra.dim)
+    sys.stdout.write(serialize_deformation(twist_by_isomorphism(d, iso)))
+    return EXIT_PASS
+
+
+def _cmd_deform_cocycle(args) -> int:
+    """Is the infinitesimal a degree-2 cocycle of the combined complex?"""
+    bundle, n_op, d = _deformation_args(args)
     rep = bundle.resolve_representation()
-    pair = infinitesimal(d)
-    member = cocycle_membership("nla", alg, rep, n_op, pair, variant=args.phi)
+    member = cocycle_membership("nla", bundle.algebra, rep, n_op, infinitesimal(d), variant=args.phi)
     report = {
         "command": "deform-cocycle",
         "phi_variant": args.phi,
@@ -322,44 +303,45 @@ def _cmd_deform(args) -> int:
         "is_coboundary": member.is_coboundary,
     }
     if not member.is_cocycle:
-        report["counterexample"] = {
-            "mu1": tensor_to_json(d.mu_terms[1]),
-            "n1": matrix_to_json(d.n_terms[1]),
-        }
+        report["counterexample"] = {"mu1": to_json(d.mu_terms[1]), "n1": to_json(d.n_terms[1])}
     return _finish(report, member.is_cocycle)
 
 
+def _extension_args(args):
+    """The bundle and the extension file that an extend action reads."""
+    bundle = _load_bundle(args.bundle)
+    return bundle, parse_extension(Path(args.extension).read_text(), bundle.algebra.dim)
+
+
 def _build_from_files(bundle: AlgebraBundle, ext_file: ExtensionFile):
-    if bundle.operator is None:
-        raise BundleError("extension commands need an operator in the bundle")
+    n_op = _operator(bundle, "extend")
     rep = bundle.resolve_representation()
     if rep.module_dim != ext_file.fiber_dim:
         raise BundleError("representation module dimension != fiber_dim")
     rep = rep.with_module_operator(ext_file.fiber_operator)
-    return build_extension(bundle.algebra, bundle.operator, rep, ext_file.pair)
+    return build_extension(bundle.algebra, n_op, rep, ext_file.pair)
 
 
-def _cmd_extend(args) -> int:
-    bundle = _load_bundle(args.bundle)
-    ext_file = parse_extension(Path(args.extension).read_text(), bundle.algebra.dim)
-    if args.what == "build":
-        ext = _build_from_files(bundle, ext_file)
-        report = {"command": "extend-build", "total_dimension": ext.total.dim}
-        if not ext.ok:
-            report["counterexample"] = [_certificate_json(c) for c in ext.certificates]
-        return _finish(report, ext.ok)
-    if args.what == "extract":
-        ext = _build_from_files(bundle, ext_file)
-        pair = section_to_cocycle(ext)
-        report = {
-            "command": "extend-extract",
-            "psi": tensor_to_json(pair.psi.as_tensor()),
-            "chi": matrix_to_json(pair.chi.as_matrix()),
-        }
-        return _finish(report, True)
-    # compare
-    if args.other is None or args.corner is None:
-        raise BundleError("extend compare needs OTHER_EXTENSION and --corner")
+def _cmd_extend_build(args) -> int:
+    ext = _build_from_files(*_extension_args(args))
+    report = {"command": "extend-build", "total_dimension": ext.total.dim}
+    if not ext.ok:
+        report["counterexample"] = [_certificate_json(c) for c in ext.certificates]
+    return _finish(report, ext.ok)
+
+
+def _cmd_extend_extract(args) -> int:
+    pair = section_to_cocycle(_build_from_files(*_extension_args(args)))
+    report = {
+        "command": "extend-extract",
+        "psi": to_json(pair.psi.as_tensor()),
+        "chi": to_json(pair.chi.as_matrix()),
+    }
+    return _finish(report, True)
+
+
+def _cmd_extend_compare(args) -> int:
+    bundle, ext_file = _extension_args(args)
     other_file = parse_extension(Path(args.other).read_text(), bundle.algebra.dim)
     corner = parse_corner(Path(args.corner).read_text(), (ext_file.fiber_dim, bundle.algebra.dim))
     ext_a = _build_from_files(bundle, ext_file)
@@ -368,8 +350,8 @@ def _cmd_extend(args) -> int:
     report = {"command": "extend-compare", "equal": result.matches}
     if not result.matches:
         report["counterexample"] = {
-            "psi": tensor_to_json(result.residual.upper.as_tensor()),
-            "chi": matrix_to_json(result.residual.lower.as_matrix()),
+            "psi": to_json(result.residual.upper.as_tensor()),
+            "chi": to_json(result.residual.lower.as_matrix()),
         }
     return _finish(report, result.matches)
 
@@ -382,12 +364,23 @@ def _add_kind_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--weight", default=None, help="rational weight for weighted kinds")
     # None when not given, so that a convention passed to another kind is an error
-    p.add_argument("--convention", default=None, choices=["standard", "as_printed"])
+    p.add_argument("--convention", default=None, choices=WEIGHT_CONVENTIONS)
+
+
+def _add_action(actions, name: str, fn, help: str, *operands: str) -> argparse.ArgumentParser:
+    """The parser of one action: its positional operands and its handler; the
+    caller adds its options.  An option it does not declare exits 2."""
+    p = actions.add_parser(name, help=help)
+    for operand in operands:
+        p.add_argument(operand)
+    p.set_defaults(fn=fn)
+    return p
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line like any other invalid input: one
-    `error:` line and exit 2, instead of a usage block.  Subparsers inherit it."""
+    `error:` line and exit 2, instead of a usage block.  Subparsers, and their
+    own subparsers, inherit it."""
 
     def error(self, message):
         raise BundleError(f"{self.prog}: {message}")
@@ -401,52 +394,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="verify algebra/operator/representation identities")
-    p.add_argument("bundle")
+    p = _add_action(sub, "verify", _cmd_verify, "verify algebra/operator/representation identities", "bundle")
     _add_kind_options(p)
     p.add_argument("--no-verify", action="store_true", help="skip ingest verification")
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("induce", help="induced star bracket or representation")
-    p.add_argument("what", choices=["bracket", "rep"])
-    p.add_argument("bundle")
-    p.set_defaults(fn=_cmd_induce)
+    induce = sub.add_parser("induce", help="induced star bracket or representation")
+    actions = induce.add_subparsers(dest="action", required=True)
+    _add_action(actions, "bracket", _cmd_induce_bracket, "the star bracket, as a bundle", "bundle")
+    _add_action(actions, "rep", _cmd_induce_rep, "the induced representation", "bundle")
 
-    p = sub.add_parser("cohomology", help="cohomology dimensions of a complex")
-    p.add_argument("bundle")
-    p.add_argument("--complex", default="la", choices=["la", "no", "nla"])
+    p = _add_action(sub, "cohomology", _cmd_cohomology, "cohomology dimensions of a complex", "bundle")
+    p.add_argument("--complex", default="la", choices=COMPLEX_KINDS)
     p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--phi", default="full", choices=["full", "printed"])
-    p.set_defaults(fn=_cmd_cohomology)
+    p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
 
-    p = sub.add_parser("search", help="exhaustive operator grid classification")
-    p.add_argument("bundle")
+    p = _add_action(sub, "search", _cmd_search, "exhaustive operator grid classification", "bundle")
     _add_kind_options(p)
     p.add_argument("--range", required=True, help="entry numerator range, e.g. -2..2")
     p.add_argument("--den", type=int, default=1)
-    p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("selfcheck", help="chain-map and d*d junction diagnostics")
-    p.add_argument("bundle")
-    p.add_argument("--phi", default="full", choices=["full", "printed"])
+    p = _add_action(sub, "selfcheck", _cmd_selfcheck, "chain-map and d*d junction diagnostics", "bundle")
+    p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
     p.add_argument("--max-degree", type=int, default=2)
-    p.set_defaults(fn=_cmd_selfcheck)
 
-    p = sub.add_parser("deform", help="truncated formal deformation checks")
-    p.add_argument("what", choices=["check", "twist", "cocycle"])
-    p.add_argument("bundle")
-    p.add_argument("deformation")
-    p.add_argument("--iso", default=None)
-    p.add_argument("--phi", default="full", choices=["full", "printed"])
-    p.set_defaults(fn=_cmd_deform)
+    deform = sub.add_parser("deform", help="truncated formal deformation checks")
+    actions = deform.add_subparsers(dest="action", required=True)
+    _add_action(actions, "check", _cmd_deform_check, "the deformation equations", "bundle", "deformation")
+    p = _add_action(actions, "twist", _cmd_deform_twist, "the deformation twisted by a formal isomorphism",
+                    "bundle", "deformation")
+    p.add_argument("--iso", required=True, help="JSON file with the formal isomorphism")
+    p = _add_action(actions, "cocycle", _cmd_deform_cocycle, "is the infinitesimal a cocycle",
+                    "bundle", "deformation")
+    p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
 
-    p = sub.add_parser("extend", help="abelian extension build/extract/compare")
-    p.add_argument("what", choices=["build", "extract", "compare"])
-    p.add_argument("bundle")
-    p.add_argument("extension")
-    p.add_argument("other", nargs="?", default=None)
-    p.add_argument("--corner", default=None, help="JSON file with the corner block")
-    p.set_defaults(fn=_cmd_extend)
+    extend = sub.add_parser("extend", help="abelian extension build/extract/compare")
+    actions = extend.add_subparsers(dest="action", required=True)
+    _add_action(actions, "build", _cmd_extend_build, "build and check the extension", "bundle", "extension")
+    _add_action(actions, "extract", _cmd_extend_extract, "the cocycle pair of a section", "bundle", "extension")
+    p = _add_action(actions, "compare", _cmd_extend_compare, "are two extensions related by a corner",
+                    "bundle", "extension", "other")
+    p.add_argument("--corner", required=True, help="JSON file with the corner block")
 
     return parser
 

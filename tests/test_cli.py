@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from nijleib import adjoint_representation
 from nijleib.bundles import AlgebraBundle, serialize_algebra_bundle
 from nijleib.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
+from nijleib.cochain import COMPLEX_KINDS, PHI_VARIANTS
+from nijleib.operators import WEIGHT_CONVENTIONS
 
 
 def run(capsys, *argv):
@@ -49,6 +53,8 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
     # each case is invalid input to some verb: exit 2, no report, and one
     # error: line in place of a traceback
     bundle = fx(fixtures_dir, "loday2_classified.json")
+    deformation, iso = fx(fixtures_dir, "deformation_twisted.json"), fx(fixtures_dir, "iso_linear.json")
+    extension = fx(fixtures_dir, "extension_cocycle.json")
     mu_not_a_list = tmp_path / "mu5.json"
     mu_not_a_list.write_text('{"order": 0, "mu": 5, "n": 5}')
     not_an_object = tmp_path / "five.json"
@@ -105,6 +111,17 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
         ("verify", bundle, "--kind", "modified_rota_baxter", "--weight", "1", "--convention", "standard"),
         ("verify", bundle, "--kind", "rota_baxter", "--weight", "-1"),
         ("verify", fx(fixtures_dir, "loday2_plain.json"), "--weight", "2"),
+        # an action reads only the operands and options it declares
+        ("deform", "check", bundle, deformation, "--iso", iso),
+        ("deform", "check", bundle, deformation, "--phi", "printed"),
+        ("deform", "twist", bundle, deformation, "--iso", iso, "--phi", "printed"),
+        ("deform", "cocycle", bundle, deformation, "--iso", iso),
+        ("extend", "build", bundle, extension, fx(fixtures_dir, "extension_related.json")),
+        ("extend", "extract", bundle, extension, "--corner", fx(fixtures_dir, "corner.json")),
+        ("deform", "twist", bundle, deformation),
+        ("deform", bundle, deformation),
+        # --phi follows its action
+        ("deform", "--phi", "printed", "cocycle", bundle, deformation),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -161,7 +178,7 @@ def _write_fresh(path, text):
 
 def _assert_exit_contract(argv, where):
     """Exit 0, 1 or 2; exit 0/1 print a report and nothing on stderr, exit 2
-    prints no report and exactly one error: line."""
+    prints no report and exactly one error: line.  Returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -172,7 +189,10 @@ def _assert_exit_contract(argv, where):
         assert err.startswith("error:") and err.count("\n") == 1, (argv, where, err)
     else:
         assert err == "", (argv, where, err)
-        assert json.loads(out)["verdict"] == ("pass" if code == EXIT_PASS else "fail"), (argv, where)
+        # a report without a verdict (a printed bundle or deformation) passes
+        verdict = json.loads(out).get("verdict", "pass")
+        assert verdict == ("pass" if code == EXIT_PASS else "fail"), (argv, where)
+    return code
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -187,27 +207,155 @@ def test_exit_code_contract_on_mutated_bundles(fixtures_dir, loday2, classified_
                 _assert_exit_contract(argv, path)
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(value=JSON_VALUES)
-def test_exit_code_contract_on_mutated_extension_files(fixtures_dir, tmp_path, value):
-    # the whole document and each field of a valid extension file, then of a
-    # corner file, replaced by a JSON value, through extend build and compare
-    bundle, other = fx(fixtures_dir, "loday2_classified.json"), fx(fixtures_dir, "extension_cocycle.json")
-    extension, corner = fx(fixtures_dir, "extension_related.json"), fx(fixtures_dir, "corner.json")
+FUZZED = "<fuzzed>"
+
+
+def _fuzz_fixture_fields(fixtures_dir, tmp_path, value, runs):
+    """For each fixture named in `runs`: the whole document, then each of its
+    fields, replaced by `value`, and each of the fixture's argument lists run on
+    the result (FUZZED stands for the fuzzed file)."""
     fuzzed = tmp_path / "fuzzed.json"
-    for name in ("extension_related.json", "corner.json"):
+    for name, argvs in runs.items():
         doc = json.loads((fixtures_dir / name).read_text())
         for path in [()] + list(_field_paths(doc)):
             _write_fresh(fuzzed, json.dumps(_replaced(doc, path, value) if path else value))
-            if name == "corner.json":
-                runs = [["extend", "compare", bundle, extension, other, "--corner", str(fuzzed)]]
-            else:
-                runs = [
-                    ["extend", "build", bundle, str(fuzzed)],
-                    ["extend", "compare", bundle, str(fuzzed), other, "--corner", corner],
-                ]
-            for argv in runs:
-                _assert_exit_contract(argv, (name, path))
+            for argv in argvs:
+                _assert_exit_contract([str(fuzzed) if a == FUZZED else a for a in argv], (name, path))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=JSON_VALUES)
+def test_exit_code_contract_on_mutated_extension_files(fixtures_dir, tmp_path, value):
+    bundle, other = fx(fixtures_dir, "loday2_classified.json"), fx(fixtures_dir, "extension_cocycle.json")
+    extension, corner = fx(fixtures_dir, "extension_related.json"), fx(fixtures_dir, "corner.json")
+    _fuzz_fixture_fields(fixtures_dir, tmp_path, value, {
+        "extension_related.json": [
+            ["extend", "build", bundle, FUZZED],
+            ["extend", "compare", bundle, FUZZED, other, "--corner", corner],
+        ],
+        "corner.json": [["extend", "compare", bundle, extension, other, "--corner", FUZZED]],
+    })
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=JSON_VALUES)
+def test_exit_code_contract_on_mutated_deformation_files(fixtures_dir, tmp_path, value):
+    bundle, iso = fx(fixtures_dir, "loday2_classified.json"), fx(fixtures_dir, "iso_linear.json")
+    deformation = fx(fixtures_dir, "deformation_twisted.json")
+    _fuzz_fixture_fields(fixtures_dir, tmp_path, value, {
+        "deformation_twisted.json": [
+            ["deform", "check", bundle, FUZZED],
+            ["deform", "cocycle", bundle, FUZZED],
+            ["deform", "twist", bundle, FUZZED, "--iso", iso],
+        ],
+        "iso_linear.json": [["deform", "twist", bundle, deformation, "--iso", FUZZED]],
+    })
+
+
+# Each action of the CLI: the kinds of its operands, the options it declares
+# and which of those it requires.
+CLI_ACTIONS = {
+    ("verify",): (("bundle",), ("--kind", "--weight", "--convention", "--no-verify"), ()),
+    ("induce", "bracket"): (("bundle",), (), ()),
+    ("induce", "rep"): (("bundle",), (), ()),
+    ("cohomology",): (("bundle",), ("--complex", "--max-degree", "--phi"), ()),
+    ("search",): (("bundle",), ("--kind", "--weight", "--convention", "--range", "--den"), ("--range",)),
+    ("selfcheck",): (("bundle",), ("--phi", "--max-degree"), ()),
+    ("deform", "check"): (("bundle", "deformation"), (), ()),
+    ("deform", "twist"): (("bundle", "deformation"), ("--iso",), ("--iso",)),
+    ("deform", "cocycle"): (("bundle", "deformation"), ("--phi",), ()),
+    ("extend", "build"): (("bundle", "extension"), (), ()),
+    ("extend", "extract"): (("bundle", "extension"), (), ()),
+    ("extend", "compare"): (("bundle", "extension", "extension"), ("--corner",), ("--corner",)),
+}
+FIXTURE_NAMES = sorted(p.name for p in (Path(__file__).parent / "fixtures").glob("*.json"))
+# no -h or --help: argparse prints usage and exits 0 without a report
+JUNK = ["", "xyz", "-", "-5", "1/0", "..", "{}"]
+# the fixtures that fit each kind of file, with loday2_classified.json as the bundle
+FILES = {
+    "bundle": ["loday2_classified.json"],
+    "deformation": ["deformation_trivial.json", "deformation_twisted.json"],
+    "extension": ["extension_cocycle.json", "extension_related.json"],
+    "iso": ["iso_linear.json"],
+    "corner": ["corner.json"],
+}
+# each option's fitting values and its unfitting ones; None marks a flag
+OPTION_VALUES = {
+    "--kind": (["nijenhuis", "rota_baxter", "rota_baxter_weighted", "modified_rota_baxter"], JUNK),
+    "--weight": (["1", "-1", "1/2"], ["abc"] + JUNK),
+    "--convention": (list(WEIGHT_CONVENTIONS), JUNK),
+    "--no-verify": None,
+    "--complex": (list(COMPLEX_KINDS), JUNK),
+    "--max-degree": (["0", "1", "2"], ["-1", "9", "abc"]),
+    "--phi": (list(PHI_VARIANTS), JUNK),
+    "--range": (["-1..1", "0..1", "1..0"], ["2"] + JUNK),
+    "--den": (["1", "2"], ["0", "abc"]),
+    "--iso": (FILES["iso"], FIXTURE_NAMES + JUNK),
+    "--corner": (FILES["corner"], FIXTURE_NAMES + JUNK),
+}
+
+
+@st.composite
+def cli_argument_lists(draw, fixtures_dir):
+    """A verb and an action, operands, and options of that action and of any
+    other, each mostly fitting; with whether the table above makes the line
+    malformed."""
+
+    def value(fitting, unfitting):
+        name = draw(st.sampled_from(fitting if draw(st.integers(0, 3)) else unfitting))
+        return fx(fixtures_dir, name) if name in FIXTURE_NAMES else name
+
+    command = draw(st.sampled_from(sorted(CLI_ACTIONS)))
+    operands, declared, required = CLI_ACTIONS[command]
+    drop_action = len(command) == 2 and draw(st.integers(0, 7)) == 0
+    argv = list(command[:1] if drop_action else command)
+    count = draw(st.sampled_from([len(operands)] * 4 + [len(operands) - 1, len(operands) + 1]))
+    # one operand too many is one more bundle
+    argv += [value(FILES[kind], FIXTURE_NAMES + JUNK) for kind in (operands + ("bundle",))[:count]]
+    options = list(required) if draw(st.integers(0, 3)) else []
+    options += draw(st.lists(st.sampled_from(declared), max_size=2)) if declared else []
+    # an option of any action, those of the sibling actions drawn twice as often
+    siblings = sorted({o for c, (_, opts, _) in CLI_ACTIONS.items() if c[0] == command[0] for o in opts})
+    options += [draw(st.sampled_from(siblings + sorted(OPTION_VALUES)))] if draw(st.booleans()) else []
+    for option in draw(st.permutations(options)):
+        argv.append(option)
+        if OPTION_VALUES[option] is not None:
+            argv.append(value(*OPTION_VALUES[option]))
+    malformed = (
+        drop_action
+        or count != len(operands)
+        or any(option not in declared for option in options)
+        or not set(required) <= set(options)
+    )
+    return argv, malformed
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_exit_code_contract_on_argument_lists(fixtures_dir, data):
+    # an operand or an option that the action does not declare, even one that
+    # a sibling action declares, is invalid input: never silently ignored
+    argv, malformed = data.draw(cli_argument_lists(fixtures_dir))
+    code = _assert_exit_contract(argv, "argv")
+    if malformed:
+        assert code == EXIT_INVALID, argv
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("nijleib ")]
+
+
+def test_readme_cli_block_runs(monkeypatch):
+    # every example line of the README's CLI block parses and reports, and
+    # each action appears in it
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    lines = _readme_cli_lines()
+    for argv in lines:
+        assert _assert_exit_contract(argv, "README") in (EXIT_PASS, EXIT_FAIL), argv
+    shown = {tuple(argv[: len(command)]) for argv in lines for command in CLI_ACTIONS}
+    assert set(CLI_ACTIONS) <= shown
 
 
 def test_missing_file_is_invalid(capsys, fixtures_dir):
@@ -351,12 +499,17 @@ def test_deform_check_pass(capsys, fixtures_dir):
 def test_certificate_goldens(capsys, fixtures_dir, tmp_path):
     """Exact reports of the two verbs that print bracket-evaluation residuals:
     a Leibniz certificate from `verify --no-verify` (and the same failure as an
-    ingest error without it), and both residual families of `deform check`."""
+    ingest error without it), and both residual families of `deform check`.
+    Without the Leibniz identity there is no adjoint representation: that
+    check fails, next to the Leibniz certificate."""
     bundle = tmp_path / "nonleibniz.json"
-    bundle.write_text(
+    doc = (
         '{"algebra":{"basis":["e1","e2"],"brackets":{"e1,e2":{"e1":"1/2"},"e2,e1":{"e1":"1","e2":"-2"},'
-        '"e2,e2":{"e1":"1"}},"dimension":2},"operator":[["2","1"],["0","1"]]}'
+        '"e2,e2":{"e1":"1"}},"dimension":2},"operator":[["2","1"],["0","1"]]'
     )
+    bundle.write_text(doc + "}")
+    adjoint = tmp_path / "nonleibniz_adjoint.json"
+    adjoint.write_text(doc + ',"representation":"adjoint"}')
     deformation = json.loads((fixtures_dir / "deformation_trivial.json").read_text())
     deformation["mu"][1][0][0] = ["1", "0"]
     (tmp_path / "bad_deformation.json").write_text(json.dumps(deformation))
@@ -365,6 +518,15 @@ def test_certificate_goldens(capsys, fixtures_dir, tmp_path):
         '{"certificates":[{"identity":"leibniz","indices":[0,1,0],"residual":["-1","0"]},'
         '{"identity":"nijenhuis","indices":[1,1],"residual":["3/2","0"]}],'
         '"checks":{"leibniz":false,"nijenhuis":false},"command":"verify",'
+        '"counterexample":{"identity":"leibniz","indices":[0,1,0],"residual":["-1","0"]},'
+        '"tool_version":"0.1.0","verdict":"fail"}\n',
+        "",
+    )
+    assert run(capsys, "verify", str(adjoint), "--no-verify") == (
+        EXIT_FAIL,
+        '{"certificates":[{"identity":"leibniz","indices":[0,1,0],"residual":["-1","0"]},'
+        '{"identity":"nijenhuis","indices":[1,1],"residual":["3/2","0"]}],'
+        '"checks":{"leibniz":false,"nijenhuis":false,"representation":false},"command":"verify",'
         '"counterexample":{"identity":"leibniz","indices":[0,1,0],"residual":["-1","0"]},'
         '"tool_version":"0.1.0","verdict":"fail"}\n',
         "",
