@@ -252,17 +252,23 @@ def check_representation(
     if n_op is not None and nv is not None:
         if n_op.rows != alg.dim or n_op.cols != alg.dim:
             raise ShapeError("operator dimension does not match the algebra")
-        nv2 = nv * nv
+        # l_{Ne_i} N_V - N_V l_{Ne_i} - N_V L_i N_V + N_V^2 L_i = l_{Ne_i} N_V - N_V L'_i
         for i in range(alg.dim):
-            l_n = rep.left_action(n_op.column(i))
-            r_n = rep.right_action(n_op.column(i))
-            res4 = l_n * nv - nv * l_n - nv * L[i] * nv + nv2 * L[i]
-            if not res4.is_zero():
-                return Counterexample("rep-nijenhuis-left", (i,), res4)
-            res5 = r_n * nv - nv * R[i] * nv - nv * r_n + nv2 * R[i]
-            if not res5.is_zero():
-                return Counterexample("rep-nijenhuis-right", (i,), res5)
+            for side, (act, induced) in zip(("left", "right"), _star_actions(rep, n_op, i)):
+                residual = act * nv - nv * induced
+                if not residual.is_zero():
+                    return Counterexample(f"rep-nijenhuis-{side}", (i,), residual)
     return None
+
+
+def _star_actions(rep: Representation, n_op: Matrix, i: int) -> tuple[tuple[Matrix, Matrix], ...]:
+    """(l_{Ne_i}, L'_i) and (r_{Ne_i}, R'_i): the actions of N e_i and the
+    induced actions L'_i = l_{Ne_i} - N_V L_i + L_i N_V, R'_i likewise."""
+    nv, col = rep.module_operator, n_op.column(i)
+    return tuple(
+        (act, act - nv * base + base * nv)
+        for act, base in ((rep.left_action(col), rep.left[i]), (rep.right_action(col), rep.right[i]))
+    )
 
 
 def adjoint_representation(alg: LeibnizAlgebra, n_op: Optional[Matrix] = None) -> Representation:

@@ -379,11 +379,18 @@ def _add_action(actions, name: str, fn, help: str, *operands: str) -> argparse.A
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line like any other invalid input: one
-    `error:` line and exit 2, instead of a usage block.  Subparsers, and their
-    own subparsers, inherit it."""
+    `error:` line and exit 2, instead of a usage block.  -h/--help writes the
+    usage to stderr and then exits the same way, since it prints no report.
+    Subparsers, and their own subparsers, inherit it."""
 
     def error(self, message):
         raise BundleError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        super().print_help(sys.stderr)
+
+    def exit(self, status=0, message=None):  # reached only through -h/--help
+        raise BundleError(f"{self.prog}: usage printed, no report")
 
 
 @functools.cache

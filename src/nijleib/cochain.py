@@ -8,11 +8,17 @@ complex acts on pairs by d(f, g) = (delta f, -partial' g - phi f), partial'
 the corrected operator differential `combined_partial_matrix`.  Every
 differential is a matrix; `delta` and `d_nla` apply two of them to a cochain.
 
+Every matrix is Kronecker algebra over the action matrices, ad and N.
+delta_0 stacks -R_a over a; splitting off the first argument x = e_a gives
+delta_n = stack_a(I (x) L_a - S_a (x) I_m) - I_d (x) delta_(n-1), S_a the sum
+over the n slots of ad_a^T in that slot, built as
+S_a^(k) = S_a^(k-1) (x) I_d + I (x) ad_a^T.
+
 phi is the identity at degree 0.  At degree n >= 1 `full` is the product over
 the slots of (precompose with N in that slot) - (postcompose with N_V); the
-factors commute, so its m x m block linking output tuple t to input tuple s
-is p(N_V) with p(x) = prod_a (N[s_a][t_a] - [s_a = t_a] x).  `printed` keeps
-the x^0 and x^1 coefficients of p and adds [s = t] x^2.  The variants agree
+factors commute, so phi_n = sum_k C_k (x) N_V^k with C_k the x^k coefficient
+of (N^T - x I)^(x)n, built slot by slot from C_k <- N^T (x) C_k - I_d (x)
+C_(k-1).  `printed` keeps C_0 and C_1 and adds I (x) N_V^2.  The variants agree
 at degrees 0 and 2 and differ at degree 1 and at degrees >= 3 unless
 N_V^2 = 0.  `full` is the default because it is the only variant under which
 the chain-map identity phi(delta f) = partial'(phi f) holds.  One difference
@@ -185,50 +191,33 @@ def identity_cochain(dim: int) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# Matrix assembly.  Coboundary matrices are built directly from the formula's
-# term structure: each term contributes an m x m block linking one output
-# tuple to one input tuple.
-
-
-def _add_block(rows, out_idx: int, in_idx: int, mat: Matrix, m: int, coeff) -> None:
-    base_r, base_c = out_idx * m, in_idx * m
-    for a, source in enumerate(mat.nz):
-        target = rows[base_r + a]
-        for b, v in source.items():
-            j = base_c + b
-            target[j] = target.get(j, 0) + coeff * v
+# Matrix assembly: Kronecker recursions over the degree, no loop over tuples.
 
 
 @lru_cache(maxsize=None)
 def delta_matrix(alg: LeibnizAlgebra, rep: Representation, degree: int) -> Matrix:
-    """Matrix of the Loday-Pirashvili coboundary at the given degree."""
+    """Matrix of the Loday-Pirashvili coboundary at the given degree.
+
+    delta_0 stacks -R_a over a.  Splitting off the first argument x = e_a,
+    (delta_n f)(x, y) = (theta_x f)(y) - (delta_(n-1) f(x, ...))(y) with
+    theta_x f = l(x, f(...)) - sum_j f(..., [x, y_j], ...), so
+    delta_n = stack_a(I (x) L_a - S_a (x) I_m) - I_d (x) delta_(n-1), where
+    S_a puts ad_a^T in each of the n slots in turn.
+    """
     if rep.algebra_dim != alg.dim:
         raise ShapeError("representation does not match the algebra")
-    n, m = degree, rep.module_dim
-    in_tuples = all_tuples(alg.dim, n)
-    out_tuples = all_tuples(alg.dim, n + 1)
-    in_index = {t: idx for idx, t in enumerate(in_tuples)}
-    ident = Matrix.identity(m)
-    rows = [{} for _ in range(len(out_tuples) * m)]
-    for oi, t in enumerate(out_tuples):
-        # left-action terms: (-1)^(i+1) l(x_i, f(..., x_i hat, ...)), i = 1..n
-        for p in range(n):
-            sign = 1 if p % 2 == 0 else -1
-            s = t[:p] + t[p + 1 :]
-            _add_block(rows, oi, in_index[s], rep.left[t[p]], m, sign)
-        # right-action term: (-1)^(n+1) r(f(x_1..x_n), x_(n+1))
-        sign = 1 if (n + 1) % 2 == 0 else -1
-        _add_block(rows, oi, in_index[t[:n]], rep.right[t[n]], m, sign)
-        # bracket-insertion double sum: (-1)^i f(..., x_i hat, ..., [x_i,x_j], ...)
-        for p in range(n + 1):
-            sign = -1 if (p + 1) % 2 == 1 else 1
-            for q in range(p + 1, n + 1):
-                c = alg.bracket_basis(t[p], t[q])
-                for k, ck in enumerate(c):
-                    if ck:
-                        s = t[:p] + t[p + 1 : q] + (k,) + t[q + 1 :]
-                        _add_block(rows, oi, in_index[s], ident, m, sign * ck)
-    return Matrix.sparse(rows, len(in_tuples) * m)
+    d, m, n = alg.dim, rep.module_dim, degree
+    if n == 0:
+        return Matrix.sparse([row for r in rep.right for row in (-r).nz], m)
+    ident_d, ident_m, blocks = Matrix.identity(d), Matrix.identity(m), []
+    for a in range(d):
+        ad_t = alg.left_multiplier(a).transpose()
+        insert = ad_t  # S_a on k slots: S_a on k - 1 slots (x) I_d + I (x) ad_a^T
+        for k in range(2, n + 1):
+            insert = kron(insert, ident_d) + kron(Matrix.identity(d ** (k - 1)), ad_t)
+        blocks.append(kron(Matrix.identity(d**n), rep.left[a]) - kron(insert, ident_m))
+    stacked = Matrix.sparse([row for b in blocks for row in b.nz], d**n * m)
+    return stacked - kron(ident_d, delta_matrix(alg, rep, n - 1))
 
 
 def delta(alg: LeibnizAlgebra, rep: Representation, f: Cochain) -> Cochain:
@@ -268,50 +257,34 @@ def combined_partial_matrix(
     nv = rep.module_operator
     if nv is None:
         raise PreconditionError("combined complex needs a module operator")
-    post = kron(Matrix.identity(alg.dim ** degree), nv) if degree > 0 else nv
-    return partial_matrix(alg, n_op, rep, degree) - mat_mul(
-        delta_matrix(alg, rep, degree), post
-    )
+    post = kron(Matrix.identity(alg.dim**degree), nv)
+    return partial_matrix(alg, n_op, rep, degree) - mat_mul(delta_matrix(alg, rep, degree), post)
 
 
 @lru_cache(maxsize=None)
 def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "full") -> Matrix:
     """Matrix of the comparison map at the given degree.
 
-    Degree 0 is the identity.  At degree n >= 1 block (t, s) is p(N_V), with
-    p(x) = prod_a (N[s_a][t_a] - [s_a = t_a] x) for `full`; `printed` keeps
-    the x^0 and x^1 coefficients of that product and adds [s = t] x^2.
+    `full` is sum_k C_k (x) N_V^k, C_k the x^k coefficient of (N^T - x I)^(x)n;
+    degree 0 is the identity.  Put as sum_k E_k (x) (-N_V)^k, E_k the x^k
+    coefficient of (N^T + x I)^(x)n, it is built slot by slot without a sign:
+    E_k = N^T (x) E_k + I_d (x) E_(k-1).  At degree n >= 1 `printed` keeps the
+    k = 0, 1 terms and adds I (x) N_V^2.
     """
     if variant not in PHI_VARIANTS:
         raise ValueError(f"unknown phi variant {variant!r}")
-    dim, m = n_op.rows, module_op.rows
-    if degree == 0:
-        return Matrix.identity(m)
-    powers = [Matrix.identity(m)]
-    for _ in range(max(degree, 2)):
-        powers.append(powers[-1] * module_op)
-    # per slot value j, the (i, N[i][j], [i = j]) whose factor is nonzero
-    factors = [
-        [(i, c, int(i == j)) for i, c in enumerate(n_op.column(j)) if c or i == j]
-        for j in range(dim)
-    ]
-    size = space_dim(dim, m, degree)
-    rows = [{} for _ in range(size)]
-    for oi, t in enumerate(all_tuples(dim, degree)):
-        terms = [(0, [Fraction(1)])]  # (input tuple index, coefficients of p), slot by slot
-        for j in t:
-            terms = [
-                (si * dim + i, [c * a - d * b for a, b in zip(poly + [0], [0] + poly)])
-                for si, poly in terms
-                for i, c, d in factors[j]
-            ]
-        for si, poly in terms:
-            if variant == "printed":
-                poly = poly[:2] + [int(si == oi)]
-            for k, c in enumerate(poly):
-                if c:
-                    _add_block(rows, oi, si, powers[k], m, c)
-    return Matrix.sparse(rows, size)
+    nt, ident = n_op.transpose(), Matrix.identity(n_op.rows)
+    coeffs = [Matrix.identity(1)]
+    for _ in range(degree):
+        upper, lower = [kron(nt, c) for c in coeffs], [kron(ident, c) for c in coeffs]
+        coeffs = upper[:1] + [u + v for u, v in zip(upper[1:], lower)] + lower[-1:]
+    if variant == "printed" and degree > 0:
+        coeffs = coeffs[:2] + [Matrix.identity(coeffs[0].rows)]
+    powers = [Matrix.identity(module_op.rows)]
+    for _ in coeffs[1:]:
+        powers.append(powers[-1] * -module_op)
+    size = space_dim(n_op.rows, module_op.rows, degree)
+    return sum((kron(c, p) for c, p in zip(coeffs, powers)), Matrix.zero(size, size))
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,8 @@ class Matrix:
         for ra, rb in zip(self.nz, other.nz):
             row = dict(ra)
             for j, b in rb.items():
-                v = row.get(j, 0) + sign * b
+                b = b if sign > 0 else -b  # a negation needs no gcd, a product by -1 does
+                v = row[j] + b if j in row else b
                 if v:
                     row[j] = v
                 else:
@@ -250,9 +251,15 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product over the nonzero entries of both factors."""
+    """Kronecker product over the nonzero entries of both factors; a unit
+    entry on either side is copied, not multiplied, since most factors here
+    are identities."""
     rows = [
-        {j * b.cols + col: aij * x for j, aij in arow.items() for col, x in brow.items()}
+        {
+            j * b.cols + col: x if aij == 1 else aij if x == 1 else aij * x
+            for j, aij in arow.items()
+            for col, x in brow.items()
+        }
         for arow in a.nz
         for brow in b.nz
     ]

@@ -24,7 +24,7 @@ from .algebra import (
     check_representation,
     is_zero_vector,
 )
-from .algebra import _ONE, _apply, _bracket, _combine, _dense, _on_basis, _table
+from .algebra import _ONE, _apply, _bracket, _combine, _dense, _on_basis, _star_actions, _table
 from .errors import PreconditionError, ResourceLimitError, ShapeError
 from .linalg import Matrix, frac
 
@@ -186,14 +186,10 @@ def induced_representation(rep: Representation, alg: LeibnizAlgebra, n: Matrix) 
     bad = check_representation(alg, rep, n)
     if bad is not None:
         raise PreconditionError(f"not a Nijenhuis representation: {bad.describe()}")
-    left = []
-    right = []
-    for i in range(alg.dim):
-        l_n = rep.left_action(n.column(i))
-        r_n = rep.right_action(n.column(i))
-        left.append(l_n - nv * rep.left[i] + rep.left[i] * nv)
-        right.append(r_n - nv * rep.right[i] + rep.right[i] * nv)
-    return Representation(tuple(left), tuple(right), nv)
+    actions = [_star_actions(rep, n, i) for i in range(alg.dim)]
+    left = tuple(induced for (_, induced), _ in actions)
+    right = tuple(induced for _, (_, induced) in actions)
+    return Representation(left, right, nv)
 
 
 GRID_GUARD = 10**7

@@ -21,7 +21,7 @@ from nijleib.algebra import (
     trivial_representation,
 )
 from nijleib.errors import CatalogError, PreconditionError
-from nijleib.linalg import Matrix, frac, unit_vector, vec_add, vec_sub
+from nijleib.linalg import Matrix, block_diag, frac, unit_vector, vec_add, vec_sub
 from oracles import any_brackets, bilinear_eval
 
 
@@ -131,6 +131,43 @@ def test_nijenhuis_rep_axiom_failure(loday2):
     cert = check_representation(loday2, rep, Matrix.identity(2))
     assert cert is not None
     assert cert.identity.startswith("rep-nijenhuis")
+
+
+def slow_nijenhuis_axioms(rep, n):
+    """The two Nijenhuis-representation axioms expanded term by term: the
+    first failing index and its residual, left before right."""
+    nv = rep.module_operator
+    nv2 = nv * nv
+    for i in range(n.cols):
+        l_n, r_n = rep.left_action(n.column(i)), rep.right_action(n.column(i))
+        res4 = l_n * nv - nv * l_n - nv * rep.left[i] * nv + nv2 * rep.left[i]
+        if not res4.is_zero():
+            return Counterexample("rep-nijenhuis-left", (i,), res4)
+        res5 = r_n * nv - nv * rep.right[i] * nv - nv * r_n + nv2 * rep.right[i]
+        if not res5.is_zero():
+            return Counterexample("rep-nijenhuis-right", (i,), res5)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["loday2", "square2", "abelian2", "dsum(loday2,abelian1)"]), st.integers(0, 2), st.data())
+def test_nijenhuis_rep_axioms_match_expanded_oracle(name, extra, data):
+    """The adjoint module plus `extra` coordinates acted on by zero, so the
+    plain axioms hold, with N and N_V drawn freely: `check_representation`
+    gives the expanded formula's Counterexample, or None with it."""
+    alg = catalog_get(name)
+    adj, pad = adjoint_representation(alg), Matrix.zero(extra, extra)
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 2)))
+
+    def matrix(k):
+        return Matrix([[data.draw(entry) for _ in range(k)] for _ in range(k)])
+
+    n, nv = matrix(alg.dim), matrix(alg.dim + extra)
+    rep = Representation(
+        tuple(block_diag([a, pad]) for a in adj.left), tuple(block_diag([a, pad]) for a in adj.right), nv
+    )
+    assert check_representation(alg, rep) is None
+    assert check_representation(alg, rep, n) == slow_nijenhuis_axioms(rep, n)
 
 
 def test_catalog_entries_are_leibniz():

@@ -128,6 +128,12 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
         assert code == EXIT_INVALID, argv
         assert out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    # -h/--help prints no report either: usage on stderr, then one error: line
+    for argv in [("-h",), ("--help",), ("deform", "-h"), ("deform", "check", "-h"), ("cohomology", bundle, "--help")]:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVALID, argv
+        assert out == "", argv
+        _assert_one_error_line(err, True, argv)
 
 
 def _fuzz_bundles(fixtures_dir, loday2, classified_op):
@@ -176,6 +182,15 @@ def _write_fresh(path, text):
     path.write_text(text)
 
 
+def _assert_one_error_line(err, help_asked, context):
+    """stderr of exit 2: one error: line, last; only -h/--help writes its
+    usage block above it."""
+    lines = err.splitlines()
+    assert err.endswith("\n") and lines[-1].startswith("error:"), (context, err)
+    assert not any(line.startswith("error:") for line in lines[:-1]), (context, err)
+    assert len(lines) == 1 or (help_asked and lines[0].startswith("usage: nijleib")), (context, err)
+
+
 def _assert_exit_contract(argv, where):
     """Exit 0, 1 or 2; exit 0/1 print a report and nothing on stderr, exit 2
     prints no report and exactly one error: line.  Returns the exit code."""
@@ -186,7 +201,7 @@ def _assert_exit_contract(argv, where):
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INVALID), (argv, where)
     if code == EXIT_INVALID:
         assert out == "", (argv, where)
-        assert err.startswith("error:") and err.count("\n") == 1, (argv, where, err)
+        _assert_one_error_line(err, {"-h", "--help"} & set(argv), (argv, where))
     else:
         assert err == "", (argv, where, err)
         # a report without a verdict (a printed bundle or deformation) passes
@@ -269,8 +284,7 @@ CLI_ACTIONS = {
     ("extend", "compare"): (("bundle", "extension", "extension"), ("--corner",), ("--corner",)),
 }
 FIXTURE_NAMES = sorted(p.name for p in (Path(__file__).parent / "fixtures").glob("*.json"))
-# no -h or --help: argparse prints usage and exits 0 without a report
-JUNK = ["", "xyz", "-", "-5", "1/0", "..", "{}"]
+JUNK = ["", "xyz", "-", "-5", "1/0", "..", "{}", "-h", "--help"]
 # the fixtures that fit each kind of file, with loday2_classified.json as the bundle
 FILES = {
     "bundle": ["loday2_classified.json"],

@@ -1,10 +1,11 @@
 """Cochain complexes: the Leibniz differential, the operator differential,
 the comparison map, the combined complex, and cohomology dimensions.
 
-delta and partial are assembled as matrices term by term, so the main oracle
-here is a slow pointwise evaluator written straight from the defining sum
-(signs and hat-slots spelled out) that never touches the matrix path.  The
-comparison map is checked against its defining sum of Kronecker products.
+delta and partial are assembled as matrices by a Kronecker recursion over
+the degree, so the main oracle here is a slow pointwise evaluator written
+straight from the defining sum (signs and hat-slots spelled out) that never
+touches the matrix path.  The comparison map is checked against its defining
+sum of Kronecker products.
 """
 
 import random
@@ -15,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nijleib.algebra import adjoint_representation, catalog_get, catalog_nijenhuis_pairs, trivial_representation
+from nijleib.algebra import (
+    Representation,
+    adjoint_representation,
+    catalog_get,
+    catalog_nijenhuis_pairs,
+    trivial_representation,
+)
 from nijleib.cochain import (
     Cochain,
     all_tuples,
@@ -48,6 +55,7 @@ from nijleib.linalg import (
     zero_vector,
 )
 from nijleib.operators import induced_bracket, induced_representation
+from oracles import any_brackets
 
 
 def slow_delta(alg, rep, f):
@@ -222,6 +230,20 @@ def test_delta_oracle_on_dim3():
     rng = random.Random(5)
     f = random_cochain(rng, 1, 3, 3)
     assert delta(alg, rep, f).values == slow_delta(alg, rep, f).values
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_brackets().filter(lambda alg: alg.dim <= 3), st.integers(0, 3), st.data())
+def test_delta_matches_slow_oracle_on_any_bracket(alg, degree, data):
+    # brackets that need not be Leibniz and actions that need not form a
+    # representation, on a module whose dimension differs from the algebra's:
+    # the recursion over degrees must match the defining sum term by term
+    m = data.draw(st.sampled_from([k for k in (1, 2, 3) if k != alg.dim]))
+    left = tuple(data.draw(_square_matrices(m)) for _ in range(alg.dim))
+    right = tuple(data.draw(_square_matrices(m)) for _ in range(alg.dim))
+    rep = Representation(left, right)
+    f = random_cochain(random.Random(data.draw(st.integers(0, 2**16))), degree, alg.dim, rep.module_dim)
+    assert delta(alg, rep, f) == slow_delta(alg, rep, f)
 
 
 def test_delta_squares_to_zero_all_catalog():
