@@ -13,7 +13,7 @@ its nonzero values, and `_combine` sums scaled vectors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
@@ -181,13 +181,16 @@ class Representation:
     """A (possibly Nijenhuis) representation given by exact action matrices.
 
     left[i] is the matrix of l_V(e_i, -), right[i] the matrix of r_V(-, e_i),
-    both m x m on the module.  module_operator is the module-side operator and
-    may be None for a plain Leibniz representation.
+    both m x m on the module, m = module_dim.  The module dimension is given,
+    not read off the actions: a 0-dim algebra has no action matrices.
+    module_operator is the module-side operator and may be None for a plain
+    Leibniz representation.
     """
 
     left: tuple[Matrix, ...]
     right: tuple[Matrix, ...]
     module_operator: Optional[Matrix] = None
+    module_dim: int = field(kw_only=True)
 
     def __post_init__(self):
         m = self.module_dim
@@ -202,10 +205,6 @@ class Representation:
     @property
     def algebra_dim(self) -> int:
         return len(self.left)
-
-    @property
-    def module_dim(self) -> int:
-        return self.left[0].rows if self.left else 0
 
     def left_action(self, x: Vector) -> Matrix:
         return self._act(self.left, x)
@@ -222,7 +221,7 @@ class Representation:
         return acc
 
     def with_module_operator(self, op: Optional[Matrix]) -> "Representation":
-        return Representation(self.left, self.right, op)
+        return Representation(self.left, self.right, op, module_dim=self.module_dim)
 
 
 def check_representation(
@@ -278,12 +277,12 @@ def adjoint_representation(alg: LeibnizAlgebra, n_op: Optional[Matrix] = None) -
         raise PreconditionError(bad.describe())
     left = tuple(alg.left_multiplier(i) for i in range(alg.dim))
     right = tuple(alg.right_multiplier(i) for i in range(alg.dim))
-    return Representation(left, right, n_op)
+    return Representation(left, right, n_op, module_dim=alg.dim)
 
 
 def trivial_representation(alg_dim: int, module_dim: int, module_operator: Optional[Matrix] = None) -> Representation:
     z = Matrix.zero(module_dim, module_dim)
-    return Representation((z,) * alg_dim, (z,) * alg_dim, module_operator)
+    return Representation((z,) * alg_dim, (z,) * alg_dim, module_operator, module_dim=module_dim)
 
 
 def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:

@@ -169,7 +169,7 @@ def parse_algebra_bundle(text: str, *, verify: bool = True) -> AlgebraBundle:
             module_op = None
             if "operator" in rep_doc:
                 module_op = matrix_from_json(rep_doc["operator"], "representation.operator", (m, m))
-            representation = Representation(left, right, module_op)
+            representation = Representation(left, right, module_op, module_dim=m)
         else:
             raise BundleError('representation must be "adjoint" or an object')
     return AlgebraBundle(alg, operator, representation)

@@ -8,8 +8,11 @@ in the image of basis vector j.  `Matrix.data` is a dense view for printing
 and for the oracle.
 
 Rank, kernel and solve share one sparse Gauss-Jordan elimination that picks
-the sparsest row as pivot; a plain dense Gaussian elimination, `gauss_rank`,
-is kept solely as a cross-check oracle.
+the sparsest row as pivot, the lowest row on a tie.  It keeps a column->rows
+index of every row, free or pivot, so each pivot search and update step costs
+in proportion to the rows that hold the column, not to all rows.  A plain
+dense Gaussian elimination, `gauss_rank`, is kept solely as a cross-check
+oracle.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ class Matrix:
         return self._add(other, -1, "-")
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-1)
+        return Matrix._of(tuple({j: -a for j, a in row.items()} for row in self.nz), self.cols)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
@@ -272,43 +275,59 @@ def _eliminate(
     """Sparse Gauss-Jordan elimination to reduced row echelon form.
 
     Works on copies of the rows of `m.nz`; a right-hand side is carried as
-    column m.cols and never pivoted.  Columns are eliminated in index order,
-    each with the sparsest candidate row as pivot (Markowitz), the first by
-    position on a tie.  Since the reduced echelon form is unique, the choice
-    of pivot row changes no result, only the fill-in.
+    column m.cols and never pivoted.  A column index, `holders[j]`, keeps the
+    set of rows (free or already pivot) that hold an entry in column j: fill-in
+    adds a row to it and a cancellation removes it.  Columns are eliminated in
+    index order, each with the sparsest free row of `holders[c]` as pivot
+    (Markowitz), the lowest original row on a tie, and the update touches only
+    the other rows of `holders[c]`.  So each step costs in proportion to the
+    rows that hold the column, not to all rows.  Since the reduced echelon
+    form is unique, the choice of pivot row changes no result, only the
+    fill-in.
 
     Returns the normalised pivot rows keyed by pivot column, in column order,
-    and the rows left without a pivot (by then they hold at most the
-    right-hand-side entry).
+    and the rows left without a pivot, in their original order (by then they
+    hold at most the right-hand-side entry).
     """
     rows = [dict(row) for row in m.nz]
     if rhs is not None:
         for row, b in zip(rows, rhs):
             if b:
                 row[m.cols] = frac(b)
+    holders: list[Optional[set[int]]] = [set() for _ in range(m.cols + 1)]
+    for k, row in enumerate(rows):
+        for j in row:
+            holders[j].add(k)
+    free = [True] * len(rows)
     pivots: dict[int, dict[int, Fraction]] = {}
     for c in range(m.cols):
-        best = None
-        for k, row in enumerate(rows):
-            if c in row and (best is None or len(row) < len(rows[best])):
-                best = k
+        hold, holders[c] = holders[c], None  # column c is never looked up again
+        best = min((k for k in hold if free[k]), key=lambda k: (len(rows[k]), k), default=None)
         if best is None:
             continue
-        prow = rows.pop(best)
+        free[best] = False
+        prow = rows[best]
         inv = 1 / prow[c]
-        prow = {j: e * inv for j, e in prow.items()}
-        for other in (*rows, *pivots.values()):
-            f = other.get(c)
-            if f is None:
+        prow = rows[best] = {j: e * inv for j, e in prow.items()}
+        fill = [(j, e) for j, e in prow.items() if j != c]
+        for k in hold:
+            if k == best:
                 continue
-            for j, e in prow.items():
-                v = other.get(j, 0) - f * e
-                if v:
-                    other[j] = v
+            row = rows[k]
+            f = row.pop(c)
+            for j, e in fill:
+                if j in row:
+                    v = row[j] - f * e
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                        holders[j].remove(k)
                 else:
-                    del other[j]
+                    row[j] = -(f * e)
+                    holders[j].add(k)
         pivots[c] = prow
-    return pivots, rows
+    return pivots, [row for row, is_free in zip(rows, free) if is_free]
 
 
 def rank(m: Matrix) -> int:
@@ -345,17 +364,17 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     its own free slot, pivot slots filled from the reduced echelon form.
     """
     pivots, _ = _eliminate(m)
-    basis = []
+    vectors = {}
     for free in range(m.cols):
-        if free in pivots:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for p, row in pivots.items():
-            if free in row:
-                v[p] = -row[free]
-        basis.append(tuple(v))
-    return basis
+        if free not in pivots:
+            vectors[free] = [Fraction(0)] * m.cols
+            vectors[free][free] = Fraction(1)
+    # a reduced pivot row holds its own pivot and free columns only
+    for p, row in pivots.items():
+        for free, e in row.items():
+            if free != p:
+                vectors[free][p] = -e
+    return [tuple(v) for v in vectors.values()]
 
 
 def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:

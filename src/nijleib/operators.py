@@ -189,7 +189,7 @@ def induced_representation(rep: Representation, alg: LeibnizAlgebra, n: Matrix) 
     actions = [_star_actions(rep, n, i) for i in range(alg.dim)]
     left = tuple(induced for (_, induced), _ in actions)
     right = tuple(induced for _, (_, induced) in actions)
-    return Representation(left, right, nv)
+    return Representation(left, right, nv, module_dim=rep.module_dim)
 
 
 GRID_GUARD = 10**7

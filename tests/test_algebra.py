@@ -164,7 +164,10 @@ def test_nijenhuis_rep_axioms_match_expanded_oracle(name, extra, data):
 
     n, nv = matrix(alg.dim), matrix(alg.dim + extra)
     rep = Representation(
-        tuple(block_diag([a, pad]) for a in adj.left), tuple(block_diag([a, pad]) for a in adj.right), nv
+        tuple(block_diag([a, pad]) for a in adj.left),
+        tuple(block_diag([a, pad]) for a in adj.right),
+        nv,
+        module_dim=alg.dim + extra,
     )
     assert check_representation(alg, rep) is None
     assert check_representation(alg, rep, n) == slow_nijenhuis_axioms(rep, n)
@@ -210,7 +213,7 @@ def test_catalog_nijenhuis_pairs_verified():
 
 def test_representation_shape_guard():
     with pytest.raises(Exception):
-        Representation((Matrix.identity(2),), (Matrix.identity(3),), None)
+        Representation((Matrix.identity(2),), (Matrix.identity(3),), None, module_dim=2)
 
 
 def test_adjoint_requires_valid_algebra(loday2):

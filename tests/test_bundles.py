@@ -64,6 +64,18 @@ def test_explicit_representation_round_trip(loday2):
     assert parse_algebra_bundle(text).representation == rep
 
 
+def test_zero_dim_algebra_representation_round_trip():
+    # no action matrices to read the module dimension from: it is the file's
+    doc = {
+        "algebra": {"dimension": 0, "basis": [], "brackets": {}},
+        "representation": {"dimension": 2, "left": [], "right": [], "operator": [["0", "1"], ["0", "0"]]},
+    }
+    bundle = parse_algebra_bundle(json.dumps(doc))
+    rep = bundle.resolve_representation()
+    assert rep.module_dim == 2
+    assert parse_algebra_bundle(serialize_algebra_bundle(bundle)).representation == rep
+
+
 @pytest.mark.parametrize(
     "mutate,message_part",
     [

@@ -446,6 +446,31 @@ def test_cohomology_nla_golden(capsys, fixtures_dir):
     assert doc["degree0_caveat"] is True
 
 
+# a 0-dim algebra has no action matrices, so the module dimension comes from
+# the file's representation.dimension: H^0 of la (and no) is the whole 2-dim
+# module, and a 2x2 module operator fits it
+ZERO_DIM_ALGEBRA = {"basis": [], "brackets": {}, "dimension": 0}
+ZERO_DIM_MODULE = {"dimension": 2, "left": [], "right": []}
+
+
+@pytest.mark.parametrize(
+    "module_operator, complex_kind",
+    [(False, "la"), (True, "la"), (True, "no")],
+    ids=["plain-la", "module-operator-la", "module-operator-no"],
+)
+def test_zero_dim_algebra_keeps_module_dim(capsys, tmp_path, module_operator, complex_kind):
+    doc = {"algebra": ZERO_DIM_ALGEBRA, "representation": dict(ZERO_DIM_MODULE)}
+    if module_operator:
+        doc["operator"] = []
+        doc["representation"]["operator"] = [["1", "0"], ["0", "2"]]
+    path = tmp_path / "zero_dim.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "cohomology", str(path), "--complex", complex_kind, "--max-degree", "2")
+    assert code == EXIT_PASS
+    report = json.loads(out)
+    assert [(e["C"], e["H"]) for e in report["degrees"]] == [(2, 2), (0, 0), (0, 0)]
+
+
 def test_search_grid_count(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,

@@ -241,7 +241,7 @@ def test_delta_matches_slow_oracle_on_any_bracket(alg, degree, data):
     m = data.draw(st.sampled_from([k for k in (1, 2, 3) if k != alg.dim]))
     left = tuple(data.draw(_square_matrices(m)) for _ in range(alg.dim))
     right = tuple(data.draw(_square_matrices(m)) for _ in range(alg.dim))
-    rep = Representation(left, right)
+    rep = Representation(left, right, module_dim=m)
     f = random_cochain(random.Random(data.draw(st.integers(0, 2**16))), degree, alg.dim, rep.module_dim)
     assert delta(alg, rep, f) == slow_delta(alg, rep, f)
 

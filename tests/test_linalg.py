@@ -2,7 +2,9 @@
 
 Rank, kernel and solve share one sparse Gauss-Jordan elimination; plain dense
 Gaussian elimination (`gauss_rank`) is kept purely as an independent oracle,
-and the two are compared on random dense and sparse rational matrices.
+and the two are compared on random dense and sparse rational matrices.  The
+elimination kernel is also compared, result for result, with its scan-all
+form without a column index (`oracles.slow_eliminate`).
 """
 
 from fractions import Fraction
@@ -11,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nijleib.algebra import adjoint_representation, catalog_nijenhuis_pairs
+from nijleib.cochain import delta_matrix, nla_matrix
 from nijleib.errors import BundleError, ShapeError
 from nijleib.linalg import (
     Matrix,
+    _eliminate,
     block_diag,
     block_matrix,
     format_rational,
@@ -26,6 +31,7 @@ from nijleib.linalg import (
     rank,
     solve_linear,
 )
+from oracles import slow_eliminate
 
 rationals = st.builds(
     Fraction,
@@ -122,6 +128,31 @@ def test_elimination_agrees_with_gauss_oracle_on_sparse_systems(system):
         assert sol is not None
         assert m.apply(sol) == rhs
         assert all(sol[c] == 0 for c in free)
+
+
+def same_elimination(got, want):
+    """Equal pivot rows and leftover rows, down to key order and row order."""
+    (pivots, rest), (slow_pivots, slow_rest) = got, want
+    assert [(c, list(row.items())) for c, row in pivots.items()] == [
+        (c, list(row.items())) for c, row in slow_pivots.items()
+    ]
+    assert [list(row.items()) for row in rest] == [list(row.items()) for row in slow_rest]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_eliminate_matches_scan_all_oracle_on_sparse_systems(system):
+    m, rhs = system
+    same_elimination(_eliminate(m), slow_eliminate(m))
+    same_elimination(_eliminate(m, rhs), slow_eliminate(m, rhs))
+
+
+def test_eliminate_matches_scan_all_oracle_on_catalog_complexes():
+    for name, alg, op in catalog_nijenhuis_pairs():
+        rep = adjoint_representation(alg, op)
+        for degree in range(4):
+            for m in (delta_matrix(alg, rep, degree), nla_matrix(alg, op, rep, degree)):
+                same_elimination(_eliminate(m), slow_eliminate(m))
 
 
 @settings(max_examples=60, deadline=None)
