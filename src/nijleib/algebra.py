@@ -1,13 +1,13 @@
 """Leibniz algebras, their representations, and the builtin catalog.
 
-Structure constants follow c[i][j][k]: [e_i, e_j] = sum_k c[i][j][k] e_k.
-All verdict-style checks return None on success or a `Counterexample`
-carrying the lexicographically first failing index tuple and the exact
-residual, so goldens are deterministic.
+A bracket is stored as the table {(a, b): {k: c}} of its nonzero structure
+constants, [e_a, e_b] = sum_k c e_k; `LeibnizAlgebra.structure` is the dense
+tensor view c[a][b][k] of the same numbers.  All verdict-style checks return
+None on success or a `Counterexample` carrying the lexicographically first
+failing index tuple and the exact residual, so goldens are deterministic.
 
-Every bracket is evaluated by one sparse kernel: vectors are {coordinate:
-Fraction} dicts, a bilinear tensor is read as the table {(a, b): {k: c}} of
-its nonzero values, and `_combine` sums scaled vectors.
+Every bracket is evaluated by one sparse kernel on such tables: vectors are
+{coordinate: Fraction} dicts and `_combine` sums scaled vectors.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
@@ -25,7 +26,6 @@ from .linalg import (
     block_diag,
     frac,
     is_zero_vector,
-    unit_vector,
     zero_vector,
 )
 
@@ -37,9 +37,8 @@ def bilinear_tensor(entries: Sequence[Sequence[Sequence]]) -> BilinearTensor:
     return tuple(tuple(tuple(frac(c) for c in vec) for vec in row) for row in entries)
 
 
-def zero_bilinear_tensor(dim: int, out_dim: Optional[int] = None) -> BilinearTensor:
-    out_dim = dim if out_dim is None else out_dim
-    z = zero_vector(out_dim)
+def zero_bilinear_tensor(dim: int) -> BilinearTensor:
+    z = zero_vector(dim)
     return tuple(tuple(z for _ in range(dim)) for _ in range(dim))
 
 
@@ -122,30 +121,53 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class LeibnizAlgebra:
+    """A bracket on the basis, stored as the table {(a, b): {k: c}} of its
+    nonzero structure constants; equality and hashing read the table."""
+
     dim: int
     basis: tuple[str, ...]
-    structure: BilinearTensor
+    table: dict
 
     def __post_init__(self):
-        if len(self.basis) != self.dim or len(self.structure) != self.dim:
-            raise ShapeError("basis/structure size does not match dimension")
-        for row in self.structure:
-            if len(row) != self.dim or any(len(v) != self.dim for v in row):
-                raise ShapeError("structure tensor is not dim x dim x dim")
+        if len(self.basis) != self.dim:
+            raise ShapeError("basis size does not match dimension")
+        on_basis = set(range(self.dim))
+        for key, vec in self.table.items():
+            pair = isinstance(key, tuple) and len(key) == 2
+            if not (pair and on_basis.issuperset(key) and on_basis.issuperset(vec)):
+                raise ShapeError(f"bracket table entry {key!r} is not a basis pair with basis coordinates")
+            if not vec or not all(vec.values()):
+                raise ShapeError(f"bracket table entry {key!r} stores a zero")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        entries = frozenset((key, frozenset(vec.items())) for key, vec in self.table.items())
+        return hash((self.dim, self.basis, entries))
+
+    @cached_property
+    def structure(self) -> BilinearTensor:
+        """The dense view: structure[a][b] is the coordinate vector of [e_a, e_b]."""
+        d = self.dim
+        return tuple(tuple(_dense(self.table.get((a, b), {}), d) for b in range(d)) for a in range(d))
 
     @classmethod
     def from_structure(cls, structure, basis=None) -> "LeibnizAlgebra":
         tensor = bilinear_tensor(structure)
         dim = len(tensor)
+        if any(len(row) != dim or any(len(v) != dim for v in row) for row in tensor):
+            raise ShapeError("structure tensor is not dim x dim x dim")
         if basis is None:
             basis = tuple(f"e{i + 1}" for i in range(dim))
-        return cls(dim, tuple(basis), tensor)
+        return cls(dim, tuple(basis), _table(tensor))
 
     @classmethod
     def abelian(cls, dim: int, basis=None) -> "LeibnizAlgebra":
         if basis is None:
             basis = tuple(f"e{i + 1}" for i in range(dim))
-        return cls(dim, tuple(basis), zero_bilinear_tensor(dim))
+        return cls(dim, tuple(basis), {})
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         return self.structure[i][j]
@@ -153,7 +175,7 @@ class LeibnizAlgebra:
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError(f"expected vectors of length {self.dim}, got {len(x)} and {len(y)}")
-        return _dense(_bracket(_table(self.structure), _sparse(x), _sparse(y)), self.dim)
+        return _dense(_bracket(self.table, _sparse(x), _sparse(y)), self.dim)
 
     def left_multiplier(self, i: int) -> Matrix:
         """L_i with column j = [e_i, e_j]."""
@@ -163,13 +185,10 @@ class LeibnizAlgebra:
         """R_i with column j = [e_j, e_i]."""
         return Matrix.from_columns([self.structure[j][i] for j in range(self.dim)])
 
-    def unit(self, i: int) -> Vector:
-        return unit_vector(self.dim, i)
-
 
 def check_leibniz(alg: LeibnizAlgebra) -> Optional[Counterexample]:
     """Leibniz identity [ei,[ej,ek]] = [[ei,ej],ek] + [ej,[ei,ek]] on all basis triples."""
-    pairs = ((_table(alg.structure),) * 2,)
+    pairs = ((alg.table,) * 2,)
     for i, j, k in product(range(alg.dim), repeat=3):
         if residual := _leibniz(pairs, {i: _ONE}, {j: _ONE}, {k: _ONE}):
             return Counterexample("leibniz", (i, j, k), _dense(residual, alg.dim))
@@ -287,21 +306,10 @@ def trivial_representation(alg_dim: int, module_dim: int, module_operator: Optio
 
 def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
     """Block-diagonal direct sum; summands bracket to zero against each other."""
-    dim = a.dim + b.dim
-    structure = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i < a.dim and j < a.dim:
-                v = a.structure[i][j] + zero_vector(b.dim)
-            elif i >= a.dim and j >= a.dim:
-                v = zero_vector(a.dim) + b.structure[i - a.dim][j - a.dim]
-            else:
-                v = zero_vector(dim)
-            row.append(v)
-        structure.append(tuple(row))
+    s = a.dim
+    shifted = {(i + s, j + s): {k + s: c for k, c in v.items()} for (i, j), v in b.table.items()}
     basis = tuple(f"a.{name}" for name in a.basis) + tuple(f"b.{name}" for name in b.basis)
-    return LeibnizAlgebra(dim, basis, tuple(structure))
+    return LeibnizAlgebra(a.dim + b.dim, basis, {**a.table, **shifted})
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +336,10 @@ def catalog_get(name: str) -> LeibnizAlgebra:
     """Builtin algebras: loday2, square2, abelian<n>, dsum(a,b)."""
     if name == "loday2":
         # [e2,e1] = [e2,e2] = e1, all other products zero
-        alg = LeibnizAlgebra.from_structure(
-            [
-                [[0, 0], [0, 0]],
-                [[1, 0], [1, 0]],
-            ]
-        )
+        alg = LeibnizAlgebra(2, ("e1", "e2"), {(1, 0): {0: _ONE}, (1, 1): {0: _ONE}})
     elif name == "square2":
         # [e1,e1] = e2
-        alg = LeibnizAlgebra.from_structure(
-            [
-                [[0, 1], [0, 0]],
-                [[0, 0], [0, 0]],
-            ]
-        )
+        alg = LeibnizAlgebra(2, ("e1", "e2"), {(0, 0): {1: _ONE}})
     elif m := _ABELIAN_RE.match(name):
         alg = LeibnizAlgebra.abelian(int(m.group(1)))
     elif m := _DSUM_RE.match(name):

@@ -120,8 +120,11 @@ def parse_algebra_bundle(text: str, *, verify: bool = True) -> AlgebraBundle:
         raise BundleError("algebra.basis must be a list of string labels")
     if len(basis) != dim or len(set(basis)) != dim:
         raise BundleError("algebra.basis must list dimension-many distinct labels")
+    for i, label in enumerate(basis):
+        if "," in label:  # a bracket key "x,y" could not name it
+            raise BundleError(f"algebra.basis[{i}]: label {label!r} contains ','")
     index = {label: i for i, label in enumerate(basis)}
-    structure = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    table = {}
     brackets = alg_doc.get("brackets", {})
     if not isinstance(brackets, dict):
         raise BundleError("algebra.brackets must be an object")
@@ -132,14 +135,19 @@ def parse_algebra_bundle(text: str, *, verify: bool = True) -> AlgebraBundle:
         i, j = index[parts[0]], index[parts[1]]
         if not isinstance(outputs, dict):
             raise BundleError(f"algebra.brackets[{key!r}] must be an object")
+        vec = {}
         for out_label, coeff in outputs.items():
             if out_label not in index:
                 raise BundleError(f"algebra.brackets[{key!r}]: unknown basis label {out_label!r}")
             try:
-                structure[i][j][index[out_label]] = parse_rational(coeff)
+                c = parse_rational(coeff)
             except BundleError as exc:
                 raise BundleError(f"algebra.brackets[{key!r}][{out_label!r}]: {exc}") from None
-    alg = LeibnizAlgebra.from_structure(structure, basis)
+            if c:
+                vec[index[out_label]] = c
+        if vec:
+            table[i, j] = vec
+    alg = LeibnizAlgebra(dim, tuple(basis), table)
     if verify:
         bad = check_leibniz(alg)
         if bad is not None:
@@ -177,15 +185,10 @@ def parse_algebra_bundle(text: str, *, verify: bool = True) -> AlgebraBundle:
 
 def serialize_algebra_bundle(bundle: AlgebraBundle) -> str:
     alg = bundle.algebra
-    brackets = {}
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            v = alg.structure[i][j]
-            outputs = {
-                alg.basis[k]: format_rational(c) for k, c in enumerate(v) if c
-            }
-            if outputs:
-                brackets[f"{alg.basis[i]},{alg.basis[j]}"] = outputs
+    brackets = {
+        f"{alg.basis[i]},{alg.basis[j]}": {alg.basis[k]: format_rational(c) for k, c in vec.items()}
+        for (i, j), vec in alg.table.items()
+    }
     doc: dict = {
         "algebra": {
             "dimension": alg.dim,

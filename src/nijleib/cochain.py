@@ -113,11 +113,6 @@ class Cochain:
         out_dim = len(tensor[0][0]) if dim else 0
         return cls(2, dim, out_dim, tuple(c for row in tensor for v in row for c in v))
 
-    @classmethod
-    def from_vector(cls, v: Vector, alg_dim: int) -> "Cochain":
-        """A module element as a degree-0 cochain."""
-        return cls(0, alg_dim, len(v), tuple(v))
-
     def value(self, t: tuple) -> Vector:
         if len(t) != self.degree or not all(0 <= i < self.alg_dim for i in t):
             raise ShapeError(f"{tuple(t)} is not a basis tuple of degree {self.degree}")
@@ -130,23 +125,6 @@ class Cochain:
     @property
     def values(self) -> dict:
         return {t: self.value(t) for t in all_tuples(self.alg_dim, self.degree)}
-
-    def __call__(self, *vectors: Vector) -> Vector:
-        if len(vectors) != self.degree:
-            raise ShapeError(f"degree-{self.degree} cochain called with {len(vectors)} arguments")
-        acc = list(zero_vector(self.module_dim))
-        for t, v in self.values.items():
-            coeff = Fraction(1)
-            for slot, idx in enumerate(t):
-                coeff *= vectors[slot][idx]
-                if not coeff:
-                    break
-            if not coeff:
-                continue
-            for k, c in enumerate(v):
-                if c:
-                    acc[k] += coeff * c
-        return tuple(acc)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
@@ -326,8 +304,8 @@ class NLACochain:
 
 
 def nla_unflatten(vec: Vector, degree: int, alg_dim: int, module_dim: int):
-    if degree == 0:
-        return Cochain.from_vector(vec, alg_dim)
+    if degree == 0:  # a module element
+        return Cochain(0, alg_dim, len(vec), tuple(vec))
     split = space_dim(alg_dim, module_dim, degree)
     return NLACochain(
         Cochain(degree, alg_dim, module_dim, vec[:split]),

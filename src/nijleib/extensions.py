@@ -4,7 +4,7 @@ bracket, in split coordinates g (+) V.
 The build direction assembles the total algebra from a cocycle pair
 (psi: g x g -> V, chi: g -> V) over a given representation; extraction from a
 section recovers pairs, in one pass of the sparse bracket kernel of `algebra`
-over the total structure table.  Both comparisons are one coboundary identity
+over the total bracket table.  Both comparisons are one coboundary identity
 (`cochain.coboundary_difference`): the pairs of two sections differ by
 d(gamma, 0), gamma the difference of the sections, and two extensions are
 isomorphic through xi = (Id, 0; C, Id) exactly when their pairs differ by
@@ -25,10 +25,10 @@ from .algebra import (
     check_leibniz,
     check_representation,
 )
-from .algebra import _apply, _bracket, _combine, _dense, _table
+from .algebra import _apply, _bracket, _combine, _dense, _sparse
 from .cochain import Cochain, CoboundaryDifference, NLACochain, coboundary_difference
 from .errors import PreconditionError, ShapeError
-from .linalg import Matrix, Vector, block_matrix, zero_vector
+from .linalg import Matrix, Vector, block_matrix
 from .operators import check_operator, nijenhuis
 
 
@@ -105,23 +105,22 @@ def build_extension(
     if bad is not None:
         raise PreconditionError(f"invalid governing representation: {bad.describe()}")
 
-    psi = pair.psi.as_tensor()
-    structure = []
-    for i in range(n + m):
-        row = []
-        for j in range(n + m):
-            if i < n and j < n:
-                v = alg.structure[i][j] + psi[i][j]
-            elif i < n <= j:
-                v = zero_vector(n) + rep.left[i].column(j - n)
-            elif j < n <= i:
-                v = zero_vector(n) + rep.right[j].column(i - n)
-            else:
-                v = zero_vector(n + m)
-            row.append(v)
-        structure.append(tuple(row))
+    def fiber(v: dict) -> dict:
+        return {n + k: c for k, c in v.items()}
+
+    # base pairs: [x,y] + psi(x,y); (e_i, v_b) and (v_b, e_i): column b of l(e_i) and of r(e_i)
+    table = {}
+    for i, j in product(range(n), repeat=2):
+        if v := {**alg.table.get((i, j), {}), **fiber(_sparse(pair.psi.value((i, j))))}:
+            table[i, j] = v
+    for i in range(n):
+        for b, (left, right) in enumerate(zip(rep.left[i].transpose().nz, rep.right[i].transpose().nz)):
+            if left:
+                table[i, n + b] = fiber(left)
+            if right:
+                table[n + b, i] = fiber(right)
     basis = alg.basis + tuple(f"v{b + 1}" for b in range(m))
-    total = LeibnizAlgebra(n + m, basis, tuple(structure))
+    total = LeibnizAlgebra(n + m, basis, table)
     total_op = block_matrix(
         [
             [n_op, Matrix.zero(n, m)],
@@ -155,8 +154,8 @@ def section_to_cocycle(ext: ExtensionDatum, s: Optional[Section] = None) -> Cocy
     if (sigma.rows, sigma.cols) != (m, n):
         raise PreconditionError("section block has wrong shape")
     sigma_cols = sigma.transpose().nz
-    total, hat_cols = _table(ext.total.structure), ext.total_op.transpose().nz
-    base, base_cols = _table(ext.base_alg.structure), ext.base_op.transpose().nz
+    total, hat_cols = ext.total.table, ext.total_op.transpose().nz
+    base, base_cols = ext.base_alg.table, ext.base_op.transpose().nz
 
     def lift(v: dict) -> dict:
         return {**v, **{n + k: c for k, c in _apply(sigma_cols, v).items()}}

@@ -129,10 +129,6 @@ class Matrix:
         rows = len(columns[0]) if columns else 0
         return cls.sparse([{j: col[i] for j, col in enumerate(columns)} for i in range(rows)], len(columns))
 
-    @classmethod
-    def diag(cls, entries: Sequence) -> "Matrix":
-        return cls.sparse([{i: e} for i, e in enumerate(entries)], len(entries))
-
     @property
     def data(self) -> tuple[Vector, ...]:
         """Read-only dense view, one tuple per row."""

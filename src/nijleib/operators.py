@@ -5,14 +5,19 @@ N^2 correspondence suite, and exhaustive grid classification.
 The weighted Rota-Baxter identity carries a convention flag: `as_printed`
 keeps the weight term inside the outer operator application, `standard`
 (default) puts it on the bare bracket.  Both are evaluated exactly.
+
+Each identity is written once, in `_defect_value`, over the algebra's bracket
+table and the columns N e_i of the operator.  `operator_defect` runs it with
+rational columns; `defect_polynomial` runs it once per basis pair with the
+columns held as polynomials in the entries of N (`_Poly`), which is what
+compiles the grid search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import combinations, product
+from itertools import product
 from math import lcm
 from typing import Iterator, Optional
 
@@ -24,7 +29,7 @@ from .algebra import (
     check_representation,
     is_zero_vector,
 )
-from .algebra import _ONE, _apply, _bracket, _combine, _dense, _on_basis, _star_actions, _table
+from .algebra import _ONE, _apply, _bracket, _combine, _dense, _star_actions
 from .errors import PreconditionError, ResourceLimitError, ShapeError
 from .linalg import Matrix, frac
 
@@ -71,27 +76,30 @@ def modified_rota_baxter(weight) -> OperatorKind:
     return OperatorKind("modified_rota_baxter", frac(weight))
 
 
-def _star(bracket, apply, x: dict, nx: dict, y: dict, ny: dict) -> dict:
+def _star(table: dict, cols, x: dict, nx: dict, y: dict, ny: dict) -> dict:
     """The star bracket [x, y]_N = [Nx, y] + [x, Ny] - N[x, y] on sparse x and y,
-    given Nx and Ny."""
-    return _combine(((1, bracket(x, ny)), (1, bracket(nx, y)), (-1, apply(bracket(x, y)))))
+    given Nx and Ny; `table` is the bracket and `cols` are the columns of N."""
+    return _combine(
+        ((1, _bracket(table, x, ny)), (1, _bracket(table, nx, y)), (-1, _apply(cols, _bracket(table, x, y))))
+    )
 
 
-def _defect_value(kind: OperatorKind, bracket, apply, x: dict, nx: dict, y: dict, ny: dict) -> dict:
+def _defect_value(kind: OperatorKind, table: dict, cols, x: dict, nx: dict, y: dict, ny: dict) -> dict:
     """The identity's left-minus-right side on sparse x and y, given Nx and Ny;
-    `bracket` and `apply` (of N) act on sparse vectors."""
-    lhs = bracket(nx, ny)
+    `table` is the bracket and `cols` are the columns of N."""
+    lhs = _bracket(table, nx, ny)
     if kind.tag == "nijenhuis":
-        return _combine(((1, lhs), (-1, apply(_star(bracket, apply, x, nx, y, ny)))))
-    inner_rb = _combine(((1, bracket(x, ny)), (1, bracket(nx, y))))
+        return _combine(((1, lhs), (-1, _apply(cols, _star(table, cols, x, nx, y, ny)))))
+    inner_rb = _combine(((1, _bracket(table, x, ny)), (1, _bracket(table, nx, y))))
     if kind.tag == "rota_baxter":
-        return _combine(((1, lhs), (-1, apply(inner_rb))))
+        return _combine(((1, lhs), (-1, _apply(cols, inner_rb))))
     if kind.tag == "rota_baxter_weighted":
-        extra = apply(bracket(x, y)) if kind.convention == "as_printed" else bracket(x, y)
+        bare = _bracket(table, x, y)
+        extra = _apply(cols, bare) if kind.convention == "as_printed" else bare
         inner = _combine(((1, inner_rb), (kind.weight, extra)))
-        return _combine(((1, lhs), (-1, apply(inner))))
+        return _combine(((1, lhs), (-1, _apply(cols, inner))))
     if kind.tag == "modified_rota_baxter":
-        return _combine(((1, lhs), (-1, apply(inner_rb)), (-kind.weight, bracket(x, y))))
+        return _combine(((1, lhs), (-1, _apply(cols, inner_rb)), (-kind.weight, _bracket(table, x, y))))
     raise ValueError(f"unknown operator kind {kind.tag!r}")
 
 
@@ -99,29 +107,17 @@ def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> Bilin
     """Left-minus-right side of the chosen identity on every basis pair.
 
     Bilinearity extends a vanishing defect tensor to all inputs.  The identity
-    is evaluated over the nonzero structure constants, {(a, b): [e_a, e_b]},
-    and the nonzero columns N e_i of `n`.
+    is evaluated over the bracket table of `alg` and the nonzero columns N e_i
+    of `n`.
     """
     if n.rows != alg.dim or n.cols != alg.dim:
         raise ShapeError("operator dimension does not match the algebra")
-    d = alg.dim
-    table, cols = _table(alg.structure), n.transpose().nz
-
-    # _bracket and _apply inlined: grid-search confirmations run here, and partial() was slower
-    def bracket(u: dict, v: dict) -> dict:
-        return _combine((s * t, table[a, b]) for a, s in u.items() for b, t in v.items() if (a, b) in table)
-
-    def apply(v: dict) -> dict:
-        return _combine((s, cols[a]) for a, s in v.items())
-
+    d, table, cols = alg.dim, alg.table, n.transpose().nz
     units = [{i: _ONE} for i in range(d)]
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            row.append(_dense(_defect_value(kind, bracket, apply, units[i], cols[i], units[j], cols[j]), d))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(_dense(_defect_value(kind, table, cols, units[i], cols[i], units[j], cols[j]), d) for j in range(d))
+        for i in range(d)
+    )
 
 
 def check_operator(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> Optional[Counterexample]:
@@ -172,8 +168,12 @@ def induced_bracket(alg: LeibnizAlgebra, n: Matrix) -> LeibnizAlgebra:
     bad = check_operator(alg, n, nijenhuis())
     if bad is not None:
         raise PreconditionError(f"not a Nijenhuis operator: {bad.describe()}")
-    bracket, apply = partial(_bracket, _table(alg.structure)), partial(_apply, n.transpose().nz)
-    star = _on_basis(alg.dim, 2, lambda x, y: _star(bracket, apply, x, apply(x), y, apply(y)))
+    table, cols = alg.table, n.transpose().nz
+    star = {
+        (i, j): v
+        for i, j in product(range(alg.dim), repeat=2)
+        if (v := _star(table, cols, {i: _ONE}, cols[i], {j: _ONE}, cols[j]))
+    }
     return LeibnizAlgebra(alg.dim, alg.basis, star)
 
 
@@ -204,34 +204,53 @@ def iter_grid_matrices(dim: int, lo: int, hi: int, denominator: int = 1) -> Iter
         yield Matrix([entries[r * dim : (r + 1) * dim] for r in range(dim)])
 
 
+class _Poly(dict):
+    """A polynomial in the entries of N: {monomial: coefficient}, a monomial
+    the sorted tuple of its variables, no zero coefficient stored.  It adds
+    polynomials and rationals to itself and multiplies with both on either
+    side, so the bracket kernel runs on it unchanged.  The kernel never adds
+    a polynomial to a rational from the left: in every sum of `_defect_value`
+    the rational [x, y] comes after the terms in N."""
+
+    def _plus(self, terms) -> "_Poly":
+        out = _Poly(self)
+        for mono, c in terms:
+            v = out.get(mono, 0) + c
+            if v:
+                out[mono] = v
+            else:
+                out.pop(mono, None)
+        return out
+
+    def __add__(self, other) -> "_Poly":
+        return self._plus(other.items() if isinstance(other, _Poly) else [((), other)])
+
+    def __mul__(self, other) -> "_Poly":
+        factors = other.items() if isinstance(other, _Poly) else [((), other)]
+        return _Poly()._plus(
+            (tuple(sorted(m1 + m2)), c1 * c2) for m1, c1 in self.items() for m2, c2 in factors
+        )
+
+    __rmul__ = __mul__
+
+
 def defect_polynomial(alg: LeibnizAlgebra, kind: OperatorKind) -> tuple[dict, ...]:
     """Each component of the defect tensor as a polynomial in the entries of N.
 
     Component (i*d + j)*d + l is coordinate l of the defect on (e_i, e_j), and
     variable a = r*d + c is the entry N[r][c].  A polynomial is a
     {monomial: coefficient} dict over the monomials (), (a,) and (a, b) with
-    a < b or a = b; zero coefficients are left out.  Every identity has degree
-    at most 2 in N, so the coefficients are read off `operator_defect` itself
-    at N = 0, E_a, 2E_a and E_a + E_b: 1 + 2k + k(k-1)/2 calls for k = d*d.
+    a < b or a = b; zero coefficients are left out.  The identity is evaluated
+    once per basis pair, by the kernel of `operator_defect`, with the columns
+    of N held as polynomials of degree 1.
     """
     d = alg.dim
-
-    def at(entries: dict) -> list[Fraction]:
-        n = Matrix([[entries.get(r * d + c, 0) for c in range(d)] for r in range(d)])
-        return [v for row in operator_defect(alg, n, kind) for vec in row for v in vec]
-
-    const = at({})
-    polys = [{(): c} for c in const]
-    ones = [at({a: 1}) for a in range(d * d)]
-    for a, one in enumerate(ones):
-        for poly, c, f1, f2 in zip(polys, const, one, at({a: 2})):
-            q = (f2 - 2 * f1 + c) / 2
-            poly[(a,)] = f1 - c - q
-            poly[(a, a)] = q
-    for a, b in combinations(range(d * d), 2):
-        for poly, c, fa, fb, fab in zip(polys, const, ones[a], ones[b], at({a: 1, b: 1})):
-            poly[(a, b)] = fab - fa - fb + c
-    return tuple({mono: v for mono, v in poly.items() if v} for poly in polys)
+    cols = [{r: _Poly({(r * d + c,): _ONE}) for r in range(d)} for c in range(d)]
+    out = []
+    for i, j in product(range(d), repeat=2):
+        value = _defect_value(kind, alg.table, cols, {i: _ONE}, cols[i], {j: _ONE}, cols[j])
+        out.extend(dict(value.get(l, {})) for l in range(d))
+    return tuple(out)
 
 
 def _compile_grid_tests(polys, k: int, denominator: int) -> list[list[tuple]]:

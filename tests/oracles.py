@@ -1,9 +1,12 @@
-"""Slow reference implementations shared by the test modules.
+"""Slow reference implementations and small helpers shared by the test
+modules.
 
-The library evaluates every bracket on sparse structure-constant tables, and
-`LeibnizAlgebra.bracket` delegates to that kernel too, so the oracles below
-evaluate bilinear maps with their own dense loop instead.  `slow_eliminate`
-is the elimination kernel without its column index.
+The library stores every bracket as its sparse table of structure constants
+and evaluates it there, and `LeibnizAlgebra.bracket` delegates to that kernel
+too, so the oracles below work on dense tensors with their own loops instead:
+`bilinear_eval`, `evaluate_cochain`, and the dense constructions `slow_direct_sum`
+and `slow_extension_structure`.  `slow_eliminate` is the elimination kernel
+without its column index.
 """
 
 from fractions import Fraction
@@ -11,7 +14,17 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from nijleib.algebra import LeibnizAlgebra
-from nijleib.linalg import frac, zero_vector
+from nijleib.linalg import Matrix, frac, unit_vector, zero_vector
+
+
+def unit(alg, i):
+    """The basis vector e_i of `alg` as a dense coordinate tuple."""
+    return unit_vector(alg.dim, i)
+
+
+def diag(entries):
+    """The diagonal matrix with these entries."""
+    return Matrix.sparse([{i: e} for i, e in enumerate(entries)], len(entries))
 
 
 def bilinear_eval(tensor, x, y):
@@ -31,6 +44,65 @@ def bilinear_eval(tensor, x, y):
                 if c:
                     acc[k] += coeff * c
     return tuple(acc)
+
+
+def evaluate_cochain(f, *vectors):
+    """A cochain on dense vectors: the sum over basis tuples t of
+    f(e_t) times the product of the coordinates vectors[slot][t[slot]]."""
+    assert len(vectors) == f.degree
+    acc = list(zero_vector(f.module_dim))
+    for t, v in f.values.items():
+        coeff = Fraction(1)
+        for slot, idx in enumerate(t):
+            coeff *= vectors[slot][idx]
+            if not coeff:
+                break
+        if not coeff:
+            continue
+        for k, c in enumerate(v):
+            if c:
+                acc[k] += coeff * c
+    return tuple(acc)
+
+
+def slow_direct_sum(a, b):
+    """The dense structure tensor of the direct sum, block by block."""
+    dim = a.dim + b.dim
+    structure = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            if i < a.dim and j < a.dim:
+                v = a.structure[i][j] + zero_vector(b.dim)
+            elif i >= a.dim and j >= a.dim:
+                v = zero_vector(a.dim) + b.structure[i - a.dim][j - a.dim]
+            else:
+                v = zero_vector(dim)
+            row.append(v)
+        structure.append(tuple(row))
+    return tuple(structure)
+
+
+def slow_extension_structure(alg, rep, psi):
+    """The dense structure tensor of the total algebra on g (+) V:
+    [(x,u),(y,v)] = ([x,y], psi(x,y) + l(x,v) + r(u,y)), block by block."""
+    n, m = alg.dim, rep.module_dim
+    psi = psi.as_tensor()
+    structure = []
+    for i in range(n + m):
+        row = []
+        for j in range(n + m):
+            if i < n and j < n:
+                v = alg.structure[i][j] + psi[i][j]
+            elif i < n <= j:
+                v = zero_vector(n) + rep.left[i].column(j - n)
+            elif j < n <= i:
+                v = zero_vector(n) + rep.right[j].column(i - n)
+            else:
+                v = zero_vector(n + m)
+            row.append(v)
+        structure.append(tuple(row))
+    return tuple(structure)
 
 
 @st.composite

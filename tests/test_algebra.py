@@ -20,9 +20,10 @@ from nijleib.algebra import (
     direct_sum,
     trivial_representation,
 )
-from nijleib.errors import CatalogError, PreconditionError
+from nijleib.errors import CatalogError, PreconditionError, ShapeError
 from nijleib.linalg import Matrix, block_diag, frac, unit_vector, vec_add, vec_sub
-from oracles import any_brackets, bilinear_eval
+from nijleib.operators import induced_bracket
+from oracles import any_brackets, bilinear_eval, slow_direct_sum, unit
 
 
 def test_loday2_bracket_table(loday2):
@@ -72,7 +73,7 @@ def slow_check_leibniz(alg):
         return bilinear_eval(alg.structure, x, y)
 
     for i, j, k in product(range(alg.dim), repeat=3):
-        ei, ej, ek = alg.unit(i), alg.unit(j), alg.unit(k)
+        ei, ej, ek = unit(alg, i), unit(alg, j), unit(alg, k)
         residual = vec_sub(mu(ei, mu(ej, ek)), vec_add(mu(mu(ei, ej), ek), mu(ej, mu(ei, ek))))
         if any(residual):
             return Counterexample("leibniz", (i, j, k), residual)
@@ -198,6 +199,72 @@ def test_direct_sum_blocks(loday2):
     assert d.bracket_basis(2, 2) == (0, 0, 0)
     assert d.bracket_basis(1, 2) == (0, 0, 0)
     assert check_leibniz(d) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_brackets(), any_brackets())
+def test_direct_sum_matches_dense_oracle(a, b):
+    """The shifted table union is the dense block-diagonal tensor, and equals
+    (with the same hash) the algebra read off that tensor."""
+    total = direct_sum(a, b)
+    expected = slow_direct_sum(a, b)
+    assert total.structure == expected
+    oracle = LeibnizAlgebra.from_structure(expected, total.basis)
+    assert total == oracle and hash(total) == hash(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_brackets())
+def test_table_is_the_stored_form(alg):
+    """The dense view reads back to the same algebra, and equality and the
+    hash follow the table: one changed constant makes another algebra."""
+    again = LeibnizAlgebra.from_structure(alg.structure, alg.basis)
+    assert again == alg and hash(again) == hash(alg)
+    assert alg.table == {
+        (a, b): {k: c for k, c in enumerate(vec) if c}
+        for a, row in enumerate(alg.structure)
+        for b, vec in enumerate(row)
+        if any(vec)
+    }
+    if alg.dim:
+        structure = [[list(v) for v in row] for row in alg.structure]
+        structure[0][0][0] += 1
+        assert LeibnizAlgebra.from_structure(structure, alg.basis) != alg
+
+
+def test_star_algebra_compares_unequal():
+    # [x,y]* = (3/2)[x,y] for N = (3/2) Id: same basis, another bracket
+    name, alg, op = catalog_nijenhuis_pairs()[2]
+    assert name == "loday2/scalar"
+    star = induced_bracket(alg, op)
+    assert star.basis == alg.basis and star != alg
+    assert star.table == {key: {k: c * Fraction(3, 2) for k, c in vec.items()} for key, vec in alg.table.items()}
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {(2, 0): {0: frac(1)}},
+        {(0, -1): {0: frac(1)}},
+        {(0,): {0: frac(1)}},
+        {(0, 1): {2: frac(1)}},
+        {(0, 1): {0: frac(0)}},
+        {(0, 1): {0: frac(1), 1: frac(0)}},
+        {(0, 1): {}},
+    ],
+    ids=["key-row", "key-negative", "key-not-a-pair", "coordinate", "zero", "zero-beside-nonzero", "empty"],
+)
+def test_constructor_rejects_keys_off_the_basis_and_stored_zeros(table):
+    with pytest.raises(ShapeError):
+        LeibnizAlgebra(2, ("e1", "e2"), table)
+
+
+@pytest.mark.parametrize(
+    "structure", [[[[0, 0], [0]], [[0, 0], [0, 0]]], [[[0, 0]], [[0, 0], [0, 0]]], [[[0]], [[0]]]]
+)
+def test_from_structure_rejects_ragged_tensors(structure):
+    with pytest.raises(ShapeError):
+        LeibnizAlgebra.from_structure(structure)
 
 
 def test_catalog_nijenhuis_pairs_verified():

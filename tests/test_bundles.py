@@ -84,6 +84,7 @@ def test_zero_dim_algebra_representation_round_trip():
         (lambda d: d["algebra"]["brackets"]["e2,e1"].update({"e1": "2/4"}), "non-canonical"),
         (lambda d: d.update({"operator": [["1", "0"]]}), "shape"),
         (lambda d: d["algebra"].update({"basis": ["e1", "e1"]}), "distinct"),
+        (lambda d: d["algebra"].update({"basis": ["x,1", "e2"]}), "algebra.basis[0]: label 'x,1'"),
     ],
 )
 def test_strict_parsing_rejections(fixtures_dir, mutate, message_part):

@@ -68,6 +68,10 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
     )
     labels_not_strings = tmp_path / "labels.json"
     labels_not_strings.write_text('{"algebra": {"dimension": 2, "basis": [["a"], ["b"]]}}')
+    # no bracket key "x,y" could name a label with a comma; without brackets
+    # this file was once accepted as an abelian algebra
+    comma_label = tmp_path / "comma.json"
+    comma_label.write_text('{"algebra": {"dimension": 2, "basis": ["x,1", "y"]}}')
     # JSON booleans are not integers, although Python's bool is an int
     dimension_true = tmp_path / "dimtrue.json"
     dimension_true.write_text('{"algebra": {"dimension": true, "basis": ["a"]}}')
@@ -99,6 +103,7 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
         (),
         ("verify", str(actions_not_lists)),
         ("verify", str(labels_not_strings)),
+        ("verify", str(comma_label)),
         ("verify", str(dimension_true)),
         ("deform", "check", bundle, str(order_true)),
         # the degree cap and the grid guard are fixed: no option raises them
@@ -128,6 +133,7 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
         assert code == EXIT_INVALID, argv
         assert out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    assert "algebra.basis[0]" in run(capsys, "verify", str(comma_label))[2]
     # -h/--help prints no report either: usage on stderr, then one error: line
     for argv in [("-h",), ("--help",), ("deform", "-h"), ("deform", "check", "-h"), ("cohomology", bundle, "--help")]:
         code, out, err = run(capsys, *argv)

@@ -55,7 +55,7 @@ from nijleib.linalg import (
     zero_vector,
 )
 from nijleib.operators import induced_bracket, induced_representation
-from oracles import any_brackets
+from oracles import any_brackets, evaluate_cochain, unit
 
 
 def slow_delta(alg, rep, f):
@@ -74,10 +74,10 @@ def slow_delta(alg, rep, f):
             acc = vec_add(acc, vec_scale(frac((-1) ** (n + 1)), term))
         for i in range(1, n + 2):
             for j in range(i + 1, n + 2):
-                args = [alg.unit(k) for k in t]
+                args = [unit(alg, k) for k in t]
                 args[j - 1] = alg.bracket_basis(t[i - 1], t[j - 1])
                 del args[i - 1]
-                acc = vec_add(acc, vec_scale(frac((-1) ** i), f(*args)))
+                acc = vec_add(acc, vec_scale(frac((-1) ** i), evaluate_cochain(f, *args)))
         table[t] = acc
     return Cochain.from_table(n + 1, alg.dim, m, table)
 
@@ -94,14 +94,14 @@ def slow_partial(alg, n_op, rep, f):
         for i in range(1, n + 1):
             rest = t[: i - 1] + t[i:]
             fv = f.value(rest)
-            x = alg.unit(t[i - 1])
+            x = unit(alg, t[i - 1])
             nx = n_op.apply(x)
             term = _act_left(rep, nx, fv)
             term = vec_add(term, vec_scale(frac(-1), nv.apply(_act_left(rep, x, fv))))
             term = vec_add(term, _act_left(rep, x, nv.apply(fv)))
             acc = vec_add(acc, vec_scale(frac((-1) ** (i + 1)), term))
         fv = f.value(t[:n])
-        x = alg.unit(t[n])
+        x = unit(alg, t[n])
         nx = n_op.apply(x)
         term = _act_right(rep, fv, nx)
         term = vec_add(term, vec_scale(frac(-1), nv.apply(_act_right(rep, fv, x))))
@@ -109,8 +109,8 @@ def slow_partial(alg, n_op, rep, f):
         acc = vec_add(acc, vec_scale(frac((-1) ** (n + 1)), term))
         for i in range(1, n + 2):
             for j in range(i + 1, n + 2):
-                xi = alg.unit(t[i - 1])
-                xj = alg.unit(t[j - 1])
+                xi = unit(alg, t[i - 1])
+                xj = unit(alg, t[j - 1])
                 star = vec_add(
                     alg.bracket(n_op.apply(xi), xj),
                     vec_add(
@@ -118,10 +118,10 @@ def slow_partial(alg, n_op, rep, f):
                         vec_scale(frac(-1), n_op.apply(alg.bracket(xi, xj))),
                     ),
                 )
-                args = [alg.unit(k) for k in t]
+                args = [unit(alg, k) for k in t]
                 args[j - 1] = star
                 del args[i - 1]
-                acc = vec_add(acc, vec_scale(frac((-1) ** i), f(*args)))
+                acc = vec_add(acc, vec_scale(frac((-1) ** i), evaluate_cochain(f, *args)))
         table[t] = acc
     return Cochain.from_table(n + 1, alg.dim, m, table)
 
@@ -192,10 +192,10 @@ def random_cochain(rng, degree, alg_dim, module_dim, lo=-3, hi=3):
 
 
 def test_delta0_formula(loday2, loday2_adjoint):
-    v = Cochain.from_vector((frac(1), frac(2)), 2)
+    v = Cochain(0, 2, 2, (frac(1), frac(2)))
     dv = delta(loday2, loday2_adjoint, v)
     for j in range(2):
-        expected = vec_scale(frac(-1), _act_right(loday2_adjoint, (frac(1), frac(2)), loday2.unit(j)))
+        expected = vec_scale(frac(-1), _act_right(loday2_adjoint, (frac(1), frac(2)), unit(loday2, j)))
         assert dv.value((j,)) == expected
 
 
@@ -539,11 +539,12 @@ def test_cochain_flat_layout():
 
 
 def test_cochain_multilinear_call(loday2):
+    # the evaluator the slow coboundary oracles above rest on
     f = Cochain.from_table(
         1, 2, 2, {(0,): (frac(1), frac(0)), (1,): (frac(0), frac(1))}
     )
     x = (frac(2), frac(3))
-    assert f(x) == (frac(2), frac(3))
+    assert evaluate_cochain(f, x) == (frac(2), frac(3))
 
 
 def test_identity_cochain_values():

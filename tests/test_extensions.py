@@ -4,12 +4,18 @@ block is an isomorphism of extensions."""
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nijleib import extensions
 from nijleib.algebra import (
     LeibnizAlgebra,
+    Representation,
     adjoint_representation,
     catalog_nijenhuis_pairs,
     check_leibniz,
@@ -27,7 +33,7 @@ from nijleib.extensions import (
 )
 from nijleib.linalg import Matrix, block_matrix, frac, is_zero_vector, zero_vector
 from nijleib.operators import is_nijenhuis
-from oracles import bilinear_eval
+from oracles import any_brackets, bilinear_eval, slow_extension_structure, unit
 
 
 def kernel_pairs(alg, op, rep, rng, count):
@@ -82,7 +88,7 @@ def slow_section_to_cocycle(ext, s=None):
             raise PreconditionError(f"{name} does not land in the fiber")
         return w[n:]
 
-    units = [lift(ext.base_alg.unit(i)) for i in range(n)]
+    units = [lift(unit(ext.base_alg, i)) for i in range(n)]
     psi = {}
     for i, j in product(range(n), repeat=2):
         z = bilinear_eval(ext.total.structure, units[i], units[j])
@@ -147,6 +153,36 @@ def test_non_cocycle_yields_certificates(loday2, classified_op, loday2_adjoint):
     ext = build_extension(loday2, classified_op, loday2_adjoint, pair)
     assert not ext.ok
     assert any(c.identity in ("leibniz", "nijenhuis") for c in ext.certificates)
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_brackets().filter(lambda alg: alg.dim), st.integers(1, 2), st.data())
+def test_total_table_matches_dense_oracle(alg, m, data):
+    """The table union of base bracket, psi and action columns is the dense
+    block tensor, for random psi and random actions.  The actions need not
+    form a representation, so its check is switched off: the assembly does
+    not depend on it, and a failure then shows as a certificate.  (A 0-dim
+    base is left out: the operator's block matrix rejects it.)"""
+    n = alg.dim
+    entry = st.sampled_from((0, 0, 0, 1, -1, Fraction(1, 2)))
+
+    def entries(count):
+        return [data.draw(entry) for _ in range(count)]
+
+    def matrix(rows, cols):
+        return Matrix([entries(cols) for _ in range(rows)])
+
+    rep = Representation(
+        tuple(matrix(m, m) for _ in range(n)), tuple(matrix(m, m) for _ in range(n)), matrix(m, m), module_dim=m
+    )
+    psi = Cochain.from_table(2, n, m, {t: entries(m) for t in product(range(n), repeat=2)})
+    chi = Cochain.from_table(1, n, m, {(j,): entries(m) for j in range(n)})
+    with mock.patch.object(extensions, "check_representation", return_value=None):
+        ext = build_extension(alg, matrix(n, n), rep, CocyclePair(psi, chi))
+    expected = slow_extension_structure(alg, rep, psi)
+    assert ext.total.structure == expected
+    oracle = LeibnizAlgebra.from_structure(expected, ext.total.basis)
+    assert ext.total == oracle and hash(ext.total) == hash(oracle)
 
 
 def test_total_structure_shape(loday2, classified_op, loday2_adjoint):

@@ -24,6 +24,7 @@ from nijleib.algebra import (
     check_representation,
     adjoint_representation,
 )
+from nijleib import operators
 from nijleib.errors import PreconditionError, ResourceLimitError
 from nijleib.linalg import Matrix, frac, vec_add, vec_sub
 from nijleib.operators import (
@@ -43,7 +44,7 @@ from nijleib.operators import (
     rota_baxter_weighted,
     search_operators_grid,
 )
-from oracles import any_brackets, bilinear_eval
+from oracles import any_brackets, bilinear_eval, diag, unit
 
 
 def classification_filter(op: Matrix) -> bool:
@@ -83,7 +84,7 @@ def slow_operator_defect(alg, n, kind):
     """Oracle of `operator_defect`: each identity evaluated on dense vectors
     with the dense `bilinear_eval` and `Matrix.apply`."""
     return tuple(
-        tuple(_slow_defect_value(alg, n, kind, alg.unit(i), alg.unit(j)) for j in range(alg.dim))
+        tuple(_slow_defect_value(alg, n, kind, unit(alg, i), unit(alg, j)) for j in range(alg.dim))
         for i in range(alg.dim)
     )
 
@@ -140,9 +141,13 @@ def sparse_brackets(draw):
 @given(sparse_brackets(), KINDS, st.data())
 def test_defect_polynomial_reproduces_defect(alg, kind, data):
     """The premise of the compiled search: every defect component is a
-    polynomial of degree <= 2 in the entries, so interpolating it at
-    N = 0, E_a, 2E_a, E_a + E_b reproduces it at any rational N."""
+    polynomial of degree <= 2 in the entries, in the documented form (sorted
+    monomials, no zero coefficient), and it reproduces the dense oracle's
+    defect at any rational N."""
     polys = defect_polynomial(alg, kind)
+    for poly in polys:
+        assert all(len(mono) <= 2 and list(mono) == sorted(mono) for mono in poly), poly
+        assert all(type(c) is Fraction and c for c in poly.values()), poly
     entry = st.fractions(-5, 5, max_denominator=7)
     n = Matrix([[data.draw(entry) for _ in range(alg.dim)] for _ in range(alg.dim)])
     values = [n.entry(a // alg.dim, a % alg.dim) for a in range(alg.dim**2)]
@@ -190,6 +195,23 @@ def test_all_accepted_grid(kind):
     assert search_operators_grid(catalog_get("abelian3"), kind, 0, 1) == grid
 
 
+@pytest.mark.parametrize("kind", [nijenhuis(), rota_baxter(), rota_baxter_weighted(2)], ids=OperatorKind.describe)
+def test_grid_compile_evaluates_no_defect_tensor(monkeypatch, kind):
+    """The compile evaluates each identity once per basis pair on polynomial
+    columns, not on sample operators: a one-candidate grid on the 7-dim sum
+    calls `operator_defect` exactly once, to confirm its one leaf."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return operator_defect(*args)
+
+    monkeypatch.setattr(operators, "operator_defect", counted)
+    alg = catalog_get("dsum(loday2,dsum(loday2,dsum(square2,abelian1)))")
+    assert search_operators_grid(alg, kind, 0, 0) == [Matrix.zero(7, 7)]
+    assert len(calls) == 1
+
+
 def test_grid_iteration_count():
     assert sum(1 for _ in iter_grid_matrices(2, -2, 2)) == 5 ** 4
 
@@ -216,7 +238,7 @@ def test_nijenhuis_defect_nonzero(loday2):
 
 def test_scalar_operators_always_nijenhuis(loday2):
     for lam in (frac(0), frac(3), Fraction(-5, 7)):
-        assert is_nijenhuis(loday2, Matrix.diag([lam, lam]))
+        assert is_nijenhuis(loday2, diag([lam, lam]))
 
 
 def _random_matrix(rng, dim, lo=-3, hi=3):
@@ -330,7 +352,7 @@ def test_induced_bracket_properties():
         assert is_nijenhuis(star, op), name
         for i, j in product(range(alg.dim), repeat=2):
             # the dense star formula [Ne_i, e_j] + [e_i, Ne_j] - N[e_i, e_j]
-            ei, ej, ni, nj = alg.unit(i), alg.unit(j), op.column(i), op.column(j)
+            ei, ej, ni, nj = unit(alg, i), unit(alg, j), op.column(i), op.column(j)
             rb = vec_add(bilinear_eval(alg.structure, ni, ej), bilinear_eval(alg.structure, ei, nj))
             assert star.bracket_basis(i, j) == vec_sub(rb, op.apply(alg.structure[i][j])), (name, i, j)
             # N is a morphism from the star bracket to the original bracket
