@@ -6,8 +6,9 @@ tensor view c[a][b][k] of the same numbers.  All verdict-style checks return
 None on success or a `Counterexample` carrying the lexicographically first
 failing index tuple and the exact residual, so goldens are deterministic.
 
-Every bracket is evaluated by one sparse kernel on such tables: vectors are
-{coordinate: Fraction} dicts and `_combine` sums scaled vectors.
+Every bracket is evaluated on such tables by `_bracket` over {coordinate:
+Fraction} dicts, as a `linalg.combine`; a linear map applies to such a vector
+as `linalg.row_times` over its columns.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .linalg import (
     Matrix,
     Vector,
     block_diag,
+    combine,
     frac,
     is_zero_vector,
     zero_vector,
@@ -45,17 +47,6 @@ def zero_bilinear_tensor(dim: int) -> BilinearTensor:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _combine(terms) -> dict:
-    """c1*v1 + c2*v2 + ... for (c, v) terms over sparse vectors, each a
-    {coordinate: Fraction} dict; zero coordinates are dropped."""
-    out: dict = {}
-    for c, v in terms:
-        for k, a in v.items():
-            ca = a if c == 1 else c * a  # a Fraction product by 1 costs as much as any other
-            out[k] = out[k] + ca if k in out else ca
-    return {k: a for k, a in out.items() if a}
-
-
 def _sparse(v: Vector) -> dict:
     return {k: c for k, c in enumerate(v) if c}
 
@@ -71,7 +62,7 @@ def _table(tensor: BilinearTensor) -> dict:
 
 def _bracket(table: dict, u: dict, v: dict) -> dict:
     """The bilinear map with nonzero values `table` on sparse u and v."""
-    return _combine((s * t, table[a, b]) for a, s in u.items() for b, t in v.items() if (a, b) in table)
+    return combine((s * t, table[a, b]) for a, s in u.items() for b, t in v.items() if (a, b) in table)
 
 
 def _leibniz(pairs, x: dict, y: dict, z: dict) -> dict:
@@ -79,7 +70,7 @@ def _leibniz(pairs, x: dict, y: dict, z: dict) -> dict:
 
     With the one pair (mu, mu) this is the Leibniz identity; with the pairs
     (mu_i, mu_j), i + j = n, it is the order-n deformation equation."""
-    return _combine(
+    return combine(
         term
         for a, b in pairs
         for term in (
@@ -88,11 +79,6 @@ def _leibniz(pairs, x: dict, y: dict, z: dict) -> dict:
             (-1, _bracket(a, y, _bracket(b, x, z))),
         )
     )
-
-
-def _apply(cols, v: dict) -> dict:
-    """Sparse v under the matrix whose columns are `cols`, its transpose's `nz`."""
-    return _combine((s, cols[a]) for a, s in v.items())
 
 
 def _on_basis(dim: int, arity: int, f, *head: dict) -> tuple:
@@ -179,11 +165,11 @@ class LeibnizAlgebra:
 
     def left_multiplier(self, i: int) -> Matrix:
         """L_i with column j = [e_i, e_j]."""
-        return Matrix.from_columns([self.structure[i][j] for j in range(self.dim)])
+        return Matrix.sparse([self.table.get((i, j), {}) for j in range(self.dim)], self.dim).transpose()
 
     def right_multiplier(self, i: int) -> Matrix:
         """R_i with column j = [e_j, e_i]."""
-        return Matrix.from_columns([self.structure[j][i] for j in range(self.dim)])
+        return Matrix.sparse([self.table.get((j, i), {}) for j in range(self.dim)], self.dim).transpose()
 
 
 def check_leibniz(alg: LeibnizAlgebra) -> Optional[Counterexample]:
@@ -232,12 +218,11 @@ class Representation:
         return self._act(self.right, x)
 
     def _act(self, mats: tuple[Matrix, ...], x: Vector) -> Matrix:
-        """The combination sum_i x_i mats[i] of action matrices."""
-        acc = Matrix.zero(self.module_dim, self.module_dim)
-        for xi, mat in zip(x, mats):
-            if xi:
-                acc = acc + mat.scale(xi)
-        return acc
+        """The combination sum_i x_i mats[i] of action matrices, row by row."""
+        if len(x) != self.algebra_dim:
+            raise ShapeError(f"expected a vector of length {self.algebra_dim}, got {len(x)}")
+        m = self.module_dim
+        return Matrix.sparse([combine((xi, mat.nz[r]) for xi, mat in zip(x, mats)) for r in range(m)], m)
 
     def with_module_operator(self, op: Optional[Matrix]) -> "Representation":
         return Representation(self.left, self.right, op, module_dim=self.module_dim)

@@ -271,7 +271,8 @@ def parse_extension(text: str, dim: int) -> ExtensionFile:
     fiber_op = matrix_from_json(_require(doc, "fiber_operator", "extension"), "extension.fiber_operator", (m, m))
     psi_tensor = tensor_from_json(_require(doc, "psi", "extension"), "extension.psi", dim, m)
     chi = matrix_from_json(_require(doc, "chi", "extension"), "extension.chi", (m, dim))
-    pair = CocyclePair(Cochain.from_bilinear_tensor(psi_tensor), Cochain.from_matrix(chi))
+    psi = Cochain(2, dim, m, tuple(c for row in psi_tensor for v in row for c in v))
+    pair = CocyclePair(psi, Cochain.from_matrix(chi))
     return ExtensionFile(m, fiber_op, pair)
 
 

@@ -98,6 +98,8 @@ class Cochain:
         tuples = all_tuples(alg_dim, degree)
         if not set(table) <= set(tuples):
             raise ShapeError("cochain table has a key that is not a basis tuple")
+        if any(len(v) != module_dim for v in table.values()):
+            raise ShapeError(f"cochain table has a value whose length is not {module_dim}")
         z = zero_vector(module_dim)
         vec = tuple(Fraction(c) for t in tuples for c in table.get(t, z))
         return cls(degree, alg_dim, module_dim, vec)
@@ -146,7 +148,8 @@ class Cochain:
     def as_matrix(self) -> Matrix:
         if self.degree != 1:
             raise ShapeError("only degree-1 cochains are matrices")
-        return Matrix.from_columns([self.value((j,)) for j in range(self.alg_dim)])
+        n, m, vec = self.alg_dim, self.module_dim, self.vec
+        return Matrix.sparse([{j: vec[j * m + i] for j in range(n)} for i in range(m)], n)
 
     def as_tensor(self) -> tuple:
         """A degree-2 cochain as the nested tuple tensor[i][j] = value((i, j))."""

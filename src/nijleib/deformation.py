@@ -19,10 +19,10 @@ from functools import partial
 from typing import Optional
 
 from .algebra import BilinearTensor, LeibnizAlgebra, bilinear_tensor_is_zero, zero_bilinear_tensor
-from .algebra import _apply, _bracket, _combine, _leibniz, _on_basis, _table
+from .algebra import _bracket, _leibniz, _on_basis, _table
 from .cochain import Cochain, NLACochain
 from .errors import PreconditionError, ShapeError
-from .linalg import Matrix, vec_sub
+from .linalg import Matrix, combine, row_times, vec_sub
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,14 @@ def deformation_residual(
     def nijenhuis_(u, v):
         # sum over i + j + k = n of mu_i(N_j u, N_k v) + N_i N_j mu_k(u, v)
         #   - N_i (mu_j(N_k u, v) + mu_j(u, N_k v))
-        return _combine(
+        return combine(
             term
             for (mi, ni), (mj, nj), (mk, nk) in triples
             for term in (
-                (1, _bracket(mi, _apply(nj, u), _apply(nk, v))),
-                (1, _apply(ni, _apply(nj, _bracket(mk, u, v)))),
-                (-1, _apply(ni, _bracket(mj, _apply(nk, u), v))),
-                (-1, _apply(ni, _bracket(mj, u, _apply(nk, v)))),
+                (1, _bracket(mi, row_times(u, nj), row_times(v, nk))),
+                (1, row_times(row_times(_bracket(mk, u, v), nj), ni)),
+                (-1, row_times(_bracket(mj, row_times(u, nk), v), ni)),
+                (-1, row_times(_bracket(mj, u, row_times(v, nk)), ni)),
             )
         )
 
@@ -181,7 +181,7 @@ def twist_by_isomorphism(d: TruncatedDeformation, iso: FormalIsomorphism) -> Tru
     mus = [_table(m) for m in d.mu_terms]
 
     def mu_term(terms, x, y):
-        return _combine((1, _apply(e, _bracket(m, _apply(p, x), _apply(q, y)))) for e, m, p, q in terms)
+        return combine((1, row_times(_bracket(m, row_times(x, p), row_times(y, q)), e)) for e, m, p, q in terms)
 
     orders = range(d.order + 1)
     mu_series = [list(_compositions(n, eta_cols, mus, psi_cols, psi_cols)) for n in orders]

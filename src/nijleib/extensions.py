@@ -25,10 +25,10 @@ from .algebra import (
     check_leibniz,
     check_representation,
 )
-from .algebra import _apply, _bracket, _combine, _dense, _sparse
+from .algebra import _bracket, _dense, _sparse
 from .cochain import Cochain, CoboundaryDifference, NLACochain, coboundary_difference
 from .errors import PreconditionError, ShapeError
-from .linalg import Matrix, Vector, block_matrix
+from .linalg import Matrix, Vector, block_matrix, combine, row_times
 from .operators import check_operator, nijenhuis
 
 
@@ -158,11 +158,11 @@ def section_to_cocycle(ext: ExtensionDatum, s: Optional[Section] = None) -> Cocy
     base, base_cols = ext.base_alg.table, ext.base_op.transpose().nz
 
     def lift(v: dict) -> dict:
-        return {**v, **{n + k: c for k, c in _apply(sigma_cols, v).items()}}
+        return {**v, **{n + k: c for k, c in row_times(v, sigma_cols).items()}}
 
     def fiber(name: str, z: dict, v: dict) -> Vector:
         """z - s v, which must vanish on the base, as a fiber vector."""
-        w = _combine(((1, z), (-1, lift(v))))
+        w = combine(((1, z), (-1, lift(v))))
         if any(k < n for k in w):
             raise PreconditionError(f"{name} does not land in the fiber")
         return _dense({k - n: c for k, c in w.items()}, m)
@@ -172,7 +172,7 @@ def section_to_cocycle(ext: ExtensionDatum, s: Optional[Section] = None) -> Cocy
         (i, j): fiber(f"psi({i},{j})", _bracket(total, units[i], units[j]), base.get((i, j), {}))
         for i, j in product(range(n), repeat=2)
     }
-    chi = {(j,): fiber(f"chi({j})", _apply(hat_cols, units[j]), base_cols[j]) for j in range(n)}
+    chi = {(j,): fiber(f"chi({j})", row_times(units[j], hat_cols), base_cols[j]) for j in range(n)}
     return CocyclePair(Cochain.from_table(2, n, m, psi), Cochain.from_table(1, n, m, chi))
 
 

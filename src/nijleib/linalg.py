@@ -7,6 +7,11 @@ column-action convention: entry [i][j] is the coefficient of basis vector i
 in the image of basis vector j.  `Matrix.data` is a dense view for printing
 and for the oracle.
 
+`combine` (c1 v1 + c2 v2 + ... over {index: value} dicts) is the one sparse
+sum of the package, and `row_times` is a sparse row times a matrix by it.
+Matrix sums and products, the bracket evaluator and the search polynomials
+all run on this pair.
+
 Rank, kernel and solve share one sparse Gauss-Jordan elimination that picks
 the sparsest row as pivot, the lowest row on a tie.  It keeps a column->rows
 index of every row, free or pivot, so each pivot search and update step costs
@@ -86,6 +91,37 @@ def is_zero_vector(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
 
+def combine(terms) -> dict:
+    """c1*v1 + c2*v2 + ... over (c, v) terms, each v an {index: value} dict
+    without zeros; the sum holds no zero and shares no dict with its inputs.
+    A zero coefficient is skipped, a unit first term copied, -1 negates (no
+    gcd) and a cancelled entry deleted.  Values need only +, unary - and *."""
+    out: dict = {}
+    for c, v in terms:
+        if not v or not c:
+            continue
+        if c != 1:
+            v = {k: -a for k, a in v.items()} if c == -1 else {k: c * a for k, a in v.items()}
+        elif not out:
+            v = dict(v)
+        if not out:  # the first term is the sum so far, as a dict of its own
+            out = v
+            continue
+        for k, a in v.items():
+            if k in out:
+                a = out[k] + a
+                if not a:
+                    del out[k]
+                    continue
+            out[k] = a
+    return out
+
+
+def row_times(v: dict, rows) -> dict:
+    """The sparse row vector v times the matrix whose rows are `rows`."""
+    return combine((a, rows[k]) for k, a in v.items())
+
+
 class Matrix:
     """Immutable matrix of Fractions that stores only its nonzero entries:
     `nz[i]` is a {column: value} dict of row i."""
@@ -124,11 +160,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls._of(tuple({i: Fraction(1)} for i in range(n)), n)
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Vector]) -> "Matrix":
-        rows = len(columns[0]) if columns else 0
-        return cls.sparse([{j: col[i] for j, col in enumerate(columns)} for i in range(rows)], len(columns))
-
     @property
     def data(self) -> tuple[Vector, ...]:
         """Read-only dense view, one tuple per row."""
@@ -161,18 +192,7 @@ class Matrix:
     def _add(self, other: "Matrix", sign: int, op: str) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"{self.rows}x{self.cols} {op} {other.rows}x{other.cols}")
-        out = []
-        for ra, rb in zip(self.nz, other.nz):
-            row = dict(ra)
-            for j, b in rb.items():
-                b = b if sign > 0 else -b  # a negation needs no gcd, a product by -1 does
-                v = row[j] + b if j in row else b
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-            out.append(row)
-        return Matrix._of(tuple(out), self.cols)
+        return Matrix._of(tuple(combine(((1, ra), (sign, rb))) for ra, rb in zip(self.nz, other.nz)), self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._add(other, 1, "+")
@@ -185,9 +205,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        if not c:
-            return Matrix.zero(self.rows, self.cols)
-        return Matrix._of(tuple({j: c * a for j, a in row.items()} for row in self.nz), self.cols)
+        return Matrix._of(tuple(combine(((c, row),)) for row in self.nz), self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
@@ -212,14 +230,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product over the nonzero entries of both factors."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    for arow in a.nz:
-        row: dict[int, Fraction] = {}
-        for k, aik in arow.items():
-            for j, bkj in b.nz[k].items():
-                row[j] = row.get(j, 0) + aik * bkj
-        out.append({j: v for j, v in row.items() if v})
-    return Matrix._of(tuple(out), b.cols)
+    return Matrix._of(tuple(row_times(arow, b.nz) for arow in a.nz), b.cols)
 
 
 def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:

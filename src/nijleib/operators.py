@@ -29,9 +29,9 @@ from .algebra import (
     check_representation,
     is_zero_vector,
 )
-from .algebra import _ONE, _apply, _bracket, _combine, _dense, _star_actions
+from .algebra import _ONE, _bracket, _dense, _star_actions
 from .errors import PreconditionError, ResourceLimitError, ShapeError
-from .linalg import Matrix, frac
+from .linalg import Matrix, combine, frac, row_times
 
 WEIGHT_CONVENTIONS = ("standard", "as_printed")
 
@@ -79,8 +79,8 @@ def modified_rota_baxter(weight) -> OperatorKind:
 def _star(table: dict, cols, x: dict, nx: dict, y: dict, ny: dict) -> dict:
     """The star bracket [x, y]_N = [Nx, y] + [x, Ny] - N[x, y] on sparse x and y,
     given Nx and Ny; `table` is the bracket and `cols` are the columns of N."""
-    return _combine(
-        ((1, _bracket(table, x, ny)), (1, _bracket(table, nx, y)), (-1, _apply(cols, _bracket(table, x, y))))
+    return combine(
+        ((1, _bracket(table, x, ny)), (1, _bracket(table, nx, y)), (-1, row_times(_bracket(table, x, y), cols)))
     )
 
 
@@ -89,17 +89,17 @@ def _defect_value(kind: OperatorKind, table: dict, cols, x: dict, nx: dict, y: d
     `table` is the bracket and `cols` are the columns of N."""
     lhs = _bracket(table, nx, ny)
     if kind.tag == "nijenhuis":
-        return _combine(((1, lhs), (-1, _apply(cols, _star(table, cols, x, nx, y, ny)))))
-    inner_rb = _combine(((1, _bracket(table, x, ny)), (1, _bracket(table, nx, y))))
+        return combine(((1, lhs), (-1, row_times(_star(table, cols, x, nx, y, ny), cols))))
+    inner_rb = combine(((1, _bracket(table, x, ny)), (1, _bracket(table, nx, y))))
     if kind.tag == "rota_baxter":
-        return _combine(((1, lhs), (-1, _apply(cols, inner_rb))))
+        return combine(((1, lhs), (-1, row_times(inner_rb, cols))))
     if kind.tag == "rota_baxter_weighted":
         bare = _bracket(table, x, y)
-        extra = _apply(cols, bare) if kind.convention == "as_printed" else bare
-        inner = _combine(((1, inner_rb), (kind.weight, extra)))
-        return _combine(((1, lhs), (-1, _apply(cols, inner))))
+        extra = row_times(bare, cols) if kind.convention == "as_printed" else bare
+        inner = combine(((1, inner_rb), (kind.weight, extra)))
+        return combine(((1, lhs), (-1, row_times(inner, cols))))
     if kind.tag == "modified_rota_baxter":
-        return _combine(((1, lhs), (-1, _apply(cols, inner_rb)), (-kind.weight, _bracket(table, x, y))))
+        return combine(((1, lhs), (-1, row_times(inner_rb, cols)), (-kind.weight, _bracket(table, x, y))))
     raise ValueError(f"unknown operator kind {kind.tag!r}")
 
 
@@ -206,32 +206,29 @@ def iter_grid_matrices(dim: int, lo: int, hi: int, denominator: int = 1) -> Iter
 
 class _Poly(dict):
     """A polynomial in the entries of N: {monomial: coefficient}, a monomial
-    the sorted tuple of its variables, no zero coefficient stored.  It adds
-    polynomials and rationals to itself and multiplies with both on either
-    side, so the bracket kernel runs on it unchanged.  The kernel never adds
-    a polynomial to a rational from the left: in every sum of `_defect_value`
-    the rational [x, y] comes after the terms in N."""
-
-    def _plus(self, terms) -> "_Poly":
-        out = _Poly(self)
-        for mono, c in terms:
-            v = out.get(mono, 0) + c
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-        return out
+    the sorted tuple of its variables, no zero coefficient stored.  It adds a
+    polynomial or a rational to itself, negates, and multiplies with both on
+    either side, each by one `combine`, so the bracket kernel runs on it
+    unchanged.  The kernel never adds a polynomial to a rational from the
+    left: in every sum of `_defect_value` the rational [x, y] comes after the
+    terms in N."""
 
     def __add__(self, other) -> "_Poly":
-        return self._plus(other.items() if isinstance(other, _Poly) else [((), other)])
+        return _Poly(combine(((1, self), (1, _poly(other)))))
+
+    def __neg__(self) -> "_Poly":
+        return _Poly(combine(((-1, self),)))
 
     def __mul__(self, other) -> "_Poly":
-        factors = other.items() if isinstance(other, _Poly) else [((), other)]
-        return _Poly()._plus(
-            (tuple(sorted(m1 + m2)), c1 * c2) for m1, c1 in self.items() for m2, c2 in factors
-        )
+        factor = _poly(other)
+        return _Poly(combine((c, {tuple(sorted(m + n)): f for n, f in factor.items()}) for m, c in self.items()))
 
     __rmul__ = __mul__
+
+
+def _poly(x) -> dict:
+    """A polynomial as itself, a rational as the constant polynomial."""
+    return x if isinstance(x, _Poly) else {(): x} if x else {}
 
 
 def defect_polynomial(alg: LeibnizAlgebra, kind: OperatorKind) -> tuple[dict, ...]:

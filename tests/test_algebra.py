@@ -281,6 +281,11 @@ def test_catalog_nijenhuis_pairs_verified():
 def test_representation_shape_guard():
     with pytest.raises(Exception):
         Representation((Matrix.identity(2),), (Matrix.identity(3),), None, module_dim=2)
+    adjoint = adjoint_representation(catalog_get("loday2"))
+    for act in (adjoint.left_action, adjoint.right_action):
+        for bad in ((1,), (1, 0, 5)):
+            with pytest.raises(ShapeError):
+                act(bad)
 
 
 def test_adjoint_requires_valid_algebra(loday2):

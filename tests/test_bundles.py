@@ -145,6 +145,14 @@ def test_extension_round_trip(fixtures_dir):
     assert serialize_extension(ext) == text
 
 
+def test_extension_of_a_zero_dim_base_round_trips():
+    text = '{"chi":[[]],"fiber_dim":1,"fiber_operator":[["1"]],"psi":[]}\n'
+    ext = parse_extension(text, 0)
+    assert (ext.pair.psi.alg_dim, ext.pair.psi.module_dim) == (0, 1)
+    assert (ext.pair.chi.as_matrix().rows, ext.pair.chi.as_matrix().cols) == (1, 0)
+    assert serialize_extension(ext) == text
+
+
 def test_emit_json_is_canonical():
     a = emit_json({"b": 1, "a": [2, 3]})
     b = emit_json({"a": [2, 3], "b": 1})

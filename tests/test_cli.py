@@ -645,6 +645,23 @@ def test_extend_build_and_extract(capsys, fixtures_dir):
     assert "psi" in doc and "chi" in doc
 
 
+def test_extend_over_a_zero_dim_base(capsys, tmp_path):
+    """A 0-dim base with a 1-dim fiber: the total algebra is the abelian fiber
+    with operator N_V, and the pair read back is the empty one."""
+    bundle, extension = tmp_path / "base.json", tmp_path / "extension.json"
+    rep = {"dimension": 1, "left": [], "operator": [["1"]], "right": []}
+    bundle.write_text(json.dumps({"algebra": {"basis": [], "brackets": {}, "dimension": 0}, "operator": [],
+                                  "representation": rep}))
+    extension.write_text('{"chi":[[]],"fiber_dim":1,"fiber_operator":[["1"]],"psi":[]}\n')
+    code, out, _ = run(capsys, "extend", "build", str(bundle), str(extension))
+    assert code == EXIT_PASS
+    assert json.loads(out)["total_dimension"] == 1
+    code, out, _ = run(capsys, "extend", "extract", str(bundle), str(extension))
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert (doc["psi"], doc["chi"]) == ([], [[]])
+
+
 def test_extend_compare_via_corner(capsys, fixtures_dir):
     bundle = fx(fixtures_dir, "loday2_classified.json")
     code, out, _ = run(

@@ -532,6 +532,9 @@ def test_cochain_flat_layout():
         for bad in (f.vec + (frac(0),), f.vec[:-1]):
             with pytest.raises(ShapeError):
                 Cochain(degree, alg_dim, m, bad)
+    for bad in ({(0,): (1, 2, 3), (1,): (4,)}, {(0,): (1, 2, 3)}, {(1,): (4,)}):
+        with pytest.raises(ShapeError):
+            Cochain.from_table(1, 2, 2, bad)
     tensor = tuple(
         tuple(tuple(frac(rng.randint(-3, 3)) for _ in range(3)) for _ in range(2)) for _ in range(2)
     )

@@ -156,13 +156,12 @@ def test_non_cocycle_yields_certificates(loday2, classified_op, loday2_adjoint):
 
 
 @settings(max_examples=80, deadline=None)
-@given(any_brackets().filter(lambda alg: alg.dim), st.integers(1, 2), st.data())
+@given(any_brackets(), st.integers(1, 2), st.data())
 def test_total_table_matches_dense_oracle(alg, m, data):
     """The table union of base bracket, psi and action columns is the dense
     block tensor, for random psi and random actions.  The actions need not
     form a representation, so its check is switched off: the assembly does
-    not depend on it, and a failure then shows as a certificate.  (A 0-dim
-    base is left out: the operator's block matrix rejects it.)"""
+    not depend on it, and a failure then shows as a certificate."""
     n = alg.dim
     entry = st.sampled_from((0, 0, 0, 1, -1, Fraction(1, 2)))
 

@@ -4,10 +4,14 @@ Rank, kernel and solve share one sparse Gauss-Jordan elimination; plain dense
 Gaussian elimination (`gauss_rank`) is kept purely as an independent oracle,
 and the two are compared on random dense and sparse rational matrices.  The
 elimination kernel is also compared, result for result, with its scan-all
-form without a column index (`oracles.slow_eliminate`).
+form without a column index (`oracles.slow_eliminate`).  The one sparse sum,
+`combine`, is compared with the dense sum, and the search polynomials built
+on it with evaluation at rational points.
 """
 
+import copy
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ from nijleib.linalg import (
     _eliminate,
     block_diag,
     block_matrix,
+    combine,
     format_rational,
     frac,
     gauss_rank,
@@ -29,8 +34,10 @@ from nijleib.linalg import (
     mat_mul,
     parse_rational,
     rank,
+    row_times,
     solve_linear,
 )
+from nijleib.operators import _Poly
 from oracles import slow_eliminate
 
 rationals = st.builds(
@@ -323,3 +330,72 @@ def test_matrix_hashable():
     b = Matrix.identity(2)
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+coefficients = st.sampled_from((0, 1, -1, 2, Fraction(-1, 2)))
+sparse_int_vectors = st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=4)
+
+
+@st.composite
+def combine_terms(draw):
+    """Random (coefficient, sparse vector) terms, after a head whose sum
+    cancels to empty and is followed by a unit term: (c, v), (-c, v), (1, w)."""
+    c = draw(coefficients.filter(bool))
+    v, w = draw(sparse_int_vectors), draw(sparse_int_vectors)
+    tail = draw(st.lists(st.tuples(coefficients, sparse_int_vectors), max_size=6))
+    return tail if draw(st.booleans()) else [(c, v), (-c, v), (1, w)] + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(combine_terms())
+def test_combine_is_the_dense_sum_and_shares_nothing(terms):
+    before = copy.deepcopy(terms)
+    got = combine(terms)
+    dense = {k: sum((c * v.get(k, 0) for c, v in terms), Fraction(0)) for _, v in terms for k in v}
+    assert got == {k: x for k, x in dense.items() if x}
+    assert all(got.values())
+    assert terms == before
+    for k in list(got):
+        got[k] += 7
+    got[99] = 1
+    assert terms == before
+
+
+def test_row_times_is_the_row_vector_product():
+    a = Matrix([[1, 0, -2], [0, Fraction(1, 2), 3]])
+    v = {0: Fraction(2), 1: Fraction(-1)}
+    assert row_times(v, a.nz) == {0: 2, 1: Fraction(-1, 2), 2: -7}
+    assert row_times({0: Fraction(1), 1: Fraction(4)}, Matrix([[1, 2], [Fraction(-1, 4), Fraction(-1, 2)]]).nz) == {}
+
+
+monomials = st.lists(st.integers(0, 3), max_size=2).map(lambda vs: tuple(sorted(vs)))
+polys = st.dictionaries(monomials, rationals.filter(bool), max_size=5).map(_Poly)
+
+
+def evaluate(poly, point):
+    return sum((c * prod(point[v] for v in mono) for mono, c in poly.items()), Fraction(0))
+
+
+def assert_poly_form(poly):
+    assert isinstance(poly, _Poly)
+    assert all(c for c in poly.values()) and all(list(m) == sorted(m) for m in poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys, rationals, st.lists(rationals, min_size=4, max_size=4))
+def test_poly_arithmetic_agrees_with_evaluation(p, q, r, point):
+    """Sums, negation and products of `_Poly`, with each other and with a
+    rational on either side, evaluate to the same rational as the operands."""
+    before = (dict(p), dict(q))
+    at_p, at_q = evaluate(p, point), evaluate(q, point)
+    for got, want in (
+        (p + q, at_p + at_q),
+        (p + r, at_p + r),
+        (-p, -at_p),
+        (p * q, at_p * at_q),
+        (p * r, at_p * r),
+        (r * p, r * at_p),
+    ):
+        assert_poly_form(got)
+        assert evaluate(got, point) == want
+    assert (dict(p), dict(q)) == before
