@@ -56,8 +56,8 @@ def to_json(value):
     """The JSON form of a value: a Matrix becomes its list of rows, a tuple or
     a list a list of JSON forms, a Fraction its canonical string; anything
     else is returned as is."""
-    if isinstance(value, Matrix):
-        return [[format_rational(e) for e in row] for row in value.data]
+    if isinstance(value, Matrix):  # an int entry formats as its Fraction would
+        return [[format_rational(row.get(j, 0)) for j in range(value.cols)] for row in value.nz]
     if isinstance(value, (tuple, list)):
         return [to_json(v) for v in value]
     if isinstance(value, Fraction):

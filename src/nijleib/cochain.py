@@ -46,6 +46,7 @@ from .linalg import (
     Matrix,
     Vector,
     block_matrix,
+    frac,
     is_zero_vector,
     kernel_basis,
     kron,
@@ -442,7 +443,7 @@ def _first_nonzero(m: Matrix) -> Optional[tuple[int, int, Fraction]]:
     for i, row in enumerate(m.nz):
         if row:
             j = min(row)
-            return i, j, row[j]
+            return i, j, frac(row[j])
     return None
 
 

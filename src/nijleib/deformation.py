@@ -79,7 +79,7 @@ def deformation_residual(
     if not 0 <= order <= d.order:
         raise PreconditionError(f"order {order} outside 0..{d.order}")
     mus = [_table(m) for m in d.mu_terms]
-    cols = [m.transpose().nz for m in d.n_terms]
+    cols = [m.sparse_columns() for m in d.n_terms]
     pairs = list(_compositions(order, mus, mus))
     # terms (mu_i, N_i), so that one index tuple serves all four Nijenhuis terms
     triples = list(_compositions(order, *[tuple(zip(mus, cols))] * 3))
@@ -177,7 +177,7 @@ def twist_by_isomorphism(d: TruncatedDeformation, iso: FormalIsomorphism) -> Tru
         raise ShapeError("deformation and isomorphism orders differ")
     eta, psi = formal_inverse(iso).psi_terms, iso.psi_terms
     zero = Matrix.zero(d.dim, d.dim)
-    eta_cols, psi_cols = [e.transpose().nz for e in eta], [p.transpose().nz for p in psi]
+    eta_cols, psi_cols = [e.sparse_columns() for e in eta], [p.sparse_columns() for p in psi]
     mus = [_table(m) for m in d.mu_terms]
 
     def mu_term(terms, x, y):

@@ -1,11 +1,19 @@
 """Exact rational vectors and matrices.
 
-Everything in the package runs on `fractions.Fraction`; no floating point
-representation exists anywhere.  Matrices are immutable, store only their
-nonzero entries (one {column: value} dict per row, `Matrix.nz`), and use the
-column-action convention: entry [i][j] is the coefficient of basis vector i
-in the image of basis vector j.  `Matrix.data` is a dense view for printing
-and for the oracle.
+No floating point representation exists anywhere in the package.  A vector
+(`Vector`) is a tuple of `fractions.Fraction`.  A matrix stores an integral
+entry as a Python `int` and any other entry as a `Fraction`: the constructors
+normalise to that form, and sums, products and Kronecker products of integral
+matrices stay on `int`, which needs no gcd.  A Fraction result that happens to
+be integral may stay a Fraction; `1 == Fraction(1)` and their hashes agree, so
+equality and hashing do not see the difference.  Every entry that leaves a
+matrix (`data`, `entry`, `column`, `sparse_columns`, kernel and solution
+vectors) is a Fraction again.
+
+Matrices are immutable, store only their nonzero entries (one {column: value}
+dict per row, `Matrix.nz`), and use the column-action convention: entry [i][j]
+is the coefficient of basis vector i in the image of basis vector j.
+`Matrix.data` is a dense view for printing and for the oracle.
 
 `combine` (c1 v1 + c2 v2 + ... over {index: value} dicts) is the one sparse
 sum of the package, and `row_times` is a sparse row times a matrix by it.
@@ -15,14 +23,16 @@ all run on this pair.
 Rank, kernel and solve share one sparse Gauss-Jordan elimination that picks
 the sparsest row as pivot, the lowest row on a tie.  It keeps a column->rows
 index of every row, free or pivot, so each pivot search and update step costs
-in proportion to the rows that hold the column, not to all rows.  A plain
-dense Gaussian elimination, `gauss_rank`, is kept solely as a cross-check
-oracle.
+in proportion to the rows that hold the column, not to all rows.  It runs on
+primitive integer rows and divides only once, at the end, so a pivot of 1
+or -1 costs no more than int arithmetic.  A plain dense Gaussian
+elimination, `gauss_rank`, is kept solely as a cross-check oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeError
@@ -34,6 +44,20 @@ _ZERO = Fraction(0)
 
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _quotient(a: int, b: int):
+    """a / b exactly, as an int when b divides a."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+def _entry(x):
+    """`x` as a matrix stores it: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    q = frac(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def format_rational(q: Fraction) -> str:
@@ -123,8 +147,9 @@ def row_times(v: dict, rows) -> dict:
 
 
 class Matrix:
-    """Immutable matrix of Fractions that stores only its nonzero entries:
-    `nz[i]` is a {column: value} dict of row i."""
+    """Immutable rational matrix that stores only its nonzero entries: `nz[i]`
+    is a {column: value} dict of row i, each value an int when the
+    constructor saw an integral value and a Fraction otherwise."""
 
     __slots__ = ("rows", "cols", "nz", "_hash")
 
@@ -134,7 +159,7 @@ class Matrix:
         self.cols = len(dense[0]) if dense else 0
         if any(len(row) != self.cols for row in dense):
             raise ShapeError("ragged rows")
-        self.nz = tuple({j: frac(e) for j, e in enumerate(row) if e} for row in dense)
+        self.nz = tuple({j: _entry(e) for j, e in enumerate(row) if e} for row in dense)
         self._hash = None
 
     @classmethod
@@ -143,7 +168,7 @@ class Matrix:
         zero values are dropped."""
         if any(row and (min(row) < 0 or max(row) >= cols) for row in rows):
             raise ShapeError(f"column index outside 0..{cols - 1}")
-        return cls._of(tuple({j: frac(e) for j, e in row.items() if e} for row in rows), cols)
+        return cls._of(tuple({j: _entry(e) for j, e in row.items() if e} for row in rows), cols)
 
     @classmethod
     def _of(cls, nz: tuple, cols: int) -> "Matrix":
@@ -158,12 +183,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of(tuple({i: Fraction(1)} for i in range(n)), n)
+        return cls._of(tuple({i: 1} for i in range(n)), n)
 
     @property
     def data(self) -> tuple[Vector, ...]:
-        """Read-only dense view, one tuple per row."""
-        return tuple(tuple(row.get(j, _ZERO) for j in range(self.cols)) for row in self.nz)
+        """Read-only dense view of Fractions, one tuple per row."""
+        return tuple(tuple(frac(row.get(j, _ZERO)) for j in range(self.cols)) for row in self.nz)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and (self.cols, self.nz) == (other.cols, other.nz)
@@ -183,11 +208,20 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         self._check_column(j)
-        return self.nz[i].get(j, _ZERO)
+        return frac(self.nz[i].get(j, _ZERO))
 
     def column(self, j: int) -> Vector:
         self._check_column(j)
-        return tuple(row.get(j, _ZERO) for row in self.nz)
+        return tuple(frac(row.get(j, _ZERO)) for row in self.nz)
+
+    def sparse_columns(self) -> tuple[dict, ...]:
+        """The nonzero entries of each column as a {row: Fraction} dict: the
+        columns N e_j through which a linear map enters the bracket kernel."""
+        cols: tuple[dict, ...] = tuple({} for _ in range(self.cols))
+        for i, row in enumerate(self.nz):
+            for j, a in row.items():
+                cols[j][i] = Fraction(a) if type(a) is int else a
+        return cols
 
     def _add(self, other: "Matrix", sign: int, op: str) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -204,7 +238,7 @@ class Matrix:
         return Matrix._of(tuple({j: -a for j, a in row.items()} for row in self.nz), self.cols)
 
     def scale(self, c) -> "Matrix":
-        c = frac(c)
+        c = _entry(c)
         return Matrix._of(tuple(combine(((c, row),)) for row in self.nz), self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -244,7 +278,7 @@ def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
         if any(b.rows != height for b in block_row):
             raise ShapeError("inconsistent block heights")
         for i in range(height):
-            row: dict[int, Fraction] = {}
+            row: dict = {}
             base = 0
             for b in block_row:
                 row.update((base + j, e) for j, e in b.nz[i].items())
@@ -276,9 +310,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._of(tuple(rows), a.cols * b.cols)
 
 
-def _eliminate(
-    m: Matrix, rhs: Optional[Vector] = None
-) -> tuple[dict[int, dict[int, Fraction]], list[dict[int, Fraction]]]:
+def _eliminate(m: Matrix, rhs: Optional[Vector] = None) -> tuple[dict[int, dict], list[dict]]:
     """Sparse Gauss-Jordan elimination to reduced row echelon form.
 
     Works on copies of the rows of `m.nz`; a right-hand side is carried as
@@ -292,36 +324,69 @@ def _eliminate(
     form is unique, the choice of pivot row changes no result, only the
     fill-in.
 
+    The elimination is fraction-free.  Each row is first scaled to primitive
+    integers (coprime ints, no Fraction), and a pivot row is negated if its
+    pivot is negative.  Against a pivot p = 1, the update of a row is the
+    usual row - f*pivot_row on ints.  Against any other p it is
+    (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), after which the row is
+    divided by the gcd of its entries.  Each row keeps the factor mul/div by
+    which it differs from the row of a rational elimination, so the results
+    are exact: at the end every pivot row is divided by its pivot and every
+    leftover row by its factor.  The rows never hold a Fraction, and the
+    integers stay small because every row is kept primitive.
+
     Returns the normalised pivot rows keyed by pivot column, in column order,
     and the rows left without a pivot, in their original order (by then they
-    hold at most the right-hand-side entry).
+    hold at most the right-hand-side entry).  Values are ints where integral
+    and Fractions otherwise, as in `Matrix.nz`.
     """
     rows = [dict(row) for row in m.nz]
     if rhs is not None:
         for row, b in zip(rows, rhs):
             if b:
-                row[m.cols] = frac(b)
+                row[m.cols] = _entry(b)
+    # rows[k] is mul[k] / div[k] times the row a rational elimination holds
+    mul, div = [1] * len(rows), [1] * len(rows)
+    for k, row in enumerate(rows):
+        try:
+            g = gcd(*row.values())
+        except TypeError:  # a Fraction entry: clear the denominators first
+            mul[k] = lcm(*(e.denominator for e in row.values()))
+            row = rows[k] = {j: (e * mul[k]).numerator for j, e in row.items()}
+            g = gcd(*row.values())
+        if g > 1:
+            rows[k] = {j: e // g for j, e in row.items()}
+            div[k] = g
     holders: list[Optional[set[int]]] = [set() for _ in range(m.cols + 1)]
     for k, row in enumerate(rows):
         for j in row:
             holders[j].add(k)
     free = [True] * len(rows)
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict] = {}
     for c in range(m.cols):
         hold, holders[c] = holders[c], None  # column c is never looked up again
-        best = min((k for k in hold if free[k]), key=lambda k: (len(rows[k]), k), default=None)
-        if best is None:
+        sparsest = min(((len(rows[k]), k) for k in hold if free[k]), default=None)
+        if sparsest is None:
             continue
+        best = sparsest[1]
         free[best] = False
         prow = rows[best]
-        inv = 1 / prow[c]
-        prow = rows[best] = {j: e * inv for j, e in prow.items()}
+        if prow[c] < 0:
+            prow = rows[best] = {j: -e for j, e in prow.items()}
+        p = prow[c]
         fill = [(j, e) for j, e in prow.items() if j != c]
         for k in hold:
             if k == best:
                 continue
             row = rows[k]
             f = row.pop(c)
+            a = 1
+            if p != 1:  # row <- a*row - f*prow with a = p/g and f = f/g
+                g = gcd(p, f)
+                a, f = p // g, f // g
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
             for j, e in fill:
                 if j in row:
                     v = row[j] - f * e
@@ -333,8 +398,20 @@ def _eliminate(
                 else:
                     row[j] = -(f * e)
                     holders[j].add(k)
+            if a != 1:
+                g = gcd(*row.values()) or 1  # 0 for a row that cancelled
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+                mul[k] *= a
+                div[k] *= g
         pivots[c] = prow
-    return pivots, [row for row, is_free in zip(rows, free) if is_free]
+    for c, prow in pivots.items():
+        p = prow[c]
+        if p != 1:
+            pivots[c] = {j: _quotient(e, p) for j, e in prow.items()}
+    rest = [k for k, is_free in enumerate(free) if is_free]
+    return pivots, [rows[k] and {j: _quotient(e * div[k], mul[k]) for j, e in rows[k].items()} for k in rest]
 
 
 def rank(m: Matrix) -> int:
@@ -352,7 +429,7 @@ def gauss_rank(m: Matrix) -> int:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
+        inv = Fraction(1) / rows[r][c]  # exact whatever type the entry has
         rows[r] = [e * inv for e in rows[r]]
         for i in range(n_rows):
             if i != r and rows[i][c]:
@@ -380,7 +457,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     for p, row in pivots.items():
         for free, e in row.items():
             if free != p:
-                vectors[free][p] = -e
+                vectors[free][p] = frac(-e)
     return [tuple(v) for v in vectors.values()]
 
 
@@ -397,5 +474,5 @@ def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:
     x = [Fraction(0)] * m.cols
     for p, row in pivots.items():
         if m.cols in row:
-            x[p] = row[m.cols]
+            x[p] = frac(row[m.cols])
     return tuple(x)

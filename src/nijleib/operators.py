@@ -112,7 +112,7 @@ def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> Bilin
     """
     if n.rows != alg.dim or n.cols != alg.dim:
         raise ShapeError("operator dimension does not match the algebra")
-    d, table, cols = alg.dim, alg.table, n.transpose().nz
+    d, table, cols = alg.dim, alg.table, n.sparse_columns()
     units = [{i: _ONE} for i in range(d)]
     return tuple(
         tuple(_dense(_defect_value(kind, table, cols, units[i], cols[i], units[j], cols[j]), d) for j in range(d))
@@ -168,7 +168,7 @@ def induced_bracket(alg: LeibnizAlgebra, n: Matrix) -> LeibnizAlgebra:
     bad = check_operator(alg, n, nijenhuis())
     if bad is not None:
         raise PreconditionError(f"not a Nijenhuis operator: {bad.describe()}")
-    table, cols = alg.table, n.transpose().nz
+    table, cols = alg.table, n.sparse_columns()
     star = {
         (i, j): v
         for i, j in product(range(alg.dim), repeat=2)
@@ -308,12 +308,13 @@ def search_operators_grid(
         raise ResourceLimitError(f"grid of {count} candidates exceeds guard {GRID_GUARD}")
     by_last = _compile_grid_tests(defect_polynomial(alg, kind), k, denominator)
     numerators = range(lo, hi + 1)
+    entry = {v: Fraction(v, denominator) for v in numerators}
     p = [0] * k + [1]
     found = []
 
     def walk(t: int) -> None:
         if t == k:
-            m = Matrix([[Fraction(v, denominator) for v in p[r * dim : (r + 1) * dim]] for r in range(dim)])
+            m = Matrix([[entry[v] for v in p[r * dim : (r + 1) * dim]] for r in range(dim)])
             if check_operator(alg, m, kind) is None:
                 found.append(m)
             return

@@ -137,7 +137,7 @@ def slow_eliminate(m, rhs=None):
         if best is None:
             continue
         prow = rows.pop(best)
-        inv = 1 / prow[c]
+        inv = Fraction(1) / prow[c]  # exact on int and Fraction pivots alike
         prow = {j: e * inv for j, e in prow.items()}
         for other in (*rows, *pivots.values()):
             f = other.get(c)

@@ -16,6 +16,7 @@ from nijleib import adjoint_representation
 from nijleib.bundles import AlgebraBundle, serialize_algebra_bundle
 from nijleib.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
 from nijleib.cochain import COMPLEX_KINDS, PHI_VARIANTS
+from nijleib.linalg import format_rational, parse_rational
 from nijleib.operators import WEIGHT_CONVENTIONS
 
 
@@ -747,6 +748,64 @@ def test_verdict_matches_exit_code(capsys, fixtures_dir, tmp_path, run_spec):
     assert code == expected
     assert doc["verdict"] == ("pass" if code == EXIT_PASS else "fail")
     assert "tool_version" in doc
+
+
+# Reports whose entries come out of integral matrices, which store their
+# entries as int: each entry must still reach the JSON as a rational string.
+ENTRY_RUNS = {
+    "deform-twist": (
+        EXIT_PASS, "deform", "twist", "loday2_classified.json", "deformation_twisted.json",
+        "--iso", "iso_linear.json",
+    ),
+    "induce-bracket": (EXIT_PASS, "induce", "bracket", "loday2_classified.json"),
+    "induce-rep": (EXIT_PASS, "induce", "rep", "loday2_classified.json"),
+    "extend-extract": (EXIT_PASS, "extend", "extract", "loday2_classified.json", "extension_cocycle.json"),
+    "verify-fail": (EXIT_FAIL, "verify", "loday2_nonnijenhuis.json"),
+    "verify-fail-weight": (
+        EXIT_FAIL, "verify", "loday2_classified.json", "--kind", "modified_rota_baxter", "--weight", "1/2",
+    ),
+    "selfcheck-fail": (EXIT_FAIL, "selfcheck", "loday2_classified.json", "--phi", "printed"),
+    "cohomology-junction-fail": (
+        EXIT_FAIL, "cohomology", "loday2_classified.json", "--complex", "nla", "--phi", "printed",
+    ),
+    "search-den": (EXIT_PASS, "search", "loday2_plain.json", "--range", "-1..1", "--den", "2"),
+}
+# the only report fields that hold JSON numbers: counts, indices and shapes
+COUNT_FIELDS = {
+    "B", "C", "H", "Z", "col", "coordinate", "count", "degree", "denominator", "dimension", "indices",
+    "order", "range", "row", "total_dimension", "tuple",
+}
+# the fields that hold matrix, vector, tensor or residual entries
+ENTRY_FIELDS = {
+    "brackets", "chi", "left", "mu", "n", "operator", "operators", "psi", "residual", "right", "value",
+}
+
+
+def _leaves(node, field=None):
+    """(field, leaf) for every leaf of a JSON document, field being the
+    innermost key that names a count or entry field."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, key if key in COUNT_FIELDS | ENTRY_FIELDS else field)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _leaves(value, field)
+    else:
+        yield field, node
+
+
+@pytest.mark.parametrize("run_spec", ENTRY_RUNS.values(), ids=ENTRY_RUNS.keys())
+def test_report_entries_are_rational_strings(capsys, fixtures_dir, run_spec):
+    expected, *argv = run_spec
+    code, out, _ = run(capsys, *[fx(fixtures_dir, a) if a.endswith(".json") else a for a in argv])
+    assert code == expected
+    leaves = list(_leaves(json.loads(out)))
+    assert any(field in ENTRY_FIELDS for field, _ in leaves)
+    for field, leaf in leaves:
+        if field in ENTRY_FIELDS:
+            assert isinstance(leaf, str) and format_rational(parse_rational(leaf)) == leaf, (field, leaf)
+        elif isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
+            assert field in COUNT_FIELDS and isinstance(leaf, int), (field, leaf)
 
 
 def run_proc(*argv):

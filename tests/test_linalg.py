@@ -162,6 +162,82 @@ def test_eliminate_matches_scan_all_oracle_on_catalog_complexes():
                 same_elimination(_eliminate(m), slow_eliminate(m))
 
 
+mixed_entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=-4, max_value=4).map(lambda v: Fraction(v)),  # integral, stored as a Fraction
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def mixed_systems(draw):
+    """A mostly sparse matrix up to 5x7, with a right-hand side, whose entries
+    mix int, integral Fraction and non-integral Fraction values."""
+    n_rows = draw(st.integers(min_value=1, max_value=5))
+    n_cols = draw(st.integers(min_value=1, max_value=7))
+    rows = [draw(st.lists(st.one_of(st.just(0), st.just(0), mixed_entries), min_size=n_cols, max_size=n_cols))]
+    for _ in range(n_rows - 1):
+        if draw(st.booleans()):  # a row dependent on the earlier ones
+            c = draw(mixed_entries)
+            rows.append([c * e for e in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(st.one_of(st.just(0), mixed_entries), min_size=n_cols, max_size=n_cols)))
+    rhs = tuple(draw(mixed_entries) for _ in range(n_rows))
+    return rows, rhs
+
+
+def exact_values(values):
+    """Every value is an int or a Fraction: no float anywhere."""
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_systems())
+def test_mixed_storage_agrees_with_oracles_and_returns_fractions(system):
+    """The same matrix stored three ways (the constructor's int-or-Fraction
+    form, the drawn mix as is, and Fractions only) is one matrix to ==, hash,
+    rank, kernel_basis and solve_linear; all of them agree with
+    `slow_eliminate` and `gauss_rank` and return Fractions only."""
+    rows, rhs = system
+    cols = len(rows[0])
+    built = Matrix(rows)
+    assert all(type(v) is int if v.denominator == 1 else type(v) is Fraction for row in built.nz for v in row.values())
+    stored = [
+        built,
+        Matrix._of(tuple({j: e for j, e in enumerate(row) if e} for row in rows), cols),
+        Matrix._of(tuple({j: Fraction(e) for j, e in enumerate(row) if e} for row in rows), cols),
+    ]
+    assert all(m == built and hash(m) == hash(built) for m in stored)
+    kernels, solutions = [], []
+    for m in stored:
+        assert all(type(v) is Fraction for row in m.data for v in row)
+        slow_pivots, slow_rest = slow_eliminate(m)
+        assert rank(m) == gauss_rank(m) == len(slow_pivots)
+        for got, want in ((_eliminate(m), (slow_pivots, slow_rest)), (_eliminate(m, rhs), slow_eliminate(m, rhs))):
+            same_elimination(got, want)
+            for pivots, rest in (got, want):
+                assert exact_values(v for row in (*pivots.values(), *rest) for v in row.values())
+
+        basis = kernel_basis(m)
+        assert len(basis) == cols - len(slow_pivots)
+        assert all(type(x) is Fraction for v in basis for x in v)
+        assert all(m.apply(v) == (0,) * m.rows for v in basis)
+        kernels.append(basis)
+
+        sol = solve_linear(m, rhs)
+        slow_pivots, slow_rest = slow_eliminate(m, rhs)
+        if any(slow_rest):
+            assert sol is None
+        else:
+            assert all(type(x) is Fraction for x in sol)
+            assert sol == tuple(slow_pivots[c].get(cols, 0) if c in slow_pivots else 0 for c in range(cols))
+            assert m.apply(sol) == rhs
+        solutions.append(sol)
+    assert kernels[0] == kernels[1] == kernels[2]
+    assert solutions[0] == solutions[1] == solutions[2]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.data())
 def test_rank_nullity(rows, cols, data):
