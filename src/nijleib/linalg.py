@@ -188,7 +188,13 @@ class Matrix:
     @property
     def data(self) -> tuple[Vector, ...]:
         """Read-only dense view of Fractions, one tuple per row."""
-        return tuple(tuple(frac(row.get(j, _ZERO)) for j in range(self.cols)) for row in self.nz)
+        out = []
+        for row in self.nz:
+            dense = [_ZERO] * self.cols
+            for j, a in row.items():
+                dense[j] = frac(a)
+            out.append(tuple(dense))
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and (self.cols, self.nz) == (other.cols, other.nz)
