@@ -226,7 +226,7 @@ class Matrix:
         cols: tuple[dict, ...] = tuple({} for _ in range(self.cols))
         for i, row in enumerate(self.nz):
             for j, a in row.items():
-                cols[j][i] = Fraction(a) if type(a) is int else a
+                cols[j][i] = frac(a)
         return cols
 
     def _add(self, other: "Matrix", sign: int, op: str) -> "Matrix":

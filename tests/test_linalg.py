@@ -4,7 +4,8 @@ Rank, kernel and solve share one sparse Gauss-Jordan elimination; plain dense
 Gaussian elimination (`gauss_rank`) is kept purely as an independent oracle,
 and the two are compared on random dense and sparse rational matrices.  The
 elimination kernel is also compared, result for result, with its scan-all
-form without a column index (`oracles.slow_eliminate`).  The one sparse sum,
+form without a column index (`oracles.slow_eliminate`), also on one matrix
+stored as int, integral Fraction and Fraction entries.  The one sparse sum,
 `combine`, is compared with the dense sum, and the search polynomials built
 on it with evaluation at rational points.
 """
@@ -165,7 +166,7 @@ def test_eliminate_matches_scan_all_oracle_on_catalog_complexes():
 mixed_entries = st.one_of(
     st.just(0),
     st.integers(min_value=-4, max_value=4),
-    st.integers(min_value=-4, max_value=4).map(lambda v: Fraction(v)),  # integral, stored as a Fraction
+    st.integers(min_value=-4, max_value=4).map(Fraction),  # integral, stored as a Fraction
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
 
