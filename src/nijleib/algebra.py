@@ -198,6 +198,8 @@ class Representation:
     module_dim: int = field(kw_only=True)
 
     def __post_init__(self):
+        if len(self.left) != len(self.right):
+            raise ShapeError(f"{len(self.left)} left but {len(self.right)} right action matrices")
         m = self.module_dim
         for mat in (*self.left, *self.right):
             if mat.rows != m or mat.cols != m:

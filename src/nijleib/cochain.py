@@ -198,8 +198,7 @@ def delta_matrix(alg: LeibnizAlgebra, rep: Representation, degree: int) -> Matri
         for k in range(2, n + 1):
             insert = kron(insert, ident_d) + kron(Matrix.identity(d ** (k - 1)), ad_t)
         blocks.append(kron(Matrix.identity(d**n), rep.left[a]) - kron(insert, ident_m))
-    stacked = Matrix.sparse([row for b in blocks for row in b.nz], d**n * m)
-    return stacked - kron(ident_d, delta_matrix(alg, rep, n - 1))
+    return block_matrix([[b] for b in blocks]) - kron(ident_d, delta_matrix(alg, rep, n - 1))
 
 
 def delta(alg: LeibnizAlgebra, rep: Representation, f: Cochain) -> Cochain:

@@ -25,8 +25,10 @@ the sparsest row as pivot, the lowest row on a tie.  It keeps a column->rows
 index of every row, free or pivot, so each pivot search and update step costs
 in proportion to the rows that hold the column, not to all rows.  It runs on
 primitive integer rows and divides only once, at the end, so a pivot of 1
-or -1 costs no more than int arithmetic.  A plain dense Gaussian
-elimination, `gauss_rank`, is kept solely as a cross-check oracle.
+or -1 costs no more than int arithmetic.  Its one result is the reduced
+echelon form, as pivot rows: `solve_linear` eliminates the augmented matrix
+[A | b] and reads its answer off them.  A plain dense Gaussian elimination,
+`gauss_rank`, is kept solely as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -283,6 +285,9 @@ def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
         height = block_row[0].rows
         if any(b.rows != height for b in block_row):
             raise ShapeError("inconsistent block heights")
+        if len(block_row) == 1:  # matrices are immutable: share the row dicts
+            rows.extend(block_row[0].nz)
+            continue
         for i in range(height):
             row: dict = {}
             base = 0
@@ -316,54 +321,44 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._of(tuple(rows), a.cols * b.cols)
 
 
-def _eliminate(m: Matrix, rhs: Optional[Vector] = None) -> tuple[dict[int, dict], list[dict]]:
+def _eliminate(m: Matrix) -> dict[int, dict]:
     """Sparse Gauss-Jordan elimination to reduced row echelon form.
 
-    Works on copies of the rows of `m.nz`; a right-hand side is carried as
-    column m.cols and never pivoted.  A column index, `holders[j]`, keeps the
-    set of rows (free or already pivot) that hold an entry in column j: fill-in
-    adds a row to it and a cancellation removes it.  Columns are eliminated in
-    index order, each with the sparsest free row of `holders[c]` as pivot
-    (Markowitz), the lowest original row on a tie, and the update touches only
-    the other rows of `holders[c]`.  So each step costs in proportion to the
-    rows that hold the column, not to all rows.  Since the reduced echelon
-    form is unique, the choice of pivot row changes no result, only the
-    fill-in.
+    Works on copies of the rows of `m.nz`.  A column index, `holders[j]`,
+    keeps the set of rows (free or already pivot) that hold an entry in
+    column j: fill-in adds a row to it and a cancellation removes it.  Columns
+    are eliminated in index order, each with the sparsest free row of
+    `holders[c]` as pivot (Markowitz), the lowest original row on a tie, and
+    the update touches only the other rows of `holders[c]`.  So each step
+    costs in proportion to the rows that hold the column, not to all rows.
+    Since the reduced echelon form is unique, the choice of pivot row changes
+    no result, only the fill-in.
 
     The elimination is fraction-free.  Each row is first scaled to primitive
     integers (coprime ints, no Fraction), and a pivot row is negated if its
     pivot is negative.  Against a pivot p = 1, the update of a row is the
     usual row - f*pivot_row on ints.  Against any other p it is
     (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), after which the row is
-    divided by the gcd of its entries.  Each row keeps the factor mul/div by
-    which it differs from the row of a rational elimination, so the results
-    are exact: at the end every pivot row is divided by its pivot and every
-    leftover row by its factor.  The rows never hold a Fraction, and the
-    integers stay small because every row is kept primitive.
+    divided by the gcd of its entries.  Every row stays a nonzero multiple of
+    the row a rational elimination holds, so dividing each pivot row by its
+    pivot at the end gives the reduced form exactly.  The rows never hold a
+    Fraction, and the integers stay small because every row is kept
+    primitive.
 
-    Returns the normalised pivot rows keyed by pivot column, in column order,
-    and the rows left without a pivot, in their original order (by then they
-    hold at most the right-hand-side entry).  Values are ints where integral
-    and Fractions otherwise, as in `Matrix.nz`.
+    Returns the normalised pivot rows keyed by pivot column, in column order.
+    Values are ints where integral and Fractions otherwise, as in `Matrix.nz`.
     """
     rows = [dict(row) for row in m.nz]
-    if rhs is not None:
-        for row, b in zip(rows, rhs):
-            if b:
-                row[m.cols] = _entry(b)
-    # rows[k] is mul[k] / div[k] times the row a rational elimination holds
-    mul, div = [1] * len(rows), [1] * len(rows)
     for k, row in enumerate(rows):
         try:
             g = gcd(*row.values())
         except TypeError:  # a Fraction entry: clear the denominators first
-            mul[k] = lcm(*(e.denominator for e in row.values()))
-            row = rows[k] = {j: (e * mul[k]).numerator for j, e in row.items()}
+            scale = lcm(*(e.denominator for e in row.values()))
+            row = rows[k] = {j: (e * scale).numerator for j, e in row.items()}
             g = gcd(*row.values())
         if g > 1:
             rows[k] = {j: e // g for j, e in row.items()}
-            div[k] = g
-    holders: list[Optional[set[int]]] = [set() for _ in range(m.cols + 1)]
+    holders: list[Optional[set[int]]] = [set() for _ in range(m.cols)]
     for k, row in enumerate(rows):
         for j in row:
             holders[j].add(k)
@@ -405,24 +400,21 @@ def _eliminate(m: Matrix, rhs: Optional[Vector] = None) -> tuple[dict[int, dict]
                     row[j] = -(f * e)
                     holders[j].add(k)
             if a != 1:
-                g = gcd(*row.values()) or 1  # 0 for a row that cancelled
+                g = gcd(*row.values())  # 0 for a row that cancelled
                 if g > 1:
                     for j in row:
                         row[j] //= g
-                mul[k] *= a
-                div[k] *= g
         pivots[c] = prow
     for c, prow in pivots.items():
         p = prow[c]
         if p != 1:
             pivots[c] = {j: _quotient(e, p) for j, e in prow.items()}
-    rest = [k for k, is_free in enumerate(free) if is_free]
-    return pivots, [rows[k] and {j: _quotient(e * div[k], mul[k]) for j, e in rows[k].items()} for k in rest]
+    return pivots
 
 
 def rank(m: Matrix) -> int:
     """Exact rank: the number of pivots of the sparse elimination."""
-    return len(_eliminate(m)[0])
+    return len(_eliminate(m))
 
 
 def gauss_rank(m: Matrix) -> int:
@@ -453,7 +445,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     Free columns in ascending index order; each basis vector carries a 1 in
     its own free slot, pivot slots filled from the reduced echelon form.
     """
-    pivots, _ = _eliminate(m)
+    pivots = _eliminate(m)
     vectors = {}
     for free in range(m.cols):
         if free not in pivots:
@@ -470,15 +462,16 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:
     """One exact solution of m·x = rhs, or None if inconsistent.
 
-    Deterministic: free variables are set to zero in canonical column order.
+    The system is inconsistent exactly when the last column of [m | rhs]
+    takes a pivot.  Deterministic: free variables are set to zero in
+    canonical column order.
     """
     if len(rhs) != m.rows:
         raise ShapeError(f"rhs length {len(rhs)} != rows {m.rows}")
-    pivots, rest = _eliminate(m, rhs)
-    if any(rest):  # a row reduced to 0 = b with b != 0
+    pivots = _eliminate(block_matrix([[m, Matrix.sparse([{0: b} for b in rhs], 1)]]))
+    if m.cols in pivots:  # a row reduced to 0 = 1
         return None
     x = [Fraction(0)] * m.cols
     for p, row in pivots.items():
-        if m.cols in row:
-            x[p] = frac(row[m.cols])
+        x[p] = frac(row.get(m.cols, 0))
     return tuple(x)

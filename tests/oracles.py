@@ -6,7 +6,8 @@ and evaluates it there, and `LeibnizAlgebra.bracket` delegates to that kernel
 too, so the oracles below work on dense tensors with their own loops instead:
 `bilinear_eval`, `evaluate_cochain`, and the dense constructions `slow_direct_sum`
 and `slow_extension_structure`.  `slow_eliminate` is the elimination kernel
-without its column index.
+without its column index; like it, it returns the pivot rows of the reduced
+echelon form and nothing else.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from nijleib.algebra import LeibnizAlgebra
-from nijleib.linalg import Matrix, frac, unit_vector, zero_vector
+from nijleib.linalg import Matrix, unit_vector, zero_vector
 
 
 def unit(alg, i):
@@ -118,16 +119,11 @@ def any_brackets(draw):
     )
 
 
-def slow_eliminate(m, rhs=None):
+def slow_eliminate(m):
     """`linalg._eliminate` without the column index: every pivot search scans
     all free rows, and every update step scans all free and pivot rows.  Same
-    pivot rule, so it returns the same pivot rows and leftover rows, with the
-    same key order and row order."""
+    pivot rule, so it returns the same pivot rows with the same key order."""
     rows = [dict(row) for row in m.nz]
-    if rhs is not None:
-        for row, b in zip(rows, rhs):
-            if b:
-                row[m.cols] = frac(b)
     pivots: dict[int, dict[int, Fraction]] = {}
     for c in range(m.cols):
         best = None
@@ -150,4 +146,4 @@ def slow_eliminate(m, rhs=None):
                 else:
                     del other[j]
         pivots[c] = prow
-    return pivots, rows
+    return pivots

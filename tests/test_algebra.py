@@ -281,6 +281,9 @@ def test_catalog_nijenhuis_pairs_verified():
 def test_representation_shape_guard():
     with pytest.raises(Exception):
         Representation((Matrix.identity(2),), (Matrix.identity(3),), None, module_dim=2)
+    z = Matrix.zero(1, 1)
+    with pytest.raises(ShapeError, match="2 left but 1 right"):  # the algebra dimension is ambiguous
+        Representation((z, z), (z,), module_dim=1)
     adjoint = adjoint_representation(catalog_get("loday2"))
     for act in (adjoint.left_action, adjoint.right_action):
         for bad in ((1,), (1, 0, 5)):

@@ -3,9 +3,12 @@
 Rank, kernel and solve share one sparse Gauss-Jordan elimination; plain dense
 Gaussian elimination (`gauss_rank`) is kept purely as an independent oracle,
 and the two are compared on random dense and sparse rational matrices.  The
-elimination kernel is also compared, result for result, with its scan-all
-form without a column index (`oracles.slow_eliminate`), also on one matrix
-stored as int, integral Fraction and Fraction entries.  The one sparse sum,
+elimination kernel is also compared, pivot row for pivot row, with its
+scan-all form without a column index (`oracles.slow_eliminate`), on a matrix
+and on the augmented matrix [A | b] that `solve_linear` eliminates, also on
+one matrix stored as int, integral Fraction and Fraction entries.  On the la,
+no and nla complexes of the catalog pairs, `solve_linear` must solve
+b = D_n x and must refute b = a row of D_(n+1).  The one sparse sum,
 `combine`, is compared with the dense sum, and the search polynomials built
 on it with evaluation at rational points.
 """
@@ -19,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nijleib.algebra import adjoint_representation, catalog_nijenhuis_pairs
-from nijleib.cochain import delta_matrix, nla_matrix
+from nijleib.cochain import coboundary_matrix, delta_matrix, nla_matrix
 from nijleib.errors import BundleError, ShapeError
 from nijleib.linalg import (
     Matrix,
@@ -138,13 +141,14 @@ def test_elimination_agrees_with_gauss_oracle_on_sparse_systems(system):
         assert all(sol[c] == 0 for c in free)
 
 
+def augmented(m, rhs):
+    """[m | rhs], with the entries of both stored as they are."""
+    return Matrix._of(tuple({**row, m.cols: b} if b else dict(row) for row, b in zip(m.nz, rhs)), m.cols + 1)
+
+
 def same_elimination(got, want):
-    """Equal pivot rows and leftover rows, down to key order and row order."""
-    (pivots, rest), (slow_pivots, slow_rest) = got, want
-    assert [(c, list(row.items())) for c, row in pivots.items()] == [
-        (c, list(row.items())) for c, row in slow_pivots.items()
-    ]
-    assert [list(row.items()) for row in rest] == [list(row.items()) for row in slow_rest]
+    """Equal pivot rows, down to key order."""
+    assert [(c, list(row.items())) for c, row in got.items()] == [(c, list(row.items())) for c, row in want.items()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -152,7 +156,7 @@ def same_elimination(got, want):
 def test_eliminate_matches_scan_all_oracle_on_sparse_systems(system):
     m, rhs = system
     same_elimination(_eliminate(m), slow_eliminate(m))
-    same_elimination(_eliminate(m, rhs), slow_eliminate(m, rhs))
+    same_elimination(_eliminate(augmented(m, rhs)), slow_eliminate(augmented(m, rhs)))
 
 
 def test_eliminate_matches_scan_all_oracle_on_catalog_complexes():
@@ -161,6 +165,33 @@ def test_eliminate_matches_scan_all_oracle_on_catalog_complexes():
         for degree in range(4):
             for m in (delta_matrix(alg, rep, degree), nla_matrix(alg, op, rep, degree)):
                 same_elimination(_eliminate(m), slow_eliminate(m))
+
+
+def test_solve_linear_on_catalog_complexes():
+    """On D_n of the la, no and nla complexes, degrees 0-2: b = D_n x is
+    solved, and a nonzero row y of D_(n+1) as b is not, since D_(n+1) D_n = 0
+    puts y orthogonal to the image of D_n while y.y > 0."""
+    refuted = 0
+    for name, alg, op in catalog_nijenhuis_pairs():
+        rep = adjoint_representation(alg, op)
+        for kind in ("la", "no", "nla"):
+            for degree in range(3):
+                d = coboundary_matrix(kind, alg, rep, op, degree)
+                x = tuple(Fraction(j % 5 - 2, 1 + j % 3) for j in range(d.cols))
+                b = d.apply(x)
+                same_elimination(_eliminate(augmented(d, b)), slow_eliminate(augmented(d, b)))
+                sol = solve_linear(d, b)
+                assert sol is not None and d.apply(sol) == b, (name, kind, degree)
+
+                nxt = coboundary_matrix(kind, alg, rep, op, degree + 1)
+                y = next((row for row in nxt.data if any(row)), None)
+                if y is None or not (nxt * d).is_zero():
+                    continue
+                assert sum(e * e for e in y) > 0
+                same_elimination(_eliminate(augmented(d, y)), slow_eliminate(augmented(d, y)))
+                assert solve_linear(d, y) is None, (name, kind, degree)
+                refuted += 1
+    assert refuted == 45  # every (pair, kind, degree) but the 9 with D_(n+1) = 0
 
 
 mixed_entries = st.one_of(
@@ -213,22 +244,21 @@ def test_mixed_storage_agrees_with_oracles_and_returns_fractions(system):
     kernels, solutions = [], []
     for m in stored:
         assert all(type(v) is Fraction for row in m.data for v in row)
-        slow_pivots, slow_rest = slow_eliminate(m)
-        assert rank(m) == gauss_rank(m) == len(slow_pivots)
-        for got, want in ((_eliminate(m), (slow_pivots, slow_rest)), (_eliminate(m, rhs), slow_eliminate(m, rhs))):
+        assert rank(m) == gauss_rank(m) == len(slow_eliminate(m))
+        for a in (m, augmented(m, rhs)):
+            got, want = _eliminate(a), slow_eliminate(a)
             same_elimination(got, want)
-            for pivots, rest in (got, want):
-                assert exact_values(v for row in (*pivots.values(), *rest) for v in row.values())
+            assert exact_values(v for pivots in (got, want) for row in pivots.values() for v in row.values())
 
         basis = kernel_basis(m)
-        assert len(basis) == cols - len(slow_pivots)
+        assert len(basis) == cols - rank(m)
         assert all(type(x) is Fraction for v in basis for x in v)
         assert all(m.apply(v) == (0,) * m.rows for v in basis)
         kernels.append(basis)
 
         sol = solve_linear(m, rhs)
-        slow_pivots, slow_rest = slow_eliminate(m, rhs)
-        if any(slow_rest):
+        slow_pivots = slow_eliminate(augmented(m, rhs))
+        if cols in slow_pivots:
             assert sol is None
         else:
             assert all(type(x) is Fraction for x in sol)
