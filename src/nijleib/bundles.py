@@ -65,23 +65,25 @@ def to_json(value):
     return value
 
 
-def matrix_from_json(rows, where: str, shape: Optional[tuple[int, int]] = None) -> Matrix:
+def matrix_from_json(rows, where: str, shape: tuple[int, int]) -> Matrix:
+    """A matrix of the expected shape; `[]` reads as 0 rows of shape[1]
+    columns, since a list of no rows cannot give its column count."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise BundleError(f"{where}: expected a list of rows")
     try:
-        m = Matrix([[parse_rational(e) for e in row] for row in rows])
+        m = Matrix([[parse_rational(e) for e in row] for row in rows]) if rows else Matrix.zero(0, shape[1])
     except BundleError as exc:
         raise BundleError(f"{where}: {exc}") from None
-    if shape is not None and (m.rows, m.cols) != shape:
+    if (m.rows, m.cols) != shape:
         raise BundleError(f"{where}: expected shape {shape}, got {(m.rows, m.cols)}")
     return m
 
 
-def vector_from_json(entries, where: str, length: Optional[int] = None) -> Vector:
+def vector_from_json(entries, where: str, length: int) -> Vector:
     if not isinstance(entries, list):
         raise BundleError(f"{where}: expected a list")
     v = tuple(parse_rational(e) for e in entries)
-    if length is not None and len(v) != length:
+    if len(v) != length:
         raise BundleError(f"{where}: expected length {length}, got {len(v)}")
     return v
 

@@ -54,6 +54,7 @@ from .errors import BundleError, NijleibError, PreconditionError
 from .extensions import build_extension, section_to_cocycle, transport_cocycle_via_isomorphism
 from .linalg import Matrix, format_rational
 from .operators import (
+    OPERATOR_KINDS,
     WEIGHT_CONVENTIONS,
     OperatorKind,
     check_operator,
@@ -357,11 +358,7 @@ def _cmd_extend_compare(args) -> int:
 
 
 def _add_kind_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--kind",
-        default="nijenhuis",
-        choices=["nijenhuis", "rota_baxter", "rota_baxter_weighted", "modified_rota_baxter"],
-    )
+    p.add_argument("--kind", default="nijenhuis", choices=OPERATOR_KINDS)
     p.add_argument("--weight", default=None, help="rational weight for weighted kinds")
     # None when not given, so that a convention passed to another kind is an error
     p.add_argument("--convention", default=None, choices=WEIGHT_CONVENTIONS)

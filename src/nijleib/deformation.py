@@ -2,7 +2,11 @@
 
 A deformation is a pair of truncated power series: bilinear terms mu_0..mu_k
 and operator terms N_0..N_k, with (mu_0, N_0) the base structure.  Everything
-is order-by-order; there is no formal-completion machinery.
+is order-by-order; there is no formal-completion machinery.  The order-n
+equations are the base identities summed over the compositions of n: the
+Leibniz family runs `algebra._leibniz` on the pairs (mu_i, mu_j), and the
+Nijenhuis family applies N_b to the star bracket `operators._star` of mu_a
+and N_c, so neither identity is written out again here.
 
 Equivalence is conjugation by a formal isomorphism psi with psi_0 = Id:
 `twist_by_isomorphism` computes the conjugate and `equivalence_check` compares
@@ -23,6 +27,7 @@ from .algebra import _bracket, _leibniz, _on_basis, _table
 from .cochain import Cochain, NLACochain
 from .errors import PreconditionError, ShapeError
 from .linalg import Matrix, combine, row_times, vec_sub
+from .operators import _star
 
 
 @dataclass(frozen=True)
@@ -32,12 +37,23 @@ class TruncatedDeformation:
     n_terms: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if len(self.mu_terms) != self.order + 1 or len(self.n_terms) != self.order + 1:
+        if self.order < 0 or len(self.mu_terms) != self.order + 1 or len(self.n_terms) != self.order + 1:
             raise ShapeError("need exactly order+1 terms in each series")
+        dim = self.dim
+        for i, mu in enumerate(self.mu_terms):
+            if len(mu) != dim or any(len(row) != dim or any(len(v) != dim for v in row) for row in mu):
+                raise ShapeError(f"mu_{i} is not a {dim}x{dim}x{dim} tensor")
+        _check_square(self.n_terms, dim, "N")
 
     @property
     def dim(self) -> int:
         return len(self.mu_terms[0])
+
+
+def _check_square(terms: tuple[Matrix, ...], dim: int, name: str) -> None:
+    for i, m in enumerate(terms):
+        if (m.rows, m.cols) != (dim, dim):
+            raise ShapeError(f"{name}_{i} is {m.rows}x{m.cols}, not {dim}x{dim}")
 
 
 def trivial_deformation(alg: LeibnizAlgebra, n_op: Matrix, order: int) -> TruncatedDeformation:
@@ -81,22 +97,16 @@ def deformation_residual(
     mus = [_table(m) for m in d.mu_terms]
     cols = [m.sparse_columns() for m in d.n_terms]
     pairs = list(_compositions(order, mus, mus))
-    # terms (mu_i, N_i), so that one index tuple serves all four Nijenhuis terms
-    triples = list(_compositions(order, *[tuple(zip(mus, cols))] * 3))
+    triples = list(_compositions(order, mus, cols, cols))
 
     def nijenhuis_(u, v):
-        # sum over i + j + k = n of mu_i(N_j u, N_k v) + N_i N_j mu_k(u, v)
-        #   - N_i (mu_j(N_k u, v) + mu_j(u, N_k v))
-        return combine(
-            term
-            for (mi, ni), (mj, nj), (mk, nk) in triples
-            for term in (
-                (1, _bracket(mi, row_times(u, nj), row_times(v, nk))),
-                (1, row_times(row_times(_bracket(mk, u, v), nj), ni)),
-                (-1, row_times(_bracket(mj, row_times(u, nk), v), ni)),
-                (-1, row_times(_bracket(mj, u, row_times(v, nk)), ni)),
-            )
-        )
+        # sum over a + b + c = n of mu_a(N_b u, N_c v) - N_b [u, v]*, with
+        # [u, v]* the star bracket of mu_a and N_c
+        terms = []
+        for ma, nb, nc in triples:
+            nu, nv = row_times(u, nc), row_times(v, nc)
+            terms += ((1, _bracket(ma, row_times(u, nb), nv)), (-1, row_times(_star(ma, nc, u, nu, v, nv), nb)))
+        return combine(terms)
 
     return _on_basis(alg.dim, 3, partial(_leibniz, pairs)), _on_basis(alg.dim, 2, nijenhuis_)
 
@@ -137,9 +147,10 @@ class FormalIsomorphism:
     psi_terms: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if len(self.psi_terms) != self.order + 1:
+        if self.order < 0 or len(self.psi_terms) != self.order + 1:
             raise ShapeError("need exactly order+1 series terms")
-        dim = self.psi_terms[0].rows
+        dim = self.dim
+        _check_square(self.psi_terms, dim, "psi")
         if self.psi_terms[0] != Matrix.identity(dim):
             raise PreconditionError("formal isomorphism must start at the identity")
 

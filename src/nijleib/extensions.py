@@ -2,9 +2,10 @@
 bracket, in split coordinates g (+) V.
 
 The build direction assembles the total algebra from a cocycle pair
-(psi: g x g -> V, chi: g -> V) over a given representation; extraction from a
-section recovers pairs, in one pass of the sparse bracket kernel of `algebra`
-over the total bracket table.  Both comparisons are one coboundary identity
+(psi: g x g -> V, chi: g -> V) over a given representation, and checks its
+Leibniz and Nijenhuis identities only when the certificates are read;
+extraction from a section recovers pairs, in one pass of the sparse bracket
+kernel of `algebra` over the total bracket table.  Both comparisons are one coboundary identity
 (`cochain.coboundary_difference`): the pairs of two sections differ by
 d(gamma, 0), gamma the difference of the sections, and two extensions are
 isomorphic through xi = (Id, 0; C, Id) exactly when their pairs differ by
@@ -14,6 +15,7 @@ d(C, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Optional
@@ -69,12 +71,22 @@ class Section:
 
 @dataclass(frozen=True)
 class ExtensionDatum:
+    """A built extension.  Its certificates are computed from `total` and
+    `total_op` when first read, so extraction and comparison never pay for
+    them."""
+
     base_alg: LeibnizAlgebra
     base_op: Matrix
     rep: Representation  # governing representation of the base on the fiber, with N_V
     total: LeibnizAlgebra
     total_op: Matrix
-    certificates: tuple[Counterexample, ...]  # empty iff all invariants hold
+
+    @cached_property
+    def certificates(self) -> tuple[Counterexample, ...]:
+        """Failures of the Leibniz, then the Nijenhuis identity of the total
+        structure; empty iff both hold."""
+        found = (check_leibniz(self.total), check_operator(self.total, self.total_op, nijenhuis()))
+        return tuple(c for c in found if c is not None)
 
     @property
     def ok(self) -> bool:
@@ -93,7 +105,8 @@ def build_extension(
 
     The Leibniz/Nijenhuis invariants of the total structure hold exactly when
     the pair is a combined-complex 2-cocycle (under the inclusion-exclusion
-    phi); a non-cocycle input yields failure certificates, not an error.
+    phi); a non-cocycle input yields failure certificates, not an error.  Of
+    the inputs only the governing representation is checked here.
     """
     n, m = alg.dim, rep.module_dim
     nv = rep.module_operator
@@ -128,21 +141,7 @@ def build_extension(
         ]
     )
 
-    certificates = []
-    leib = check_leibniz(total)
-    if leib is not None:
-        certificates.append(leib)
-    nij = check_operator(total, total_op, nijenhuis())
-    if nij is not None:
-        certificates.append(nij)
-    return ExtensionDatum(
-        base_alg=alg,
-        base_op=n_op,
-        rep=rep,
-        total=total,
-        total_op=total_op,
-        certificates=tuple(certificates),
-    )
+    return ExtensionDatum(base_alg=alg, base_op=n_op, rep=rep, total=total, total_op=total_op)
 
 
 def section_to_cocycle(ext: ExtensionDatum, s: Optional[Section] = None) -> CocyclePair:

@@ -33,6 +33,7 @@ from .algebra import _ONE, _bracket, _dense, _star_actions
 from .errors import PreconditionError, ResourceLimitError, ShapeError
 from .linalg import Matrix, combine, frac, row_times
 
+OPERATOR_KINDS = ("nijenhuis", "rota_baxter", "rota_baxter_weighted", "modified_rota_baxter")
 WEIGHT_CONVENTIONS = ("standard", "as_printed")
 
 
@@ -43,6 +44,8 @@ class OperatorKind:
     convention: str = "standard"
 
     def __post_init__(self):
+        if self.tag not in OPERATOR_KINDS:
+            raise ValueError(f"unknown operator kind {self.tag!r}")
         weighted = self.tag in ("rota_baxter_weighted", "modified_rota_baxter")
         if weighted and self.weight is None:
             raise ValueError(f"{self.tag} requires a weight")
@@ -98,9 +101,8 @@ def _defect_value(kind: OperatorKind, table: dict, cols, x: dict, nx: dict, y: d
         extra = row_times(bare, cols) if kind.convention == "as_printed" else bare
         inner = combine(((1, inner_rb), (kind.weight, extra)))
         return combine(((1, lhs), (-1, row_times(inner, cols))))
-    if kind.tag == "modified_rota_baxter":
-        return combine(((1, lhs), (-1, row_times(inner_rb, cols)), (-kind.weight, _bracket(table, x, y))))
-    raise ValueError(f"unknown operator kind {kind.tag!r}")
+    # modified Rota-Baxter, the last of OPERATOR_KINDS
+    return combine(((1, lhs), (-1, row_times(inner_rb, cols)), (-kind.weight, _bracket(table, x, y))))
 
 
 def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> BilinearTensor:

@@ -153,6 +153,15 @@ def test_extension_of_a_zero_dim_base_round_trips():
     assert serialize_extension(ext) == text
 
 
+def test_extension_with_a_zero_dim_fiber_round_trips():
+    """chi of a 0-dim fiber over a 2-dim base is 0 x 2, and serializes as []."""
+    text = '{"chi":[],"fiber_dim":0,"fiber_operator":[],"psi":[[[],[]],[[],[]]]}\n'
+    ext = parse_extension(text, 2)
+    assert (ext.pair.chi.as_matrix().rows, ext.pair.chi.as_matrix().cols) == (0, 2)
+    assert serialize_extension(ext) == text
+    assert parse_extension(serialize_extension(ext), 2) == ext
+
+
 def test_emit_json_is_canonical():
     a = emit_json({"b": 1, "a": [2, 3]})
     b = emit_json({"a": [2, 3], "b": 1})

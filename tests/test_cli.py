@@ -663,6 +663,31 @@ def test_extend_over_a_zero_dim_base(capsys, tmp_path):
     assert (doc["psi"], doc["chi"]) == ([], [[]])
 
 
+def test_extend_with_a_zero_dim_fiber(capsys, fixtures_dir, tmp_path):
+    """A 0-dim fiber over loday2, whose 0-dim representation `verify`
+    accepts: chi and the corner are 0 x 2 matrices, written `[]`, and the
+    total algebra is loday2 itself."""
+    doc = json.loads((fixtures_dir / "loday2_classified.json").read_text())
+    doc["representation"] = {"dimension": 0, "left": [[], []], "operator": [], "right": [[], []]}
+    bundle, extension, corner = tmp_path / "base.json", tmp_path / "extension.json", tmp_path / "corner.json"
+    bundle.write_text(json.dumps(doc))
+    extension.write_text('{"chi":[],"fiber_dim":0,"fiber_operator":[],"psi":[[[],[]],[[],[]]]}\n')
+    corner.write_text("[]")
+    assert run(capsys, "verify", str(bundle))[0] == EXIT_PASS
+    code, out, _ = run(capsys, "extend", "build", str(bundle), str(extension))
+    assert code == EXIT_PASS
+    assert json.loads(out)["total_dimension"] == 2
+    code, out, _ = run(capsys, "extend", "extract", str(bundle), str(extension))
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert (doc["psi"], doc["chi"]) == ([[[], []], [[], []]], [])
+    code, out, _ = run(
+        capsys, "extend", "compare", str(bundle), str(extension), str(extension), "--corner", str(corner)
+    )
+    assert code == EXIT_PASS
+    assert json.loads(out)["equal"] is True
+
+
 def test_extend_compare_via_corner(capsys, fixtures_dir):
     bundle = fx(fixtures_dir, "loday2_classified.json")
     code, out, _ = run(

@@ -30,7 +30,7 @@ from nijleib.deformation import (
     trivial_deformation,
     twist_by_isomorphism,
 )
-from nijleib.errors import PreconditionError
+from nijleib.errors import PreconditionError, ShapeError
 from nijleib.linalg import Matrix, frac, unit_vector, vec_add, vec_sub, zero_vector
 from nijleib.operators import is_nijenhuis, nijenhuis, operator_defect
 from oracles import bilinear_eval
@@ -325,6 +325,29 @@ def test_equivalence_check_matches_conjugation_oracle():
 def test_iso_requires_identity_head():
     with pytest.raises(PreconditionError):
         FormalIsomorphism(1, (Matrix.zero(2, 2), Matrix.identity(2)))
+
+
+def test_series_term_shapes_are_checked():
+    """A 2-dim mu_1 or N_1 under a 3-dim base, a 2x2 psi_1 after a 3x3
+    identity, or a negative order is refused when the series is built."""
+    alg = catalog_get("dsum(loday2,abelian1)")
+    base = trivial_deformation(alg, Matrix.zero(3, 3), 1)
+    small = trivial_deformation(catalog_get("loday2"), Matrix.zero(2, 2), 1)
+    with pytest.raises(ShapeError, match="mu_1 is not a 3x3x3 tensor"):
+        TruncatedDeformation(1, (base.mu_terms[0], small.mu_terms[1]), base.n_terms)
+    with pytest.raises(ShapeError, match="N_1 is 2x2, not 3x3"):
+        TruncatedDeformation(1, base.mu_terms, (base.n_terms[0], small.n_terms[1]))
+    ragged = tuple(row[:2] for row in base.mu_terms[1])
+    with pytest.raises(ShapeError, match="mu_1"):
+        TruncatedDeformation(1, (base.mu_terms[0], ragged), base.n_terms)
+    with pytest.raises(ShapeError, match="psi_1 is 2x2, not 3x3"):
+        FormalIsomorphism(1, (Matrix.identity(3), Matrix.zero(2, 2)))
+    with pytest.raises(ShapeError, match="psi_0 is 3x2"):
+        FormalIsomorphism(0, (Matrix.zero(3, 2),))
+    with pytest.raises(ShapeError, match="order"):
+        TruncatedDeformation(-1, (), ())
+    with pytest.raises(ShapeError, match="order"):
+        FormalIsomorphism(-1, ())
 
 
 def test_rigidity_report_abelian1():

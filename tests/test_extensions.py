@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from nijleib import extensions
 from nijleib.algebra import (
+    Counterexample,
     LeibnizAlgebra,
     Representation,
     adjoint_representation,
@@ -153,6 +154,38 @@ def test_non_cocycle_yields_certificates(loday2, classified_op, loday2_adjoint):
     ext = build_extension(loday2, classified_op, loday2_adjoint, pair)
     assert not ext.ok
     assert any(c.identity in ("leibniz", "nijenhuis") for c in ext.certificates)
+
+
+def test_certificates_are_computed_only_when_read(loday2, classified_op, loday2_adjoint):
+    """`build_extension` checks only the governing representation: extraction,
+    section differences and transport never run the Leibniz or Nijenhuis
+    check of the total structure.  Read later, the certificates are those the
+    build used to compute, Leibniz first, and they are computed once."""
+    psi = Cochain.from_bilinear_tensor(
+        tuple(
+            tuple(tuple(frac(1 if (i, j, k) == (0, 0, 0) else 0) for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+    )
+    pair = CocyclePair(psi, Cochain.zero(1, 2, 2))
+    s1, s2 = Section(Matrix([[1, 0], [0, 0]])), Section(Matrix.zero(2, 2))
+    unread = AssertionError("the total structure was checked")
+    with mock.patch.object(extensions, "check_leibniz", side_effect=unread), mock.patch.object(
+        extensions, "check_operator", side_effect=unread
+    ):
+        ext = build_extension(loday2, classified_op, loday2_adjoint, pair)
+        zero = build_extension(loday2, classified_op, loday2_adjoint, CocyclePair.zero(2, 2))
+        assert section_to_cocycle(ext) == pair
+        assert section_difference_class(ext, s1, s2).matches
+        assert not transport_cocycle_via_isomorphism(ext, zero, Matrix.zero(2, 2)).matches
+    with mock.patch.object(extensions, "check_leibniz", wraps=check_leibniz) as leibniz:
+        assert not ext.ok
+        assert ext.certificates == (
+            Counterexample("leibniz", (0, 1, 1), tuple(map(frac, (0, 0, 1, 0)))),
+            Counterexample("nijenhuis", (1, 1), tuple(map(frac, (0, 0, 1, 0)))),
+        )
+        assert zero.ok and zero.certificates == ()
+    assert leibniz.call_count == 2
 
 
 @settings(max_examples=80, deadline=None)

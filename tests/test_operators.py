@@ -28,6 +28,7 @@ from nijleib import operators
 from nijleib.errors import PreconditionError, ResourceLimitError
 from nijleib.linalg import Matrix, frac, vec_add, vec_sub
 from nijleib.operators import (
+    OPERATOR_KINDS,
     WEIGHT_CONVENTIONS,
     OperatorKind,
     check_operator,
@@ -116,6 +117,16 @@ def test_grid_search_on_zero_dimensional_algebra():
     alg = LeibnizAlgebra.abelian(0)
     for kind in (nijenhuis(), modified_rota_baxter(3)):
         assert search_operators_grid(alg, kind, 0, 1) == [Matrix([])]
+
+
+def test_unknown_operator_kind_rejected():
+    # a misspelt tag would otherwise pass every check on a 0-dim algebra, and
+    # `_defect_value` reads any tag it does not name as modified Rota-Baxter
+    for tag in ("nijenhuis_typo", "Nijenhuis", ""):
+        with pytest.raises(ValueError, match=f"unknown operator kind {tag!r}"):
+            OperatorKind(tag)
+    kinds = [nijenhuis(), rota_baxter(), rota_baxter_weighted(1), modified_rota_baxter(1)]
+    assert tuple(kind.tag for kind in kinds) == OPERATOR_KINDS
 
 
 KINDS = st.one_of(
