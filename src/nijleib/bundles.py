@@ -21,7 +21,7 @@ from .algebra import (
     check_leibniz,
 )
 from .deformation import FormalIsomorphism, TruncatedDeformation
-from .errors import BundleError, PreconditionError
+from .errors import BundleError, PreconditionError, ShapeError
 from .extensions import CocyclePair
 from .cochain import Cochain
 from .linalg import Matrix, Vector, format_rational, parse_rational
@@ -72,7 +72,7 @@ def matrix_from_json(rows, where: str, shape: tuple[int, int]) -> Matrix:
         raise BundleError(f"{where}: expected a list of rows")
     try:
         m = Matrix([[parse_rational(e) for e in row] for row in rows]) if rows else Matrix.zero(0, shape[1])
-    except BundleError as exc:
+    except (BundleError, ShapeError) as exc:
         raise BundleError(f"{where}: {exc}") from None
     if (m.rows, m.cols) != shape:
         raise BundleError(f"{where}: expected shape {shape}, got {(m.rows, m.cols)}")
@@ -82,10 +82,15 @@ def matrix_from_json(rows, where: str, shape: tuple[int, int]) -> Matrix:
 def vector_from_json(entries, where: str, length: int) -> Vector:
     if not isinstance(entries, list):
         raise BundleError(f"{where}: expected a list")
-    v = tuple(parse_rational(e) for e in entries)
+    v = []
+    for k, e in enumerate(entries):
+        try:
+            v.append(parse_rational(e))
+        except BundleError as exc:
+            raise BundleError(f"{where}[{k}]: {exc}") from None
     if len(v) != length:
         raise BundleError(f"{where}: expected length {length}, got {len(v)}")
-    return v
+    return tuple(v)
 
 
 def tensor_from_json(entries, where: str, dim: int, out_dim: int):

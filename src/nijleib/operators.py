@@ -6,15 +6,20 @@ The weighted Rota-Baxter identity carries a convention flag: `as_printed`
 keeps the weight term inside the outer operator application, `standard`
 (default) puts it on the bare bracket.  Both are evaluated exactly.
 
-Each identity is written once, in `_defect_value`, over the algebra's bracket
-table and the columns N e_i of the operator.  `operator_defect` runs it with
-rational columns; `defect_polynomial` runs it once per basis pair with the
-columns held as polynomials in the entries of N (`_Poly`), which is what
-compiles the grid search.
+All four identities have one form,
+D_K(x, y) = [Nx, Ny] - N([Nx, y] + [x, Ny]) + p_K(N)[x, y],
+and the kind enters only through the coefficients of p_K (`_p_coefficients`).
+One kernel, `_defect_table`, evaluates it by scattering each entry of the
+bracket table to the basis pairs it reaches.  `operator_defect` runs it on
+the rational columns N e_i of the operator; `defect_polynomial` runs it with
+the columns held as polynomials in the entries of N (`_Poly`), which is what
+compiles the grid search.  The star bracket `_star` is not part of it; it
+serves `induced_bracket` and the deformation residuals.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -27,11 +32,10 @@ from .algebra import (
     LeibnizAlgebra,
     Representation,
     check_representation,
-    is_zero_vector,
 )
 from .algebra import _ONE, _bracket, _dense, _star_actions
 from .errors import PreconditionError, ResourceLimitError, ShapeError
-from .linalg import Matrix, combine, frac, row_times
+from .linalg import Matrix, _entry, combine, frac, row_times
 
 OPERATOR_KINDS = ("nijenhuis", "rota_baxter", "rota_baxter_weighted", "modified_rota_baxter")
 WEIGHT_CONVENTIONS = ("standard", "as_printed")
@@ -87,45 +91,75 @@ def _star(table: dict, cols, x: dict, nx: dict, y: dict, ny: dict) -> dict:
     )
 
 
-def _defect_value(kind: OperatorKind, table: dict, cols, x: dict, nx: dict, y: dict, ny: dict) -> dict:
-    """The identity's left-minus-right side on sparse x and y, given Nx and Ny;
-    `table` is the bracket and `cols` are the columns of N."""
-    lhs = _bracket(table, nx, ny)
+def _p_coefficients(kind: OperatorKind) -> tuple:
+    """(alpha, beta, gamma) with p_K(N) = alpha Id + beta N + gamma N^2: the one
+    place where the kind enters the defect
+    D_K(x, y) = [Nx, Ny] - N([Nx, y] + [x, Ny]) + p_K(N)[x, y].
+
+    Nijenhuis has p = N^2 and Rota-Baxter p = 0.  With weight w, the weighted
+    identity has p = -wN (`standard`) or -wN^2 (`as_printed`), and the
+    modified one p = -w Id."""
+    w = kind.weight
     if kind.tag == "nijenhuis":
-        return combine(((1, lhs), (-1, row_times(_star(table, cols, x, nx, y, ny), cols))))
-    inner_rb = combine(((1, _bracket(table, x, ny)), (1, _bracket(table, nx, y))))
+        return 0, 0, 1
     if kind.tag == "rota_baxter":
-        return combine(((1, lhs), (-1, row_times(inner_rb, cols))))
-    if kind.tag == "rota_baxter_weighted":
-        bare = _bracket(table, x, y)
-        extra = row_times(bare, cols) if kind.convention == "as_printed" else bare
-        inner = combine(((1, inner_rb), (kind.weight, extra)))
-        return combine(((1, lhs), (-1, row_times(inner, cols))))
-    # modified Rota-Baxter, the last of OPERATOR_KINDS
-    return combine(((1, lhs), (-1, row_times(inner_rb, cols)), (-kind.weight, _bracket(table, x, y))))
+        return 0, 0, 0
+    if kind.tag == "modified_rota_baxter":
+        return -w, 0, 0
+    return (0, -w, 0) if kind.convention == "standard" else (0, 0, -w)
+
+
+def _defect_table(kind: OperatorKind, table: dict, cols) -> dict:
+    """The nonzero values {(i, j): {k: c}} of D_K(e_i, e_j), where `table` is
+    the bracket and `cols` are the columns N e_i of the operator.
+
+    Each table entry [e_a, e_b] = c is scattered to the pairs it reaches:
+    N[a][i] N[b][j] c to (i, j), -N[a][i] Nc to (i, b), -N[b][j] Nc to (a, j),
+    and p_K(N)c to (a, b).  The p_K terms are added after all N-terms, so on
+    `_Poly` columns no polynomial is ever added to a rational from the left.
+    """
+    alpha, beta, gamma = _p_coefficients(kind)
+    rows: list[dict] = [{} for _ in cols]
+    for i, col in enumerate(cols):
+        for a, x in col.items():
+            rows[a][i] = x
+    terms = defaultdict(list)
+    images = []
+    for (a, b), c in table.items():
+        nc = row_times(c, cols)
+        images.append((a, b, c, nc))
+        for i, x in rows[a].items():
+            for j, y in rows[b].items():
+                terms[i, j].append((x * y, c))
+            terms[i, b].append((-x, nc))
+        for j, y in rows[b].items():
+            terms[a, j].append((-y, nc))
+    for a, b, c, nc in images:
+        terms[a, b] += ((gamma, row_times(nc, cols) if gamma else {}), (beta, nc), (alpha, c))
+    return {pair: v for pair, t in terms.items() if (v := combine(t))}
 
 
 def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> BilinearTensor:
     """Left-minus-right side of the chosen identity on every basis pair.
 
-    Bilinearity extends a vanishing defect tensor to all inputs.  The identity
-    is evaluated over the bracket table of `alg` and the nonzero columns N e_i
-    of `n`.
+    Bilinearity extends a vanishing defect tensor to all inputs.  This is the
+    dense view of `_defect_table` over the bracket table of `alg` and the
+    nonzero columns of `n`; the pairs with no defect share one zero vector.
     """
     if n.rows != alg.dim or n.cols != alg.dim:
         raise ShapeError("operator dimension does not match the algebra")
-    d, table, cols = alg.dim, alg.table, n.sparse_columns()
-    units = [{i: _ONE} for i in range(d)]
+    d = alg.dim
+    values = _defect_table(kind, alg.table, n.sparse_columns())
+    zero = _dense({}, d)
     return tuple(
-        tuple(_dense(_defect_value(kind, table, cols, units[i], cols[i], units[j], cols[j]), d) for j in range(d))
-        for i in range(d)
+        tuple(_dense(values[i, j], d) if (i, j) in values else zero for j in range(d)) for i in range(d)
     )
 
 
 def check_operator(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> Optional[Counterexample]:
     defect = operator_defect(alg, n, kind)
     for i, j in product(range(alg.dim), repeat=2):
-        if not is_zero_vector(defect[i][j]):
+        if any(defect[i][j]):
             return Counterexample(kind.describe(), (i, j), defect[i][j])
     return None
 
@@ -212,8 +246,8 @@ class _Poly(dict):
     polynomial or a rational to itself, negates, and multiplies with both on
     either side, each by one `combine`, so the bracket kernel runs on it
     unchanged.  The kernel never adds a polynomial to a rational from the
-    left: in every sum of `_defect_value` the rational [x, y] comes after the
-    terms in N."""
+    left: `_defect_table` adds the p_K(N)[x, y] terms, of which -w[x, y] is
+    rational, after all the terms in N."""
 
     def __add__(self, other) -> "_Poly":
         return _Poly(combine(((1, self), (1, _poly(other)))))
@@ -240,16 +274,15 @@ def defect_polynomial(alg: LeibnizAlgebra, kind: OperatorKind) -> tuple[dict, ..
     variable a = r*d + c is the entry N[r][c].  A polynomial is a
     {monomial: coefficient} dict over the monomials (), (a,) and (a, b) with
     a < b or a = b; zero coefficients are left out.  The identity is evaluated
-    once per basis pair, by the kernel of `operator_defect`, with the columns
-    of N held as polynomials of degree 1.
+    once, by the kernel of `operator_defect`, with the columns of N held as
+    polynomials of degree 1.
     """
     d = alg.dim
     cols = [{r: _Poly({(r * d + c,): _ONE}) for r in range(d)} for c in range(d)]
-    out = []
-    for i, j in product(range(d), repeat=2):
-        value = _defect_value(kind, alg.table, cols, {i: _ONE}, cols[i], {j: _ONE}, cols[j])
-        out.extend(dict(value.get(l, {})) for l in range(d))
-    return tuple(out)
+    values = _defect_table(kind, alg.table, cols)
+    return tuple(
+        dict(values.get((i, j), {}).get(l, {})) for i, j in product(range(d), repeat=2) for l in range(d)
+    )
 
 
 def _compile_grid_tests(polys, k: int, denominator: int) -> list[list[tuple]]:
@@ -297,7 +330,10 @@ def search_operators_grid(
     integer polynomials in the numerators.  A depth-first walk fixes the
     entries in row-major order, values ascending, and cuts a subtree at the
     first component that has all its variables fixed and does not vanish.
-    Each surviving candidate is confirmed by `check_operator`.
+    Each surviving candidate is confirmed by `check_operator`, whose cost is
+    one pass of `_defect_table` over the bracket table, so a leaf on an
+    abelian algebra costs no bracket work.  The leaf matrix is built from
+    trusted rows, its entries normalised by `_entry` once per grid value.
     """
     if denominator < 1:
         raise PreconditionError("denominator must be positive")
@@ -310,13 +346,14 @@ def search_operators_grid(
         raise ResourceLimitError(f"grid of {count} candidates exceeds guard {GRID_GUARD}")
     by_last = _compile_grid_tests(defect_polynomial(alg, kind), k, denominator)
     numerators = range(lo, hi + 1)
-    entry = {v: Fraction(v, denominator) for v in numerators}
+    entry = {v: _entry(Fraction(v, denominator)) for v in numerators}
     p = [0] * k + [1]
     found = []
 
     def walk(t: int) -> None:
         if t == k:
-            m = Matrix([[entry[v] for v in p[r * dim : (r + 1) * dim]] for r in range(dim)])
+            rows = (p[r * dim : (r + 1) * dim] for r in range(dim))
+            m = Matrix._of(tuple({c: entry[v] for c, v in enumerate(row) if v} for row in rows), dim)
             if check_operator(alg, m, kind) is None:
                 found.append(m)
             return

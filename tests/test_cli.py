@@ -688,6 +688,34 @@ def test_extend_with_a_zero_dim_fiber(capsys, fixtures_dir, tmp_path):
     assert json.loads(out)["equal"] is True
 
 
+def test_ragged_matrix_error_is_located(capsys, fixtures_dir, tmp_path):
+    """A ragged matrix names the field it sits in, like every other parse
+    error, instead of the bare `ragged rows` of the matrix constructor."""
+    doc = json.loads((fixtures_dir / "loday2_classified.json").read_text())
+    doc["operator"] = [["1", "0"], ["0"]]
+    bundle = tmp_path / "ragged.json"
+    bundle.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(bundle)) == (EXIT_INVALID, "", "error: operator: ragged rows\n")
+
+
+@pytest.mark.parametrize(
+    "verb, fixture, path, where",
+    [
+        ("extend build", "extension_cocycle.json", ("psi", 1, 0, 1), "extension.psi[1][0][1]"),
+        ("deform check", "deformation_trivial.json", ("mu", 2, 0, 1, 0), "deformation.mu[2][0][1][0]"),
+    ],
+)
+def test_tensor_entry_error_is_located(capsys, fixtures_dir, tmp_path, verb, fixture, path, where):
+    """A bad rational inside a tensor names its entry, down to the coordinate
+    of the vector that holds it."""
+    doc = _replaced(json.loads((fixtures_dir / fixture).read_text()), path, "2/4")
+    bad = tmp_path / fixture
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *verb.split(), fx(fixtures_dir, "loday2_classified.json"), str(bad))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"error: {where}: non-canonical rational '2/4'; expected '1/2'\n"
+
+
 def test_extend_compare_via_corner(capsys, fixtures_dir):
     bundle = fx(fixtures_dir, "loday2_classified.json")
     code, out, _ = run(

@@ -8,6 +8,7 @@ filter (c = 0 and (a = d or a - d = b)) over the same grid.
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import prod
 
@@ -23,10 +24,11 @@ from nijleib.algebra import (
     check_leibniz,
     check_representation,
     adjoint_representation,
+    direct_sum,
 )
 from nijleib import operators
 from nijleib.errors import PreconditionError, ResourceLimitError
-from nijleib.linalg import Matrix, frac, vec_add, vec_sub
+from nijleib.linalg import Matrix, block_diag, frac, vec_add, vec_sub
 from nijleib.operators import (
     OPERATOR_KINDS,
     WEIGHT_CONVENTIONS,
@@ -120,8 +122,7 @@ def test_grid_search_on_zero_dimensional_algebra():
 
 
 def test_unknown_operator_kind_rejected():
-    # a misspelt tag would otherwise pass every check on a 0-dim algebra, and
-    # `_defect_value` reads any tag it does not name as modified Rota-Baxter
+    # a misspelt tag would otherwise pass every check on a 0-dim algebra
     for tag in ("nijenhuis_typo", "Nijenhuis", ""):
         with pytest.raises(ValueError, match=f"unknown operator kind {tag!r}"):
             OperatorKind(tag)
@@ -192,6 +193,48 @@ def test_operator_defect_matches_dense_oracle(alg, kind, data):
     assert defect == slow_operator_defect(alg, n, kind)
     assert all(type(v) is Fraction for row in defect for vec in row for v in vec)
     assert check_operator(alg, n, kind) == slow_check_operator(alg, n, kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_brackets(), st.data())
+def test_nijenhuis_defect_is_star_bracket_defect(alg, data):
+    """The scattered kernel against the star bracket that `induced_bracket`
+    and the deformation residuals use: on (e_i, e_j) the Nijenhuis defect is
+    [Ne_i, Ne_j] - N[e_i, e_j]*, the first bracket taken by the dense oracle."""
+    d = alg.dim
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=5))
+    n = Matrix([[data.draw(entry) for _ in range(d)] for _ in range(d)])
+    cols = n.sparse_columns()
+    defect = operator_defect(alg, n, nijenhuis())
+    for i, j in product(range(d), repeat=2):
+        star = operators._star(alg.table, cols, {i: Fraction(1)}, cols[i], {j: Fraction(1)}, cols[j])
+        star_image = n.apply(tuple(star.get(k, Fraction(0)) for k in range(d)))
+        assert defect[i][j] == vec_sub(bilinear_eval(alg.structure, n.column(i), n.column(j)), star_image)
+
+
+@st.composite
+def catalog_sums(draw):
+    """A direct sum of two or three catalog pairs, of dim 4-7, with the block
+    diagonal of their Nijenhuis operators."""
+    pairs = catalog_nijenhuis_pairs()
+    parts = draw(
+        st.lists(st.sampled_from(pairs), min_size=2, max_size=3).filter(lambda ps: sum(p[1].dim for p in ps) <= 7)
+    )
+    return reduce(direct_sum, (alg for _, alg, _ in parts)), block_diag([op for _, _, op in parts])
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalog_sums(), st.sampled_from(("0", "Id", "M^2", "M^2+M")), KINDS)
+def test_check_operator_on_catalog_sums_matches_dense_oracle(pair, which, kind):
+    """Past dim 3, on operators that pass: 0, Id and the polynomials M^2 and
+    M^2 + M of a Nijenhuis M are Nijenhuis, and every kind gives the dense
+    oracle's verdict and first witness on them."""
+    alg, m = pair
+    n = {"0": Matrix.zero(alg.dim, alg.dim), "Id": Matrix.identity(alg.dim), "M^2": m * m, "M^2+M": m * m + m}[which]
+    found = check_operator(alg, n, kind)
+    assert found == slow_check_operator(alg, n, kind)
+    if kind.tag == "nijenhuis":
+        assert found is None
 
 
 @pytest.mark.parametrize(
