@@ -8,16 +8,20 @@ failing index tuple and the exact residual, so goldens are deterministic.
 
 Every bracket is evaluated on such tables by `_bracket` over {coordinate:
 Fraction} dicts, as a `linalg.combine`; a linear map applies to such a vector
-as `linalg.row_times` over its columns.
+as `linalg.row_times` over its columns.  The Leibniz identity is evaluated on
+all basis triples at once by `_leibniz_table`, which scatters each table
+entry to the triples it reaches.  It serves `check_leibniz`, the plain
+representation axioms (the Leibniz identity of the semidirect product of the
+algebra and its module, `_semidirect_table`) and the deformation equations.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import Optional, Sequence
 
 from .errors import CatalogError, PreconditionError, ShapeError
@@ -65,20 +69,33 @@ def _bracket(table: dict, u: dict, v: dict) -> dict:
     return combine((s * t, table[a, b]) for a, s in u.items() for b, t in v.items() if (a, b) in table)
 
 
-def _leibniz(pairs, x: dict, y: dict, z: dict) -> dict:
-    """Sum over the table pairs (a, b) of a(x, b(y, z)) - a(b(x, y), z) - a(y, b(x, z)).
+def _leibniz_table(pairs) -> dict:
+    """The nonzero values {(i, j, k): {l: c}} of the sum over the table pairs
+    (A, B) of A(x, B(y, z)) - A(B(x, y), z) - A(y, B(x, z)) on all basis
+    triples (e_i, e_j, e_k).
 
     With the one pair (mu, mu) this is the Leibniz identity; with the pairs
-    (mu_i, mu_j), i + j = n, it is the order-n deformation equation."""
-    return combine(
-        term
-        for a, b in pairs
-        for term in (
-            (1, _bracket(a, x, _bracket(b, y, z))),
-            (-1, _bracket(a, _bracket(b, x, y), z)),
-            (-1, _bracket(a, y, _bracket(b, x, z))),
-        )
-    )
+    (mu_a, mu_b), a + b = n, it is the order-n deformation equation.  Each
+    entry B[p, q] = c reaches, through each of its coordinates m, the triple
+    (i, p, q) by the entries A[i, m], and (p, q, k) and (p, j, q) by the
+    entries A[m, k] and A[j, m], negated; so the work follows the nonzeros
+    of the tables, not the number of triples.
+    """
+    terms = defaultdict(list)
+    for a, b in pairs:
+        by_first, by_second = defaultdict(list), defaultdict(list)
+        for (i, k), v in a.items():
+            by_first[i].append((k, v))
+            by_second[k].append((i, v))
+        for (p, q), c in b.items():
+            for m, x in c.items():
+                negated = -x
+                for i, v in by_second[m]:
+                    terms[i, p, q].append((x, v))
+                    terms[p, i, q].append((negated, v))
+                for k, v in by_first[m]:
+                    terms[p, q, k].append((negated, v))
+    return {t: v for t, ts in terms.items() if (v := combine(ts))}
 
 
 def _on_basis(dim: int, arity: int, f, *head: dict) -> tuple:
@@ -173,12 +190,13 @@ class LeibnizAlgebra:
 
 
 def check_leibniz(alg: LeibnizAlgebra) -> Optional[Counterexample]:
-    """Leibniz identity [ei,[ej,ek]] = [[ei,ej],ek] + [ej,[ei,ek]] on all basis triples."""
-    pairs = ((alg.table,) * 2,)
-    for i, j, k in product(range(alg.dim), repeat=3):
-        if residual := _leibniz(pairs, {i: _ONE}, {j: _ONE}, {k: _ONE}):
-            return Counterexample("leibniz", (i, j, k), _dense(residual, alg.dim))
-    return None
+    """Leibniz identity [ei,[ej,ek]] = [[ei,ej],ek] + [ej,[ei,ek]] on all basis
+    triples; the certificate is at the first failing triple."""
+    values = _leibniz_table(((alg.table, alg.table),))
+    if not values:
+        return None
+    t = min(values)
+    return Counterexample("leibniz", t, _dense(values[t], alg.dim))
 
 
 @dataclass(frozen=True)
@@ -230,29 +248,68 @@ class Representation:
         return Representation(self.left, self.right, op, module_dim=self.module_dim)
 
 
+def _semidirect_table(alg: LeibnizAlgebra, rep: Representation, psi: Optional[dict] = None) -> dict:
+    """The bracket table on g (+) V, the basis of g first and v_b at index
+    n + b: [e_i, e_j] is the bracket of g plus psi(e_i, e_j) in V, [e_i, v_b]
+    is column b of l(e_i), [v_b, e_i] column b of r(e_i), and [V, V] = 0.
+    `psi` is a table {(i, j): {k: c}} in module coordinates; without it this
+    is the semidirect product of g and V."""
+    n, psi = alg.dim, psi or {}
+    table = {
+        key: {**alg.table.get(key, {}), **{n + k: c for k, c in psi.get(key, {}).items()}}
+        for key in sorted(alg.table.keys() | psi.keys())
+    }
+    for i in range(n):
+        for k, row in enumerate(rep.left[i].nz):
+            for b, c in row.items():
+                table.setdefault((i, n + b), {})[n + k] = frac(c)
+        for k, row in enumerate(rep.right[i].nz):
+            for b, c in row.items():
+                table.setdefault((n + b, i), {})[n + k] = frac(c)
+    return table
+
+
+# the plain axiom that is the Leibniz identity of the semidirect product on a
+# triple whose one module argument is in the last, middle or first slot
+_REP_AXIOMS = ("rep-left-left", "rep-left-right", "rep-right-bracket")
+
+
 def check_representation(
     alg: LeibnizAlgebra,
     rep: Representation,
     n_op: Optional[Matrix] = None,
 ) -> Optional[Counterexample]:
     """Verify the three plain axioms, plus the two Nijenhuis axioms when both
-    n_op and rep.module_operator are present."""
+    n_op and rep.module_operator are present.
+
+    (V, l, r) is a representation exactly when the semidirect product of g
+    and V satisfies the Leibniz identity (Loday-Pirashvili, Math. Ann. 296,
+    1993), and the three plain axioms are that identity on the triples with
+    one module argument: (e_i, e_j, v) is `rep-left-left`, (e_i, v, e_j)
+    `rep-left-right` and (v, e_i, e_j) `rep-right-bracket`, each at (i, j).
+    All are read off one `_leibniz_table` of `_semidirect_table`.  The
+    certificate is at the first failing (i, j), the axioms tried in that
+    order, and its residual is the m x m matrix whose column b is the value
+    at v = v_b.
+    """
     if rep.algebra_dim != alg.dim:
         raise ShapeError("representation is for a different algebra dimension")
-    L, R = rep.left, rep.right
-    for i, j in product(range(alg.dim), repeat=2):
-        c = alg.bracket_basis(i, j)
-        l_bracket = rep.left_action(c)
-        r_bracket = rep.right_action(c)
-        res1 = L[i] * L[j] - l_bracket - L[j] * L[i]
-        if not res1.is_zero():
-            return Counterexample("rep-left-left", (i, j), res1)
-        res2 = L[i] * R[j] - R[j] * L[i] - r_bracket
-        if not res2.is_zero():
-            return Counterexample("rep-left-right", (i, j), res2)
-        res3 = r_bracket - R[j] * R[i] - L[i] * R[j]
-        if not res3.is_zero():
-            return Counterexample("rep-right-bracket", (i, j), res3)
+    n, m = alg.dim, rep.module_dim
+    table = _semidirect_table(alg, rep)
+    failing = defaultdict(dict)  # (i, j, axiom) -> {b: residual at v_b}
+    for t, value in _leibniz_table(((table, table),)).items():
+        slots = [s for s, k in enumerate(t) if k >= n]
+        if len(slots) == 1:
+            (s,) = slots
+            i, j = (k for k in t if k < n)
+            failing[i, j, 2 - s][t[s] - n] = value
+    if failing:
+        i, j, axiom = min(failing)
+        rows = [{} for _ in range(m)]
+        for b, value in failing[i, j, axiom].items():
+            for k, c in value.items():
+                rows[k - n][b] = c
+        return Counterexample(_REP_AXIOMS[axiom], (i, j), Matrix.sparse(rows, m))
     nv = rep.module_operator
     if n_op is not None and nv is not None:
         if n_op.rows != alg.dim or n_op.cols != alg.dim:

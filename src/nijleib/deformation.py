@@ -4,9 +4,10 @@ A deformation is a pair of truncated power series: bilinear terms mu_0..mu_k
 and operator terms N_0..N_k, with (mu_0, N_0) the base structure.  Everything
 is order-by-order; there is no formal-completion machinery.  The order-n
 equations are the base identities summed over the compositions of n: the
-Leibniz family runs `algebra._leibniz` on the pairs (mu_i, mu_j), and the
-Nijenhuis family applies N_b to the star bracket `operators._star` of mu_a
-and N_c, so neither identity is written out again here.
+Leibniz family is the dense view of `algebra._leibniz_table` over the pairs
+(mu_a, mu_b), and the Nijenhuis family applies N_b to the star bracket
+`operators._star` of mu_a and N_c, so neither identity is written out again
+here.
 
 Equivalence is conjugation by a formal isomorphism psi with psi_0 = Id:
 `twist_by_isomorphism` computes the conjugate and `equivalence_check` compares
@@ -23,7 +24,7 @@ from functools import partial
 from typing import Optional
 
 from .algebra import BilinearTensor, LeibnizAlgebra, bilinear_tensor_is_zero, zero_bilinear_tensor
-from .algebra import _bracket, _leibniz, _on_basis, _table
+from .algebra import _bracket, _dense, _leibniz_table, _on_basis, _table
 from .cochain import Cochain, NLACochain
 from .errors import PreconditionError, ShapeError
 from .linalg import Matrix, combine, row_times, vec_sub
@@ -108,7 +109,14 @@ def deformation_residual(
             terms += ((1, _bracket(ma, row_times(u, nb), nv)), (-1, row_times(_star(ma, nc, u, nu, v, nv), nb)))
         return combine(terms)
 
-    return _on_basis(alg.dim, 3, partial(_leibniz, pairs)), _on_basis(alg.dim, 2, nijenhuis_)
+    dim, values = alg.dim, _leibniz_table(pairs)
+    zero = _dense({}, dim)
+    basis = range(dim)
+    leibniz = tuple(
+        tuple(tuple(_dense(values[t], dim) if (t := (i, j, k)) in values else zero for k in basis) for j in basis)
+        for i in basis
+    )
+    return leibniz, _on_basis(dim, 2, nijenhuis_)
 
 
 @dataclass(frozen=True)

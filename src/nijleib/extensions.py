@@ -27,7 +27,7 @@ from .algebra import (
     check_leibniz,
     check_representation,
 )
-from .algebra import _bracket, _dense, _sparse
+from .algebra import _bracket, _dense, _semidirect_table, _sparse
 from .cochain import Cochain, CoboundaryDifference, NLACochain, coboundary_difference
 from .errors import PreconditionError, ShapeError
 from .linalg import Matrix, Vector, block_matrix, combine, row_times
@@ -103,10 +103,13 @@ def build_extension(
     [(x,u),(y,v)] = ([x,y], psi(x,y) + l(x,v) + r(u,y)) and operator
     N_hat(x,u) = (Nx, chi(x) + N_V u).
 
-    The Leibniz/Nijenhuis invariants of the total structure hold exactly when
-    the pair is a combined-complex 2-cocycle (under the inclusion-exclusion
-    phi); a non-cocycle input yields failure certificates, not an error.  Of
-    the inputs only the governing representation is checked here.
+    The bracket table is `algebra._semidirect_table` with psi added: with
+    psi = 0 it is the semidirect product on whose Leibniz identity
+    `check_representation` reads the plain axioms.  The Leibniz/Nijenhuis
+    invariants of the total structure hold exactly when the pair is a
+    combined-complex 2-cocycle (under the inclusion-exclusion phi); a
+    non-cocycle input yields failure certificates, not an error.  Of the
+    inputs only the governing representation is checked here.
     """
     n, m = alg.dim, rep.module_dim
     nv = rep.module_operator
@@ -118,20 +121,8 @@ def build_extension(
     if bad is not None:
         raise PreconditionError(f"invalid governing representation: {bad.describe()}")
 
-    def fiber(v: dict) -> dict:
-        return {n + k: c for k, c in v.items()}
-
-    # base pairs: [x,y] + psi(x,y); (e_i, v_b) and (v_b, e_i): column b of l(e_i) and of r(e_i)
-    table = {}
-    for i, j in product(range(n), repeat=2):
-        if v := {**alg.table.get((i, j), {}), **fiber(_sparse(pair.psi.value((i, j))))}:
-            table[i, j] = v
-    for i in range(n):
-        for b, (left, right) in enumerate(zip(rep.left[i].sparse_columns(), rep.right[i].sparse_columns())):
-            if left:
-                table[i, n + b] = fiber(left)
-            if right:
-                table[n + b, i] = fiber(right)
+    psi = {t: v for t in product(range(n), repeat=2) if (v := _sparse(pair.psi.value(t)))}
+    table = _semidirect_table(alg, rep, psi)
     basis = alg.basis + tuple(f"v{b + 1}" for b in range(m))
     total = LeibnizAlgebra(n + m, basis, table)
     total_op = block_matrix(

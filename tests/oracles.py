@@ -7,15 +7,19 @@ too, so the oracles below work on dense tensors with their own loops instead:
 `bilinear_eval`, `evaluate_cochain`, and the dense constructions `slow_direct_sum`
 and `slow_extension_structure`.  `slow_eliminate` is the elimination kernel
 without its column index; like it, it returns the pivot rows of the reduced
-echelon form and nothing else.
+echelon form and nothing else.  `slow_leibniz` evaluates the Leibniz kernel
+on one triple of sparse vectors, and `slow_check_representation` checks the
+representation axioms by matrix products, pair by pair.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import strategies as st
 
-from nijleib.algebra import LeibnizAlgebra
-from nijleib.linalg import Matrix, unit_vector, zero_vector
+from nijleib.algebra import Counterexample, LeibnizAlgebra
+from nijleib.algebra import _bracket
+from nijleib.linalg import Matrix, combine, unit_vector, zero_vector
 
 
 def unit(alg, i):
@@ -106,11 +110,65 @@ def slow_extension_structure(alg, rep, psi):
     return tuple(structure)
 
 
+def slow_leibniz(pairs, x: dict, y: dict, z: dict) -> dict:
+    """Sum over the table pairs (a, b) of a(x, b(y, z)) - a(b(x, y), z) - a(y, b(x, z))
+    on one triple of sparse vectors: the oracle of `algebra._leibniz_table`."""
+    return combine(
+        term
+        for a, b in pairs
+        for term in (
+            (1, _bracket(a, x, _bracket(b, y, z))),
+            (-1, _bracket(a, _bracket(b, x, y), z)),
+            (-1, _bracket(a, y, _bracket(b, x, z))),
+        )
+    )
+
+
+def slow_check_representation(alg, rep, n_op=None):
+    """Oracle of `algebra.check_representation`: the three plain axioms as
+    matrix products on each pair (i, j) in turn, then the two Nijenhuis
+    axioms by `slow_nijenhuis_axioms` when both operators are given."""
+    L, R = rep.left, rep.right
+    for i, j in product(range(alg.dim), repeat=2):
+        c = alg.bracket_basis(i, j)
+        l_bracket = rep.left_action(c)
+        r_bracket = rep.right_action(c)
+        res1 = L[i] * L[j] - l_bracket - L[j] * L[i]
+        if not res1.is_zero():
+            return Counterexample("rep-left-left", (i, j), res1)
+        res2 = L[i] * R[j] - R[j] * L[i] - r_bracket
+        if not res2.is_zero():
+            return Counterexample("rep-left-right", (i, j), res2)
+        res3 = r_bracket - R[j] * R[i] - L[i] * R[j]
+        if not res3.is_zero():
+            return Counterexample("rep-right-bracket", (i, j), res3)
+    if n_op is None or rep.module_operator is None:
+        return None
+    return slow_nijenhuis_axioms(rep, n_op)
+
+
+def slow_nijenhuis_axioms(rep, n):
+    """The two Nijenhuis-representation axioms expanded term by term: the
+    first failing index and its residual, left before right."""
+    nv = rep.module_operator
+    nv2 = nv * nv
+    for i in range(n.cols):
+        l_n, r_n = rep.left_action(n.column(i)), rep.right_action(n.column(i))
+        res4 = l_n * nv - nv * l_n - nv * rep.left[i] * nv + nv2 * rep.left[i]
+        if not res4.is_zero():
+            return Counterexample("rep-nijenhuis-left", (i,), res4)
+        res5 = r_n * nv - nv * rep.right[i] * nv - nv * r_n + nv2 * rep.right[i]
+        if not res5.is_zero():
+            return Counterexample("rep-nijenhuis-right", (i,), res5)
+    return None
+
+
 @st.composite
-def any_brackets(draw):
-    """Dim 0-4 structure constants, mostly zero or dense rationals; they need
-    not satisfy the Leibniz identity."""
-    dim = draw(st.integers(0, 4))
+def any_brackets(draw, dim=None):
+    """Structure constants of dimension `dim`, or of a drawn dim 0-4, mostly
+    zero or dense rationals; they need not satisfy the Leibniz identity."""
+    if dim is None:
+        dim = draw(st.integers(0, 4))
     entry = draw(
         st.sampled_from((st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2)), st.fractions(-3, 3, max_denominator=4)))
     )
