@@ -8,11 +8,15 @@ failing index tuple and the exact residual, so goldens are deterministic.
 
 Every bracket is evaluated on such tables by `_bracket` over {coordinate:
 Fraction} dicts, as a `linalg.combine`; a linear map applies to such a vector
-as `linalg.row_times` over its columns.  The Leibniz identity is evaluated on
-all basis triples at once by `_leibniz_table`, which scatters each table
-entry to the triples it reaches.  It serves `check_leibniz`, the plain
-representation axioms (the Leibniz identity of the semidirect product of the
-algebra and its module, `_semidirect_table`) and the deformation equations.
+as `linalg.row_times` over its columns.  Each identity is evaluated on all
+basis tuples at once by one kernel that scatters each table entry to the
+tuples it reaches: `_leibniz_table` the Leibniz identity, `_defect_table` the
+Nijenhuis and Rota-Baxter-type identities, and `_star_table` the star
+bracket.  On the semidirect product of the algebra and its module
+(`_semidirect_table`) the first two are the plain and the Nijenhuis
+representation axioms, and the third gives the induced actions.  They also
+serve `check_leibniz`, the operator identities, the induced bracket and the
+deformation equations.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .linalg import (
     combine,
     frac,
     is_zero_vector,
+    row_times,
     zero_vector,
 )
 
@@ -98,12 +103,76 @@ def _leibniz_table(pairs) -> dict:
     return {t: v for t, ts in terms.items() if (v := combine(ts))}
 
 
-def _on_basis(dim: int, arity: int, f, *head: dict) -> tuple:
-    """The dense table of f on all tuples of basis vectors, first argument
-    outermost; f takes and returns sparse vectors."""
-    if len(head) == arity:
-        return _dense(f(*head), dim)
-    return tuple(_on_basis(dim, arity, f, *head, {i: _ONE}) for i in range(dim))
+def _rows(cols) -> list[dict]:
+    """The rows {i: N[a][i]} of the square matrix with sparse columns `cols`."""
+    rows: list[dict] = [{} for _ in cols]
+    for i, col in enumerate(cols):
+        for a, x in col.items():
+            rows[a][i] = x
+    return rows
+
+
+def _defect_table(p: tuple, triples) -> dict:
+    """The nonzero values {(i, j): {k: c}} of the sum over the triples
+    (T, A, B) of T(Ax, By) - A(T(Bx, y) + T(x, By)) + (alpha + beta A +
+    gamma AB)T(x, y) on all basis pairs (e_i, e_j), p = (alpha, beta, gamma);
+    T is a table, and A (`outer`) and B (`inner`) are given by their columns.
+
+    With the one triple (mu, N, N) this is the operator identity whose
+    p_K(N) = alpha Id + beta N + gamma N^2; with the triples (mu_a, N_b, N_c),
+    a + b + c = n, and p = (0, 0, 1) it is the order-n Nijenhuis deformation
+    equation.  Each entry T[a, b] = c is scattered to the pairs it reaches:
+    A[a][i] B[b][j] c to (i, j), -B[a][i] Ac to (i, b), -B[b][j] Ac to (a, j),
+    and (alpha + beta A + gamma AB)c to (a, b).  When A is B, Ac serves the
+    gamma term and the rows are built once.  The p terms are added after all
+    the others, so on `_Poly` columns no polynomial is ever added to a
+    rational from the left.
+    """
+    alpha, beta, gamma = p
+    terms = defaultdict(list)
+    images = []
+    for t, outer, inner in triples:
+        inner_rows = _rows(inner)
+        outer_rows = inner_rows if inner is outer else _rows(outer)
+        for (a, b), c in t.items():
+            ac = row_times(c, outer)
+            images.append((a, b, c, ac, outer, inner))
+            for i, x in outer_rows[a].items():
+                for j, y in inner_rows[b].items():
+                    terms[i, j].append((x * y, c))
+            for i, x in inner_rows[a].items():
+                terms[i, b].append((-x, ac))
+            for j, y in inner_rows[b].items():
+                terms[a, j].append((-y, ac))
+    for a, b, c, ac, outer, inner in images:
+        abc = row_times(ac if inner is outer else row_times(c, inner), outer) if gamma else {}
+        terms[a, b] += ((gamma, abc), (beta, ac), (alpha, c))
+    return {pair: v for pair, t in terms.items() if (v := combine(t))}
+
+
+def _star_table(table: dict, cols) -> dict:
+    """The nonzero values {(i, j): {k: c}} of the star bracket
+    [x, y]* = [Nx, y] + [x, Ny] - N[x, y] on all basis pairs, where `table`
+    is the bracket and `cols` are the columns of N.  Each entry
+    [e_a, e_b] = c sends N[a][i] c to (i, b), N[b][j] c to (a, j) and -Nc to
+    (a, b)."""
+    rows = _rows(cols)
+    terms = defaultdict(list)
+    for (a, b), c in table.items():
+        for i, x in rows[a].items():
+            terms[i, b].append((x, c))
+        for j, y in rows[b].items():
+            terms[a, j].append((y, c))
+        terms[a, b].append((-1, row_times(c, cols)))
+    return {pair: v for pair, t in terms.items() if (v := combine(t))}
+
+
+def _dense_pairs(values: dict, dim: int) -> BilinearTensor:
+    """The dense view of a table {(i, j): {k: c}} on all basis pairs; the
+    pairs it leaves out share one zero vector."""
+    zero = _dense({}, dim)
+    basis = range(dim)
+    return tuple(tuple(_dense(values[i, j], dim) if (i, j) in values else zero for j in basis) for i in basis)
 
 
 def bilinear_tensor_is_zero(tensor: BilinearTensor) -> bool:
@@ -153,8 +222,7 @@ class LeibnizAlgebra:
     @cached_property
     def structure(self) -> BilinearTensor:
         """The dense view: structure[a][b] is the coordinate vector of [e_a, e_b]."""
-        d = self.dim
-        return tuple(tuple(_dense(self.table.get((a, b), {}), d) for b in range(d)) for a in range(d))
+        return _dense_pairs(self.table, self.dim)
 
     @classmethod
     def from_structure(cls, structure, basis=None) -> "LeibnizAlgebra":
@@ -231,19 +299,6 @@ class Representation:
     def algebra_dim(self) -> int:
         return len(self.left)
 
-    def left_action(self, x: Vector) -> Matrix:
-        return self._act(self.left, x)
-
-    def right_action(self, x: Vector) -> Matrix:
-        return self._act(self.right, x)
-
-    def _act(self, mats: tuple[Matrix, ...], x: Vector) -> Matrix:
-        """The combination sum_i x_i mats[i] of action matrices, row by row."""
-        if len(x) != self.algebra_dim:
-            raise ShapeError(f"expected a vector of length {self.algebra_dim}, got {len(x)}")
-        m = self.module_dim
-        return Matrix.sparse([combine((xi, mat.nz[r]) for xi, mat in zip(x, mats)) for r in range(m)], m)
-
     def with_module_operator(self, op: Optional[Matrix]) -> "Representation":
         return Representation(self.left, self.right, op, module_dim=self.module_dim)
 
@@ -270,8 +325,32 @@ def _semidirect_table(alg: LeibnizAlgebra, rep: Representation, psi: Optional[di
 
 
 # the plain axiom that is the Leibniz identity of the semidirect product on a
-# triple whose one module argument is in the last, middle or first slot
-_REP_AXIOMS = ("rep-left-left", "rep-left-right", "rep-right-bracket")
+# triple whose one module argument is in the last, middle or first slot, then
+# the Nijenhuis axiom that is its Nijenhuis identity on (e_i, v) or (v, e_i)
+_REP_AXIOMS = ("rep-left-left", "rep-left-right", "rep-right-bracket", "rep-nijenhuis-left", "rep-nijenhuis-right")
+
+
+def _module_matrix(columns: dict, n: int, m: int) -> Matrix:
+    """The m x m matrix whose column b is the semidirect-product vector
+    columns[b], read in module coordinates (index n + k is row k)."""
+    rows = [{} for _ in range(m)]
+    for b, value in columns.items():
+        for k, c in value.items():
+            rows[k - n][b] = c
+    return Matrix.sparse(rows, m)
+
+
+def _module_slots(values: dict, n: int) -> dict:
+    """The pair values {(e_i, v_b) or (v_b, e_i): vector} of a table on the
+    semidirect product, regrouped as {(i, side): {b: vector}}, side 0 for
+    (e_i, v_b) and 1 for (v_b, e_i)."""
+    out = defaultdict(dict)
+    for (a, b), value in values.items():
+        if a < n <= b:
+            out[a, 0][b - n] = value
+        elif b < n <= a:
+            out[b, 1][a - n] = value
+    return out
 
 
 def check_representation(
@@ -287,10 +366,13 @@ def check_representation(
     1993), and the three plain axioms are that identity on the triples with
     one module argument: (e_i, e_j, v) is `rep-left-left`, (e_i, v, e_j)
     `rep-left-right` and (v, e_i, e_j) `rep-right-bracket`, each at (i, j).
-    All are read off one `_leibniz_table` of `_semidirect_table`.  The
-    certificate is at the first failing (i, j), the axioms tried in that
-    order, and its residual is the m x m matrix whose column b is the value
-    at v = v_b.
+    All are read off one `_leibniz_table` of `_semidirect_table`.  Likewise
+    (V, l, r, N_V) is a Nijenhuis representation exactly when N (+) N_V is a
+    Nijenhuis operator on the semidirect product, and the two Nijenhuis axioms
+    are its `_defect_table` on the pairs (e_i, v), `rep-nijenhuis-left` at
+    (i,), and (v, e_i), `rep-nijenhuis-right` at (i,).  The certificate is at
+    the first failing index, the axioms tried in the order named, and its
+    residual is the m x m matrix whose column b is the value at v = v_b.
     """
     if rep.algebra_dim != alg.dim:
         raise ShapeError("representation is for a different algebra dimension")
@@ -305,32 +387,17 @@ def check_representation(
             failing[i, j, 2 - s][t[s] - n] = value
     if failing:
         i, j, axiom = min(failing)
-        rows = [{} for _ in range(m)]
-        for b, value in failing[i, j, axiom].items():
-            for k, c in value.items():
-                rows[k - n][b] = c
-        return Counterexample(_REP_AXIOMS[axiom], (i, j), Matrix.sparse(rows, m))
+        return Counterexample(_REP_AXIOMS[axiom], (i, j), _module_matrix(failing[i, j, axiom], n, m))
     nv = rep.module_operator
     if n_op is not None and nv is not None:
         if n_op.rows != alg.dim or n_op.cols != alg.dim:
             raise ShapeError("operator dimension does not match the algebra")
-        # l_{Ne_i} N_V - N_V l_{Ne_i} - N_V L_i N_V + N_V^2 L_i = l_{Ne_i} N_V - N_V L'_i
-        for i in range(alg.dim):
-            for side, (act, induced) in zip(("left", "right"), _star_actions(rep, n_op, i)):
-                residual = act * nv - nv * induced
-                if not residual.is_zero():
-                    return Counterexample(f"rep-nijenhuis-{side}", (i,), residual)
+        cols = block_diag([n_op, nv]).sparse_columns()
+        by_side = _module_slots(_defect_table((0, 0, 1), ((table, cols, cols),)), n)
+        if by_side:
+            i, side = min(by_side)
+            return Counterexample(_REP_AXIOMS[3 + side], (i,), _module_matrix(by_side[i, side], n, m))
     return None
-
-
-def _star_actions(rep: Representation, n_op: Matrix, i: int) -> tuple[tuple[Matrix, Matrix], ...]:
-    """(l_{Ne_i}, L'_i) and (r_{Ne_i}, R'_i): the actions of N e_i and the
-    induced actions L'_i = l_{Ne_i} - N_V L_i + L_i N_V, R'_i likewise."""
-    nv, col = rep.module_operator, n_op.column(i)
-    return tuple(
-        (act, act - nv * base + base * nv)
-        for act, base in ((rep.left_action(col), rep.left[i]), (rep.right_action(col), rep.right[i]))
-    )
 
 
 def adjoint_representation(alg: LeibnizAlgebra, n_op: Optional[Matrix] = None) -> Representation:

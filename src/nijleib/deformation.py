@@ -5,9 +5,8 @@ and operator terms N_0..N_k, with (mu_0, N_0) the base structure.  Everything
 is order-by-order; there is no formal-completion machinery.  The order-n
 equations are the base identities summed over the compositions of n: the
 Leibniz family is the dense view of `algebra._leibniz_table` over the pairs
-(mu_a, mu_b), and the Nijenhuis family applies N_b to the star bracket
-`operators._star` of mu_a and N_c, so neither identity is written out again
-here.
+(mu_a, mu_b), and the Nijenhuis family that of `algebra._defect_table` over
+the triples (mu_a, N_b, N_c), so neither identity is written out again here.
 
 Equivalence is conjugation by a formal isomorphism psi with psi_0 = Id:
 `twist_by_isomorphism` computes the conjugate and `equivalence_check` compares
@@ -20,15 +19,14 @@ read off `cochain.cohomology_dims`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import product
 from typing import Optional
 
 from .algebra import BilinearTensor, LeibnizAlgebra, bilinear_tensor_is_zero, zero_bilinear_tensor
-from .algebra import _bracket, _dense, _leibniz_table, _on_basis, _table
+from .algebra import _bracket, _defect_table, _dense_pairs, _leibniz_table, _table
 from .cochain import Cochain, NLACochain
 from .errors import PreconditionError, ShapeError
 from .linalg import Matrix, combine, row_times, vec_sub
-from .operators import _star
 
 
 @dataclass(frozen=True)
@@ -97,26 +95,12 @@ def deformation_residual(
         raise PreconditionError(f"order {order} outside 0..{d.order}")
     mus = [_table(m) for m in d.mu_terms]
     cols = [m.sparse_columns() for m in d.n_terms]
-    pairs = list(_compositions(order, mus, mus))
-    triples = list(_compositions(order, mus, cols, cols))
-
-    def nijenhuis_(u, v):
-        # sum over a + b + c = n of mu_a(N_b u, N_c v) - N_b [u, v]*, with
-        # [u, v]* the star bracket of mu_a and N_c
-        terms = []
-        for ma, nb, nc in triples:
-            nu, nv = row_times(u, nc), row_times(v, nc)
-            terms += ((1, _bracket(ma, row_times(u, nb), nv)), (-1, row_times(_star(ma, nc, u, nu, v, nv), nb)))
-        return combine(terms)
-
-    dim, values = alg.dim, _leibniz_table(pairs)
-    zero = _dense({}, dim)
-    basis = range(dim)
-    leibniz = tuple(
-        tuple(tuple(_dense(values[t], dim) if (t := (i, j, k)) in values else zero for k in basis) for j in basis)
-        for i in basis
-    )
-    return leibniz, _on_basis(dim, 2, nijenhuis_)
+    dim, values = alg.dim, _leibniz_table(_compositions(order, mus, mus))
+    leibniz = tuple(_dense_pairs({(j, k): v for (h, j, k), v in values.items() if h == i}, dim) for i in range(dim))
+    # sum over a + b + c = n of mu_a(N_b u, N_c v) - N_b [u, v]*, with [u, v]*
+    # the star bracket of mu_a and N_c
+    nijenhuis = _defect_table((0, 0, 1), _compositions(order, mus, cols, cols))
+    return leibniz, _dense_pairs(nijenhuis, dim)
 
 
 @dataclass(frozen=True)
@@ -199,12 +183,14 @@ def twist_by_isomorphism(d: TruncatedDeformation, iso: FormalIsomorphism) -> Tru
     eta_cols, psi_cols = [e.sparse_columns() for e in eta], [p.sparse_columns() for p in psi]
     mus = [_table(m) for m in d.mu_terms]
 
-    def mu_term(terms, x, y):
-        return combine((1, row_times(_bracket(m, row_times(x, p), row_times(y, q)), e)) for e, m, p, q in terms)
+    def mu_table(n):
+        # eta_a mu_b(psi_c e_i, psi_e e_j) summed over a + b + c + e = n
+        terms = list(_compositions(n, eta_cols, mus, psi_cols, psi_cols))
+        pairs = product(range(d.dim), repeat=2)
+        return {(i, j): combine((1, row_times(_bracket(m, p[i], q[j]), e)) for e, m, p, q in terms) for i, j in pairs}
 
     orders = range(d.order + 1)
-    mu_series = [list(_compositions(n, eta_cols, mus, psi_cols, psi_cols)) for n in orders]
-    mu_terms = tuple(_on_basis(d.dim, 2, partial(mu_term, terms)) for terms in mu_series)
+    mu_terms = tuple(_dense_pairs(mu_table(n), d.dim) for n in orders)
     n_terms = tuple(
         sum((e * m * p for e, m, p in _compositions(n, eta, d.n_terms, psi)), zero) for n in orders
     )

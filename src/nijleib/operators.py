@@ -9,17 +9,18 @@ keeps the weight term inside the outer operator application, `standard`
 All four identities have one form,
 D_K(x, y) = [Nx, Ny] - N([Nx, y] + [x, Ny]) + p_K(N)[x, y],
 and the kind enters only through the coefficients of p_K (`_p_coefficients`).
-One kernel, `_defect_table`, evaluates it by scattering each entry of the
-bracket table to the basis pairs it reaches.  `operator_defect` runs it on
+The kernel `algebra._defect_table` evaluates it by scattering each entry of
+the bracket table to the basis pairs it reaches.  `operator_defect` runs it on
 the rational columns N e_i of the operator; `defect_polynomial` runs it with
 the columns held as polynomials in the entries of N (`_Poly`), which is what
-compiles the grid search.  The star bracket `_star` is not part of it; it
-serves `induced_bracket` and the deformation residuals.
+compiles the grid search.  The star bracket is the kernel
+`algebra._star_table`: `induced_bracket` is its value on the bracket table,
+and `induced_representation` reads the induced actions off its value on the
+semidirect product.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -33,9 +34,10 @@ from .algebra import (
     Representation,
     check_representation,
 )
-from .algebra import _ONE, _bracket, _dense, _star_actions
+from .algebra import _ONE, _defect_table, _dense_pairs, _semidirect_table, _star_table
+from .algebra import _module_matrix, _module_slots
 from .errors import PreconditionError, ResourceLimitError, ShapeError
-from .linalg import Matrix, _entry, combine, frac, row_times
+from .linalg import Matrix, _entry, block_diag, combine, frac
 
 OPERATOR_KINDS = ("nijenhuis", "rota_baxter", "rota_baxter_weighted", "modified_rota_baxter")
 WEIGHT_CONVENTIONS = ("standard", "as_printed")
@@ -83,14 +85,6 @@ def modified_rota_baxter(weight) -> OperatorKind:
     return OperatorKind("modified_rota_baxter", frac(weight))
 
 
-def _star(table: dict, cols, x: dict, nx: dict, y: dict, ny: dict) -> dict:
-    """The star bracket [x, y]_N = [Nx, y] + [x, Ny] - N[x, y] on sparse x and y,
-    given Nx and Ny; `table` is the bracket and `cols` are the columns of N."""
-    return combine(
-        ((1, _bracket(table, x, ny)), (1, _bracket(table, nx, y)), (-1, row_times(_bracket(table, x, y), cols)))
-    )
-
-
 def _p_coefficients(kind: OperatorKind) -> tuple:
     """(alpha, beta, gamma) with p_K(N) = alpha Id + beta N + gamma N^2: the one
     place where the kind enters the defect
@@ -109,36 +103,6 @@ def _p_coefficients(kind: OperatorKind) -> tuple:
     return (0, -w, 0) if kind.convention == "standard" else (0, 0, -w)
 
 
-def _defect_table(kind: OperatorKind, table: dict, cols) -> dict:
-    """The nonzero values {(i, j): {k: c}} of D_K(e_i, e_j), where `table` is
-    the bracket and `cols` are the columns N e_i of the operator.
-
-    Each table entry [e_a, e_b] = c is scattered to the pairs it reaches:
-    N[a][i] N[b][j] c to (i, j), -N[a][i] Nc to (i, b), -N[b][j] Nc to (a, j),
-    and p_K(N)c to (a, b).  The p_K terms are added after all N-terms, so on
-    `_Poly` columns no polynomial is ever added to a rational from the left.
-    """
-    alpha, beta, gamma = _p_coefficients(kind)
-    rows: list[dict] = [{} for _ in cols]
-    for i, col in enumerate(cols):
-        for a, x in col.items():
-            rows[a][i] = x
-    terms = defaultdict(list)
-    images = []
-    for (a, b), c in table.items():
-        nc = row_times(c, cols)
-        images.append((a, b, c, nc))
-        for i, x in rows[a].items():
-            for j, y in rows[b].items():
-                terms[i, j].append((x * y, c))
-            terms[i, b].append((-x, nc))
-        for j, y in rows[b].items():
-            terms[a, j].append((-y, nc))
-    for a, b, c, nc in images:
-        terms[a, b] += ((gamma, row_times(nc, cols) if gamma else {}), (beta, nc), (alpha, c))
-    return {pair: v for pair, t in terms.items() if (v := combine(t))}
-
-
 def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> BilinearTensor:
     """Left-minus-right side of the chosen identity on every basis pair.
 
@@ -148,12 +112,8 @@ def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> Bilin
     """
     if n.rows != alg.dim or n.cols != alg.dim:
         raise ShapeError("operator dimension does not match the algebra")
-    d = alg.dim
-    values = _defect_table(kind, alg.table, n.sparse_columns())
-    zero = _dense({}, d)
-    return tuple(
-        tuple(_dense(values[i, j], d) if (i, j) in values else zero for j in range(d)) for i in range(d)
-    )
+    cols = n.sparse_columns()
+    return _dense_pairs(_defect_table(_p_coefficients(kind), ((alg.table, cols, cols),)), alg.dim)
 
 
 def check_operator(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> Optional[Counterexample]:
@@ -204,28 +164,28 @@ def induced_bracket(alg: LeibnizAlgebra, n: Matrix) -> LeibnizAlgebra:
     bad = check_operator(alg, n, nijenhuis())
     if bad is not None:
         raise PreconditionError(f"not a Nijenhuis operator: {bad.describe()}")
-    table, cols = alg.table, n.sparse_columns()
-    star = {
-        (i, j): v
-        for i, j in product(range(alg.dim), repeat=2)
-        if (v := _star(table, cols, {i: _ONE}, cols[i], {j: _ONE}, cols[j]))
-    }
-    return LeibnizAlgebra(alg.dim, alg.basis, star)
+    return LeibnizAlgebra(alg.dim, alg.basis, _star_table(alg.table, n.sparse_columns()))
 
 
 def induced_representation(rep: Representation, alg: LeibnizAlgebra, n: Matrix) -> Representation:
-    """Actions of the star algebra: L'_i = L_{Ne_i} - N_V L_i + L_i N_V and the
-    right-hand analogue; the module operator is unchanged."""
+    """Actions of the star algebra: L'_i = l_{Ne_i} - N_V L_i + L_i N_V and the
+    right-hand analogue R'_i = r_{Ne_i} - N_V R_i + R_i N_V; the module
+    operator is unchanged.
+
+    Both are read off one `_star_table` of the semidirect product with the
+    operator N (+) N_V: column b of L'_i is its value at (e_i, v_b), and
+    column b of R'_i its value at (v_b, e_i)."""
     nv = rep.module_operator
     if nv is None:
         raise PreconditionError("induced representation needs a module operator")
     bad = check_representation(alg, rep, n)
     if bad is not None:
         raise PreconditionError(f"not a Nijenhuis representation: {bad.describe()}")
-    actions = [_star_actions(rep, n, i) for i in range(alg.dim)]
-    left = tuple(induced for (_, induced), _ in actions)
-    right = tuple(induced for _, (_, induced) in actions)
-    return Representation(left, right, nv, module_dim=rep.module_dim)
+    d, m = alg.dim, rep.module_dim
+    star = _star_table(_semidirect_table(alg, rep), block_diag([n, nv]).sparse_columns())
+    slots = _module_slots(star, d)
+    left, right = (tuple(_module_matrix(slots.get((i, side), {}), d, m) for i in range(d)) for side in (0, 1))
+    return Representation(left, right, nv, module_dim=m)
 
 
 GRID_GUARD = 10**7
@@ -279,7 +239,7 @@ def defect_polynomial(alg: LeibnizAlgebra, kind: OperatorKind) -> tuple[dict, ..
     """
     d = alg.dim
     cols = [{r: _Poly({(r * d + c,): _ONE}) for r in range(d)} for c in range(d)]
-    values = _defect_table(kind, alg.table, cols)
+    values = _defect_table(_p_coefficients(kind), ((alg.table, cols, cols),))
     return tuple(
         dict(values.get((i, j), {}).get(l, {})) for i, j in product(range(d), repeat=2) for l in range(d)
     )

@@ -9,7 +9,10 @@ and `slow_extension_structure`.  `slow_eliminate` is the elimination kernel
 without its column index; like it, it returns the pivot rows of the reduced
 echelon form and nothing else.  `slow_leibniz` evaluates the Leibniz kernel
 on one triple of sparse vectors, and `slow_check_representation` checks the
-representation axioms by matrix products, pair by pair.
+representation axioms by matrix products, pair by pair.  `slow_defect` and
+`slow_star` evaluate the defect and star-bracket kernels on one pair of
+sparse vectors, and `slow_induced_actions` gives the induced actions by
+matrix products.
 """
 
 from fractions import Fraction
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from nijleib.algebra import Counterexample, LeibnizAlgebra
 from nijleib.algebra import _bracket
-from nijleib.linalg import Matrix, combine, unit_vector, zero_vector
+from nijleib.linalg import Matrix, combine, row_times, unit_vector, zero_vector
 
 
 def unit(alg, i):
@@ -124,6 +127,49 @@ def slow_leibniz(pairs, x: dict, y: dict, z: dict) -> dict:
     )
 
 
+def slow_defect(p, triples, x: dict, y: dict) -> dict:
+    """Sum over the triples (t, a, b) of t(Ax, By) - A(t(Bx, y) + t(x, By)) +
+    (alpha + beta A + gamma AB)t(x, y), p = (alpha, beta, gamma), on one pair
+    of sparse vectors, A and B given by their columns: the oracle of
+    `algebra._defect_table`."""
+    alpha, beta, gamma = p
+    terms = []
+    for t, a, b in triples:
+        txy = _bracket(t, x, y)
+        terms += (
+            (1, _bracket(t, row_times(x, a), row_times(y, b))),
+            (-1, row_times(_bracket(t, row_times(x, b), y), a)),
+            (-1, row_times(_bracket(t, x, row_times(y, b)), a)),
+            (alpha, txy),
+            (beta, row_times(txy, a)),
+            (gamma, row_times(row_times(txy, b), a)),
+        )
+    return combine(terms)
+
+
+def slow_star(table, cols, x: dict, nx: dict, y: dict, ny: dict) -> dict:
+    """The star bracket [x, y]_N = [Nx, y] + [x, Ny] - N[x, y] on sparse x and y,
+    given Nx and Ny; `table` is the bracket and `cols` are the columns of N:
+    the oracle of `algebra._star_table`."""
+    return combine(
+        ((1, _bracket(table, x, ny)), (1, _bracket(table, nx, y)), (-1, row_times(_bracket(table, x, y), cols)))
+    )
+
+
+def act(mats, x):
+    """The combination sum_i x_i mats[i] of action matrices, row by row."""
+    m = mats[0].rows
+    return Matrix.sparse([combine((xi, mat.nz[r]) for xi, mat in zip(x, mats)) for r in range(m)], m)
+
+
+def slow_induced_actions(rep, n_op, i):
+    """(L'_i, R'_i) by matrix products: L'_i = l_{Ne_i} - N_V L_i + L_i N_V and
+    R'_i = r_{Ne_i} - N_V R_i + R_i N_V, the oracle of
+    `operators.induced_representation`."""
+    nv, col = rep.module_operator, n_op.column(i)
+    return tuple(act(mats, col) - nv * mats[i] + mats[i] * nv for mats in (rep.left, rep.right))
+
+
 def slow_check_representation(alg, rep, n_op=None):
     """Oracle of `algebra.check_representation`: the three plain axioms as
     matrix products on each pair (i, j) in turn, then the two Nijenhuis
@@ -131,8 +177,8 @@ def slow_check_representation(alg, rep, n_op=None):
     L, R = rep.left, rep.right
     for i, j in product(range(alg.dim), repeat=2):
         c = alg.bracket_basis(i, j)
-        l_bracket = rep.left_action(c)
-        r_bracket = rep.right_action(c)
+        l_bracket = act(L, c)
+        r_bracket = act(R, c)
         res1 = L[i] * L[j] - l_bracket - L[j] * L[i]
         if not res1.is_zero():
             return Counterexample("rep-left-left", (i, j), res1)
@@ -153,7 +199,7 @@ def slow_nijenhuis_axioms(rep, n):
     nv = rep.module_operator
     nv2 = nv * nv
     for i in range(n.cols):
-        l_n, r_n = rep.left_action(n.column(i)), rep.right_action(n.column(i))
+        l_n, r_n = act(rep.left, n.column(i)), act(rep.right, n.column(i))
         res4 = l_n * nv - nv * l_n - nv * rep.left[i] * nv + nv2 * rep.left[i]
         if not res4.is_zero():
             return Counterexample("rep-nijenhuis-left", (i,), res4)

@@ -353,11 +353,6 @@ def test_representation_shape_guard():
     z = Matrix.zero(1, 1)
     with pytest.raises(ShapeError, match="2 left but 1 right"):  # the algebra dimension is ambiguous
         Representation((z, z), (z,), module_dim=1)
-    adjoint = adjoint_representation(catalog_get("loday2"))
-    for act in (adjoint.left_action, adjoint.right_action):
-        for bad in ((1,), (1, 0, 5)):
-            with pytest.raises(ShapeError):
-                act(bad)
 
 
 def test_adjoint_requires_valid_algebra(loday2):

@@ -25,8 +25,10 @@ from nijleib.algebra import (
     check_representation,
     adjoint_representation,
     direct_sum,
+    trivial_representation,
 )
 from nijleib import operators
+from nijleib.algebra import _defect_table, _star_table
 from nijleib.errors import PreconditionError, ResourceLimitError
 from nijleib.linalg import Matrix, block_diag, frac, vec_add, vec_sub
 from nijleib.operators import (
@@ -47,7 +49,8 @@ from nijleib.operators import (
     rota_baxter_weighted,
     search_operators_grid,
 )
-from oracles import any_brackets, bilinear_eval, diag, unit
+from nijleib.operators import _p_coefficients
+from oracles import any_brackets, bilinear_eval, diag, slow_defect, slow_induced_actions, slow_star, unit
 
 
 def classification_filter(op: Matrix) -> bool:
@@ -195,19 +198,64 @@ def test_operator_defect_matches_dense_oracle(alg, kind, data):
     assert check_operator(alg, n, kind) == slow_check_operator(alg, n, kind)
 
 
+def any_operator(dim):
+    """A dim x dim matrix, mostly zero or small rationals."""
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=5))
+    return st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim).map(Matrix)
+
+
+@st.composite
+def defect_triples(draw):
+    """(dim, triples): 1-3 triples (T, A, B) of a bracket table of dim 1-3 and
+    the columns of two different operators, so exchanging A and B shows."""
+    dim = draw(st.integers(1, 3))
+    pairs = st.tuples(any_operator(dim), any_operator(dim)).filter(lambda ab: ab[0] != ab[1])
+    triples = draw(st.lists(st.tuples(any_brackets(dim), pairs), min_size=1, max_size=3))
+    return dim, [(alg.table, a.sparse_columns(), b.sparse_columns()) for alg, (a, b) in triples]
+
+
+@settings(max_examples=200, deadline=None)
+@given(defect_triples(), KINDS)
+def test_defect_table_matches_per_pair_oracle(drawn, kind):
+    """The scatter kernel on triples with A != B gives, on every basis pair,
+    the per-pair sum of T(Ax, By) - A(T(Bx, y) + T(x, By)) + p(A, B)T(x, y)
+    for the coefficients of each kind."""
+    dim, triples = drawn
+    p = _p_coefficients(kind)
+    units = [{i: Fraction(1)} for i in range(dim)]
+    expected = {}
+    for i, j in product(range(dim), repeat=2):
+        if value := slow_defect(p, triples, units[i], units[j]):
+            expected[i, j] = value
+    assert _defect_table(p, triples) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_brackets().flatmap(lambda alg: st.tuples(st.just(alg), any_operator(alg.dim))))
+def test_star_table_matches_per_pair_oracle(drawn):
+    """The scattered star bracket against the per-pair one, for any N."""
+    alg, n = drawn
+    cols = n.sparse_columns()
+    expected = {}
+    for i, j in product(range(alg.dim), repeat=2):
+        if value := slow_star(alg.table, cols, {i: Fraction(1)}, cols[i], {j: Fraction(1)}, cols[j]):
+            expected[i, j] = value
+    assert _star_table(alg.table, cols) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(any_brackets(), st.data())
 def test_nijenhuis_defect_is_star_bracket_defect(alg, data):
-    """The scattered kernel against the star bracket that `induced_bracket`
-    and the deformation residuals use: on (e_i, e_j) the Nijenhuis defect is
-    [Ne_i, Ne_j] - N[e_i, e_j]*, the first bracket taken by the dense oracle."""
+    """The defect kernel against the star-bracket kernel `_star_table`: on
+    (e_i, e_j) the Nijenhuis defect is [Ne_i, Ne_j] - N[e_i, e_j]*, the first
+    bracket taken by the dense oracle."""
     d = alg.dim
     entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=5))
     n = Matrix([[data.draw(entry) for _ in range(d)] for _ in range(d)])
-    cols = n.sparse_columns()
+    star_table = _star_table(alg.table, n.sparse_columns())
     defect = operator_defect(alg, n, nijenhuis())
     for i, j in product(range(d), repeat=2):
-        star = operators._star(alg.table, cols, {i: Fraction(1)}, cols[i], {j: Fraction(1)}, cols[j])
+        star = star_table.get((i, j), {})
         star_image = n.apply(tuple(star.get(k, Fraction(0)) for k in range(d)))
         assert defect[i][j] == vec_sub(bilinear_eval(alg.structure, n.column(i), n.column(j)), star_image)
 
@@ -431,6 +479,29 @@ def test_induced_representation_axioms():
         irep = induced_representation(rep, alg, op)
         assert check_representation(star, irep) is None, name
         assert check_representation(star, irep, op) is None, name
+
+
+@st.composite
+def nijenhuis_representations(draw):
+    """(algebra, representation, N): a catalog pair's adjoint representation
+    with its Nijenhuis operator as N and N_V, or a trivial representation of
+    module dim 0-3 with a drawn N_V."""
+    _, alg, op = draw(st.sampled_from(catalog_nijenhuis_pairs()))
+    if draw(st.booleans()):
+        return alg, adjoint_representation(alg, op), op
+    m = draw(st.integers(0, 3))
+    return alg, trivial_representation(alg.dim, m, draw(any_operator(m))), op
+
+
+@settings(max_examples=100, deadline=None)
+@given(nijenhuis_representations())
+def test_induced_representation_matches_matrix_oracle(case):
+    """The induced actions read off the star table of the semidirect product
+    equal L'_i and R'_i by matrix products."""
+    alg, rep, n = case
+    irep = induced_representation(rep, alg, n)
+    for i in range(alg.dim):
+        assert (irep.left[i], irep.right[i]) == slow_induced_actions(rep, n, i)
 
 
 def test_induced_left_action_formula(loday2, classified_op, loday2_adjoint):
