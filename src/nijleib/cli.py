@@ -45,6 +45,7 @@ from .cochain import (
     cohomology_dims,
     cocycle_membership,
 )
+from .cochain import _junction_check
 from .deformation import (
     infinitesimal,
     residual_report,
@@ -252,15 +253,15 @@ def _cmd_selfcheck(args) -> int:
 
     plain_diag = diag_entries(False)
     corr_diag = diag_entries(True)
-    coh = cohomology_dims("nla", bundle.algebra, rep, n_op, max_degree=args.max_degree, variant=args.phi)
-    ok = all(item["commutes"] for item in corr_diag) and all(coh.junctions)
+    _, junctions, _ = _junction_check("nla", bundle.algebra, rep, n_op, args.max_degree, args.phi)
+    ok = all(item["commutes"] for item in corr_diag) and all(junctions)
     report = {
         "command": "selfcheck",
         "phi_variant": args.phi,
         "chain_map": plain_diag,
         "chain_map_combined": corr_diag,
-        "junctions": list(coh.junctions),
-        "degree0_caveat": coh.degree0_caveat,
+        "junctions": list(junctions),
+        "degree0_caveat": True,  # as in every nla `CohomologyReport`
     }
     return _finish(report, ok)
 

@@ -446,6 +446,30 @@ def _first_nonzero(m: Matrix) -> Optional[tuple[int, int, Fraction]]:
     return None
 
 
+def _junction_check(
+    kind: str,
+    alg: LeibnizAlgebra,
+    rep: Representation,
+    n_op: Optional[Matrix],
+    max_degree: int,
+    variant: str,
+) -> tuple[list[Matrix], tuple[bool, ...], tuple[JunctionFailure, ...]]:
+    """The coboundary matrices D_0..D_max_degree, whether D_(n+1) o D_n == 0
+    at each junction n, and the first nonzero entry of each product that is
+    not zero.  It computes no rank, so the selfcheck verb reads its junctions
+    here rather than through `cohomology_dims`."""
+    _check_degree(max_degree)
+    mats = [coboundary_matrix(kind, alg, rep, n_op, d, variant) for d in range(max_degree + 1)]
+    junctions = []
+    failures = []
+    for d in range(max_degree):
+        witness = _first_nonzero(mats[d + 1] * mats[d])
+        junctions.append(witness is None)
+        if witness is not None:
+            failures.append(JunctionFailure(d, *witness))
+    return mats, tuple(junctions), tuple(failures)
+
+
 def cohomology_dims(
     kind: str,
     alg: LeibnizAlgebra,
@@ -458,16 +482,7 @@ def cohomology_dims(
     """Per-degree cocycle/coboundary/cohomology dimensions with junction
     validity flags.  `rank_fn` exists so the plain-elimination oracle can be
     swapped in for cross-checks."""
-    _check_degree(max_degree)
-    mats = [coboundary_matrix(kind, alg, rep, n_op, d, variant) for d in range(max_degree + 1)]
-    junctions = []
-    failures = []
-    for d in range(max_degree):
-        prod = mats[d + 1] * mats[d]
-        witness = _first_nonzero(prod)
-        junctions.append(witness is None)
-        if witness is not None:
-            failures.append(JunctionFailure(d, *witness))
+    mats, junctions, failures = _junction_check(kind, alg, rep, n_op, max_degree, variant)
     ranks = [rank_fn(mat) for mat in mats]
     entries = []
     for d in range(max_degree + 1):
@@ -481,8 +496,8 @@ def cohomology_dims(
         variant=variant,
         max_degree=max_degree,
         degrees=tuple(entries),
-        junctions=tuple(junctions),
-        failures=tuple(failures),
+        junctions=junctions,
+        failures=failures,
         degree0_caveat=(kind == "nla"),
     )
 

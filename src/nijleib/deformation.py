@@ -7,6 +7,8 @@ equations are the base identities summed over the compositions of n: the
 Leibniz family is the dense view of `algebra._leibniz_table` over the pairs
 (mu_a, mu_b), and the Nijenhuis family that of `algebra._defect_table` over
 the triples (mu_a, N_b, N_c), so neither identity is written out again here.
+`residual_report` reads each order's verdict off the kernel values and builds
+the dense view at the first failing order only.
 
 Equivalence is conjugation by a formal isomorphism psi with psi_0 = Id:
 `twist_by_isomorphism` computes the conjugate and `equivalence_check` compares
@@ -85,22 +87,38 @@ def _check_base(alg: LeibnizAlgebra, n_op: Matrix, d: TruncatedDeformation) -> N
         raise PreconditionError("deformation does not start at the given base structure")
 
 
+def _residual_values(alg: LeibnizAlgebra, n_op: Matrix, d: TruncatedDeformation):
+    """The order-n residual kernels as a function of n: the nonzero values
+    of the Leibniz family on basis triples and of the Nijenhuis family on
+    basis pairs.  The series terms are converted to tables once, here."""
+    _check_base(alg, n_op, d)
+    mus = [_table(m) for m in d.mu_terms]
+    cols = [m.sparse_columns() for m in d.n_terms]
+
+    def values(order: int) -> tuple[dict, dict]:
+        leibniz = _leibniz_table(_compositions(order, mus, mus))
+        # sum over a + b + c = n of mu_a(N_b u, N_c v) - N_b [u, v]*, with
+        # [u, v]* the star bracket of mu_a and N_c
+        return leibniz, _defect_table((0, 0, 1), _compositions(order, mus, cols, cols))
+
+    return values
+
+
+def _dense_residual(leibniz: dict, nijenhuis: dict, dim: int) -> tuple[tuple, BilinearTensor]:
+    """The dense views of the two families' values."""
+    tri = tuple(_dense_pairs({(j, k): v for (h, j, k), v in leibniz.items() if h == i}, dim) for i in range(dim))
+    return tri, _dense_pairs(nijenhuis, dim)
+
+
 def deformation_residual(
     alg: LeibnizAlgebra, n_op: Matrix, d: TruncatedDeformation, order: int
 ) -> tuple[tuple, BilinearTensor]:
     """LHS - RHS of the order-n Leibniz and Nijenhuis equation families,
     evaluated on all basis triples / pairs."""
-    _check_base(alg, n_op, d)
+    values = _residual_values(alg, n_op, d)
     if not 0 <= order <= d.order:
         raise PreconditionError(f"order {order} outside 0..{d.order}")
-    mus = [_table(m) for m in d.mu_terms]
-    cols = [m.sparse_columns() for m in d.n_terms]
-    dim, values = alg.dim, _leibniz_table(_compositions(order, mus, mus))
-    leibniz = tuple(_dense_pairs({(j, k): v for (h, j, k), v in values.items() if h == i}, dim) for i in range(dim))
-    # sum over a + b + c = n of mu_a(N_b u, N_c v) - N_b [u, v]*, with [u, v]*
-    # the star bracket of mu_a and N_c
-    nijenhuis = _defect_table((0, 0, 1), _compositions(order, mus, cols, cols))
-    return leibniz, _dense_pairs(nijenhuis, dim)
+    return _dense_residual(*values(order), alg.dim)
 
 
 @dataclass(frozen=True)
@@ -116,10 +134,13 @@ class ResidualReport:
 
 
 def residual_report(alg: LeibnizAlgebra, n_op: Matrix, d: TruncatedDeformation) -> ResidualReport:
+    """The first order whose equations fail, read off the kernel values; the
+    dense residuals are built for that order only."""
+    values = _residual_values(alg, n_op, d)
     for n in range(d.order + 1):
-        tri, bi = deformation_residual(alg, n_op, d, n)
-        if not all(map(bilinear_tensor_is_zero, tri + (bi,))):
-            return ResidualReport(d.order, n, tri, bi)
+        leibniz, nijenhuis = values(n)
+        if leibniz or nijenhuis:
+            return ResidualReport(d.order, n, *_dense_residual(leibniz, nijenhuis, alg.dim))
     return ResidualReport(d.order, None, None, None)
 
 

@@ -1,5 +1,5 @@
 """Operator identities: Nijenhuis, Rota-Baxter (plain, weighted, modified),
-their defect tensors, the induced star bracket and representation, the
+their defects, the induced star bracket and representation, the
 N^2 correspondence suite, and exhaustive grid classification.
 
 The weighted Rota-Baxter identity carries a convention flag: `as_printed`
@@ -11,9 +11,10 @@ D_K(x, y) = [Nx, Ny] - N([Nx, y] + [x, Ny]) + p_K(N)[x, y],
 and the kind enters only through the coefficients of p_K (`_p_coefficients`).
 The kernel `algebra._defect_table` evaluates it by scattering each entry of
 the bracket table to the basis pairs it reaches.  `operator_defect` runs it on
-the rational columns N e_i of the operator; `defect_polynomial` runs it with
-the columns held as polynomials in the entries of N (`_Poly`), which is what
-compiles the grid search.  The star bracket is the kernel
+the columns N e_i of the operator as stored and returns its nonzero values, and
+`check_operator` reads the first witness off them; `defect_polynomial` runs it
+with the columns held as polynomials in the entries of N (`_Poly`), which is
+what compiles the grid search.  The star bracket is the kernel
 `algebra._star_table`: `induced_bracket` is its value on the bracket table,
 and `induced_representation` reads the induced actions off its value on the
 semidirect product.
@@ -28,13 +29,12 @@ from math import lcm
 from typing import Iterator, Optional
 
 from .algebra import (
-    BilinearTensor,
     Counterexample,
     LeibnizAlgebra,
     Representation,
     check_representation,
 )
-from .algebra import _ONE, _defect_table, _dense_pairs, _semidirect_table, _star_table
+from .algebra import _ONE, _defect_table, _dense, _semidirect_table, _star_table
 from .algebra import _module_matrix, _module_slots
 from .errors import PreconditionError, ResourceLimitError, ShapeError
 from .linalg import Matrix, _entry, block_diag, combine, frac
@@ -103,25 +103,30 @@ def _p_coefficients(kind: OperatorKind) -> tuple:
     return (0, -w, 0) if kind.convention == "standard" else (0, 0, -w)
 
 
-def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> BilinearTensor:
-    """Left-minus-right side of the chosen identity on every basis pair.
+def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> dict:
+    """Left-minus-right side of the chosen identity on every basis pair, as
+    its nonzero values {(i, j): {k: Fraction}}.
 
-    Bilinearity extends a vanishing defect tensor to all inputs.  This is the
-    dense view of `_defect_table` over the bracket table of `alg` and the
-    nonzero columns of `n`; the pairs with no defect share one zero vector.
+    Bilinearity extends a vanishing defect to all inputs, so an empty table
+    means the identity holds.  This is `_defect_table` over the bracket table
+    of `alg` and the columns of `n` as the matrix stores them (int entries
+    stay ints in the kernel); only the values it returns become Fractions.
     """
     if n.rows != alg.dim or n.cols != alg.dim:
         raise ShapeError("operator dimension does not match the algebra")
-    cols = n.sparse_columns()
-    return _dense_pairs(_defect_table(_p_coefficients(kind), ((alg.table, cols, cols),)), alg.dim)
+    cols = n.transpose().nz
+    values = _defect_table(_p_coefficients(kind), ((alg.table, cols, cols),))
+    return {pair: {k: frac(c) for k, c in vec.items()} for pair, vec in values.items()}
 
 
 def check_operator(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> Optional[Counterexample]:
-    defect = operator_defect(alg, n, kind)
-    for i, j in product(range(alg.dim), repeat=2):
-        if any(defect[i][j]):
-            return Counterexample(kind.describe(), (i, j), defect[i][j])
-    return None
+    """None if the identity holds, else the defect on the row-major first
+    basis pair where it does not."""
+    values = operator_defect(alg, n, kind)
+    if not values:
+        return None
+    first = min(values)
+    return Counterexample(kind.describe(), first, _dense(values[first], alg.dim))
 
 
 def is_nijenhuis(alg: LeibnizAlgebra, n: Matrix) -> bool:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nijleib import adjoint_representation
+from nijleib import adjoint_representation, linalg
 from nijleib.bundles import AlgebraBundle, serialize_algebra_bundle
 from nijleib.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
 from nijleib.cochain import COMPLEX_KINDS, PHI_VARIANTS
@@ -513,6 +513,22 @@ def test_selfcheck_full_passes(capsys, fixtures_dir):
     doc = json.loads(out)
     assert doc["verdict"] == "pass"
     assert all(e["commutes"] for e in doc["chain_map_combined"])
+
+
+@pytest.mark.parametrize("phi", PHI_VARIANTS)
+def test_selfcheck_junctions_need_no_rank(capsys, monkeypatch, fixtures_dir, phi):
+    """selfcheck reports the junctions of `cohomology_dims` without
+    eliminating a matrix."""
+    bundle = fx(fixtures_dir, "loday2_classified.json")
+    code, out, _ = run(capsys, "selfcheck", bundle, "--phi", phi)
+    _, cohomology_out, _ = run(capsys, "cohomology", bundle, "--complex", "nla", "--phi", phi)
+    assert json.loads(out)["junctions"] == json.loads(cohomology_out)["junctions"]
+
+    def no_elimination(m):
+        raise AssertionError("selfcheck eliminated a matrix")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_elimination)
+    assert run(capsys, "selfcheck", bundle, "--phi", phi) == (code, out, "")
 
 
 def test_selfcheck_printed_reports_failure(capsys, fixtures_dir):

@@ -28,7 +28,7 @@ from nijleib.algebra import (
     trivial_representation,
 )
 from nijleib import operators
-from nijleib.algebra import _defect_table, _star_table
+from nijleib.algebra import _defect_table, _dense_pairs, _star_table
 from nijleib.errors import PreconditionError, ResourceLimitError
 from nijleib.linalg import Matrix, block_diag, frac, vec_add, vec_sub
 from nijleib.operators import (
@@ -192,10 +192,33 @@ def test_operator_defect_matches_dense_oracle(alg, kind, data):
     zero_cols = data.draw(st.sets(st.integers(0, dim - 1))) if dim else set()
     entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=5))
     n = Matrix([[Fraction(0) if c in zero_cols else data.draw(entry) for c in range(dim)] for _ in range(dim)])
-    defect = operator_defect(alg, n, kind)
+    defect = _dense_pairs(operator_defect(alg, n, kind), dim)
     assert defect == slow_operator_defect(alg, n, kind)
     assert all(type(v) is Fraction for row in defect for vec in row for v in vec)
     assert check_operator(alg, n, kind) == slow_check_operator(alg, n, kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_brackets(), KINDS, st.booleans(), st.data())
+def test_check_operator_reads_first_sparse_pair(alg, kind, integral, data):
+    """On int-entry and on rational N, the sparse defect holds exactly the
+    oracle's nonzero pairs, every value a nonzero Fraction, and
+    `check_operator` reports the row-major first of them."""
+    dim = alg.dim
+    entry = st.integers(-2, 2) if integral else st.fractions(-3, 3, max_denominator=5)
+    n = Matrix([[data.draw(entry) for _ in range(dim)] for _ in range(dim)])
+    values = operator_defect(alg, n, kind)
+    assert all(type(v) is Fraction and v for vec in values.values() for v in vec.values())
+    slow = slow_operator_defect(alg, n, kind)
+    nonzero = [(i, j) for i, j in product(range(dim), repeat=2) if any(slow[i][j])]
+    assert sorted(values) == nonzero
+    found = check_operator(alg, n, kind)
+    if not nonzero:
+        assert found is None
+        return
+    i, j = nonzero[0]
+    assert found == Counterexample(kind.describe(), (i, j), slow[i][j])
+    assert all(type(v) is Fraction for v in found.residual)
 
 
 def any_operator(dim):
@@ -253,7 +276,7 @@ def test_nijenhuis_defect_is_star_bracket_defect(alg, data):
     entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=5))
     n = Matrix([[data.draw(entry) for _ in range(d)] for _ in range(d)])
     star_table = _star_table(alg.table, n.sparse_columns())
-    defect = operator_defect(alg, n, nijenhuis())
+    defect = _dense_pairs(operator_defect(alg, n, nijenhuis()), d)
     for i, j in product(range(d), repeat=2):
         star = star_table.get((i, j), {})
         star_image = n.apply(tuple(star.get(k, Fraction(0)) for k in range(d)))
@@ -334,7 +357,7 @@ def test_nijenhuis_defect_nonzero(loday2):
     assert not is_nijenhuis(loday2, bad)
     cert = check_operator(loday2, bad, nijenhuis())
     assert cert is not None and cert.identity == "nijenhuis"
-    defect = operator_defect(loday2, bad, nijenhuis())
+    defect = _dense_pairs(operator_defect(loday2, bad, nijenhuis()), loday2.dim)
     assert any(any(any(v) for v in row) for row in defect)
 
 
