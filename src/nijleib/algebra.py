@@ -374,6 +374,13 @@ def check_representation(
     the first failing index, the axioms tried in the order named, and its
     residual is the m x m matrix whose column b is the value at v = v_b.
     """
+    return _check_semidirect(alg, rep, n_op)[0]
+
+
+def _check_semidirect(alg: LeibnizAlgebra, rep: Representation, n_op: Optional[Matrix]) -> tuple:
+    """(verdict, semidirect table, columns of N (+) N_V or None if the Nijenhuis
+    axioms were not read): `check_representation` with the two inputs that
+    `operators.induced_representation` reads the induced actions off."""
     if rep.algebra_dim != alg.dim:
         raise ShapeError("representation is for a different algebra dimension")
     n, m = alg.dim, rep.module_dim
@@ -387,17 +394,18 @@ def check_representation(
             failing[i, j, 2 - s][t[s] - n] = value
     if failing:
         i, j, axiom = min(failing)
-        return Counterexample(_REP_AXIOMS[axiom], (i, j), _module_matrix(failing[i, j, axiom], n, m))
+        return Counterexample(_REP_AXIOMS[axiom], (i, j), _module_matrix(failing[i, j, axiom], n, m)), table, None
     nv = rep.module_operator
-    if n_op is not None and nv is not None:
-        if n_op.rows != alg.dim or n_op.cols != alg.dim:
-            raise ShapeError("operator dimension does not match the algebra")
-        cols = block_diag([n_op, nv]).sparse_columns()
-        by_side = _module_slots(_defect_table((0, 0, 1), ((table, cols, cols),)), n)
-        if by_side:
-            i, side = min(by_side)
-            return Counterexample(_REP_AXIOMS[3 + side], (i,), _module_matrix(by_side[i, side], n, m))
-    return None
+    if n_op is None or nv is None:
+        return None, table, None
+    if n_op.rows != alg.dim or n_op.cols != alg.dim:
+        raise ShapeError("operator dimension does not match the algebra")
+    cols = block_diag([n_op, nv]).sparse_columns()
+    by_side = _module_slots(_defect_table((0, 0, 1), ((table, cols, cols),)), n)
+    if by_side:
+        i, side = min(by_side)
+        return Counterexample(_REP_AXIOMS[3 + side], (i,), _module_matrix(by_side[i, side], n, m)), table, cols
+    return None, table, cols
 
 
 def adjoint_representation(alg: LeibnizAlgebra, n_op: Optional[Matrix] = None) -> Representation:

@@ -8,17 +8,22 @@ complex acts on pairs by d(f, g) = (delta f, -partial' g - phi f), partial'
 the corrected operator differential `combined_partial_matrix`.  Every
 differential is a matrix; `delta` and `d_nla` apply two of them to a cochain.
 
-Every matrix is Kronecker algebra over the action matrices, ad and N.
-delta_0 stacks -R_a over a; splitting off the first argument x = e_a gives
-delta_n = stack_a(I (x) L_a - S_a (x) I_m) - I_d (x) delta_(n-1), S_a the sum
-over the n slots of ad_a^T in that slot, built as
-S_a^(k) = S_a^(k-1) (x) I_d + I (x) ad_a^T.
+Every matrix is assembled one row at a time: each row is a {column: value}
+dict summed once (`_accumulate`), with no intermediate Kronecker product,
+matrix sum or block stacking.  In Kronecker form delta_0 stacks -R_a over a
+and delta_n = stack_a(I (x) L_a - S_a (x) I_m) - I_d (x) delta_(n-1), S_a
+the sum over the n slots of ad_a^T in that slot; row (a, t, i) of delta_n is
+read off it directly, from row i of L_a, the bracket table and row (t, i) of
+the cached delta_(n-1).  The test oracles keep the Kronecker form, and every
+entry has the type it gives (int where the arithmetic stays on ints, else
+Fraction), every row its column order.
 
 phi is the identity at degree 0.  At degree n >= 1 `full` is the product over
 the slots of (precompose with N in that slot) - (postcompose with N_V); the
 factors commute, so phi_n = sum_k C_k (x) N_V^k with C_k the x^k coefficient
 of (N^T - x I)^(x)n, built slot by slot from C_k <- N^T (x) C_k - I_d (x)
-C_(k-1).  `printed` keeps C_0 and C_1 and adds I (x) N_V^2.  The variants agree
+C_(k-1); each row of phi_n is one sum over k.  `printed` keeps C_0 and C_1
+and adds I (x) N_V^2.  The variants agree
 at degrees 0 and 2 and differ at degree 1 and at degrees >= 3 unless
 N_V^2 = 0.  `full` is the default because it is the only variant under which
 the chain-map identity phi(delta f) = partial'(phi f) holds.  One difference
@@ -45,7 +50,7 @@ from .errors import PreconditionError, ResourceLimitError, ShapeError
 from .linalg import (
     Matrix,
     Vector,
-    block_matrix,
+    _entry,
     frac,
     is_zero_vector,
     kernel_basis,
@@ -168,12 +173,21 @@ class Cochain:
             raise ShapeError("incompatible cochains")
 
 
-def identity_cochain(dim: int) -> Cochain:
-    return Cochain.from_matrix(Matrix.identity(dim))
-
-
 # ---------------------------------------------------------------------------
-# Matrix assembly: Kronecker recursions over the degree, no loop over tuples.
+# Matrix assembly: every row built once, as a {column: value} dict.
+
+
+def _accumulate(row: dict, terms) -> dict:
+    """Add the (column, value) pairs `terms` to `row` in place, in order; an
+    entry that cancels is deleted, never stored as a zero."""
+    for j, v in terms:
+        if j in row:
+            v = row[j] + v
+            if not v:
+                del row[j]
+                continue
+        row[j] = v
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -182,23 +196,51 @@ def delta_matrix(alg: LeibnizAlgebra, rep: Representation, degree: int) -> Matri
 
     delta_0 stacks -R_a over a.  Splitting off the first argument x = e_a,
     (delta_n f)(x, y) = (theta_x f)(y) - (delta_(n-1) f(x, ...))(y) with
-    theta_x f = l(x, f(...)) - sum_j f(..., [x, y_j], ...), so
-    delta_n = stack_a(I (x) L_a - S_a (x) I_m) - I_d (x) delta_(n-1), where
-    S_a puts ad_a^T in each of the n slots in turn.
+    theta_x f = l(x, f(...)) - sum_j f(..., [x, y_j], ...).  So row (a, t, i)
+    of delta_n is row i of L_a at block t, minus c^k_(a, t_p) at column t with
+    t_p replaced by k for each slot p and each coordinate k of [e_a, e_(t_p)],
+    minus row (t, i) of delta_(n-1) shifted to block a, summed in that order
+    as the Kronecker form sums them.
     """
     if rep.algebra_dim != alg.dim:
         raise ShapeError("representation does not match the algebra")
     d, m, n = alg.dim, rep.module_dim, degree
     if n == 0:
         return Matrix.sparse([row for r in rep.right for row in (-r).nz], m)
-    ident_d, ident_m, blocks = Matrix.identity(d), Matrix.identity(m), []
+    below = delta_matrix(alg, rep, n - 1)
+    strides = [d ** (n - 1 - p) for p in range(n)]  # column step of slot p, in tuples
+    rows = []
     for a in range(d):
-        ad_t = alg.left_multiplier(a).transpose()
-        insert = ad_t  # S_a on k slots: S_a on k - 1 slots (x) I_d + I (x) ad_a^T
-        for k in range(2, n + 1):
-            insert = kron(insert, ident_d) + kron(Matrix.identity(d ** (k - 1)), ad_t)
-        blocks.append(kron(Matrix.identity(d**n), rep.left[a]) - kron(insert, ident_m))
-    return block_matrix([[b] for b in blocks]) - kron(ident_d, delta_matrix(alg, rep, n - 1))
+        left, shift = rep.left[a].nz, a * below.cols
+        ad = [sorted((k, _entry(c)) for k, c in alg.table.get((a, l), {}).items()) for l in range(d)]
+        for s, t in enumerate(all_tuples(d, n)):
+            # row t of S_a: ad_a^T in each slot in turn, summed in slot order and
+            # ascending k.  Only t itself is hit twice (by each slot that keeps
+            # t_p), and there the Kronecker form's unit copy turns a partial sum
+            # equal to 1 into int 1
+            insert: dict = {}
+            for l, stride in zip(t, strides):
+                for k, c in ad[l]:
+                    u = s + (k - l) * stride
+                    if u in insert:
+                        v = insert[u]
+                        c = (1 if v == 1 else v) + c
+                        if not c:
+                            del insert[u]
+                            continue
+                    insert[u] = c
+            if insert.get(s) == 1:
+                insert[s] = 1
+            for i, li in enumerate(left):
+                row = {s * m + j: x for j, x in li.items()} if li else {}
+                if insert:
+                    _accumulate(row, ((u * m + i, -c) for u, c in insert.items()))
+                lower = below.nz[s * m + i]  # minus this row, shifted to block a
+                if row:
+                    rows.append(_accumulate(row, ((shift + j, -x) for j, x in lower.items())))
+                else:
+                    rows.append({shift + j: -x for j, x in lower.items()})
+    return Matrix._of(tuple(rows), below.cols * d)
 
 
 def delta(alg: LeibnizAlgebra, rep: Representation, f: Cochain) -> Cochain:
@@ -250,7 +292,9 @@ def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "ful
     degree 0 is the identity.  Put as sum_k E_k (x) (-N_V)^k, E_k the x^k
     coefficient of (N^T + x I)^(x)n, it is built slot by slot without a sign:
     E_k = N^T (x) E_k + I_d (x) E_(k-1).  At degree n >= 1 `printed` keeps the
-    k = 0, 1 terms and adds I (x) N_V^2.
+    k = 0, 1 terms and adds I (x) N_V^2.  Row (r, q) of phi_n is one sum over
+    k of the products E_k[r][j] (-N_V)^k[q][col] at column (j, col), in k
+    order, each product formed as `kron` forms it.
     """
     if variant not in PHI_VARIANTS:
         raise ValueError(f"unknown phi variant {variant!r}")
@@ -261,11 +305,22 @@ def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "ful
         coeffs = upper[:1] + [u + v for u, v in zip(upper[1:], lower)] + lower[-1:]
     if variant == "printed" and degree > 0:
         coeffs = coeffs[:2] + [Matrix.identity(coeffs[0].rows)]
-    powers = [Matrix.identity(module_op.rows)]
+    m = module_op.rows
+    powers = [Matrix.identity(m)]
     for _ in coeffs[1:]:
         powers.append(powers[-1] * -module_op)
-    size = space_dim(n_op.rows, module_op.rows, degree)
-    return sum((kron(c, p) for c, p in zip(coeffs, powers)), Matrix.zero(size, size))
+    terms = [(c.nz, p.nz) for c, p in zip(coeffs, powers)]
+    rows = []
+    for r in range(coeffs[0].rows):
+        for q in range(m):
+            products = (
+                (j * m + col, x if a == 1 else a if x == 1 else a * x)
+                for c, p in terms
+                for j, a in c[r].items()
+                for col, x in p[q].items()
+            )
+            rows.append(_accumulate({}, products))
+    return Matrix._of(tuple(rows), coeffs[0].cols * m)
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +378,29 @@ def nla_matrix(
     degree: int,
     variant: str = "full",
 ) -> Matrix:
-    """Matrix of d at the given degree, blocks ordered [upper; lower].
+    """Matrix of d at the given degree, blocks ordered [upper; lower]:
+    [[delta_n, 0], [-phi_n, -partial'_(n-1)]].
 
-    Degree 0 is the literal specialization d(v) = (delta v, -phi_0 v); the
-    source complex is only pinned down from degree 1 on, so the degree-0
-    block is diagnostic-only.
+    The upper rows are delta_n's own (immutable) row dicts; each lower row
+    negates a row of phi_n and the same row of partial' once.  Degree 0 is
+    the literal specialization d(v) = (delta v, -phi_0 v); the source complex
+    is only pinned down from degree 1 on, so the degree-0 block is
+    diagnostic-only.
     """
     nv = rep.module_operator
     if nv is None:
         raise PreconditionError("combined complex needs a module operator")
     dlt = delta_matrix(alg, rep, degree)
     if degree == 0:
-        return block_matrix([[dlt], [-Matrix.identity(rep.module_dim)]])
+        return Matrix._of(dlt.nz + tuple({i: -1} for i in range(rep.module_dim)), dlt.cols)
     phi = phi_matrix(n_op, nv, degree, variant)
     par = combined_partial_matrix(alg, n_op, rep, degree - 1)
-    return block_matrix([[dlt, Matrix.zero(dlt.rows, par.cols)], [-phi, -par]])
+    lower = []
+    for f, g in zip(phi.nz, par.nz):
+        row = {j: -x for j, x in f.items()}
+        row.update((phi.cols + j, -x) for j, x in g.items())
+        lower.append(row)
+    return Matrix._of(dlt.nz + tuple(lower), dlt.cols + par.cols)
 
 
 def d_nla(

@@ -28,16 +28,11 @@ from itertools import product
 from math import lcm
 from typing import Iterator, Optional
 
-from .algebra import (
-    Counterexample,
-    LeibnizAlgebra,
-    Representation,
-    check_representation,
-)
-from .algebra import _ONE, _defect_table, _dense, _semidirect_table, _star_table
+from .algebra import Counterexample, LeibnizAlgebra, Representation
+from .algebra import _ONE, _check_semidirect, _defect_table, _dense, _star_table
 from .algebra import _module_matrix, _module_slots
 from .errors import PreconditionError, ResourceLimitError, ShapeError
-from .linalg import Matrix, _entry, block_diag, combine, frac
+from .linalg import Matrix, _entry, combine, frac
 
 OPERATOR_KINDS = ("nijenhuis", "rota_baxter", "rota_baxter_weighted", "modified_rota_baxter")
 WEIGHT_CONVENTIONS = ("standard", "as_printed")
@@ -183,11 +178,11 @@ def induced_representation(rep: Representation, alg: LeibnizAlgebra, n: Matrix) 
     nv = rep.module_operator
     if nv is None:
         raise PreconditionError("induced representation needs a module operator")
-    bad = check_representation(alg, rep, n)
+    bad, table, cols = _check_semidirect(alg, rep, n)
     if bad is not None:
         raise PreconditionError(f"not a Nijenhuis representation: {bad.describe()}")
     d, m = alg.dim, rep.module_dim
-    star = _star_table(_semidirect_table(alg, rep), block_diag([n, nv]).sparse_columns())
+    star = _star_table(table, cols)
     slots = _module_slots(star, d)
     left, right = (tuple(_module_matrix(slots.get((i, side), {}), d, m) for i in range(d)) for side in (0, 1))
     return Representation(left, right, nv, module_dim=m)

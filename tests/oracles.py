@@ -13,16 +13,26 @@ representation axioms by matrix products, pair by pair.  `slow_defect` and
 `slow_star` evaluate the defect and star-bracket kernels on one pair of
 sparse vectors, and `slow_induced_actions` gives the induced actions by
 matrix products.
+
+The cochain matrices have two oracles each.  `kron_delta_matrix`,
+`kron_phi_matrix` and `kron_nla_matrix` (with `kron_partial_matrix` and
+`kron_combined_partial_matrix`) are the Kronecker-product assembly that
+`nijleib.cochain` builds row by row, and `assert_same_matrix` compares the
+two entry by entry, types included.  `slow_phi` is the comparison map as
+its defining 2^n-term sum.  `identity_cochain` is the identity map as a
+degree-1 cochain.
 """
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import product
 
 from hypothesis import strategies as st
 
 from nijleib.algebra import Counterexample, LeibnizAlgebra
 from nijleib.algebra import _bracket
-from nijleib.linalg import Matrix, combine, row_times, unit_vector, zero_vector
+from nijleib.cochain import Cochain, star_structures
+from nijleib.linalg import Matrix, block_matrix, combine, kron, mat_mul, row_times, unit_vector, zero_vector
 
 
 def unit(alg, i):
@@ -251,3 +261,120 @@ def slow_eliminate(m):
                     del other[j]
         pivots[c] = prow
     return pivots
+
+
+def identity_cochain(dim):
+    """The identity map of a dim-dimensional space as a degree-1 cochain."""
+    return Cochain.from_matrix(Matrix.identity(dim))
+
+
+# ---------------------------------------------------------------------------
+# Kronecker oracles of the cochain matrices: each matrix as a chain of whole
+# `kron`, `Matrix` sum and `block_matrix` results, the way `nijleib.cochain`
+# assembled them before it built each row once.  `assert_same_matrix` holds
+# the package to their entries, entry types (int where the arithmetic stays on
+# ints, else Fraction) and column order within each row.
+
+
+@lru_cache(maxsize=None)
+def kron_delta_matrix(alg, rep, degree):
+    """delta_n = stack_a(I (x) L_a - S_a (x) I_m) - I_d (x) delta_(n-1), S_a
+    the sum over the n slots of ad_a^T in that slot, built as
+    S_a^(k) = S_a^(k-1) (x) I_d + I (x) ad_a^T; delta_0 stacks -R_a."""
+    d, m, n = alg.dim, rep.module_dim, degree
+    if n == 0:
+        return Matrix.sparse([row for r in rep.right for row in (-r).nz], m)
+    ident_d, ident_m, blocks = Matrix.identity(d), Matrix.identity(m), []
+    for a in range(d):
+        ad_t = alg.left_multiplier(a).transpose()
+        insert = ad_t
+        for k in range(2, n + 1):
+            insert = kron(insert, ident_d) + kron(Matrix.identity(d ** (k - 1)), ad_t)
+        blocks.append(kron(Matrix.identity(d**n), rep.left[a]) - kron(insert, ident_m))
+    return block_matrix([[b] for b in blocks]) - kron(ident_d, kron_delta_matrix(alg, rep, n - 1))
+
+
+def kron_phi_matrix(n_op, module_op, degree, variant="full"):
+    """phi_n = sum_k E_k (x) (-N_V)^k as pairwise `Matrix` sums from a zero
+    matrix, E_k the x^k coefficient of (N^T + x I)^(x)n built slot by slot;
+    `printed` keeps E_0 and E_1 and adds I (x) N_V^2."""
+    nt, ident = n_op.transpose(), Matrix.identity(n_op.rows)
+    coeffs = [Matrix.identity(1)]
+    for _ in range(degree):
+        upper, lower = [kron(nt, c) for c in coeffs], [kron(ident, c) for c in coeffs]
+        coeffs = upper[:1] + [u + v for u, v in zip(upper[1:], lower)] + lower[-1:]
+    if variant == "printed" and degree > 0:
+        coeffs = coeffs[:2] + [Matrix.identity(coeffs[0].rows)]
+    powers = [Matrix.identity(module_op.rows)]
+    for _ in coeffs[1:]:
+        powers.append(powers[-1] * -module_op)
+    size = module_op.rows * n_op.rows**degree
+    return sum((kron(c, p) for c, p in zip(coeffs, powers)), Matrix.zero(size, size))
+
+
+def slow_phi(n_op, module_op, degree, variant):
+    """The comparison map as its defining sum of Kronecker products: N^T in
+    some slots, the identity in the rest, tensored with a power of N_V.
+    `full` sums all 2^n slot subsets with inclusion-exclusion signs;
+    `printed` keeps the all-N^T term, the single-slot terms and a trailing
+    N_V^2 term."""
+    dim, m = n_op.rows, module_op.rows
+    if degree == 0:
+        return Matrix.identity(m)
+    nt = n_op.transpose()
+    ident = Matrix.identity(dim)
+    powers = [Matrix.identity(m)]
+    for _ in range(max(degree, 2)):
+        powers.append(powers[-1] * module_op)
+    if variant == "printed":
+        terms = [(1, [nt] * degree, powers[0])]
+        for j in range(degree):
+            slots = [nt] * degree
+            slots[j] = ident
+            terms.append((-1, slots, powers[1]))
+        terms.append((1, [ident] * degree, powers[2]))
+    else:
+        terms = []
+        for mask in range(1 << degree):
+            slots = [nt if (mask >> a) & 1 else ident for a in range(degree)]
+            missing = degree - bin(mask).count("1")
+            terms.append(((-1) ** missing, slots, powers[missing]))
+    total = Matrix.zero(m * dim**degree, m * dim**degree)
+    for sign, slots, post in terms:
+        total = total + reduce(kron, slots + [post]).scale(sign)
+    return total
+
+
+def kron_partial_matrix(alg, n_op, rep, degree):
+    """The operator differential: `kron_delta_matrix` of the star algebra
+    with the induced representation."""
+    return kron_delta_matrix(*star_structures(alg, n_op, rep), degree)
+
+
+def kron_combined_partial_matrix(alg, n_op, rep, degree):
+    """partial' = partial - delta (I (x) N_V) on the Kronecker oracles."""
+    post = kron(Matrix.identity(alg.dim**degree), rep.module_operator)
+    return kron_partial_matrix(alg, n_op, rep, degree) - mat_mul(kron_delta_matrix(alg, rep, degree), post)
+
+
+def kron_nla_matrix(alg, n_op, rep, degree, variant="full"):
+    """The combined differential as the block matrix [[delta, 0], [-phi, -partial']]
+    of the Kronecker oracles; degree 0 stacks delta_0 over -I."""
+    dlt = kron_delta_matrix(alg, rep, degree)
+    if degree == 0:
+        return block_matrix([[dlt], [-Matrix.identity(rep.module_dim)]])
+    phi = kron_phi_matrix(n_op, rep.module_operator, degree, variant)
+    par = kron_combined_partial_matrix(alg, n_op, rep, degree - 1)
+    return block_matrix([[dlt, Matrix.zero(dlt.rows, par.cols)], [-phi, -par]])
+
+
+def assert_same_matrix(got, want):
+    """`got` equals `want` entry for entry, each entry of the same type (int
+    or Fraction) and each row in the same column order, and stores no zero.
+    The order is checked because a product sums a row's terms in that order,
+    and with Fraction entries the order can decide an entry's type."""
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.nz == want.nz
+    for i, (row, ref) in enumerate(zip(got.nz, want.nz)):
+        assert all(row.values()), f"row {i} stores a zero"
+        assert [(j, type(x)) for j, x in row.items()] == [(j, type(x)) for j, x in ref.items()], f"row {i}"

@@ -28,7 +28,6 @@ from nijleib.cochain import (
     d_nla,
     delta,
     delta_matrix,
-    identity_cochain,
     partial_matrix,
     sample_cocycles,
 )
@@ -61,6 +60,7 @@ from nijleib.operators import (
     rota_baxter_weighted,
     search_operators_grid,
 )
+from oracles import identity_cochain
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

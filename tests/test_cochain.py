@@ -1,22 +1,23 @@
 """Cochain complexes: the Leibniz differential, the operator differential,
 the comparison map, the combined complex, and cohomology dimensions.
 
-delta and partial are assembled as matrices by a Kronecker recursion over
-the degree, so the main oracle here is a slow pointwise evaluator written
-straight from the defining sum (signs and hat-slots spelled out) that never
-touches the matrix path.  The comparison map is checked against its defining
-sum of Kronecker products.
+delta and partial are assembled as matrices one row at a time, so the main
+oracle here is a slow pointwise evaluator written straight from the defining
+sum (signs and hat-slots spelled out) that never touches the matrix path.
+The comparison map is checked against its defining sum of Kronecker
+products.  Every matrix is also checked against the Kronecker-product
+assembly it replaced, entry types included.
 """
 
 import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nijleib.algebra import (
+    LeibnizAlgebra,
     Representation,
     adjoint_representation,
     catalog_get,
@@ -35,7 +36,6 @@ from nijleib.cochain import (
     d_nla,
     delta,
     delta_matrix,
-    identity_cochain,
     nla_matrix,
     partial_matrix,
     phi_matrix,
@@ -55,7 +55,19 @@ from nijleib.linalg import (
     zero_vector,
 )
 from nijleib.operators import induced_bracket, induced_representation
-from oracles import any_brackets, evaluate_cochain, unit
+from oracles import (
+    any_brackets,
+    assert_same_matrix,
+    evaluate_cochain,
+    identity_cochain,
+    kron_combined_partial_matrix,
+    kron_delta_matrix,
+    kron_nla_matrix,
+    kron_partial_matrix,
+    kron_phi_matrix,
+    slow_phi,
+    unit,
+)
 
 
 def slow_delta(alg, rep, f):
@@ -142,39 +154,6 @@ def _act_right(rep, v, x):
     return out
 
 
-def slow_phi(n_op, module_op, degree, variant):
-    """The comparison map as its defining sum of Kronecker products: N^T in
-    some slots, the identity in the rest, tensored with a power of N_V.
-    `full` sums all 2^n slot subsets with inclusion-exclusion signs;
-    `printed` keeps the all-N^T term, the single-slot terms and a trailing
-    N_V^2 term."""
-    dim, m = n_op.rows, module_op.rows
-    if degree == 0:
-        return Matrix.identity(m)
-    nt = n_op.transpose()
-    ident = Matrix.identity(dim)
-    powers = [Matrix.identity(m)]
-    for _ in range(max(degree, 2)):
-        powers.append(powers[-1] * module_op)
-    if variant == "printed":
-        terms = [(1, [nt] * degree, powers[0])]
-        for j in range(degree):
-            slots = [nt] * degree
-            slots[j] = ident
-            terms.append((-1, slots, powers[1]))
-        terms.append((1, [ident] * degree, powers[2]))
-    else:
-        terms = []
-        for mask in range(1 << degree):
-            slots = [nt if (mask >> a) & 1 else ident for a in range(degree)]
-            missing = degree - bin(mask).count("1")
-            terms.append(((-1) ** missing, slots, powers[missing]))
-    total = Matrix.zero(m * dim**degree, m * dim**degree)
-    for sign, slots, post in terms:
-        total = total + reduce(kron, slots + [post]).scale(sign)
-    return total
-
-
 def image(mat, f, shift=1):
     """The cochain of degree f.degree + shift whose vector is mat f.vec."""
     return Cochain(f.degree + shift, f.alg_dim, f.module_dim, mat.apply(f.vec))
@@ -237,13 +216,15 @@ def test_delta_oracle_on_dim3():
 def test_delta_matches_slow_oracle_on_any_bracket(alg, degree, data):
     # brackets that need not be Leibniz and actions that need not form a
     # representation, on a module whose dimension differs from the algebra's:
-    # the recursion over degrees must match the defining sum term by term
+    # the row-by-row matrix must match the defining sum term by term, and the
+    # Kronecker form entry by entry, types included
     m = data.draw(st.sampled_from([k for k in (1, 2, 3) if k != alg.dim]))
     left = tuple(data.draw(_square_matrices(m)) for _ in range(alg.dim))
     right = tuple(data.draw(_square_matrices(m)) for _ in range(alg.dim))
     rep = Representation(left, right, module_dim=m)
     f = random_cochain(random.Random(data.draw(st.integers(0, 2**16))), degree, alg.dim, rep.module_dim)
     assert delta(alg, rep, f) == slow_delta(alg, rep, f)
+    assert_same_matrix(delta_matrix(alg, rep, degree), kron_delta_matrix(alg, rep, degree))
 
 
 def test_delta_squares_to_zero_all_catalog():
@@ -311,7 +292,9 @@ def _square_matrices(size):
 def test_phi_matches_kronecker_sum_oracle_random(ops, degree, variant):
     # algebra and module dimensions differ, so a mix-up between them shows
     n_op, module_op = ops
-    assert phi_matrix(n_op, module_op, degree, variant) == slow_phi(n_op, module_op, degree, variant)
+    phi = phi_matrix(n_op, module_op, degree, variant)
+    assert phi == slow_phi(n_op, module_op, degree, variant)
+    assert_same_matrix(phi, kron_phi_matrix(n_op, module_op, degree, variant))
 
 
 def test_phi_variants_agree_at_degree2(classified_op):
@@ -404,6 +387,49 @@ def test_combined_partial_is_the_correction(loday2, classified_op, loday2_adjoin
     lhs = image(combined_partial_matrix(loday2, classified_op, loday2_adjoint, 1), g)
     rhs = image(partial_matrix(loday2, classified_op, loday2_adjoint, 1), g) - delta(loday2, loday2_adjoint, nvg)
     assert lhs.values == rhs.values
+
+
+# --- row-by-row assembly against the Kronecker oracles ----------------------
+# Each matrix is compared with the chain of whole Kronecker products, sums and
+# block stackings it replaced: the same columns and values, each value of the
+# same type (int or Fraction), and no stored zero.  delta and phi on random
+# inputs are compared the same way in the any-bracket and random phi tests.
+
+
+def test_assembly_matches_kronecker_oracles_all_catalog():
+    # loday2 with its brackets halved puts 1/2 on the diagonal of ad_(e2)^T,
+    # so at degree >= 2 the slots of S_(e2) sum 1/2 + 1/2 = 1 at (e1, e1, ...)
+    # and more, a sum the Kronecker form stores as int 1
+    halved = LeibnizAlgebra(2, ("e1", "e2"), {(1, 0): {0: Fraction(1, 2)}, (1, 1): {0: Fraction(1, 2)}})
+    for name, alg, op in [*catalog_nijenhuis_pairs(), ("loday2/halved", halved, Matrix.identity(2))]:
+        rep = adjoint_representation(alg, op)
+        for n in range(4):
+            assert_same_matrix(delta_matrix(alg, rep, n), kron_delta_matrix(alg, rep, n))
+            assert_same_matrix(partial_matrix(alg, op, rep, n), kron_partial_matrix(alg, op, rep, n))
+            assert_same_matrix(
+                combined_partial_matrix(alg, op, rep, n), kron_combined_partial_matrix(alg, op, rep, n)
+            )
+            for variant in ("full", "printed"):
+                assert_same_matrix(phi_matrix(op, op, n, variant), kron_phi_matrix(op, op, n, variant))
+                assert_same_matrix(nla_matrix(alg, op, rep, n, variant), kron_nla_matrix(alg, op, rep, n, variant))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    any_brackets().filter(lambda alg: alg.dim <= 3),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+    st.integers(0, 3),
+    st.sampled_from(["full", "printed"]),
+    st.data(),
+)
+def test_nla_matches_kronecker_oracle_on_any_bracket(alg, scalar, degree, variant, data):
+    # a scalar operator is Nijenhuis for every bracket, and zero actions with
+    # any module operator form a Nijenhuis representation, so the star
+    # structures exist while the bracket and N_V stay arbitrary
+    m = data.draw(st.sampled_from([k for k in (1, 2, 3) if k != alg.dim]))
+    n_op = Matrix.identity(alg.dim).scale(scalar)
+    rep = trivial_representation(alg.dim, m, data.draw(_square_matrices(m)))
+    assert_same_matrix(nla_matrix(alg, n_op, rep, degree, variant), kron_nla_matrix(alg, n_op, rep, degree, variant))
 
 
 # --- combined complex and cohomology ---------------------------------------
@@ -551,6 +577,8 @@ def test_cochain_multilinear_call(loday2):
 
 
 def test_identity_cochain_values():
+    # the oracle helper: the identity map of a 3-dim space as a 1-cochain
     f = identity_cochain(3)
     for i in range(3):
         assert f.value((i,)) == tuple(frac(1 if j == i else 0) for j in range(3))
+    assert f.as_matrix() == Matrix.identity(3)
