@@ -7,7 +7,7 @@ None on success or a `Counterexample` carrying the lexicographically first
 failing index tuple and the exact residual, so goldens are deterministic.
 
 Every bracket is evaluated on such tables by `_bracket` over {coordinate:
-Fraction} dicts, as a `linalg.combine`; a linear map applies to such a vector
+value} dicts, as a `linalg.combine`; a linear map applies to such a vector
 as `linalg.row_times` over its columns.  Each identity is evaluated on all
 basis tuples at once by one kernel that scatters each table entry to the
 tuples it reaches: `_leibniz_table` the Leibniz identity, `_defect_table` the
@@ -17,6 +17,12 @@ bracket.  On the semidirect product of the algebra and its module
 representation axioms, and the third gives the induced actions.  They also
 serve `check_leibniz`, the operator identities, the induced bracket and the
 deformation equations.
+
+A linear map enters the kernels as the rows N[a] its matrix stores
+(`Matrix.nz`), and each kernel builds the columns it applies the map by once.
+Kernel values keep the types the arithmetic gives them, so an int entry of a
+module action or an operator can stay an int; they become Fractions in the
+dense view `_dense` and in the public values of `operators.operator_defect`.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from .linalg import (
     frac,
     is_zero_vector,
     row_times,
-    zero_vector,
 )
 
 # tensor[i][j] = coordinate vector of the image of (e_i, e_j)
@@ -48,11 +53,6 @@ def bilinear_tensor(entries: Sequence[Sequence[Sequence]]) -> BilinearTensor:
     return tuple(tuple(tuple(frac(c) for c in vec) for vec in row) for row in entries)
 
 
-def zero_bilinear_tensor(dim: int) -> BilinearTensor:
-    z = zero_vector(dim)
-    return tuple(tuple(z for _ in range(dim)) for _ in range(dim))
-
-
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -61,7 +61,9 @@ def _sparse(v: Vector) -> dict:
 
 
 def _dense(v: dict, dim: int) -> Vector:
-    return tuple(v.get(k, _ZERO) for k in range(dim))
+    """The coordinate vector of sparse v, each entry a Fraction whatever
+    type the kernel left it."""
+    return tuple(frac(v.get(k, _ZERO)) for k in range(dim))
 
 
 def _table(tensor: BilinearTensor) -> dict:
@@ -103,60 +105,55 @@ def _leibniz_table(pairs) -> dict:
     return {t: v for t, ts in terms.items() if (v := combine(ts))}
 
 
-def _rows(cols) -> list[dict]:
-    """The rows {i: N[a][i]} of the square matrix with sparse columns `cols`."""
-    rows: list[dict] = [{} for _ in cols]
-    for i, col in enumerate(cols):
-        for a, x in col.items():
-            rows[a][i] = x
-    return rows
+def _columns(rows) -> list[dict]:
+    """The columns {a: N[a][i]} of the square matrix with sparse rows `rows`."""
+    cols: list[dict] = [{} for _ in rows]
+    for a, row in enumerate(rows):
+        for i, x in row.items():
+            cols[i][a] = x
+    return cols
 
 
 def _defect_table(p: tuple, triples) -> dict:
     """The nonzero values {(i, j): {k: c}} of the sum over the triples
     (T, A, B) of T(Ax, By) - A(T(Bx, y) + T(x, By)) + (alpha + beta A +
     gamma AB)T(x, y) on all basis pairs (e_i, e_j), p = (alpha, beta, gamma);
-    T is a table, and A (`outer`) and B (`inner`) are given by their columns.
+    T is a table, and A (`outer`) and B (`inner`) are given by their rows.
 
     With the one triple (mu, N, N) this is the operator identity whose
     p_K(N) = alpha Id + beta N + gamma N^2; with the triples (mu_a, N_b, N_c),
     a + b + c = n, and p = (0, 0, 1) it is the order-n Nijenhuis deformation
     equation.  Each entry T[a, b] = c is scattered to the pairs it reaches:
     A[a][i] B[b][j] c to (i, j), -B[a][i] Ac to (i, b), -B[b][j] Ac to (a, j),
-    and (alpha + beta A + gamma AB)c to (a, b).  When A is B, Ac serves the
-    gamma term and the rows are built once.  The p terms are added after all
-    the others, so on `_Poly` columns no polynomial is ever added to a
-    rational from the left.
+    and (alpha + beta A + gamma AB)c to (a, b).  Ac and ABc take the columns
+    of A and B, built once per triple; when A is B, Ac serves the gamma term.
     """
     alpha, beta, gamma = p
     terms = defaultdict(list)
-    images = []
     for t, outer, inner in triples:
-        inner_rows = _rows(inner)
-        outer_rows = inner_rows if inner is outer else _rows(outer)
+        outer_cols = _columns(outer)
+        inner_cols = outer_cols if inner is outer else _columns(inner)
         for (a, b), c in t.items():
-            ac = row_times(c, outer)
-            images.append((a, b, c, ac, outer, inner))
-            for i, x in outer_rows[a].items():
-                for j, y in inner_rows[b].items():
+            ac = row_times(c, outer_cols)
+            for i, x in outer[a].items():
+                for j, y in inner[b].items():
                     terms[i, j].append((x * y, c))
-            for i, x in inner_rows[a].items():
+            for i, x in inner[a].items():
                 terms[i, b].append((-x, ac))
-            for j, y in inner_rows[b].items():
+            for j, y in inner[b].items():
                 terms[a, j].append((-y, ac))
-    for a, b, c, ac, outer, inner in images:
-        abc = row_times(ac if inner is outer else row_times(c, inner), outer) if gamma else {}
-        terms[a, b] += ((gamma, abc), (beta, ac), (alpha, c))
+            abc = row_times(ac if inner is outer else row_times(c, inner_cols), outer_cols) if gamma else {}
+            terms[a, b] += ((gamma, abc), (beta, ac), (alpha, c))
     return {pair: v for pair, t in terms.items() if (v := combine(t))}
 
 
-def _star_table(table: dict, cols) -> dict:
+def _star_table(table: dict, rows) -> dict:
     """The nonzero values {(i, j): {k: c}} of the star bracket
     [x, y]* = [Nx, y] + [x, Ny] - N[x, y] on all basis pairs, where `table`
-    is the bracket and `cols` are the columns of N.  Each entry
+    is the bracket and `rows` are the rows of N.  Each entry
     [e_a, e_b] = c sends N[a][i] c to (i, b), N[b][j] c to (a, j) and -Nc to
     (a, b)."""
-    rows = _rows(cols)
+    cols = _columns(rows)
     terms = defaultdict(list)
     for (a, b), c in table.items():
         for i, x in rows[a].items():
@@ -317,10 +314,10 @@ def _semidirect_table(alg: LeibnizAlgebra, rep: Representation, psi: Optional[di
     for i in range(n):
         for k, row in enumerate(rep.left[i].nz):
             for b, c in row.items():
-                table.setdefault((i, n + b), {})[n + k] = frac(c)
+                table.setdefault((i, n + b), {})[n + k] = c
         for k, row in enumerate(rep.right[i].nz):
             for b, c in row.items():
-                table.setdefault((n + b, i), {})[n + k] = frac(c)
+                table.setdefault((n + b, i), {})[n + k] = c
     return table
 
 
@@ -378,7 +375,7 @@ def check_representation(
 
 
 def _check_semidirect(alg: LeibnizAlgebra, rep: Representation, n_op: Optional[Matrix]) -> tuple:
-    """(verdict, semidirect table, columns of N (+) N_V or None if the Nijenhuis
+    """(verdict, semidirect table, rows of N (+) N_V or None if the Nijenhuis
     axioms were not read): `check_representation` with the two inputs that
     `operators.induced_representation` reads the induced actions off."""
     if rep.algebra_dim != alg.dim:
@@ -400,12 +397,12 @@ def _check_semidirect(alg: LeibnizAlgebra, rep: Representation, n_op: Optional[M
         return None, table, None
     if n_op.rows != alg.dim or n_op.cols != alg.dim:
         raise ShapeError("operator dimension does not match the algebra")
-    cols = block_diag([n_op, nv]).sparse_columns()
-    by_side = _module_slots(_defect_table((0, 0, 1), ((table, cols, cols),)), n)
+    rows = block_diag([n_op, nv]).nz
+    by_side = _module_slots(_defect_table((0, 0, 1), ((table, rows, rows),)), n)
     if by_side:
         i, side = min(by_side)
-        return Counterexample(_REP_AXIOMS[3 + side], (i,), _module_matrix(by_side[i, side], n, m)), table, cols
-    return None, table, cols
+        return Counterexample(_REP_AXIOMS[3 + side], (i,), _module_matrix(by_side[i, side], n, m)), table, rows
+    return None, table, rows
 
 
 def adjoint_representation(alg: LeibnizAlgebra, n_op: Optional[Matrix] = None) -> Representation:

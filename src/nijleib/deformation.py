@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .algebra import BilinearTensor, LeibnizAlgebra, bilinear_tensor_is_zero, zero_bilinear_tensor
+from .algebra import BilinearTensor, LeibnizAlgebra, bilinear_tensor_is_zero
 from .algebra import _bracket, _defect_table, _dense_pairs, _leibniz_table, _table
 from .cochain import Cochain, NLACochain
 from .errors import PreconditionError, ShapeError
@@ -58,7 +58,7 @@ def _check_square(terms: tuple[Matrix, ...], dim: int, name: str) -> None:
 
 
 def trivial_deformation(alg: LeibnizAlgebra, n_op: Matrix, order: int) -> TruncatedDeformation:
-    zero_mu = zero_bilinear_tensor(alg.dim)
+    zero_mu = _dense_pairs({}, alg.dim)
     zero_n = Matrix.zero(alg.dim, alg.dim)
     return TruncatedDeformation(
         order,
@@ -90,16 +90,17 @@ def _check_base(alg: LeibnizAlgebra, n_op: Matrix, d: TruncatedDeformation) -> N
 def _residual_values(alg: LeibnizAlgebra, n_op: Matrix, d: TruncatedDeformation):
     """The order-n residual kernels as a function of n: the nonzero values
     of the Leibniz family on basis triples and of the Nijenhuis family on
-    basis pairs.  The series terms are converted to tables once, here."""
+    basis pairs.  The mu terms are converted to tables once, here; the N
+    terms enter as the rows they store."""
     _check_base(alg, n_op, d)
     mus = [_table(m) for m in d.mu_terms]
-    cols = [m.sparse_columns() for m in d.n_terms]
+    rows = [m.nz for m in d.n_terms]
 
     def values(order: int) -> tuple[dict, dict]:
         leibniz = _leibniz_table(_compositions(order, mus, mus))
         # sum over a + b + c = n of mu_a(N_b u, N_c v) - N_b [u, v]*, with
         # [u, v]* the star bracket of mu_a and N_c
-        return leibniz, _defect_table((0, 0, 1), _compositions(order, mus, cols, cols))
+        return leibniz, _defect_table((0, 0, 1), _compositions(order, mus, rows, rows))
 
     return values
 
@@ -201,7 +202,7 @@ def twist_by_isomorphism(d: TruncatedDeformation, iso: FormalIsomorphism) -> Tru
         raise ShapeError("deformation and isomorphism orders differ")
     eta, psi = formal_inverse(iso).psi_terms, iso.psi_terms
     zero = Matrix.zero(d.dim, d.dim)
-    eta_cols, psi_cols = [e.sparse_columns() for e in eta], [p.sparse_columns() for p in psi]
+    eta_cols, psi_cols = [e.transpose().nz for e in eta], [p.transpose().nz for p in psi]
     mus = [_table(m) for m in d.mu_terms]
 
     def mu_table(n):

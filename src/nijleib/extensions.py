@@ -143,9 +143,9 @@ def section_to_cocycle(ext: ExtensionDatum, s: Optional[Section] = None) -> Cocy
     sigma = Matrix.zero(m, n) if s is None else s.sigma
     if (sigma.rows, sigma.cols) != (m, n):
         raise PreconditionError("section block has wrong shape")
-    sigma_cols = sigma.sparse_columns()
-    total, hat_cols = ext.total.table, ext.total_op.sparse_columns()
-    base, base_cols = ext.base_alg.table, ext.base_op.sparse_columns()
+    sigma_cols = sigma.transpose().nz
+    total, hat_cols = ext.total.table, ext.total_op.transpose().nz
+    base, base_cols = ext.base_alg.table, ext.base_op.transpose().nz
 
     def lift(v: dict) -> dict:
         return {**v, **{n + k: c for k, c in row_times(v, sigma_cols).items()}}

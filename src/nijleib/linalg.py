@@ -7,8 +7,8 @@ normalise to that form, and sums, products and Kronecker products of integral
 matrices stay on `int`, which needs no gcd.  A Fraction result that happens to
 be integral may stay a Fraction; `1 == Fraction(1)` and their hashes agree, so
 equality and hashing do not see the difference.  Every entry that leaves a
-matrix (`data`, `entry`, `column`, `sparse_columns`, kernel and solution
-vectors) is a Fraction again.
+matrix (`data`, `entry`, `column`, kernel and solution vectors) is a
+Fraction again.
 
 Matrices are immutable, store only their nonzero entries (one {column: value}
 dict per row, `Matrix.nz`), and use the column-action convention: entry [i][j]
@@ -221,15 +221,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         self._check_column(j)
         return tuple(frac(row.get(j, _ZERO)) for row in self.nz)
-
-    def sparse_columns(self) -> tuple[dict, ...]:
-        """The nonzero entries of each column as a {row: Fraction} dict: the
-        columns N e_j through which a linear map enters the bracket kernel."""
-        cols: tuple[dict, ...] = tuple({} for _ in range(self.cols))
-        for i, row in enumerate(self.nz):
-            for j, a in row.items():
-                cols[j][i] = frac(a)
-        return cols
 
     def _add(self, other: "Matrix", sign: int, op: str) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

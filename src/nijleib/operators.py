@@ -11,9 +11,9 @@ D_K(x, y) = [Nx, Ny] - N([Nx, y] + [x, Ny]) + p_K(N)[x, y],
 and the kind enters only through the coefficients of p_K (`_p_coefficients`).
 The kernel `algebra._defect_table` evaluates it by scattering each entry of
 the bracket table to the basis pairs it reaches.  `operator_defect` runs it on
-the columns N e_i of the operator as stored and returns its nonzero values, and
-`check_operator` reads the first witness off them; `defect_polynomial` runs it
-with the columns held as polynomials in the entries of N (`_Poly`), which is
+the rows of the operator as stored (`Matrix.nz`) and returns its nonzero values,
+and `check_operator` reads the first witness off them; `defect_polynomial` runs
+it with the rows held as polynomials in the entries of N (`_Poly`), which is
 what compiles the grid search.  The star bracket is the kernel
 `algebra._star_table`: `induced_bracket` is its value on the bracket table,
 and `induced_representation` reads the induced actions off its value on the
@@ -104,13 +104,12 @@ def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> dict:
 
     Bilinearity extends a vanishing defect to all inputs, so an empty table
     means the identity holds.  This is `_defect_table` over the bracket table
-    of `alg` and the columns of `n` as the matrix stores them (int entries
-    stay ints in the kernel); only the values it returns become Fractions.
+    of `alg` and the rows of `n` as the matrix stores them (int entries stay
+    ints in the kernel); only the values it returns become Fractions.
     """
     if n.rows != alg.dim or n.cols != alg.dim:
         raise ShapeError("operator dimension does not match the algebra")
-    cols = n.transpose().nz
-    values = _defect_table(_p_coefficients(kind), ((alg.table, cols, cols),))
+    values = _defect_table(_p_coefficients(kind), ((alg.table, n.nz, n.nz),))
     return {pair: {k: frac(c) for k, c in vec.items()} for pair, vec in values.items()}
 
 
@@ -164,7 +163,7 @@ def induced_bracket(alg: LeibnizAlgebra, n: Matrix) -> LeibnizAlgebra:
     bad = check_operator(alg, n, nijenhuis())
     if bad is not None:
         raise PreconditionError(f"not a Nijenhuis operator: {bad.describe()}")
-    return LeibnizAlgebra(alg.dim, alg.basis, _star_table(alg.table, n.sparse_columns()))
+    return LeibnizAlgebra(alg.dim, alg.basis, _star_table(alg.table, n.nz))
 
 
 def induced_representation(rep: Representation, alg: LeibnizAlgebra, n: Matrix) -> Representation:
@@ -178,11 +177,11 @@ def induced_representation(rep: Representation, alg: LeibnizAlgebra, n: Matrix) 
     nv = rep.module_operator
     if nv is None:
         raise PreconditionError("induced representation needs a module operator")
-    bad, table, cols = _check_semidirect(alg, rep, n)
+    bad, table, rows = _check_semidirect(alg, rep, n)
     if bad is not None:
         raise PreconditionError(f"not a Nijenhuis representation: {bad.describe()}")
     d, m = alg.dim, rep.module_dim
-    star = _star_table(table, cols)
+    star = _star_table(table, rows)
     slots = _module_slots(star, d)
     left, right = (tuple(_module_matrix(slots.get((i, side), {}), d, m) for i in range(d)) for side in (0, 1))
     return Representation(left, right, nv, module_dim=m)
@@ -202,15 +201,15 @@ def iter_grid_matrices(dim: int, lo: int, hi: int, denominator: int = 1) -> Iter
 
 class _Poly(dict):
     """A polynomial in the entries of N: {monomial: coefficient}, a monomial
-    the sorted tuple of its variables, no zero coefficient stored.  It adds a
-    polynomial or a rational to itself, negates, and multiplies with both on
-    either side, each by one `combine`, so the bracket kernel runs on it
-    unchanged.  The kernel never adds a polynomial to a rational from the
-    left: `_defect_table` adds the p_K(N)[x, y] terms, of which -w[x, y] is
-    rational, after all the terms in N."""
+    the sorted tuple of its variables, no zero coefficient stored.  It adds
+    and multiplies with a polynomial or a rational on either side, and
+    negates, each by one `combine`, so the bracket kernel runs on it
+    unchanged."""
 
     def __add__(self, other) -> "_Poly":
         return _Poly(combine(((1, self), (1, _poly(other)))))
+
+    __radd__ = __add__
 
     def __neg__(self) -> "_Poly":
         return _Poly(combine(((-1, self),)))
@@ -234,12 +233,12 @@ def defect_polynomial(alg: LeibnizAlgebra, kind: OperatorKind) -> tuple[dict, ..
     variable a = r*d + c is the entry N[r][c].  A polynomial is a
     {monomial: coefficient} dict over the monomials (), (a,) and (a, b) with
     a < b or a = b; zero coefficients are left out.  The identity is evaluated
-    once, by the kernel of `operator_defect`, with the columns of N held as
+    once, by the kernel of `operator_defect`, with the rows of N held as
     polynomials of degree 1.
     """
     d = alg.dim
-    cols = [{r: _Poly({(r * d + c,): _ONE}) for r in range(d)} for c in range(d)]
-    values = _defect_table(_p_coefficients(kind), ((alg.table, cols, cols),))
+    rows = [{c: _Poly({(r * d + c,): _ONE}) for c in range(d)} for r in range(d)]
+    values = _defect_table(_p_coefficients(kind), ((alg.table, rows, rows),))
     return tuple(
         dict(values.get((i, j), {}).get(l, {})) for i, j in product(range(d), repeat=2) for l in range(d)
     )

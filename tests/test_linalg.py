@@ -498,6 +498,8 @@ def test_poly_arithmetic_agrees_with_evaluation(p, q, r, point):
     for got, want in (
         (p + q, at_p + at_q),
         (p + r, at_p + r),
+        (r + p, r + at_p),
+        (int(r) + p, int(r) + at_p),
         (-p, -at_p),
         (p * q, at_p * at_q),
         (p * r, at_p * r),

@@ -221,6 +221,21 @@ def test_check_operator_reads_first_sparse_pair(alg, kind, integral, data):
     assert all(type(v) is Fraction for v in found.residual)
 
 
+@pytest.mark.parametrize("integral", (True, False))
+def test_check_operator_transposes_nothing(monkeypatch, integral):
+    """A leaf's confirmation hands the kernel the rows N stores: no kind
+    builds a transpose, on int-entry or on rational N."""
+    calls = []
+    transpose = Matrix.transpose
+    monkeypatch.setattr(Matrix, "transpose", lambda m: calls.append(m) or transpose(m))
+    alg = catalog_get("dsum(loday2,abelian1)")
+    n = block_diag([Matrix([[2, 1], [0, 1]]), Matrix([[5 if integral else Fraction(5, 3)]])])
+    kinds = (nijenhuis(), rota_baxter(), rota_baxter_weighted(2), modified_rota_baxter(Fraction(1, 2)))
+    verdicts = [check_operator(alg, n, kind) is None for kind in kinds]
+    assert verdicts == [True, False, False, False]
+    assert calls == []
+
+
 def any_operator(dim):
     """A dim x dim matrix, mostly zero or small rationals."""
     entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=5))
@@ -230,11 +245,11 @@ def any_operator(dim):
 @st.composite
 def defect_triples(draw):
     """(dim, triples): 1-3 triples (T, A, B) of a bracket table of dim 1-3 and
-    the columns of two different operators, so exchanging A and B shows."""
+    two different operators, so exchanging A and B shows."""
     dim = draw(st.integers(1, 3))
     pairs = st.tuples(any_operator(dim), any_operator(dim)).filter(lambda ab: ab[0] != ab[1])
     triples = draw(st.lists(st.tuples(any_brackets(dim), pairs), min_size=1, max_size=3))
-    return dim, [(alg.table, a.sparse_columns(), b.sparse_columns()) for alg, (a, b) in triples]
+    return dim, [(alg.table, a, b) for alg, (a, b) in triples]
 
 
 @settings(max_examples=200, deadline=None)
@@ -242,28 +257,31 @@ def defect_triples(draw):
 def test_defect_table_matches_per_pair_oracle(drawn, kind):
     """The scatter kernel on triples with A != B gives, on every basis pair,
     the per-pair sum of T(Ax, By) - A(T(Bx, y) + T(x, By)) + p(A, B)T(x, y)
-    for the coefficients of each kind."""
+    for the coefficients of each kind.  The kernel takes the operators' rows
+    as stored, the oracle their columns."""
     dim, triples = drawn
     p = _p_coefficients(kind)
     units = [{i: Fraction(1)} for i in range(dim)]
+    by_columns = [(t, a.transpose().nz, b.transpose().nz) for t, a, b in triples]
     expected = {}
     for i, j in product(range(dim), repeat=2):
-        if value := slow_defect(p, triples, units[i], units[j]):
+        if value := slow_defect(p, by_columns, units[i], units[j]):
             expected[i, j] = value
-    assert _defect_table(p, triples) == expected
+    assert _defect_table(p, [(t, a.nz, b.nz) for t, a, b in triples]) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(any_brackets().flatmap(lambda alg: st.tuples(st.just(alg), any_operator(alg.dim))))
 def test_star_table_matches_per_pair_oracle(drawn):
-    """The scattered star bracket against the per-pair one, for any N."""
+    """The scattered star bracket on the rows of N against the per-pair one
+    on its columns, for any N."""
     alg, n = drawn
-    cols = n.sparse_columns()
+    cols = n.transpose().nz
     expected = {}
     for i, j in product(range(alg.dim), repeat=2):
         if value := slow_star(alg.table, cols, {i: Fraction(1)}, cols[i], {j: Fraction(1)}, cols[j]):
             expected[i, j] = value
-    assert _star_table(alg.table, cols) == expected
+    assert _star_table(alg.table, n.nz) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -275,7 +293,7 @@ def test_nijenhuis_defect_is_star_bracket_defect(alg, data):
     d = alg.dim
     entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=5))
     n = Matrix([[data.draw(entry) for _ in range(d)] for _ in range(d)])
-    star_table = _star_table(alg.table, n.sparse_columns())
+    star_table = _star_table(alg.table, n.nz)
     defect = _dense_pairs(operator_defect(alg, n, nijenhuis()), d)
     for i, j in product(range(d), repeat=2):
         star = star_table.get((i, j), {})
