@@ -4,7 +4,8 @@ One verb per construction: verify, cohomology, search, selfcheck, and the
 actions of induce (bracket, rep), deform (check, twist, cocycle) and extend
 (build, extract, compare).  `build_parser` declares each verb or action with
 its own operands, options and handler, so an operand or option that an
-action does not declare is invalid input.  Reports are canonical JSON on
+action does not declare is invalid input; `main` builds the parsers of the
+verb it is given alone.  Reports are canonical JSON on
 stdout (byte-identical for identical invocations); diagnostics go to stderr.
 Exit codes: 0 = pass, 1 = a mathematical property fails (certificate
 attached), 2 = invalid input or a resource guard.
@@ -45,7 +46,7 @@ from .cochain import (
     cohomology_dims,
     cocycle_membership,
 )
-from .cochain import _junction_check
+from .cochain import _junctions
 from .deformation import (
     infinitesimal,
     residual_report,
@@ -253,7 +254,7 @@ def _cmd_selfcheck(args) -> int:
 
     plain_diag = diag_entries(False)
     corr_diag = diag_entries(True)
-    _, junctions, _ = _junction_check("nla", bundle.algebra, rep, n_op, args.max_degree, args.phi)
+    junctions = _junctions("nla", bundle.algebra, rep, n_op, args.max_degree, args.phi)
     ok = all(item["commutes"] for item in corr_diag) and all(junctions)
     report = {
         "command": "selfcheck",
@@ -391,37 +392,40 @@ class _Parser(argparse.ArgumentParser):
         raise BundleError(f"{self.prog}: usage printed, no report")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nijleib",
-        description="Exact verification engine for Nijenhuis operators on Leibniz algebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_verify(sub) -> None:
     p = _add_action(sub, "verify", _cmd_verify, "verify algebra/operator/representation identities", "bundle")
     _add_kind_options(p)
     p.add_argument("--no-verify", action="store_true", help="skip ingest verification")
 
+
+def _add_induce(sub) -> None:
     induce = sub.add_parser("induce", help="induced star bracket or representation")
     actions = induce.add_subparsers(dest="action", required=True)
     _add_action(actions, "bracket", _cmd_induce_bracket, "the star bracket, as a bundle", "bundle")
     _add_action(actions, "rep", _cmd_induce_rep, "the induced representation", "bundle")
 
+
+def _add_cohomology(sub) -> None:
     p = _add_action(sub, "cohomology", _cmd_cohomology, "cohomology dimensions of a complex", "bundle")
     p.add_argument("--complex", default="la", choices=COMPLEX_KINDS)
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
 
+
+def _add_search(sub) -> None:
     p = _add_action(sub, "search", _cmd_search, "exhaustive operator grid classification", "bundle")
     _add_kind_options(p)
     p.add_argument("--range", required=True, help="entry numerator range, e.g. -2..2")
     p.add_argument("--den", type=int, default=1)
 
+
+def _add_selfcheck(sub) -> None:
     p = _add_action(sub, "selfcheck", _cmd_selfcheck, "chain-map and d*d junction diagnostics", "bundle")
     p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
     p.add_argument("--max-degree", type=int, default=2)
 
+
+def _add_deform(sub) -> None:
     deform = sub.add_parser("deform", help="truncated formal deformation checks")
     actions = deform.add_subparsers(dest="action", required=True)
     _add_action(actions, "check", _cmd_deform_check, "the deformation equations", "bundle", "deformation")
@@ -432,6 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "bundle", "deformation")
     p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
 
+
+def _add_extend(sub) -> None:
     extend = sub.add_parser("extend", help="abelian extension build/extract/compare")
     actions = extend.add_subparsers(dest="action", required=True)
     _add_action(actions, "build", _cmd_extend_build, "build and check the extension", "bundle", "extension")
@@ -440,13 +446,57 @@ def build_parser() -> argparse.ArgumentParser:
                     "bundle", "extension", "other")
     p.add_argument("--corner", required=True, help="JSON file with the corner block")
 
+
+# Each verb's parser, in the order the root parser lists them.
+_VERBS = {
+    "verify": _add_verify,
+    "induce": _add_induce,
+    "cohomology": _add_cohomology,
+    "search": _add_search,
+    "selfcheck": _add_selfcheck,
+    "deform": _add_deform,
+    "extend": _add_extend,
+}
+
+
+def _root_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """A root parser with no verb yet, and the action its verbs are added to."""
+    parser = _Parser(
+        prog="nijleib",
+        description="Exact verification engine for Nijenhuis operators on Leibniz algebras",
+    )
+    return parser, parser.add_subparsers(dest="command", required=True)
+
+
+# The root parser that single verbs are added to as they are first named.
+_shared_root = functools.cache(_root_parser)
+
+
+@functools.cache
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with the parsers of every verb, or one that holds the
+    parsers of `verb` and of the verbs named before it in this process.  A
+    command line whose first word is a verb parses the same way on either:
+    every token after the verb goes to that verb's parser."""
+    if verb is not None:
+        parser, sub = _shared_root()
+        if verb not in sub.choices:
+            _VERBS[verb](sub)
+        return parser
+    parser, sub = _root_parser()
+    for add in _VERBS.values():
+        add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    # Only the named verb's parsers are built.  No verb, an unknown one or a
+    # help request gets the full parser, whose error and help lines name
+    # every verb.
+    verb = argv[0] if argv and argv[0] in _VERBS and not {"-h", "--help"} & set(argv) else None
+    parser = build_parser(verb)
     # glue values onto options whose arguments may start with a minus sign
     merged = []
     i = 0

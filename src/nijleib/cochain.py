@@ -31,6 +31,14 @@ matrix, lower_n phi_n - phi_(n+1) delta_n, decides that identity:
 `chain_map_diagnostic` reads its first nonzero column and `chain_map_residual`
 applies it to one cochain.
 
+`cohomology_dims` ranks the differentials D_n: C^n -> C^(n+1) from the top
+degree down, and each elimination hands the next step its pivot rows P (a
+row basis) and pivot columns Q (a column basis).  The junction
+D_(n+1) D_n = 0 is checked on the rows P of D_(n+1) alone; when it holds,
+D_n is ranked with the rows Q deleted, which keeps its rank, and a failed
+junction stops the compression below it.  The exactness arguments are in
+its docstring.
+
 Flattening is canonical everywhere: basis tuples in lexicographic order,
 module coordinate fastest; combined-complex blocks ordered [upper; lower].
 A `Cochain` stores exactly this vector (`Cochain.vec`), so every coboundary
@@ -57,6 +65,7 @@ from .linalg import (
     kron,
     mat_mul,
     rank,
+    row_times,
     solve_linear,
     vec_add,
     vec_scale,
@@ -500,37 +509,86 @@ class CohomologyReport:
         return self.degrees[degree]
 
 
-def _first_nonzero(m: Matrix) -> Optional[tuple[int, int, Fraction]]:
-    """The row-major first nonzero entry as (row, col, value)."""
-    for i, row in enumerate(m.nz):
-        if row:
-            j = min(row)
-            return i, j, frac(row[j])
-    return None
-
-
-def _junction_check(
+def _coboundary_matrices(
     kind: str,
     alg: LeibnizAlgebra,
     rep: Representation,
     n_op: Optional[Matrix],
     max_degree: int,
     variant: str,
-) -> tuple[list[Matrix], tuple[bool, ...], tuple[JunctionFailure, ...]]:
-    """The coboundary matrices D_0..D_max_degree, whether D_(n+1) o D_n == 0
-    at each junction n, and the first nonzero entry of each product that is
-    not zero.  It computes no rank, so the selfcheck verb reads its junctions
-    here rather than through `cohomology_dims`."""
+) -> list[Matrix]:
+    """The coboundary matrices D_0..D_max_degree of the complex."""
     _check_degree(max_degree)
-    mats = [coboundary_matrix(kind, alg, rep, n_op, d, variant) for d in range(max_degree + 1)]
-    junctions = []
+    return [coboundary_matrix(kind, alg, rep, n_op, d, variant) for d in range(max_degree + 1)]
+
+
+def _junction_witness(upper: Matrix, lower: Matrix, basis) -> Optional[tuple[int, int, Fraction]]:
+    """None if upper * lower == 0, else the row-major first nonzero entry of
+    the whole product as (row, col, value).
+
+    The rows of `upper` indexed by `basis` must span its row space, so the
+    product is zero iff those rows times `lower` are.  Only when row i of
+    them is not are other rows multiplied: the rows before i, in order, up
+    to the first whose product is not zero."""
+    zero = set()
+    for i in basis:
+        found = row_times(upper.nz[i], lower.nz)
+        if found:
+            break
+        zero.add(i)
+    else:
+        return None
+    for k in range(i):
+        if k not in zero:
+            out = row_times(upper.nz[k], lower.nz)
+            if out:
+                i, found = k, out
+                break
+    j = min(found)
+    return i, j, frac(found[j])
+
+
+def _junctions(
+    kind: str,
+    alg: LeibnizAlgebra,
+    rep: Representation,
+    n_op: Optional[Matrix],
+    max_degree: int,
+    variant: str,
+) -> tuple[bool, ...]:
+    """Whether D_(n+1) o D_n == 0 at each junction n, every row of D_(n+1)
+    multiplied.  It computes no rank, so the selfcheck verb reads its
+    junctions here rather than through `cohomology_dims`."""
+    mats = _coboundary_matrices(kind, alg, rep, n_op, max_degree, variant)
+    return tuple(_junction_witness(up, low, range(up.rows)) is None for low, up in zip(mats, mats[1:]))
+
+
+def _rank_complex(mats: list[Matrix], rank_fn) -> tuple[list[int], tuple[bool, ...], tuple[JunctionFailure, ...]]:
+    """The ranks of the differentials D_0..D_N in `mats`, whether
+    D_(n+1) o D_n == 0 at each junction n, and the first nonzero entry of
+    each product that is not zero, ranked from D_N down as `cohomology_dims`
+    describes.  `rank_fn(m, pivots)` must append (row, column) per pivot to
+    the list `pivots`, as `rank` and `gauss_rank` do."""
+    ranks = [0] * len(mats)
+    junctions = [True] * (len(mats) - 1)
     failures = []
-    for d in range(max_degree):
-        witness = _first_nonzero(mats[d + 1] * mats[d])
-        junctions.append(witness is None)
-        if witness is not None:
-            failures.append(JunctionFailure(d, *witness))
-    return mats, tuple(junctions), tuple(failures)
+    above = None  # the pivots of D_(n+1), as rows of D_(n+1) and rows of D_n
+    for n in range(len(mats) - 1, -1, -1):
+        m, kept = mats[n], None
+        if above is not None:
+            witness = _junction_witness(mats[n + 1], m, [r for r, _ in above])
+            if witness is None:  # compress: delete the rows Q of D_n
+                cleared = {c for _, c in above}
+                kept = [i for i in range(m.rows) if i not in cleared]
+                m = Matrix._of(tuple(m.nz[i] for i in kept), m.cols)
+            else:
+                junctions[n] = False
+                failures.append(JunctionFailure(n, *witness))
+        above = []
+        ranks[n] = rank_fn(m, above)
+        if kept is not None:
+            above = [(kept[r], c) for r, c in above]
+    return ranks, tuple(junctions), tuple(reversed(failures))
 
 
 def cohomology_dims(
@@ -544,9 +602,29 @@ def cohomology_dims(
 ) -> CohomologyReport:
     """Per-degree cocycle/coboundary/cohomology dimensions with junction
     validity flags.  `rank_fn` exists so the plain-elimination oracle can be
-    swapped in for cross-checks."""
-    mats, junctions, failures = _junction_check(kind, alg, rep, n_op, max_degree, variant)
-    ranks = [rank_fn(mat) for mat in mats]
+    swapped in for cross-checks; it is called as `rank_fn(m, pivots)` and
+    must append the (row, column) of each pivot to the list `pivots`.
+
+    The differentials D_n: C^n -> C^(n+1) are ranked from D_max_degree down
+    to D_0, and each elimination yields P, the original indices of its pivot
+    rows, and Q, its pivot columns.  The rows P of D_(n+1) are a row basis of
+    it, and D_(n+1)[P, Q] is nonsingular.
+    - Junction n: every row of D_(n+1) is a combination of the rows P, so
+      D_(n+1) D_n == 0 iff D_(n+1)[P] D_n == 0, and only |P| = rank rows are
+      multiplied.  When it fails, the witness is still the row-major first
+      nonzero entry of the whole product D_(n+1) D_n.
+    - Compression: when junction n holds, im D_n lies in ker D_(n+1), and a
+      vector of ker D_(n+1) supported on Q is zero, since the columns Q of
+      D_(n+1) are independent.  So no nonzero vector of im D_n vanishes
+      outside Q, and rank D_n is the rank of D_n with the rows Q deleted.
+      That smaller matrix's pivot rows are rank D_n independent rows of D_n,
+      so they are a row basis of D_n and the schedule goes on down.  When
+      junction n fails, D_n is ranked whole.
+    This is the "compress" half of Bauer, Kerber and Reininghaus, "Clear and
+    compress: computing persistent homology in chunks" (TopoInVis 2013).
+    """
+    mats = _coboundary_matrices(kind, alg, rep, n_op, max_degree, variant)
+    ranks, junctions, failures = _rank_complex(mats, rank_fn)
     entries = []
     for d in range(max_degree + 1):
         dim_c = mats[d].cols

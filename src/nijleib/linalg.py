@@ -25,10 +25,15 @@ the sparsest row as pivot, the lowest row on a tie.  It keeps a column->rows
 index of every row, free or pivot, so each pivot search and update step costs
 in proportion to the rows that hold the column, not to all rows.  It runs on
 primitive integer rows and divides only once, at the end, so a pivot of 1
-or -1 costs no more than int arithmetic.  Its one result is the reduced
-echelon form, as pivot rows: `solve_linear` eliminates the augmented matrix
-[A | b] and reads its answer off them.  A plain dense Gaussian elimination,
-`gauss_rank`, is kept solely as a cross-check oracle.
+or -1 costs no more than int arithmetic.  `kernel_basis` and `solve_linear`
+read the reduced echelon form off its pivot rows (`solve_linear` eliminates
+the augmented matrix [A | b]).  `rank` runs the same loop forward only: it
+never updates a row once it is a pivot row, which leaves the pivots as they
+are, and it can report each pivot's original row and column, a row basis
+and a column basis of the matrix (`cochain.cohomology_dims` reads both).  A
+plain dense Gaussian elimination, `gauss_rank`, is kept solely as a
+cross-check oracle; it reports the same kind of pivots through its own row
+swaps.
 """
 
 from __future__ import annotations
@@ -312,7 +317,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._of(tuple(rows), a.cols * b.cols)
 
 
-def _eliminate(m: Matrix) -> dict[int, dict]:
+def _eliminate(m: Matrix, origins: Optional[list] = None, reduced: bool = True) -> dict[int, dict]:
     """Sparse Gauss-Jordan elimination to reduced row echelon form.
 
     Works on copies of the rows of `m.nz`.  A column index, `holders[j]`,
@@ -338,6 +343,18 @@ def _eliminate(m: Matrix) -> dict[int, dict]:
 
     Returns the normalised pivot rows keyed by pivot column, in column order.
     Values are ints where integral and Fractions otherwise, as in `Matrix.nz`.
+    If `origins` is a list, the original index of each pivot row and its
+    pivot column are appended to it as (row, column), in column order.  Each
+    pivot row is a nonzero multiple of its original row plus multiples of
+    earlier pivot rows, so those original rows are a row basis of `m`, and
+    the pivot columns a column basis.
+
+    With `reduced` false the elimination runs forward only: a row that has
+    become a pivot row is never updated again and not normalised, so the
+    pivot rows are an echelon form, not the reduced one.  The free rows get
+    the same updates as in the reduced run, so the pivots, their rows of
+    origin and their columns are the same; only the back-substitution is
+    saved.
     """
     rows = [dict(row) for row in m.nz]
     for k, row in enumerate(rows):
@@ -362,13 +379,15 @@ def _eliminate(m: Matrix) -> dict[int, dict]:
             continue
         best = sparsest[1]
         free[best] = False
+        if origins is not None:
+            origins.append((best, c))
         prow = rows[best]
         if prow[c] < 0:
             prow = rows[best] = {j: -e for j, e in prow.items()}
         p = prow[c]
         fill = [(j, e) for j, e in prow.items() if j != c]
         for k in hold:
-            if k == best:
+            if k == best or not (reduced or free[k]):
                 continue
             row = rows[k]
             f = row.pop(c)
@@ -396,6 +415,8 @@ def _eliminate(m: Matrix) -> dict[int, dict]:
                     for j in row:
                         row[j] //= g
         pivots[c] = prow
+    if not reduced:
+        return pivots
     for c, prow in pivots.items():
         p = prow[c]
         if p != 1:
@@ -403,14 +424,21 @@ def _eliminate(m: Matrix) -> dict[int, dict]:
     return pivots
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank: the number of pivots of the sparse elimination."""
-    return len(_eliminate(m))
+def rank(m: Matrix, pivots: Optional[list] = None) -> int:
+    """Exact rank: the number of pivots of the forward-only sparse
+    elimination.  If `pivots` is a list, each pivot's original row and its
+    column are appended to it as (row, column), in column order: those rows
+    are a row basis of `m`, those columns a column basis, and m[rows, columns]
+    is nonsingular."""
+    return len(_eliminate(m, pivots, reduced=False))
 
 
-def gauss_rank(m: Matrix) -> int:
-    """Plain exact Gaussian elimination; retained only as an oracle for `rank`."""
+def gauss_rank(m: Matrix, pivots: Optional[list] = None) -> int:
+    """Plain exact Gaussian elimination; retained only as an oracle for `rank`.
+    `pivots` receives (original row, column) per pivot as in `rank`; the row
+    of origin is tracked through the row swaps."""
     rows = [list(row) for row in m.data]
+    origin = list(range(m.rows))
     n_rows, n_cols = m.rows, m.cols
     r = 0
     for c in range(n_cols):
@@ -418,6 +446,9 @@ def gauss_rank(m: Matrix) -> int:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
+        origin[r], origin[pivot] = origin[pivot], origin[r]
+        if pivots is not None:
+            pivots.append((origin[r], c))
         inv = Fraction(1) / rows[r][c]  # exact whatever type the entry has
         rows[r] = [e * inv for e in rows[r]]
         for i in range(n_rows):

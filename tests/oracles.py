@@ -21,6 +21,11 @@ The cochain matrices have two oracles each.  `kron_delta_matrix`,
 two entry by entry, types included.  `slow_phi` is the comparison map as
 its defining 2^n-term sum.  `identity_cochain` is the identity map as a
 degree-1 cochain.
+
+`slow_cohomology_dims` (on `slow_complex`) ranks every coboundary matrix
+whole and decides every junction by the whole product and its
+`first_nonzero` entry, as `cohomology_dims` did before it ranked top down
+on pivot rows and compressed matrices.
 """
 
 from fractions import Fraction
@@ -31,8 +36,26 @@ from hypothesis import strategies as st
 
 from nijleib.algebra import Counterexample, LeibnizAlgebra
 from nijleib.algebra import _bracket
-from nijleib.cochain import Cochain, star_structures
-from nijleib.linalg import Matrix, block_matrix, combine, kron, mat_mul, row_times, unit_vector, zero_vector
+from nijleib.cochain import (
+    Cochain,
+    CohomologyReport,
+    DegreeEntry,
+    JunctionFailure,
+    coboundary_matrix,
+    star_structures,
+)
+from nijleib.linalg import (
+    Matrix,
+    block_matrix,
+    combine,
+    frac,
+    kron,
+    mat_mul,
+    rank,
+    row_times,
+    unit_vector,
+    zero_vector,
+)
 
 
 def unit(alg, i):
@@ -261,6 +284,44 @@ def slow_eliminate(m):
                     del other[j]
         pivots[c] = prow
     return pivots
+
+
+def first_nonzero(m):
+    """The row-major first nonzero entry of m as (row, col, value), or None."""
+    for i, row in enumerate(m.nz):
+        if row:
+            j = min(row)
+            return i, j, frac(row[j])
+    return None
+
+
+def slow_complex(mats, rank_fn=rank):
+    """The ranks, junction flags and junction failures of the complex D_0..D_N
+    in `mats`, the way `cochain.cohomology_dims` found them before it ranked
+    top down: `rank_fn` on every whole matrix, and each junction D_(n+1) D_n
+    decided by the whole product and its `first_nonzero` entry."""
+    ranks = [rank_fn(m) for m in mats]
+    junctions, failures = [], []
+    for d in range(len(mats) - 1):
+        witness = first_nonzero(mats[d + 1] * mats[d])
+        junctions.append(witness is None)
+        if witness is not None:
+            failures.append(JunctionFailure(d, *witness))
+    return ranks, tuple(junctions), tuple(failures)
+
+
+def slow_cohomology_dims(kind, alg, rep, n_op=None, max_degree=2, variant="full", rank_fn=rank):
+    """`cochain.cohomology_dims` on `slow_complex`."""
+    mats = [coboundary_matrix(kind, alg, rep, n_op, d, variant) for d in range(max_degree + 1)]
+    ranks, junctions, failures = slow_complex(mats, rank_fn)
+    entries = []
+    for d in range(max_degree + 1):
+        dim_c = mats[d].cols
+        dim_z = dim_c - ranks[d]
+        dim_b = ranks[d - 1] if d > 0 else 0
+        ok_below = True if d == 0 else junctions[d - 1]
+        entries.append(DegreeEntry(d, dim_c, dim_z, dim_b, dim_z - dim_b if ok_below else None))
+    return CohomologyReport(kind, variant, max_degree, tuple(entries), junctions, failures, kind == "nla")
 
 
 def identity_cochain(dim):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nijleib import adjoint_representation, linalg
+from nijleib import adjoint_representation, cli, linalg
 from nijleib.bundles import AlgebraBundle, serialize_algebra_bundle
 from nijleib.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
 from nijleib.cochain import COMPLEX_KINDS, PHI_VARIANTS
@@ -360,6 +360,27 @@ def test_exit_code_contract_on_argument_lists(fixtures_dir, data):
     code = _assert_exit_contract(argv, "argv")
     if malformed:
         assert code == EXIT_INVALID, argv
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verb_parser_reports_like_the_full_parser(fixtures_dir, monkeypatch, data):
+    # main builds only the parsers of the verb it is given; any command line
+    # must give the same exit code, report and error line as on the parser
+    # of every verb
+    argv, _ = data.draw(cli_argument_lists(fixtures_dir))
+    verb_only = _outcome(argv)
+    full = cli.build_parser()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", lambda verb=None: full)
+        assert _outcome(argv) == verb_only, argv
 
 
 def _readme_cli_lines():

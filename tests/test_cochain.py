@@ -6,7 +6,10 @@ oracle here is a slow pointwise evaluator written straight from the defining
 sum (signs and hat-slots spelled out) that never touches the matrix path.
 The comparison map is checked against its defining sum of Kronecker
 products.  Every matrix is also checked against the Kronecker-product
-assembly it replaced, entry types included.
+assembly it replaced, entry types included.  Cohomology reports, ranked top
+down on pivot rows and compressed matrices, are checked against ranking
+every whole matrix (`oracles.slow_cohomology_dims`), on the catalog and on
+random integer complexes.
 """
 
 import random
@@ -25,7 +28,11 @@ from nijleib.algebra import (
     trivial_representation,
 )
 from nijleib.cochain import (
+    COMPLEX_KINDS,
+    PHI_VARIANTS,
     Cochain,
+    JunctionFailure,
+    _rank_complex,
     all_tuples,
     chain_map_diagnostic,
     chain_map_residual,
@@ -65,6 +72,8 @@ from oracles import (
     kron_nla_matrix,
     kron_partial_matrix,
     kron_phi_matrix,
+    slow_cohomology_dims,
+    slow_complex,
     slow_phi,
     unit,
 )
@@ -582,3 +591,82 @@ def test_identity_cochain_values():
     for i in range(3):
         assert f.value((i,)) == tuple(frac(1 if j == i else 0) for j in range(3))
     assert f.as_matrix() == Matrix.identity(3)
+
+
+@pytest.mark.parametrize("rank_fn", [rank, gauss_rank])
+def test_cohomology_reports_match_whole_matrix_oracle_all_catalog(rank_fn):
+    """The top-down schedule (row-basis junctions, compressed ranks) gives the
+    report of ranking every whole matrix and multiplying whole products,
+    junction failures and their witnesses included."""
+    for name, alg, op in catalog_nijenhuis_pairs():
+        rep = adjoint_representation(alg, op)
+        for kind in COMPLEX_KINDS:
+            for variant in PHI_VARIANTS:
+                got = cohomology_dims(kind, alg, rep, op, 3, variant, rank_fn=rank_fn)
+                want = slow_cohomology_dims(kind, alg, rep, op, 3, variant, rank_fn=rank_fn)
+                assert got == want, (name, kind, variant)
+
+
+def elementary_product(draw, size: int):
+    """A unimodular integer matrix S as a product of elementary matrices
+    I + a e_pq, and S^-1 as the product of the I - a e_pq in reverse."""
+    s = inv = Matrix.identity(size)
+    for _ in range(draw(st.integers(0, 3 * size)) if size > 1 else 0):
+        p, q = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        a = draw(st.sampled_from([-2, -1, 1, 2]))
+        step = [{i: 1} for i in range(size)]
+        s = s * Matrix.sparse(step[:p] + [{p: 1, q: a}] + step[p + 1 :], size)
+        inv = Matrix.sparse(step[:p] + [{p: 1, q: -a}] + step[p + 1 :], size) * inv
+    return s, inv
+
+
+@st.composite
+def integer_complexes(draw):
+    """D_0..D_N with D_(n+1) D_n = 0 and rank D_n = r_n, as S_(n+1) E_n S_n^-1:
+    E_n maps the last r_n coordinates of C^n onto the first r_n of C^(n+1),
+    which E_(n+1) does not read, and each S_n is unimodular.  Then, if drawn,
+    one entry of one D_n is changed, which may break a junction."""
+    count = draw(st.integers(1, 4))
+    dims = [draw(st.integers(0, 7)) for _ in range(count + 1)]
+    ranks, below = [], 0
+    for n in range(count):
+        ranks.append(draw(st.integers(0, min(dims[n] - below, dims[n + 1]))))
+        below = ranks[-1]
+    bases = [elementary_product(draw, d) for d in dims]
+    mats = []
+    for n, r in enumerate(ranks):
+        e = Matrix.sparse([{dims[n] - r + i: 1} if i < r else {} for i in range(dims[n + 1])], dims[n])
+        mats.append(bases[n + 1][0] * e * bases[n][1])
+    perturbed = draw(st.sampled_from([False, True, True]))
+    candidates = [n for n, m in enumerate(mats) if m.rows and m.cols]
+    if perturbed and candidates:
+        n = draw(st.sampled_from(candidates))
+        i, j = draw(st.integers(0, mats[n].rows - 1)), draw(st.integers(0, mats[n].cols - 1))
+        rows = [dict(row) for row in mats[n].nz]
+        rows[i][j] = rows[i].get(j, 0) + draw(st.sampled_from([-1, 1, 2]))
+        mats[n] = Matrix.sparse(rows, mats[n].cols)
+    return mats, None if perturbed else ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_complexes())
+def test_rank_schedule_matches_whole_matrix_oracle_on_random_complexes(complex_):
+    mats, ranks = complex_
+    for rank_fn in (rank, gauss_rank):
+        got = _rank_complex(mats, rank_fn)
+        assert got == slow_complex(mats, rank_fn)
+        if ranks is not None:
+            assert got[0] == ranks and all(got[1])
+
+
+def test_junction_witness_reads_the_whole_product():
+    """Row 1 of D_1 is the sum of rows 0 and 2, and `rank` takes its pivots
+    from rows 2 and 0 (the sparsest row of column 0, then the lowest of two
+    equal rows).  Row 0 times D_0 is zero, so the first nonzero row of the
+    whole product D_1 D_0 is row 1, which no pivot came from."""
+    d0, d1 = Matrix([[1], [0]]), Matrix([[0, 1], [1, 1], [1, 0]])
+    pivots = []
+    rank(d1, pivots)
+    assert pivots == [(2, 0), (0, 1)]
+    for rank_fn in (rank, gauss_rank):
+        assert _rank_complex([d0, d1], rank_fn) == ([1, 2], (False,), (JunctionFailure(0, 1, 0, Fraction(1)),))

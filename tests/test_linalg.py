@@ -8,7 +8,8 @@ scan-all form without a column index (`oracles.slow_eliminate`), on a matrix
 and on the augmented matrix [A | b] that `solve_linear` eliminates, also on
 one matrix stored as int, integral Fraction and Fraction entries.  On the la,
 no and nla complexes of the catalog pairs, `solve_linear` must solve
-b = D_n x and must refute b = a row of D_(n+1).  The one sparse sum,
+b = D_n x and must refute b = a row of D_(n+1).  The pivots that `rank` and
+`gauss_rank` report must be a row basis and a column basis.  The one sparse sum,
 `combine`, is compared with the dense sum, and the search polynomials built
 on it with evaluation at rational points.
 """
@@ -139,6 +140,40 @@ def test_elimination_agrees_with_gauss_oracle_on_sparse_systems(system):
         assert sol is not None
         assert m.apply(sol) == rhs
         assert all(sol[c] == 0 for c in free)
+
+
+def check_pivots(m):
+    """Both rank functions report rank-many pivots (row of origin, column),
+    the columns ascending and the rows distinct, and m[rows, columns] is
+    nonsingular.  The forward-only `rank` reports the pivots of the reduced
+    elimination."""
+    for rank_fn in (rank, gauss_rank):
+        pivots = []
+        r = rank_fn(m, pivots)
+        assert r == rank_fn(m) == len(pivots)
+        rows, cols = [i for i, _ in pivots], [j for _, j in pivots]
+        assert len(set(rows)) == r and cols == sorted(set(cols))
+        square = Matrix.sparse([{k: m.nz[i][j] for k, j in enumerate(cols) if j in m.nz[i]} for i in rows], r)
+        assert gauss_rank(square) == r
+    origins = []
+    _eliminate(m, origins)
+    pivots = []
+    rank(m, pivots)
+    assert pivots == origins
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_rank_pivots_are_row_and_column_bases(system):
+    check_pivots(system[0])
+
+
+def test_rank_pivots_are_row_and_column_bases_on_catalog_complexes():
+    for name, alg, op in catalog_nijenhuis_pairs():
+        rep = adjoint_representation(alg, op)
+        for kind in ("la", "no", "nla"):
+            for d in range(3):
+                check_pivots(coboundary_matrix(kind, alg, rep, op, d))
 
 
 def augmented(m, rhs):
