@@ -52,6 +52,7 @@ from .deformation import (
     residual_report,
     twist_by_isomorphism,
 )
+from .deformation import _check_base
 from .errors import BundleError, NijleibError, PreconditionError
 from .extensions import build_extension, section_to_cocycle, transport_cocycle_via_isomorphism
 from .linalg import Matrix, format_rational
@@ -268,10 +269,13 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _deformation_args(args):
-    """The bundle, its operator and the deformation that a deform action reads."""
+    """The bundle, its operator and the deformation that a deform action
+    reads, which must start at the bundle's (mu, N)."""
     bundle = _load_bundle(args.bundle)
     n_op = _operator(bundle, "deform")
-    return bundle, n_op, parse_deformation(Path(args.deformation).read_text(), bundle.algebra.dim)
+    d = parse_deformation(Path(args.deformation).read_text(), bundle.algebra.dim)
+    _check_base(bundle.algebra, n_op, d)
+    return bundle, n_op, d
 
 
 def _cmd_deform_check(args) -> int:

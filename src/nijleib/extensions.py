@@ -30,7 +30,7 @@ from .algebra import (
 from .algebra import _bracket, _dense, _semidirect_table, _sparse
 from .cochain import Cochain, CoboundaryDifference, NLACochain, coboundary_difference
 from .errors import PreconditionError, ShapeError
-from .linalg import Matrix, Vector, block_matrix, combine, row_times
+from .linalg import Matrix, Vector, combine, row_times
 from .operators import check_operator, nijenhuis
 
 
@@ -125,12 +125,10 @@ def build_extension(
     table = _semidirect_table(alg, rep, psi)
     basis = alg.basis + tuple(f"v{b + 1}" for b in range(m))
     total = LeibnizAlgebra(n + m, basis, table)
-    total_op = block_matrix(
-        [
-            [n_op, Matrix.zero(n, m)],
-            [pair.chi.as_matrix(), nv],
-        ]
-    )
+    # rows of [[N, 0], [chi, N_V]]: those of N, then each row of chi with
+    # the same row of N_V shifted past the n base columns
+    lower = ({**c, **{n + j: e for j, e in v.items()}} for c, v in zip(pair.chi.as_matrix().nz, nv.nz))
+    total_op = Matrix._of((*n_op.nz, *lower), n + m)
 
     return ExtensionDatum(base_alg=alg, base_op=n_op, rep=rep, total=total, total_op=total_op)
 

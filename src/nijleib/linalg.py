@@ -13,7 +13,11 @@ Fraction again.
 Matrices are immutable, store only their nonzero entries (one {column: value}
 dict per row, `Matrix.nz`), and use the column-action convention: entry [i][j]
 is the coefficient of basis vector i in the image of basis vector j.
-`Matrix.data` is a dense view for printing and for the oracle.
+`Matrix.data` is a dense view for printing and for the oracle.  A stacked
+matrix is built by concatenating stored rows, each shifted past the columns
+to its left: `block_diag` here, [A | b] in `solve_linear`, and the row
+builders of `cochain` and `extensions`.  A general block-grid assembler,
+`block_matrix`, exists only as a test oracle (`tests/oracles.py`).
 
 `combine` (c1 v1 + c2 v2 + ... over {index: value} dicts) is the one sparse
 sum of the package, and `row_times` is a sparse row times a matrix by it.
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ShapeError
 
@@ -87,10 +91,6 @@ def parse_rational(text: str) -> Fraction:
     if format_rational(q) != text:
         raise BundleError(f"non-canonical rational {text!r}; expected {format_rational(q)!r}")
     return q
-
-
-def vector(entries: Iterable) -> Vector:
-    return tuple(frac(e) for e in entries)
 
 
 def zero_vector(n: int) -> Vector:
@@ -271,34 +271,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._of(tuple(row_times(arow, b.nz) for arow in a.nz), b.cols)
 
 
-def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
-    """Assemble a matrix from a grid of compatible blocks."""
-    widths = {sum(b.cols for b in block_row) for block_row in blocks}
-    if len(widths) > 1:
-        raise ShapeError("inconsistent block widths")
-    rows = []
-    for block_row in blocks:
-        height = block_row[0].rows
-        if any(b.rows != height for b in block_row):
-            raise ShapeError("inconsistent block heights")
-        if len(block_row) == 1:  # matrices are immutable: share the row dicts
-            rows.extend(block_row[0].nz)
-            continue
-        for i in range(height):
-            row: dict = {}
-            base = 0
-            for b in block_row:
-                row.update((base + j, e) for j, e in b.nz[i].items())
-                base += b.cols
-            rows.append(row)
-    return Matrix._of(tuple(rows), widths.pop() if widths else 0)
-
-
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    grid = []
-    for i, b in enumerate(blocks):
-        grid.append([b if i == j else Matrix.zero(b.rows, blocks[j].cols) for j in range(len(blocks))])
-    return block_matrix(grid)
+    """The block-diagonal matrix: each block's rows, shifted right past the
+    columns of the blocks before it."""
+    rows, base = [], 0
+    for b in blocks:
+        rows.extend({base + j: e for j, e in row.items()} for row in b.nz)
+        base += b.cols
+    return Matrix._of(tuple(rows), base)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -490,7 +470,8 @@ def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:
     """
     if len(rhs) != m.rows:
         raise ShapeError(f"rhs length {len(rhs)} != rows {m.rows}")
-    pivots = _eliminate(block_matrix([[m, Matrix.sparse([{0: b} for b in rhs], 1)]]))
+    augmented = tuple({**row, m.cols: _entry(b)} if b else row for row, b in zip(m.nz, rhs))
+    pivots = _eliminate(Matrix._of(augmented, m.cols + 1))
     if m.cols in pivots:  # a row reduced to 0 = 1
         return None
     x = [Fraction(0)] * m.cols

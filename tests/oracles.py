@@ -17,10 +17,13 @@ matrix products.
 The cochain matrices have two oracles each.  `kron_delta_matrix`,
 `kron_phi_matrix` and `kron_nla_matrix` (with `kron_partial_matrix` and
 `kron_combined_partial_matrix`) are the Kronecker-product assembly that
-`nijleib.cochain` builds row by row, and `assert_same_matrix` compares the
-two entry by entry, types included.  `slow_phi` is the comparison map as
-its defining 2^n-term sum.  `identity_cochain` is the identity map as a
-degree-1 cochain.
+`nijleib.cochain` builds row by row, stacked by the general block-grid
+assembler `block_matrix`, and `assert_same_matrix` compares the two entry by
+entry, types included.  `block_matrix` is also the oracle of the stacked
+matrices that the package builds from stored rows: `linalg.block_diag` and
+the operator [[N, 0], [chi, N_V]] of `extensions.build_extension`.
+`slow_phi` is the comparison map as its defining 2^n-term sum.
+`identity_cochain` is the identity map as a degree-1 cochain.
 
 `slow_cohomology_dims` (on `slow_complex`) ranks every coboundary matrix
 whole and decides every junction by the whole product and its
@@ -31,6 +34,7 @@ on pivot rows and compressed matrices.
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
+from typing import Sequence
 
 from hypothesis import strategies as st
 
@@ -44,9 +48,9 @@ from nijleib.cochain import (
     coboundary_matrix,
     star_structures,
 )
+from nijleib.errors import ShapeError
 from nijleib.linalg import (
     Matrix,
-    block_matrix,
     combine,
     frac,
     kron,
@@ -327,6 +331,29 @@ def slow_cohomology_dims(kind, alg, rep, n_op=None, max_degree=2, variant="full"
 def identity_cochain(dim):
     """The identity map of a dim-dimensional space as a degree-1 cochain."""
     return Cochain.from_matrix(Matrix.identity(dim))
+
+
+def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
+    """Assemble a matrix from a grid of compatible blocks."""
+    widths = {sum(b.cols for b in block_row) for block_row in blocks}
+    if len(widths) > 1:
+        raise ShapeError("inconsistent block widths")
+    rows = []
+    for block_row in blocks:
+        height = block_row[0].rows
+        if any(b.rows != height for b in block_row):
+            raise ShapeError("inconsistent block heights")
+        if len(block_row) == 1:  # matrices are immutable: share the row dicts
+            rows.extend(block_row[0].nz)
+            continue
+        for i in range(height):
+            row: dict = {}
+            base = 0
+            for b in block_row:
+                row.update((base + j, e) for j, e in b.nz[i].items())
+                base += b.cols
+            rows.append(row)
+    return Matrix._of(tuple(rows), widths.pop() if widths else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,20 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
     order_true = tmp_path / "ordertrue.json"
     trivial = json.loads((fixtures_dir / "deformation_trivial.json").read_text())
     order_true.write_text(json.dumps({"order": True, "mu": trivial["mu"][:2], "n": trivial["n"][:2]}))
+    # a deformation whose order-0 term is not the bundle's operator, or not
+    # its bracket: every deform action refuses it
+    other_n, other_mu = tmp_path / "other_n.json", tmp_path / "other_mu.json"
+    shifted = json.loads(json.dumps(trivial))
+    shifted["n"][0][0][0] = "7"
+    other_n.write_text(json.dumps(shifted))
+    shifted = json.loads(json.dumps(trivial))
+    shifted["mu"][0][1][0][0] = "5"
+    other_mu.write_text(json.dumps(shifted))
+    other_base = [
+        ("deform", action, bundle, str(path), *extra)
+        for path in (other_n, other_mu)
+        for action, extra in (("check", ()), ("cocycle", ()), ("twist", ("--iso", iso)))
+    ]
     cases = [
         ("verify", fx(fixtures_dir, "bad_rational.json")),
         ("verify", bundle, "--kind", "rota_baxter_weighted", "--weight", "abc"),
@@ -128,12 +142,15 @@ def test_verify_invalid_input(capsys, fixtures_dir, tmp_path):
         ("deform", bundle, deformation),
         # --phi follows its action
         ("deform", "--phi", "printed", "cocycle", bundle, deformation),
+        *other_base,
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INVALID, argv
         assert out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    for argv in other_base:
+        assert run(capsys, *argv)[2] == "error: deformation does not start at the given base structure\n", argv
     assert "algebra.basis[0]" in run(capsys, "verify", str(comma_label))[2]
     # -h/--help prints no report either: usage on stderr, then one error: line
     for argv in [("-h",), ("--help",), ("deform", "-h"), ("deform", "check", "-h"), ("cohomology", bundle, "--help")]:

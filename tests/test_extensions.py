@@ -32,9 +32,9 @@ from nijleib.extensions import (
     section_to_cocycle,
     transport_cocycle_via_isomorphism,
 )
-from nijleib.linalg import Matrix, block_matrix, frac, is_zero_vector, zero_vector
+from nijleib.linalg import Matrix, frac, is_zero_vector, zero_vector
 from nijleib.operators import is_nijenhuis
-from oracles import any_brackets, bilinear_eval, slow_extension_structure, unit
+from oracles import any_brackets, assert_same_matrix, bilinear_eval, block_matrix, slow_extension_structure, unit
 
 
 def kernel_pairs(alg, op, rep, rng, count):
@@ -215,6 +215,29 @@ def test_total_table_matches_dense_oracle(alg, m, data):
     assert ext.total.structure == expected
     oracle = LeibnizAlgebra.from_structure(expected, ext.total.basis)
     assert ext.total == oracle and hash(ext.total) == hash(oracle)
+
+
+@pytest.mark.parametrize("base_dims,fiber_dims", [((0, 0), (1, 2)), ((1, 3), (0, 0)), ((0, 3), (0, 2))])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_total_operator_is_the_block_grid(base_dims, fiber_dims, data):
+    """`total_op` is the oracle grid [[N, 0], [chi, N_V]], down to entry
+    types and the column order of each row, for random N, chi and N_V over a
+    0-dim base, over a 0-dim fiber and over both nonzero.  The actions are
+    zero, so the representation check passes whatever N and N_V are."""
+    alg = data.draw(any_brackets(data.draw(st.integers(*base_dims))))
+    n, m = alg.dim, data.draw(st.integers(*fiber_dims))
+    entry = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+
+    def matrix(rows, cols):
+        return Matrix.sparse([{j: data.draw(entry) for j in range(cols)} for _ in range(rows)], cols)
+
+    n_op, nv = matrix(n, n), matrix(m, m)
+    zero = tuple(Matrix.zero(m, m) for _ in range(n))
+    rep = Representation(zero, zero, nv, module_dim=m)
+    chi = Cochain.from_table(1, n, m, {(j,): [data.draw(entry) for _ in range(m)] for j in range(n)})
+    ext = build_extension(alg, n_op, rep, CocyclePair(Cochain.zero(2, n, m), chi))
+    assert_same_matrix(ext.total_op, block_matrix([[n_op, Matrix.zero(n, m)], [chi.as_matrix(), nv]]))
 
 
 def test_total_structure_shape(loday2, classified_op, loday2_adjoint):

@@ -11,7 +11,9 @@ no and nla complexes of the catalog pairs, `solve_linear` must solve
 b = D_n x and must refute b = a row of D_(n+1).  The pivots that `rank` and
 `gauss_rank` report must be a row basis and a column basis.  The one sparse sum,
 `combine`, is compared with the dense sum, and the search polynomials built
-on it with evaluation at rational points.
+on it with evaluation at rational points.  The matrices stacked from stored
+rows, `block_diag` and the [A | b] of `solve_linear`, are compared with the
+block grid of `oracles.block_matrix`, 0-row and 0-column blocks included.
 """
 
 import copy
@@ -19,7 +21,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nijleib.algebra import adjoint_representation, catalog_nijenhuis_pairs
@@ -29,7 +31,6 @@ from nijleib.linalg import (
     Matrix,
     _eliminate,
     block_diag,
-    block_matrix,
     combine,
     format_rational,
     frac,
@@ -43,7 +44,7 @@ from nijleib.linalg import (
     solve_linear,
 )
 from nijleib.operators import _Poly
-from oracles import slow_eliminate
+from oracles import assert_same_matrix, block_matrix, slow_eliminate
 
 rationals = st.builds(
     Fraction,
@@ -348,6 +349,42 @@ def test_solve_roundtrip(data):
     assert m.apply(sol) == m.apply(x)
 
 
+def stored(rows, cols):
+    """The matrix of these dense rows with each nonzero stored as drawn."""
+    return Matrix._of(tuple({j: e for j, e in enumerate(row) if e} for row in rows), cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.booleans(), st.data())
+def test_solve_linear_agrees_with_the_block_grid_system(rows, cols, consistent, data):
+    """On any A up to 4x4, 0-row and 0-column A included, and a right-hand
+    side of zero, int, integral Fraction and non-integral Fraction entries
+    (drawn freely, or A x): the answer is the one read off the scan-all
+    elimination of the oracle grid [[A, b]], and a solution solves."""
+    m = stored([[data.draw(mixed_entries) for _ in range(cols)] for _ in range(rows)], cols)
+    if consistent:
+        rhs = m.apply(tuple(frac(data.draw(mixed_entries)) for _ in range(cols)))
+    else:
+        rhs = tuple(data.draw(mixed_entries) for _ in range(rows))
+    pivots = slow_eliminate(block_matrix([[m, Matrix.sparse([{0: b} for b in rhs], 1)]]))
+    sol = solve_linear(m, rhs)
+    if cols in pivots:
+        assert sol is None and not consistent
+    else:
+        assert sol == tuple(pivots[c].get(cols, 0) if c in pivots else 0 for c in range(cols))
+        assert all(type(x) is Fraction for x in sol) and m.apply(sol) == rhs
+
+
+def test_solve_mixed_right_hand_sides_and_zero_rows():
+    m = Matrix([[2, 1], [0, 0], [1, 0]])
+    assert solve_linear(m, (Fraction(3, 2), 0, 4)) == (4, Fraction(-13, 2))
+    assert solve_linear(m, (Fraction(3, 2), Fraction(0), Fraction(4))) == (4, Fraction(-13, 2))
+    assert solve_linear(m, (Fraction(3, 2), Fraction(1, 3), 4)) is None
+    assert solve_linear(Matrix.zero(0, 3), ()) == (0, 0, 0)
+    assert solve_linear(Matrix.zero(2, 0), (0, Fraction(0))) == ()
+    assert solve_linear(Matrix.zero(2, 0), (0, Fraction(1, 2))) is None
+
+
 def test_mat_mul_shapes():
     a = Matrix.zero(2, 3)
     b = Matrix.zero(4, 2)
@@ -368,6 +405,26 @@ def test_block_matrix_assembly():
     m = block_matrix([[Matrix.identity(2), Matrix.zero(2, 1)], [Matrix.zero(1, 2), Matrix.identity(1)]])
     assert m == Matrix.identity(3)
     assert block_diag([Matrix.identity(1), Matrix.identity(2)]) == Matrix.identity(3)
+
+
+@st.composite
+def stored_blocks(draw):
+    """A block of up to 3x3, 0xk and kx0 included, whose entries are stored
+    as drawn: int, integral Fraction or non-integral Fraction."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return stored([[draw(mixed_entries) for _ in range(cols)] for _ in range(rows)], cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(stored_blocks(), max_size=4))
+@example([])
+@example([Matrix.zero(0, 2), stored([[Fraction(1, 2)]], 1), Matrix.zero(2, 0), stored([[Fraction(3)]], 1)])
+def test_block_diag_is_the_block_grid(blocks):
+    """`block_diag` shifts each block's stored rows past the columns before
+    it: the oracle grid with zero blocks off the diagonal, down to entry
+    types and the column order of each row."""
+    grid = [[b if i == j else Matrix.zero(b.rows, c.cols) for j, c in enumerate(blocks)] for i, b in enumerate(blocks)]
+    assert_same_matrix(block_diag(blocks), block_matrix(grid))
 
 
 @pytest.mark.parametrize(
