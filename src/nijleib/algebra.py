@@ -1,8 +1,12 @@
 """Leibniz algebras, their representations, and the builtin catalog.
 
 A bracket is stored as the table {(a, b): {k: c}} of its nonzero structure
-constants, [e_a, e_b] = sum_k c e_k; `LeibnizAlgebra.structure` is the dense
-tensor view c[a][b][k] of the same numbers.  All verdict-style checks return
+constants, [e_a, e_b] = sum_k c e_k, each held as a `linalg.Matrix` holds
+its entries: an int when integral, else a Fraction.  The constructor
+normalises them, whatever built the table (parser, catalog, direct sum,
+dense tensor, star bracket or extension), so the kernels below run on ints
+for integral input.  `LeibnizAlgebra.structure` is the dense tensor view
+c[a][b][k] of the same numbers, as Fractions.  All verdict-style checks return
 None on success or a `Counterexample` carrying the lexicographically first
 failing index tuple and the exact residual, so goldens are deterministic.
 
@@ -20,9 +24,10 @@ deformation equations.
 
 A linear map enters the kernels as the rows N[a] its matrix stores
 (`Matrix.nz`), and each kernel builds the columns it applies the map by once.
-Kernel values keep the types the arithmetic gives them, so an int entry of a
-module action or an operator can stay an int; they become Fractions in the
-dense view `_dense` and in the public values of `operators.operator_defect`.
+Kernel values keep the types the arithmetic gives them, so an int constant,
+module action or operator entry stays an int; they become Fractions in the
+dense view `_dense` and in the public values of `operators.operator_defect`
+and `operators.defect_polynomial`.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .errors import CatalogError, PreconditionError, ShapeError
 from .linalg import (
     Matrix,
     Vector,
+    _entry,
     block_diag,
     combine,
     frac,
@@ -53,11 +59,12 @@ def bilinear_tensor(entries: Sequence[Sequence[Sequence]]) -> BilinearTensor:
     return tuple(tuple(tuple(frac(c) for c in vec) for vec in row) for row in entries)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 def _sparse(v: Vector) -> dict:
-    return {k: c for k, c in enumerate(v) if c}
+    """The nonzero entries {k: c} of v, each as a matrix stores it."""
+    return {k: _entry(c) for k, c in enumerate(v) if c}
 
 
 def _dense(v: dict, dim: int) -> Vector:
@@ -191,7 +198,8 @@ class Counterexample:
 @dataclass(frozen=True)
 class LeibnizAlgebra:
     """A bracket on the basis, stored as the table {(a, b): {k: c}} of its
-    nonzero structure constants; equality and hashing read the table."""
+    nonzero structure constants, which the constructor normalises to ints
+    where integral; equality and hashing read the table."""
 
     dim: int
     basis: tuple[str, ...]
@@ -201,12 +209,15 @@ class LeibnizAlgebra:
         if len(self.basis) != self.dim:
             raise ShapeError("basis size does not match dimension")
         on_basis = set(range(self.dim))
+        table = {}
         for key, vec in self.table.items():
             pair = isinstance(key, tuple) and len(key) == 2
             if not (pair and on_basis.issuperset(key) and on_basis.issuperset(vec)):
                 raise ShapeError(f"bracket table entry {key!r} is not a basis pair with basis coordinates")
             if not vec or not all(vec.values()):
                 raise ShapeError(f"bracket table entry {key!r} stores a zero")
+            table[key] = {k: _entry(c) for k, c in vec.items()}
+        object.__setattr__(self, "table", table)
 
     def __hash__(self) -> int:
         return self._hash
@@ -452,10 +463,10 @@ def catalog_get(name: str) -> LeibnizAlgebra:
     """Builtin algebras: loday2, square2, abelian<n>, dsum(a,b)."""
     if name == "loday2":
         # [e2,e1] = [e2,e2] = e1, all other products zero
-        alg = LeibnizAlgebra(2, ("e1", "e2"), {(1, 0): {0: _ONE}, (1, 1): {0: _ONE}})
+        alg = LeibnizAlgebra(2, ("e1", "e2"), {(1, 0): {0: 1}, (1, 1): {0: 1}})
     elif name == "square2":
         # [e1,e1] = e2
-        alg = LeibnizAlgebra(2, ("e1", "e2"), {(0, 0): {1: _ONE}})
+        alg = LeibnizAlgebra(2, ("e1", "e2"), {(0, 0): {1: 1}})
     elif m := _ABELIAN_RE.match(name):
         alg = LeibnizAlgebra.abelian(int(m.group(1)))
     elif m := _DSUM_RE.match(name):

@@ -24,7 +24,7 @@ from .deformation import FormalIsomorphism, TruncatedDeformation
 from .errors import BundleError, PreconditionError, ShapeError
 from .extensions import CocyclePair
 from .cochain import Cochain
-from .linalg import Matrix, Vector, format_rational, parse_rational
+from .linalg import Matrix, Vector, _rational_entry, format_rational, parse_rational
 
 TOOL_VERSION = "0.1.0"
 
@@ -71,7 +71,7 @@ def matrix_from_json(rows, where: str, shape: tuple[int, int]) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise BundleError(f"{where}: expected a list of rows")
     try:
-        m = Matrix([[parse_rational(e) for e in row] for row in rows]) if rows else Matrix.zero(0, shape[1])
+        m = Matrix([[_rational_entry(e) for e in row] for row in rows]) if rows else Matrix.zero(0, shape[1])
     except (BundleError, ShapeError) as exc:
         raise BundleError(f"{where}: {exc}") from None
     if (m.rows, m.cols) != shape:
@@ -147,7 +147,7 @@ def parse_algebra_bundle(text: str, *, verify: bool = True) -> AlgebraBundle:
             if out_label not in index:
                 raise BundleError(f"algebra.brackets[{key!r}]: unknown basis label {out_label!r}")
             try:
-                c = parse_rational(coeff)
+                c = _rational_entry(coeff)
             except BundleError as exc:
                 raise BundleError(f"algebra.brackets[{key!r}][{out_label!r}]: {exc}") from None
             if c:

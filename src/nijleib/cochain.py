@@ -713,10 +713,17 @@ def _chain_map_difference(
     """lower_n phi_n - phi_(n+1) delta_n, lower the plain operator
     differential or, when corrected, the combined-complex one; zero iff phi
     is a chain map at this degree."""
-    nv = rep.module_operator
     lower = combined_partial_matrix if corrected else partial_matrix
-    lhs = lower(alg, n_op, rep, degree) * phi_matrix(n_op, nv, degree, variant)
-    return lhs - phi_matrix(n_op, nv, degree + 1, variant) * delta_matrix(alg, rep, degree)
+    lhs = lower(alg, n_op, rep, degree) * phi_matrix(n_op, rep.module_operator, degree, variant)
+    return lhs - _phi_after_delta(alg, n_op, rep, degree, variant)
+
+
+@lru_cache(maxsize=DEGREE_CAP + 1)
+def _phi_after_delta(alg: LeibnizAlgebra, n_op: Matrix, rep: Representation, degree: int, variant: str) -> Matrix:
+    """phi_(n+1) delta_n, the route that the plain and the corrected
+    differences share.  `selfcheck` diagnoses one after the other, degrees
+    0..DEGREE_CAP at most, so the second reuses every product of the first."""
+    return phi_matrix(n_op, rep.module_operator, degree + 1, variant) * delta_matrix(alg, rep, degree)
 
 
 def chain_map_residual(

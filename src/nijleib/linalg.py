@@ -2,13 +2,17 @@
 
 No floating point representation exists anywhere in the package.  A vector
 (`Vector`) is a tuple of `fractions.Fraction`.  A matrix stores an integral
-entry as a Python `int` and any other entry as a `Fraction`: the constructors
-normalise to that form, and sums, products and Kronecker products of integral
-matrices stay on `int`, which needs no gcd.  A Fraction result that happens to
-be integral may stay a Fraction; `1 == Fraction(1)` and their hashes agree, so
-equality and hashing do not see the difference.  Every entry that leaves a
-matrix (`data`, `entry`, `column`, kernel and solution vectors) is a
-Fraction again.
+entry as a Python `int` and any other entry as a `Fraction` (`_entry`): the
+constructors normalise to that form, and sums, products and Kronecker
+products of integral matrices stay on `int`, which needs no gcd.  The
+bracket tables of `algebra` hold their constants in the same storage form,
+and the bundle parsers read table and matrix entries straight into it
+(`_rational_entry`), so an integral input is never a Fraction on its way
+in.  A Fraction result that happens to be integral may stay a Fraction;
+`1 == Fraction(1)` and their hashes agree, so equality and hashing do not
+see the difference.  Every entry that leaves a matrix (`data`, `entry`,
+`column`, kernel and solution vectors) is a Fraction again, and so is
+every value that `parse_rational` returns.
 
 Matrices are immutable, store only their nonzero entries (one {column: value}
 dict per row, `Matrix.nz`), and use the column-action convention: entry [i][j]
@@ -46,7 +50,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import ShapeError
+from .errors import BundleError, ShapeError
 
 Vector = tuple[Fraction, ...]
 
@@ -78,10 +82,27 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a canonical rational string; reject non-canonical spellings."""
-    from .errors import BundleError
+def _rational_entry(text):
+    """`parse_rational(text)` as a matrix stores it: an int when integral.
 
+    A canonical "p" or "p/q" is read by `int` and accepted only if both
+    parts print back as themselves, q > 1 and gcd(p, q) = 1; `int` also
+    takes spellings such as " 1", "+1", "01", "-0", "1_0" or non-ASCII
+    digits, and none of them prints back.  Every other input is parsed by
+    `Fraction(text)` and accepted only if its value formats back to it, so
+    each rejection carries that parser's message."""
+    if type(text) is str:
+        num, slash, den = text.partition("/")
+        try:
+            p = int(num)
+            if str(p) == num:
+                if not slash:
+                    return p
+                q = int(den)
+                if q > 1 and str(q) == den and gcd(p, q) == 1:
+                    return Fraction(p, q)
+        except ValueError:
+            pass
     if not isinstance(text, str):
         raise BundleError(f"rational must be a string, got {text!r}")
     try:
@@ -90,7 +111,12 @@ def parse_rational(text: str) -> Fraction:
         raise BundleError(f"bad rational {text!r}: {exc}") from None
     if format_rational(q) != text:
         raise BundleError(f"non-canonical rational {text!r}; expected {format_rational(q)!r}")
-    return q
+    return _entry(q)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a canonical rational string; reject non-canonical spellings."""
+    return frac(_rational_entry(text))
 
 
 def zero_vector(n: int) -> Vector:

@@ -29,7 +29,7 @@ from math import lcm
 from typing import Iterator, Optional
 
 from .algebra import Counterexample, LeibnizAlgebra, Representation
-from .algebra import _ONE, _check_semidirect, _defect_table, _dense, _star_table
+from .algebra import _check_semidirect, _defect_table, _dense, _star_table
 from .algebra import _module_matrix, _module_slots
 from .errors import PreconditionError, ResourceLimitError, ShapeError
 from .linalg import Matrix, _entry, combine, frac
@@ -232,15 +232,17 @@ def defect_polynomial(alg: LeibnizAlgebra, kind: OperatorKind) -> tuple[dict, ..
     Component (i*d + j)*d + l is coordinate l of the defect on (e_i, e_j), and
     variable a = r*d + c is the entry N[r][c].  A polynomial is a
     {monomial: coefficient} dict over the monomials (), (a,) and (a, b) with
-    a < b or a = b; zero coefficients are left out.  The identity is evaluated
-    once, by the kernel of `operator_defect`, with the rows of N held as
-    polynomials of degree 1.
+    a < b or a = b; zero coefficients are left out and every other one is a
+    Fraction.  The identity is evaluated once, by the kernel of
+    `operator_defect`, with the rows of N held as polynomials of degree 1.
     """
     d = alg.dim
-    rows = [{c: _Poly({(r * d + c,): _ONE}) for c in range(d)} for r in range(d)]
+    rows = [{c: _Poly({(r * d + c,): 1}) for c in range(d)} for r in range(d)]
     values = _defect_table(_p_coefficients(kind), ((alg.table, rows, rows),))
     return tuple(
-        dict(values.get((i, j), {}).get(l, {})) for i, j in product(range(d), repeat=2) for l in range(d)
+        {mono: frac(c) for mono, c in values.get((i, j), {}).get(l, {}).items()}
+        for i, j in product(range(d), repeat=2)
+        for l in range(d)
     )
 
 

@@ -25,6 +25,9 @@ the operator [[N, 0], [chi, N_V]] of `extensions.build_extension`.
 `slow_phi` is the comparison map as its defining 2^n-term sum.
 `identity_cochain` is the identity map as a degree-1 cochain.
 
+`slow_parse_rational` reads every rational string through `Fraction(text)`
+and a format round trip, with no int fast path.
+
 `slow_cohomology_dims` (on `slow_complex`) ranks every coboundary matrix
 whole and decides every junction by the whole product and its
 `first_nonzero` entry, as `cohomology_dims` did before it ranked top down
@@ -48,10 +51,11 @@ from nijleib.cochain import (
     coboundary_matrix,
     star_structures,
 )
-from nijleib.errors import ShapeError
+from nijleib.errors import BundleError, ShapeError
 from nijleib.linalg import (
     Matrix,
     combine,
+    format_rational,
     frac,
     kron,
     mat_mul,
@@ -258,6 +262,20 @@ def any_brackets(draw, dim=None):
     return LeibnizAlgebra.from_structure(
         [[[draw(entry) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     )
+
+
+def slow_parse_rational(text) -> Fraction:
+    """`linalg.parse_rational` with every input parsed by `Fraction(text)`:
+    a string is canonical exactly when the value formats back to it."""
+    if not isinstance(text, str):
+        raise BundleError(f"rational must be a string, got {text!r}")
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BundleError(f"bad rational {text!r}: {exc}") from None
+    if format_rational(q) != text:
+        raise BundleError(f"non-canonical rational {text!r}; expected {format_rational(q)!r}")
+    return q
 
 
 def slow_eliminate(m):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nijleib.algebra import (
@@ -21,9 +21,21 @@ from nijleib.algebra import (
     trivial_representation,
 )
 from nijleib.algebra import _leibniz_table
+from nijleib.cochain import Cochain, cocycle_membership, delta, sample_cocycles
+from nijleib.deformation import residual_report, trivial_deformation
 from nijleib.errors import CatalogError, PreconditionError, ShapeError
+from nijleib.extensions import CocyclePair, build_extension, section_to_cocycle
 from nijleib.linalg import Matrix, block_diag, frac, unit_vector, vec_add, vec_sub
-from nijleib.operators import induced_bracket
+from nijleib.operators import (
+    check_operator,
+    defect_polynomial,
+    induced_bracket,
+    modified_rota_baxter,
+    nijenhuis,
+    operator_defect,
+    rota_baxter,
+    rota_baxter_weighted,
+)
 from oracles import (
     any_brackets,
     bilinear_eval,
@@ -299,6 +311,86 @@ def test_table_is_the_stored_form(alg):
         structure = [[list(v) for v in row] for row in alg.structure]
         structure[0][0][0] += 1
         assert LeibnizAlgebra.from_structure(structure, alg.basis) != alg
+
+
+@st.composite
+def typed_tables(draw):
+    """(dim, table, N): a bracket table on dim 1-3 and an operator, each with
+    entries all ints, all Fractions that are integral, or Fractions with
+    some not integral; neither need satisfy any identity."""
+    dim = draw(st.integers(1, 3))
+    small = (0, 0, 0, 1, -1, 2)
+    styles = {
+        "int": st.sampled_from(small),
+        "integral": st.sampled_from(small).map(Fraction),
+        "rational": st.sampled_from((0, 0, 1, Fraction(2), Fraction(1, 2), Fraction(-3, 2))),
+    }
+    entry = styles[draw(st.sampled_from(sorted(styles)))]
+    table = {}
+    for pair in product(range(dim), repeat=2):
+        if vec := {k: c for k in range(dim) if (c := draw(entry))}:
+            table[pair] = vec
+    entry = styles[draw(st.sampled_from(sorted(styles)))]
+    return dim, table, Matrix([[draw(entry) for _ in range(dim)] for _ in range(dim)])
+
+
+def _stored(table):
+    """True if every constant of `table` is an int exactly when integral."""
+    return all(type(c) is (int if frac(c).denominator == 1 else Fraction) for v in table.values() for c in v.values())
+
+
+def _fractions(values):
+    """True if every value is a Fraction (not an int, not a float)."""
+    return all(type(v) is Fraction for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(typed_tables())
+@example((1, {(0, 0): {0: Fraction(1)}}, Matrix([[1]])))
+@example((1, {(0, 0): {0: Fraction(1, 2)}}, Matrix([[2]])))
+@example((1, {(0, 0): {0: 2}}, Matrix([[0]])))
+def test_public_values_are_fractions_on_int_tables(case):
+    """A bracket table holds its constants as a matrix stores them, an int
+    exactly when integral, whatever built it; every public value read off
+    it stays a Fraction: the dense views, the defects and their
+    polynomials, each certificate's residual, cochains, and kernel and
+    solve vectors.  The kernels may return an int or a Fraction for the same
+    value, so each conversion is pinned here."""
+    dim, table, n = case
+    alg = LeibnizAlgebra(dim, tuple(f"e{i + 1}" for i in range(dim)), table)
+    assert alg.table == table and _stored(alg.table)
+    assert _stored(direct_sum(alg, alg).table)
+    assert _stored(LeibnizAlgebra.from_structure(alg.structure).table)
+    assert _fractions(c for row in alg.structure for v in row for c in v)
+    x = tuple(Fraction(i + 1) for i in range(dim))
+    assert _fractions(alg.bracket(x, x[::-1]))
+    residuals = [check_leibniz(alg)]
+    for kind in (nijenhuis(), rota_baxter(), rota_baxter_weighted(2), modified_rota_baxter(-1)):
+        assert _fractions(c for v in operator_defect(alg, n, kind).values() for c in v.values())
+        assert _fractions(c for poly in defect_polynomial(alg, kind) for c in poly.values())
+        residuals.append(check_operator(alg, n, kind))
+    if residuals[1] is None:
+        assert _stored(induced_bracket(alg, n).table)
+    rep = Representation((n,) * dim, (n,) * dim, n, module_dim=dim)
+    residuals.append(check_representation(alg, rep, n))
+    fiber = trivial_representation(dim, 1, Matrix([[Fraction(1)]]))
+    ext = build_extension(alg, n, fiber, CocyclePair.zero(dim, 1))
+    assert _stored(ext.total.table)
+    residuals += ext.certificates
+    for c in residuals:
+        if c is not None:
+            values = [v for row in c.residual.data for v in row] if isinstance(c.residual, Matrix) else c.residual
+            assert _fractions(values), c
+    report = residual_report(alg, n, trivial_deformation(alg, n, 1))
+    if not report.passes:
+        assert _fractions(c for t in report.leibniz_residual for row in t for v in row for c in v)
+        assert _fractions(c for row in report.nijenhuis_residual for v in row for c in v)
+    f = Cochain(1, dim, dim, tuple(Fraction(k % 3 - 1) for k in range(dim * dim)))
+    cochains = [delta(alg, rep, f), *sample_cocycles("la", alg, rep, None, 1), section_to_cocycle(ext).psi]
+    member = cocycle_membership("la", alg, rep, None, delta(alg, rep, f))
+    if member.preimage is not None:
+        cochains.append(member.preimage)
+    assert all(_fractions(c.vec) for c in cochains)
 
 
 def test_star_algebra_compares_unequal():

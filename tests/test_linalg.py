@@ -14,6 +14,8 @@ b = D_n x and must refute b = a row of D_(n+1).  The pivots that `rank` and
 on it with evaluation at rational points.  The matrices stacked from stored
 rows, `block_diag` and the [A | b] of `solve_linear`, are compared with the
 block grid of `oracles.block_matrix`, 0-row and 0-column blocks included.
+`parse_rational` and its int fast path are compared with the parser that
+reads every string through `Fraction(text)`, `oracles.slow_parse_rational`.
 """
 
 import copy
@@ -30,6 +32,7 @@ from nijleib.errors import BundleError, ShapeError
 from nijleib.linalg import (
     Matrix,
     _eliminate,
+    _rational_entry,
     block_diag,
     combine,
     format_rational,
@@ -44,7 +47,7 @@ from nijleib.linalg import (
     solve_linear,
 )
 from nijleib.operators import _Poly
-from oracles import assert_same_matrix, block_matrix, slow_eliminate
+from oracles import assert_same_matrix, block_matrix, slow_eliminate, slow_parse_rational
 
 rationals = st.builds(
     Fraction,
@@ -440,6 +443,62 @@ def test_parse_rational_canonical(text, value):
 def test_parse_rational_rejects_noncanonical(bad):
     with pytest.raises(BundleError):
         parse_rational(bad)
+
+
+def _parsed(parse, value):
+    """("ok", value) or (exception type, message) of one parse.  A ValueError
+    that is not a BundleError escapes both parsers alike on an exponent
+    spelling whose value has more digits than `str` converts ("1e4300")."""
+    try:
+        return "ok", parse(value)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.fractions().map(format_rational),
+        # at most 6 characters, so an exponent spelling stays within "1e9999":
+        # Fraction(text) computes its value in full
+        st.text(alphabet="0123456789-+/_.e \u0663", max_size=6),
+        st.none() | st.booleans() | st.integers() | st.floats() | st.lists(st.integers(), max_size=2),
+    )
+)
+@example("01")
+@example("+1")
+@example("-0")
+@example("0/5")
+@example("2/4")
+@example("1/1")
+@example("1/0")
+@example("1/-2")
+@example(" 1")
+@example("1_0")
+@example("\u0663")
+@example("1" * 5000)
+@example("")
+@example("/")
+@example("-1/2/3")
+@example("1e4300")
+@example("1")
+@example("1.5")
+@example(True)
+@example(None)
+@example([])
+def test_parse_rational_agrees_with_the_fraction_parser(value):
+    """The int fast path accepts exactly the canonical strings that
+    `Fraction(text)` with a format round trip accepts, with the same value,
+    and every other input fails with that parser's message.  The storage
+    form that the bundle parsers take is an int exactly when integral."""
+    got, want = _parsed(parse_rational, value), _parsed(slow_parse_rational, value)
+    assert got == want
+    if got[0] == "ok":
+        assert type(got[1]) is Fraction
+        stored = _rational_entry(value)
+        assert stored == got[1] and type(stored) is (int if got[1].denominator == 1 else Fraction)
+    else:
+        assert _parsed(_rational_entry, value) == want
 
 
 small_ints = st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=-3, max_value=3)).map(
