@@ -5,6 +5,7 @@ throughout; every verification verb returns either a pass or an explicit
 counterexample certificate.
 """
 
+from ._record import replace
 from .algebra import (
     Counterexample,
     LeibnizAlgebra,
@@ -122,6 +123,7 @@ __all__ = [
     "parse_algebra_bundle",
     "parse_rational",
     "rank",
+    "replace",
     "residual_report",
     "rota_baxter",
     "rota_baxter_weighted",

@@ -28,17 +28,22 @@ Kernel values keep the types the arithmetic gives them, so an int constant,
 module action or operator entry stays an int; they become Fractions in the
 dense view `_dense` and in the public values of `operators.operator_defect`
 and `operators.defect_polynomial`.
+
+`Counterexample`, `LeibnizAlgebra` and `Representation` are frozen records
+(`_record.record`).  The last two are built and compared on every verb and
+key the caches of `cochain`, so their constructors and `__eq__` are written
+out, and each keeps its hash once computed.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
+from ._record import _set, record
 from .errors import CatalogError, PreconditionError, ShapeError
 from .linalg import (
     Matrix,
@@ -183,7 +188,7 @@ def bilinear_tensor_is_zero(tensor: BilinearTensor) -> bool:
     return all(is_zero_vector(v) for row in tensor for v in row)
 
 
-@dataclass(frozen=True)
+@record
 class Counterexample:
     """First witness of a failed identity, with the exact residual."""
 
@@ -195,7 +200,7 @@ class Counterexample:
         return f"{self.identity} fails at {self.indices}: residual {self.residual!r}"
 
 
-@dataclass(frozen=True)
+@record
 class LeibnizAlgebra:
     """A bracket on the basis, stored as the table {(a, b): {k: c}} of its
     nonzero structure constants, which the constructor normalises to ints
@@ -205,19 +210,26 @@ class LeibnizAlgebra:
     basis: tuple[str, ...]
     table: dict
 
-    def __post_init__(self):
-        if len(self.basis) != self.dim:
+    def __init__(self, dim: int, basis: tuple[str, ...], table: dict):
+        if len(basis) != dim:
             raise ShapeError("basis size does not match dimension")
-        on_basis = set(range(self.dim))
-        table = {}
-        for key, vec in self.table.items():
+        on_basis = set(range(dim))
+        entries = {}
+        for key, vec in table.items():
             pair = isinstance(key, tuple) and len(key) == 2
             if not (pair and on_basis.issuperset(key) and on_basis.issuperset(vec)):
                 raise ShapeError(f"bracket table entry {key!r} is not a basis pair with basis coordinates")
             if not vec or not all(vec.values()):
                 raise ShapeError(f"bracket table entry {key!r} stores a zero")
-            table[key] = {k: _entry(c) for k, c in vec.items()}
-        object.__setattr__(self, "table", table)
+            entries[key] = {k: _entry(c) for k, c in vec.items()}
+        _set(self, "dim", dim)
+        _set(self, "basis", basis)
+        _set(self, "table", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.basis, self.table) == (other.dim, other.basis, other.table)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -275,7 +287,7 @@ def check_leibniz(alg: LeibnizAlgebra) -> Optional[Counterexample]:
     return Counterexample("leibniz", t, _dense(values[t], alg.dim))
 
 
-@dataclass(frozen=True)
+@record
 class Representation:
     """A (possibly Nijenhuis) representation given by exact action matrices.
 
@@ -288,20 +300,46 @@ class Representation:
 
     left: tuple[Matrix, ...]
     right: tuple[Matrix, ...]
-    module_operator: Optional[Matrix] = None
-    module_dim: int = field(kw_only=True)
+    module_operator: Optional[Matrix]
+    module_dim: int
 
-    def __post_init__(self):
-        if len(self.left) != len(self.right):
-            raise ShapeError(f"{len(self.left)} left but {len(self.right)} right action matrices")
-        m = self.module_dim
-        for mat in (*self.left, *self.right):
+    def __init__(
+        self,
+        left: tuple[Matrix, ...],
+        right: tuple[Matrix, ...],
+        module_operator: Optional[Matrix] = None,
+        *,
+        module_dim: int,
+    ):
+        if len(left) != len(right):
+            raise ShapeError(f"{len(left)} left but {len(right)} right action matrices")
+        m = module_dim
+        for mat in (*left, *right):
             if mat.rows != m or mat.cols != m:
                 raise ShapeError("action matrices must all be module_dim x module_dim")
-        if self.module_operator is not None and (
-            self.module_operator.rows != m or self.module_operator.cols != m
-        ):
+        if module_operator is not None and (module_operator.rows != m or module_operator.cols != m):
             raise ShapeError("module operator must be module_dim x module_dim")
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "module_operator", module_operator)
+        _set(self, "module_dim", module_dim)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right, self.module_operator, self.module_dim) == (
+                other.left,
+                other.right,
+                other.module_operator,
+                other.module_dim,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.left, self.right, self.module_operator, self.module_dim))
 
     @property
     def algebra_dim(self) -> int:

@@ -5,15 +5,17 @@ All rationals travel as canonical strings ("p/q" with q > 1, else "p").
 Parsing is strict: unknown labels, non-canonical rationals, and algebras
 violating the Leibniz identity are rejected with a located error.
 parse -> serialize -> parse is the identity on canonical form.
+`AlgebraBundle` and `ExtensionFile` are frozen records (`_record.record`);
+`AlgebraBundle`, built once per verb, writes its constructor out.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import _set, record
 from .algebra import (
     LeibnizAlgebra,
     Representation,
@@ -106,11 +108,21 @@ def tensor_from_json(entries, where: str, dim: int, out_dim: int):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraBundle:
     algebra: LeibnizAlgebra
     operator: Optional[Matrix]
     representation: Optional[Union[str, Representation]]  # "adjoint" or explicit
+
+    def __init__(
+        self,
+        algebra: LeibnizAlgebra,
+        operator: Optional[Matrix],
+        representation: Optional[Union[str, Representation]],
+    ):
+        _set(self, "algebra", algebra)
+        _set(self, "operator", operator)
+        _set(self, "representation", representation)
 
     def resolve_representation(self) -> Representation:
         if self.representation is None or self.representation == "adjoint":
@@ -265,7 +277,7 @@ def serialize_isomorphism(iso: FormalIsomorphism) -> str:
     return emit_json({"order": iso.order, "psi": to_json(iso.psi_terms)})
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionFile:
     fiber_dim: int
     fiber_operator: Matrix

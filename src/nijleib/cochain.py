@@ -43,16 +43,18 @@ Flattening is canonical everywhere: basis tuples in lexicographic order,
 module coordinate fastest; combined-complex blocks ordered [upper; lower].
 A `Cochain` stores exactly this vector (`Cochain.vec`), so every coboundary
 acts on it as a matrix; `Cochain.values` is a tuple-keyed view of it.
+`Cochain` and the report classes are frozen records (`_record.record`);
+`Cochain`, built by every cochain sum, writes its constructor out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
 
+from ._record import _set, record
 from .algebra import LeibnizAlgebra, Representation
 from .errors import PreconditionError, ResourceLimitError, ShapeError
 from .linalg import (
@@ -88,7 +90,7 @@ def space_dim(alg_dim: int, module_dim: int, degree: int) -> int:
     return module_dim * alg_dim**degree
 
 
-@dataclass(frozen=True)
+@record
 class Cochain:
     """Degree-n multilinear map g^(x)n -> V, stored as its canonical flat
     vector `vec`: basis tuples in lexicographic order, module coordinate
@@ -99,9 +101,13 @@ class Cochain:
     module_dim: int
     vec: Vector
 
-    def __post_init__(self):
-        if len(self.vec) != space_dim(self.alg_dim, self.module_dim, self.degree):
+    def __init__(self, degree: int, alg_dim: int, module_dim: int, vec: Vector):
+        if len(vec) != space_dim(alg_dim, module_dim, degree):
             raise ShapeError("cochain vector length must be module_dim * alg_dim**degree")
+        _set(self, "degree", degree)
+        _set(self, "alg_dim", alg_dim)
+        _set(self, "module_dim", module_dim)
+        _set(self, "vec", vec)
 
     @classmethod
     def zero(cls, degree: int, alg_dim: int, module_dim: int) -> "Cochain":
@@ -143,19 +149,22 @@ class Cochain:
     def values(self) -> dict:
         return {t: self.value(t) for t in all_tuples(self.alg_dim, self.degree)}
 
+    def _with_vec(self, vec: Vector) -> "Cochain":
+        return Cochain(self.degree, self.alg_dim, self.module_dim, vec)
+
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        return replace(self, vec=vec_add(self.vec, other.vec))
+        return self._with_vec(vec_add(self.vec, other.vec))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        return replace(self, vec=vec_sub(self.vec, other.vec))
+        return self._with_vec(vec_sub(self.vec, other.vec))
 
     def __neg__(self) -> "Cochain":
         return self.scale(-1)
 
     def scale(self, c) -> "Cochain":
-        return replace(self, vec=vec_scale(c, self.vec))
+        return self._with_vec(vec_scale(c, self.vec))
 
     def is_zero(self) -> bool:
         return is_zero_vector(self.vec)
@@ -336,7 +345,7 @@ def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "ful
 # Combined (Nijenhuis-Leibniz) complex.
 
 
-@dataclass(frozen=True)
+@record
 class NLACochain:
     """Element of the combined complex: (degree-n map, degree-(n-1) map)."""
 
@@ -424,7 +433,7 @@ def d_nla(
     return nla_unflatten(mat.apply(element.vec), degree + 1, alg.dim, rep.module_dim)
 
 
-@dataclass(frozen=True)
+@record
 class CoboundaryDifference:
     matches: bool
     residual: NLACochain  # difference - d(gamma, 0) under the chosen phi variant (zero iff matches)
@@ -478,7 +487,7 @@ def coboundary_matrix(
     return nla_matrix(alg, n_op, rep, degree, variant)
 
 
-@dataclass(frozen=True)
+@record
 class JunctionFailure:
     degree: int
     row: int
@@ -486,7 +495,7 @@ class JunctionFailure:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class DegreeEntry:
     degree: int
     dim_c: int
@@ -495,7 +504,7 @@ class DegreeEntry:
     dim_h: Optional[int]  # withheld (None) when the junction below fails
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyReport:
     kind: str
     variant: str
@@ -643,7 +652,7 @@ def cohomology_dims(
     )
 
 
-@dataclass(frozen=True)
+@record
 class MembershipResult:
     is_cocycle: bool
     is_coboundary: bool
@@ -697,7 +706,7 @@ def sample_cocycles(
 # Chain-map diagnostic.
 
 
-@dataclass(frozen=True)
+@record
 class ChainMapEntry:
     degree: int
     commutes: bool

@@ -15,15 +15,17 @@ Equivalence is conjugation by a formal isomorphism psi with psi_0 = Id:
 against it.  Equivalent deformations have infinitesimals that differ by
 d(psi_1, 0): pass `infinitesimal(d') - infinitesimal(d)` and psi_1 to
 `cochain.coboundary_difference`.  Rigidity (H^2 of the combined complex) is
-read off `cochain.cohomology_dims`.
+read off `cochain.cohomology_dims`.  The series and the reports are frozen
+records (`_record.record`); a series checks its term counts and shapes in
+`__post_init__`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
+from ._record import record
 from .algebra import BilinearTensor, LeibnizAlgebra, bilinear_tensor_is_zero
 from .algebra import _bracket, _defect_table, _dense_pairs, _leibniz_table, _table
 from .cochain import Cochain, NLACochain
@@ -31,7 +33,7 @@ from .errors import PreconditionError, ShapeError
 from .linalg import Matrix, combine, row_times, vec_sub
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedDeformation:
     order: int
     mu_terms: tuple[BilinearTensor, ...]
@@ -122,7 +124,7 @@ def deformation_residual(
     return _dense_residual(*values(order), alg.dim)
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
     order: int
     first_failing_order: Optional[int]
@@ -155,7 +157,7 @@ def infinitesimal(d: TruncatedDeformation) -> NLACochain:
     )
 
 
-@dataclass(frozen=True)
+@record
 class FormalIsomorphism:
     order: int
     psi_terms: tuple[Matrix, ...]
@@ -219,7 +221,7 @@ def twist_by_isomorphism(d: TruncatedDeformation, iso: FormalIsomorphism) -> Tru
     return TruncatedDeformation(d.order, mu_terms, n_terms)
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceReport:
     first_failing_order: Optional[int]
     mu_residual: Optional[BilinearTensor]

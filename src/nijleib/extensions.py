@@ -9,17 +9,19 @@ kernel of `algebra` over the total bracket table.  Both comparisons are one cobo
 (`cochain.coboundary_difference`): the pairs of two sections differ by
 d(gamma, 0), gamma the difference of the sections, and two extensions are
 isomorphic through xi = (Id, 0; C, Id) exactly when their pairs differ by
-d(C, 0).
+d(C, 0).  The pairs, sections and built extensions are frozen records
+(`_record.record`); an `ExtensionDatum` keeps its certificates in its
+instance `__dict__` once read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Optional
 
+from ._record import record
 from .algebra import (
     Counterexample,
     LeibnizAlgebra,
@@ -34,7 +36,7 @@ from .linalg import Matrix, Vector, combine, row_times
 from .operators import check_operator, nijenhuis
 
 
-@dataclass(frozen=True)
+@record
 class CocyclePair:
     """A candidate degree-2 element (psi, chi) of the combined complex with
     coefficients in the fiber."""
@@ -62,14 +64,14 @@ class CocyclePair:
         return self.as_nla() - other.as_nla()
 
 
-@dataclass(frozen=True)
+@record
 class Section:
     """A right inverse of the projection, as blocks (Id; sigma)."""
 
     sigma: Matrix  # fiber_dim x base_dim
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionDatum:
     """A built extension.  Its certificates are computed from `total` and
     `total_op` when first read, so extraction and comparison never pay for

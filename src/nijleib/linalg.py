@@ -88,9 +88,11 @@ def _rational_entry(text):
     A canonical "p" or "p/q" is read by `int` and accepted only if both
     parts print back as themselves, q > 1 and gcd(p, q) = 1; `int` also
     takes spellings such as " 1", "+1", "01", "-0", "1_0" or non-ASCII
-    digits, and none of them prints back.  Every other input is parsed by
-    `Fraction(text)` and accepted only if its value formats back to it, so
-    each rejection carries that parser's message."""
+    digits, and none of them prints back.  A text holding an exponent mark
+    `e` or `E` is rejected next: a canonical rational never holds one, and
+    `Fraction("1e999999999")` would build the whole power first.  Every
+    other input is parsed by `Fraction(text)` and accepted only if its value
+    formats back to it, so each rejection carries that parser's message."""
     if type(text) is str:
         num, slash, den = text.partition("/")
         try:
@@ -105,6 +107,8 @@ def _rational_entry(text):
             pass
     if not isinstance(text, str):
         raise BundleError(f"rational must be a string, got {text!r}")
+    if "e" in text or "E" in text:
+        raise BundleError(f"bad rational {text!r}: a canonical rational has no exponent 'e' or 'E'")
     try:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -17,17 +17,18 @@ it with the rows held as polynomials in the entries of N (`_Poly`), which is
 what compiles the grid search.  The star bracket is the kernel
 `algebra._star_table`: `induced_bracket` is its value on the bracket table,
 and `induced_representation` reads the induced actions off its value on the
-semidirect product.
+semidirect product.  An `OperatorKind` is a frozen record
+(`_record.record`) that checks its tag, weight and convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from typing import Iterator, Optional
 
+from ._record import record
 from .algebra import Counterexample, LeibnizAlgebra, Representation
 from .algebra import _check_semidirect, _defect_table, _dense, _star_table
 from .algebra import _module_matrix, _module_slots
@@ -38,7 +39,7 @@ OPERATOR_KINDS = ("nijenhuis", "rota_baxter", "rota_baxter_weighted", "modified_
 WEIGHT_CONVENTIONS = ("standard", "as_printed")
 
 
-@dataclass(frozen=True)
+@record
 class OperatorKind:
     tag: str
     weight: Optional[Fraction] = None

@@ -770,6 +770,22 @@ def test_tensor_entry_error_is_located(capsys, fixtures_dir, tmp_path, verb, fix
     assert err == f"error: {where}: non-canonical rational '2/4'; expected '1/2'\n"
 
 
+@pytest.mark.parametrize("constant", ["1e4300", "1e99999", "1E2", "2.5e-1"])
+def test_exponent_rational_is_invalid_input(capsys, fixtures_dir, tmp_path, constant):
+    """A constant spelled with an exponent is invalid input, rejected before
+    its power is computed: "1e4300" once exited 1 with the traceback of the
+    interpreter's int-digit limit."""
+    doc = json.loads((fixtures_dir / "loday2_classified.json").read_text())
+    bad = tmp_path / "exponent.json"
+    bad.write_text(json.dumps(_replaced(doc, ("algebra", "brackets", "e2,e1", "e1"), constant)))
+    code, out, err = run(capsys, "verify", str(bad))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == (
+        f"error: algebra.brackets['e2,e1']['e1']: bad rational {constant!r}: "
+        "a canonical rational has no exponent 'e' or 'E'\n"
+    )
+
+
 def test_extend_compare_via_corner(capsys, fixtures_dir):
     bundle = fx(fixtures_dir, "loday2_classified.json")
     code, out, _ = run(
@@ -936,6 +952,15 @@ def test_repeated_invocations_byte_identical(fixtures_dir):
     assert first.returncode == second.returncode == EXIT_PASS
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    """Every verb starts by importing `nijleib.cli`.  `dataclasses` would pull
+    in `inspect` and the compiler modules with it, so a fresh interpreter
+    holds neither after that import."""
+    check = "import sys, nijleib.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_entry_point_installed(fixtures_dir):

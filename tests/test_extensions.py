@@ -3,7 +3,6 @@ extracting the pair back through sections, and deciding whether a corner
 block is an isomorphism of extensions."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nijleib import extensions
+from nijleib import extensions, replace
 from nijleib.algebra import (
     Counterexample,
     LeibnizAlgebra,
