@@ -14,22 +14,27 @@ matrix sum or block stacking.  In Kronecker form delta_0 stacks -R_a over a
 and delta_n = stack_a(I (x) L_a - S_a (x) I_m) - I_d (x) delta_(n-1), S_a
 the sum over the n slots of ad_a^T in that slot; row (a, t, i) of delta_n is
 read off it directly, from row i of L_a, the bracket table and row (t, i) of
-the cached delta_(n-1).  The test oracles keep the Kronecker form, and every
-entry has the type it gives (int where the arithmetic stays on ints, else
-Fraction), every row its column order.
+the cached delta_(n-1).  The test oracles keep the Kronecker form; delta and
+partial give every entry the type it gives (int where the arithmetic stays
+on ints, else Fraction) and every row its column order.  phi, partial' and
+the nla matrix follow recursions of their own, so they keep its values, and
+its types on integral input, but not its column order within a row, which
+no report reads.
 
 phi is the identity at degree 0.  At degree n >= 1 `full` is the product over
 the slots of (precompose with N in that slot) - (postcompose with N_V); the
 factors commute, so phi_n = sum_k C_k (x) N_V^k with C_k the x^k coefficient
-of (N^T - x I)^(x)n, built slot by slot from C_k <- N^T (x) C_k - I_d (x)
-C_(k-1); each row of phi_n is one sum over k.  `printed` keeps C_0 and C_1
-and adds I (x) N_V^2.  The variants agree
-at degrees 0 and 2 and differ at degree 1 and at degrees >= 3 unless
-N_V^2 = 0.  `full` is the default because it is the only variant under which
-the chain-map identity phi(delta f) = partial'(phi f) holds.  One difference
-matrix, lower_n phi_n - phi_(n+1) delta_n, decides that identity:
-`chain_map_diagnostic` reads its first nonzero column and `chain_map_residual`
-applies it to one cochain.
+of (N^T - x I)^(x)n.  Splitting off the first slot gives the recursion
+phi_n = N^T (x) phi_(n-1) - I_d (x) ((I (x) N_V) phi_(n-1)), and each row of
+phi_n is read off two rows of the cached phi_(n-1) by it, as each row of
+delta_n is read off delta_(n-1).  `printed` keeps C_0 and C_1, whose sum
+follows the same recursion truncated to k <= 1, and adds I (x) N_V^2.  The
+variants agree at degrees 0 and 2 and differ at degree 1 and at degrees
+>= 3 unless N_V^2 = 0.  `full` is the default because it is the only
+variant under which the chain-map identity phi(delta f) = partial'(phi f)
+holds.  One difference matrix, lower_n phi_n - phi_(n+1) delta_n, decides
+that identity: `chain_map_diagnostic` reads its first nonzero column and
+`chain_map_residual` applies it to one cochain.
 
 `cohomology_dims` ranks the differentials D_n: C^n -> C^(n+1) from the top
 degree down, and each elimination hands the next step its pivot rows P (a
@@ -61,11 +66,11 @@ from .linalg import (
     Matrix,
     Vector,
     _entry,
+    combine,
     frac,
     is_zero_vector,
     kernel_basis,
     kron,
-    mat_mul,
     rank,
     row_times,
     solve_linear,
@@ -294,12 +299,62 @@ def combined_partial_matrix(
     The subtraction is what makes the combined differential square to zero
     and is exactly the condition cut out by split abelian extensions and by
     first-order deformations; the plain partial alone satisfies neither.
+
+    As a matrix, partial' = partial - delta (I (x) N_V).  Row (t, q) of
+    I (x) N_V is row q of N_V at block t, so each row of partial' is the row
+    of partial with x N_V[q][c] subtracted at column (t, c) for each entry x
+    of the row of delta at column (t, q), in one pass.
     """
     nv = rep.module_operator
     if nv is None:
         raise PreconditionError("combined complex needs a module operator")
-    post = kron(Matrix.identity(alg.dim**degree), nv)
-    return partial_matrix(alg, n_op, rep, degree) - mat_mul(delta_matrix(alg, rep, degree), post)
+    m = rep.module_dim
+    # row q of N_V as (column offset from (t, q), negated value)
+    post = [[(c - q, -v) for c, v in row.items()] for q, row in enumerate(nv.nz)]
+    par = partial_matrix(alg, n_op, rep, degree)
+    rows = [
+        _accumulate(dict(row), ((k + dc, x * v) for k, x in lower.items() for dc, v in post[k % m]))
+        for row, lower in zip(par.nz, delta_matrix(alg, rep, degree).nz)
+    ]
+    return Matrix._of(tuple(rows), par.cols)
+
+
+def _slot_step(n_op: Matrix, below: Matrix, plus) -> Matrix:
+    """N^T (x) below + I_d (x) P, P the matrix whose rows are `plus`, one row
+    at a time.  Row (a, s) holds N[b][a] times row s of `below` at block b
+    for each b, blocks that do not overlap, then row s of P added at block
+    a."""
+    width, rows = below.cols, []
+    for a, column in enumerate(n_op.transpose().nz):
+        blocks, shift = [(b * width, c) for b, c in column.items()], a * width
+        for prev, add in zip(below.nz, plus):
+            row = {base + j: c * x for base, c in blocks for j, x in prev.items()}
+            rows.append(_accumulate(row, ((shift + j, y) for j, y in add.items())))
+    return Matrix._of(tuple(rows), width * n_op.rows)
+
+
+def _module_mixed(module_op: Matrix, rows) -> list:
+    """The rows of (I (x) N_V) A, A the matrix with rows `rows`: row (t, q)
+    is the sum over q' of N_V[q][q'] times row (t, q') of A."""
+    nv, out = module_op.nz, []
+    for base in range(0, len(rows), len(nv) or 1):  # a 0-dim module has no rows
+        out.extend(combine((c, rows[base + p]) for p, c in nv_row.items()) for nv_row in nv)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _printed_part(n_op: Matrix, module_op: Matrix, degree: int) -> tuple[Matrix, Matrix]:
+    """(t_n, E_0^(n-1) (x) -N_V) at degree n >= 1: t_n = E_0 (x) I - E_1 (x)
+    N_V is the sum of the k <= 1 terms of `full` phi_n, and E_0^(k) =
+    (N^T)^(x)k.  The recursion of `full` truncated to k <= 1 gives
+    t_n = N^T (x) t_(n-1) + I_d (x) (E_0^(n-1) (x) -N_V) from t_0 = I_m, and
+    E_0^(n-1) (x) -N_V is N^T (x) the same factor one degree below."""
+    if degree == 1:
+        below, post = Matrix.identity(module_op.rows), -module_op
+    else:
+        below, post = _printed_part(n_op, module_op, degree - 1)
+        post = kron(n_op.transpose(), post)
+    return _slot_step(n_op, below, post.nz), post
 
 
 @lru_cache(maxsize=None)
@@ -307,38 +362,27 @@ def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "ful
     """Matrix of the comparison map at the given degree.
 
     `full` is sum_k C_k (x) N_V^k, C_k the x^k coefficient of (N^T - x I)^(x)n;
-    degree 0 is the identity.  Put as sum_k E_k (x) (-N_V)^k, E_k the x^k
-    coefficient of (N^T + x I)^(x)n, it is built slot by slot without a sign:
-    E_k = N^T (x) E_k + I_d (x) E_(k-1).  At degree n >= 1 `printed` keeps the
-    k = 0, 1 terms and adds I (x) N_V^2.  Row (r, q) of phi_n is one sum over
-    k of the products E_k[r][j] (-N_V)^k[q][col] at column (j, col), in k
-    order, each product formed as `kron` forms it.
+    degree 0 is the identity.  Splitting off the first slot gives
+    phi_n = N^T (x) phi_(n-1) + I_d (x) ((I (x) -N_V) phi_(n-1)), and phi_n
+    is built by it one row at a time from the cached rows of phi_(n-1)
+    (`_slot_step`).  At degree n >= 1 `printed` keeps the k = 0, 1 terms,
+    t_n (`_printed_part`), and adds I (x) N_V^2 row by row.  Every entry is a
+    product and sum of entries of N and N_V, so it is an int when both are
+    integral; no stored entry is zero.
     """
     if variant not in PHI_VARIANTS:
         raise ValueError(f"unknown phi variant {variant!r}")
-    nt, ident = n_op.transpose(), Matrix.identity(n_op.rows)
-    coeffs = [Matrix.identity(1)]
-    for _ in range(degree):
-        upper, lower = [kron(nt, c) for c in coeffs], [kron(ident, c) for c in coeffs]
-        coeffs = upper[:1] + [u + v for u, v in zip(upper[1:], lower)] + lower[-1:]
-    if variant == "printed" and degree > 0:
-        coeffs = coeffs[:2] + [Matrix.identity(coeffs[0].rows)]
-    m = module_op.rows
-    powers = [Matrix.identity(m)]
-    for _ in coeffs[1:]:
-        powers.append(powers[-1] * -module_op)
-    terms = [(c.nz, p.nz) for c, p in zip(coeffs, powers)]
-    rows = []
-    for r in range(coeffs[0].rows):
-        for q in range(m):
-            products = (
-                (j * m + col, x if a == 1 else a if x == 1 else a * x)
-                for c, p in terms
-                for j, a in c[r].items()
-                for col, x in p[q].items()
-            )
-            rows.append(_accumulate({}, products))
-    return Matrix._of(tuple(rows), coeffs[0].cols * m)
+    if degree == 0:
+        return Matrix.identity(module_op.rows)
+    if variant == "full":
+        below = phi_matrix(n_op, module_op, degree - 1, "full")
+        return _slot_step(n_op, below, _module_mixed(-module_op, below.nz))
+    part = _printed_part(n_op, module_op, degree)[0]
+    square, m, rows = (module_op * module_op).nz, module_op.rows, []
+    for s, row in enumerate(part.nz):  # row (t, q) gains row q of N_V^2 at block t
+        q = s % m
+        rows.append(_accumulate(dict(row), ((s - q + j, x) for j, x in square[q].items())))
+    return Matrix._of(tuple(rows), part.cols)
 
 
 # ---------------------------------------------------------------------------

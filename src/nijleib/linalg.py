@@ -92,7 +92,10 @@ def _rational_entry(text):
     `e` or `E` is rejected next: a canonical rational never holds one, and
     `Fraction("1e999999999")` would build the whole power first.  Every
     other input is parsed by `Fraction(text)` and accepted only if its value
-    formats back to it, so each rejection carries that parser's message."""
+    formats back to it, so each rejection carries that parser's message.  A
+    value too long to format back, such as that of a decimal spelling with
+    thousands of digits, is rejected with the message of the interpreter's
+    int-to-str digit limit."""
     if type(text) is str:
         num, slash, den = text.partition("/")
         try:
@@ -113,8 +116,12 @@ def _rational_entry(text):
         q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise BundleError(f"bad rational {text!r}: {exc}") from None
-    if format_rational(q) != text:
-        raise BundleError(f"non-canonical rational {text!r}; expected {format_rational(q)!r}")
+    try:
+        canonical = format_rational(q)
+    except ValueError as exc:
+        raise BundleError(f"bad rational {text!r}: {exc}") from None
+    if canonical != text:
+        raise BundleError(f"non-canonical rational {text!r}; expected {canonical!r}")
     return _entry(q)
 
 

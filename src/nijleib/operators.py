@@ -302,10 +302,14 @@ def search_operators_grid(
     if hi < lo:
         raise PreconditionError("empty entry range")
     dim = alg.dim
-    k = dim * dim
-    count = (hi - lo + 1) ** k
-    if count > GRID_GUARD:
-        raise ResourceLimitError(f"grid of {count} candidates exceeds guard {GRID_GUARD}")
+    k, width = dim * dim, hi - lo + 1
+    # width^k is multiplied out only until it passes the guard: formed whole,
+    # it would have thousands of digits from about 120 dimensions on
+    count = 1
+    for _ in range(k if width > 1 else 0):
+        count *= width
+        if count > GRID_GUARD:
+            raise ResourceLimitError(f"grid of {width}^{k} candidates exceeds guard {GRID_GUARD}")
     by_last = _compile_grid_tests(defect_polynomial(alg, kind), k, denominator)
     numerators = range(lo, hi + 1)
     entry = {v: _entry(Fraction(v, denominator)) for v in numerators}

@@ -18,8 +18,12 @@ The cochain matrices have two oracles each.  `kron_delta_matrix`,
 `kron_phi_matrix` and `kron_nla_matrix` (with `kron_partial_matrix` and
 `kron_combined_partial_matrix`) are the Kronecker-product assembly that
 `nijleib.cochain` builds row by row, stacked by the general block-grid
-assembler `block_matrix`, and `assert_same_matrix` compares the two entry by
-entry, types included.  `block_matrix` is also the oracle of the stacked
+assembler `block_matrix`.  `assert_same_matrix` compares delta and partial
+with theirs entry by entry, types and column order included.  phi, partial'
+and the nla matrix are built by recursions of their own, so
+`assert_same_values` holds them to the oracle's values only, with no stored
+zero and int entries on integral input (`is_integral`).  `block_matrix` is
+also the oracle of the stacked
 matrices that the package builds from stored rows: `linalg.block_diag` and
 the operator [[N, 0], [chi, N_V]] of `extensions.build_extension`.
 `slow_phi` is the comparison map as its defining 2^n-term sum.
@@ -378,8 +382,9 @@ def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
 # Kronecker oracles of the cochain matrices: each matrix as a chain of whole
 # `kron`, `Matrix` sum and `block_matrix` results, the way `nijleib.cochain`
 # assembled them before it built each row once.  `assert_same_matrix` holds
-# the package to their entries, entry types (int where the arithmetic stays on
-# ints, else Fraction) and column order within each row.
+# delta and partial to their entries, entry types (int where the arithmetic
+# stays on ints, else Fraction) and column order within each row;
+# `assert_same_values` holds phi, partial' and the nla matrix to their values.
 
 
 @lru_cache(maxsize=None)
@@ -484,3 +489,26 @@ def assert_same_matrix(got, want):
     for i, (row, ref) in enumerate(zip(got.nz, want.nz)):
         assert all(row.values()), f"row {i} stores a zero"
         assert [(j, type(x)) for j, x in row.items()] == [(j, type(x)) for j, x in ref.items()], f"row {i}"
+
+
+def is_integral(*matrices, alg=None) -> bool:
+    """Whether every stored entry of the matrices, and every structure
+    constant of `alg` when given, is an int."""
+    values = [x for m in matrices for row in m.nz for x in row.values()]
+    if alg is not None:
+        values += [c for v in alg.table.values() for c in v.values()]
+    return all(type(x) is int for x in values)
+
+
+def assert_same_values(got, want, integral):
+    """`got` equals `want` as a matrix and stores no zero, and when the inputs
+    are `integral` every entry is an int.  The column order within a row and
+    the type of an integral entry on rational input are not compared: the
+    recursions of phi and partial' sum a row's terms in another order than
+    the Kronecker form, and no report reads either."""
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got == want
+    for i, row in enumerate(got.nz):
+        assert all(row.values()), f"row {i} stores a zero"
+        if integral:
+            assert all(type(x) is int for x in row.values()), f"row {i} holds a non-int entry"

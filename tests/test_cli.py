@@ -185,6 +185,10 @@ def _replaced(doc, path, value):
     return doc
 
 
+# digit strings past the interpreter's 4300-digit int-to-str limit, as an
+# integer, a denominator and a decimal whose value is too long to print back
+LONG_DIGITS = ["1" * 5000, "1/" + "3" * 4301, "0." + "0" * 4299 + "1"]
+
 # any JSON value, weighted towards the labels and rationals a bundle uses
 JSON_VALUES = st.recursive(
     st.none()
@@ -192,7 +196,8 @@ JSON_VALUES = st.recursive(
     | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4)
-    | st.sampled_from(["0", "1", "-1/2", "e1", "e2", "e2,e1", "adjoint"]),
+    | st.sampled_from(["0", "1", "-1/2", "e1", "e2", "e2,e1", "adjoint"])
+    | st.sampled_from(LONG_DIGITS),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4) | st.sampled_from(["e1", "e2", "e2,e1"]), inner, max_size=3),
     max_leaves=8,
@@ -537,6 +542,18 @@ def test_search_guard_trips(capsys, fixtures_dir):
     assert "error:" in err and "guard" in err
 
 
+def test_search_guard_trips_on_a_count_too_long_to_print(capsys, tmp_path):
+    # 2^14400 has more than 4300 digits; the guard names it as a power, and
+    # once exited 1 with the ValueError of formatting it
+    dim = 120
+    bundle = tmp_path / "abelian120.json"
+    basis = [f"e{i}" for i in range(1, dim + 1)]
+    bundle.write_text(json.dumps({"algebra": {"basis": basis, "brackets": {}, "dimension": dim}}))
+    code, out, err = run(capsys, "search", str(bundle), "--range", "0..1")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"error: grid of 2^{dim * dim} candidates exceeds guard 10000000\n"
+
+
 def test_search_bad_range(capsys, fixtures_dir):
     code, _, err = run(
         capsys, "search", fx(fixtures_dir, "loday2_plain.json"), "--range", "2"
@@ -784,6 +801,20 @@ def test_exponent_rational_is_invalid_input(capsys, fixtures_dir, tmp_path, cons
         f"error: algebra.brackets['e2,e1']['e1']: bad rational {constant!r}: "
         "a canonical rational has no exponent 'e' or 'E'\n"
     )
+
+
+def test_long_decimal_rational_is_invalid_input(capsys, fixtures_dir, tmp_path):
+    """A decimal spelling whose value has a denominator past the int-to-str
+    digit limit is invalid input: it once exited 1 with the traceback of the
+    `ValueError` that formatting the value back raised."""
+    constant = "0." + "0" * 4299 + "1"
+    doc = json.loads((fixtures_dir / "loday2_classified.json").read_text())
+    bad = tmp_path / "decimal.json"
+    bad.write_text(json.dumps(_replaced(doc, ("algebra", "brackets", "e2,e1", "e1"), constant)))
+    code, out, err = run(capsys, "verify", str(bad))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith(f"error: algebra.brackets['e2,e1']['e1']: bad rational {constant!r}: Exceeds the limit")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_extend_compare_via_corner(capsys, fixtures_dir):

@@ -6,7 +6,9 @@ oracle here is a slow pointwise evaluator written straight from the defining
 sum (signs and hat-slots spelled out) that never touches the matrix path.
 The comparison map is checked against its defining sum of Kronecker
 products.  Every matrix is also checked against the Kronecker-product
-assembly it replaced, entry types included.  Cohomology reports, ranked top
+assembly it replaced: delta and partial with entry types and column order
+included, phi, partial' and the nla matrix by value, with int entries on
+integral input.  Cohomology reports, ranked top
 down on pivot rows and compressed matrices, are checked against ranking
 every whole matrix (`oracles.slow_cohomology_dims`), on the catalog and on
 random integer complexes.
@@ -65,8 +67,10 @@ from nijleib.operators import induced_bracket, induced_representation
 from oracles import (
     any_brackets,
     assert_same_matrix,
+    assert_same_values,
     evaluate_cochain,
     identity_cochain,
+    is_integral,
     kron_combined_partial_matrix,
     kron_delta_matrix,
     kron_nla_matrix,
@@ -303,7 +307,29 @@ def test_phi_matches_kronecker_sum_oracle_random(ops, degree, variant):
     n_op, module_op = ops
     phi = phi_matrix(n_op, module_op, degree, variant)
     assert phi == slow_phi(n_op, module_op, degree, variant)
-    assert_same_matrix(phi, kron_phi_matrix(n_op, module_op, degree, variant))
+    assert_same_values(phi, kron_phi_matrix(n_op, module_op, degree, variant), is_integral(n_op, module_op))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 4), st.sampled_from(PHI_VARIANTS), st.data())
+def test_recursive_phi_and_partial_prime_match_oracles(d, m, degree, variant, data):
+    # phi on any N and N_V, a 0-dim module included; partial' and the nla
+    # matrix on any bracket with a scalar operator and zero actions, which
+    # form a Nijenhuis representation with any N_V
+    n_op, module_op = data.draw(_square_matrices(d)), data.draw(_square_matrices(m))
+    phi = phi_matrix(n_op, module_op, degree, variant)
+    assert_same_values(phi, kron_phi_matrix(n_op, module_op, degree, variant), is_integral(n_op, module_op))
+    if degree <= 3:
+        assert phi == slow_phi(n_op, module_op, degree, variant)
+    alg = data.draw(any_brackets(d))
+    scalar = Matrix.identity(d).scale(data.draw(st.sampled_from([1, -1, 2, Fraction(1, 2)])))
+    rep = trivial_representation(d, m, module_op)
+    integral = is_integral(scalar, module_op, alg=alg)
+    if degree <= 3:
+        got = combined_partial_matrix(alg, scalar, rep, degree)
+        assert_same_values(got, kron_combined_partial_matrix(alg, scalar, rep, degree), integral)
+    got = nla_matrix(alg, scalar, rep, degree, variant)
+    assert_same_values(got, kron_nla_matrix(alg, scalar, rep, degree, variant), integral)
 
 
 def test_phi_variants_agree_at_degree2(classified_op):
@@ -400,9 +426,12 @@ def test_combined_partial_is_the_correction(loday2, classified_op, loday2_adjoin
 
 # --- row-by-row assembly against the Kronecker oracles ----------------------
 # Each matrix is compared with the chain of whole Kronecker products, sums and
-# block stackings it replaced: the same columns and values, each value of the
-# same type (int or Fraction), and no stored zero.  delta and phi on random
-# inputs are compared the same way in the any-bracket and random phi tests.
+# block stackings it replaced.  delta and partial keep that chain's columns
+# and values, each value of the same type (int or Fraction), in the same
+# column order; phi, partial' and the nla matrix, built by their own
+# recursions, keep its values, hold no zero, and are ints on integral input.
+# delta and phi on random inputs are compared the same way in the
+# any-bracket and random phi tests.
 
 
 def test_assembly_matches_kronecker_oracles_all_catalog():
@@ -412,15 +441,17 @@ def test_assembly_matches_kronecker_oracles_all_catalog():
     halved = LeibnizAlgebra(2, ("e1", "e2"), {(1, 0): {0: Fraction(1, 2)}, (1, 1): {0: Fraction(1, 2)}})
     for name, alg, op in [*catalog_nijenhuis_pairs(), ("loday2/halved", halved, Matrix.identity(2))]:
         rep = adjoint_representation(alg, op)
+        integral = is_integral(op, alg=alg)
         for n in range(4):
             assert_same_matrix(delta_matrix(alg, rep, n), kron_delta_matrix(alg, rep, n))
             assert_same_matrix(partial_matrix(alg, op, rep, n), kron_partial_matrix(alg, op, rep, n))
-            assert_same_matrix(
-                combined_partial_matrix(alg, op, rep, n), kron_combined_partial_matrix(alg, op, rep, n)
+            assert_same_values(
+                combined_partial_matrix(alg, op, rep, n), kron_combined_partial_matrix(alg, op, rep, n), integral
             )
             for variant in ("full", "printed"):
-                assert_same_matrix(phi_matrix(op, op, n, variant), kron_phi_matrix(op, op, n, variant))
-                assert_same_matrix(nla_matrix(alg, op, rep, n, variant), kron_nla_matrix(alg, op, rep, n, variant))
+                assert_same_values(phi_matrix(op, op, n, variant), kron_phi_matrix(op, op, n, variant), integral)
+                got = nla_matrix(alg, op, rep, n, variant)
+                assert_same_values(got, kron_nla_matrix(alg, op, rep, n, variant), integral)
 
 
 @settings(max_examples=40, deadline=None)
@@ -438,7 +469,9 @@ def test_nla_matches_kronecker_oracle_on_any_bracket(alg, scalar, degree, varian
     m = data.draw(st.sampled_from([k for k in (1, 2, 3) if k != alg.dim]))
     n_op = Matrix.identity(alg.dim).scale(scalar)
     rep = trivial_representation(alg.dim, m, data.draw(_square_matrices(m)))
-    assert_same_matrix(nla_matrix(alg, n_op, rep, degree, variant), kron_nla_matrix(alg, n_op, rep, degree, variant))
+    integral = is_integral(n_op, rep.module_operator, alg=alg)
+    got = nla_matrix(alg, n_op, rep, degree, variant)
+    assert_same_values(got, kron_nla_matrix(alg, n_op, rep, degree, variant), integral)
 
 
 # --- combined complex and cohomology ---------------------------------------
