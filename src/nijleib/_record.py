@@ -19,7 +19,8 @@ compared most often (`LeibnizAlgebra`, `Representation`, `Cochain`,
 `AlgebraBundle`) write their `__init__` out, so they validate and store
 their fields with no generic argument binding.  Instances keep a `__dict__`,
 so `functools.cached_property` works on them; a constructor stores the
-fields with `object.__setattr__`.
+fields past the record's `__setattr__`, and a field may be a view of what
+the instance stores (`Cochain.vec`, `Representation.left`).
 
 `replace(obj, **changes)` builds a copy through the constructor, so the
 validation runs again.

@@ -29,6 +29,11 @@ module action or operator entry stays an int; they become Fractions in the
 dense view `_dense` and in the public values of `operators.operator_defect`
 and `operators.defect_polynomial`.
 
+A representation is stored as a table too: the module part of the bracket
+of the semidirect product g (+) V, its values on the pairs (e_i, v_b) and
+(v_b, e_i).  The kernels merge it with the algebra's table, and its action
+matrices `Representation.left` and `right` are views.
+
 `Counterexample`, `LeibnizAlgebra` and `Representation` are frozen records
 (`_record.record`).  The last two are built and compared on every verb and
 key the caches of `cochain`, so their constructors and `__eq__` are written
@@ -43,18 +48,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from ._record import _set, record
+from ._record import record
 from .errors import CatalogError, PreconditionError, ShapeError
-from .linalg import (
-    Matrix,
-    Vector,
-    _entry,
-    block_diag,
-    combine,
-    frac,
-    is_zero_vector,
-    row_times,
-)
+from .linalg import Matrix, Vector, _dense, _entry, _sparse, block_diag, combine, frac, row_times
 
 # tensor[i][j] = coordinate vector of the image of (e_i, e_j)
 BilinearTensor = tuple[tuple[Vector, ...], ...]
@@ -62,20 +58,6 @@ BilinearTensor = tuple[tuple[Vector, ...], ...]
 
 def bilinear_tensor(entries: Sequence[Sequence[Sequence]]) -> BilinearTensor:
     return tuple(tuple(tuple(frac(c) for c in vec) for vec in row) for row in entries)
-
-
-_ZERO = Fraction(0)
-
-
-def _sparse(v: Vector) -> dict:
-    """The nonzero entries {k: c} of v, each as a matrix stores it."""
-    return {k: _entry(c) for k, c in enumerate(v) if c}
-
-
-def _dense(v: dict, dim: int) -> Vector:
-    """The coordinate vector of sparse v, each entry a Fraction whatever
-    type the kernel left it."""
-    return tuple(frac(v.get(k, _ZERO)) for k in range(dim))
 
 
 def _table(tensor: BilinearTensor) -> dict:
@@ -184,10 +166,6 @@ def _dense_pairs(values: dict, dim: int) -> BilinearTensor:
     return tuple(tuple(_dense(values[i, j], dim) if (i, j) in values else zero for j in basis) for i in basis)
 
 
-def bilinear_tensor_is_zero(tensor: BilinearTensor) -> bool:
-    return all(is_zero_vector(v) for row in tensor for v in row)
-
-
 @record
 class Counterexample:
     """First witness of a failed identity, with the exact residual."""
@@ -222,9 +200,7 @@ class LeibnizAlgebra:
             if not vec or not all(vec.values()):
                 raise ShapeError(f"bracket table entry {key!r} stores a zero")
             entries[key] = {k: _entry(c) for k, c in vec.items()}
-        _set(self, "dim", dim)
-        _set(self, "basis", basis)
-        _set(self, "table", entries)
+        vars(self).update(dim=dim, basis=basis, table=entries)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -272,10 +248,6 @@ class LeibnizAlgebra:
         """L_i with column j = [e_i, e_j]."""
         return Matrix.sparse([self.table.get((i, j), {}) for j in range(self.dim)], self.dim).transpose()
 
-    def right_multiplier(self, i: int) -> Matrix:
-        """R_i with column j = [e_j, e_i]."""
-        return Matrix.sparse([self.table.get((j, i), {}) for j in range(self.dim)], self.dim).transpose()
-
 
 def check_leibniz(alg: LeibnizAlgebra) -> Optional[Counterexample]:
     """Leibniz identity [ei,[ej,ek]] = [[ei,ej],ek] + [ej,[ei,ek]] on all basis
@@ -289,13 +261,19 @@ def check_leibniz(alg: LeibnizAlgebra) -> Optional[Counterexample]:
 
 @record
 class Representation:
-    """A (possibly Nijenhuis) representation given by exact action matrices.
+    """A (possibly Nijenhuis) representation of a d-dim algebra on an m-dim
+    module, m = module_dim.
 
-    left[i] is the matrix of l_V(e_i, -), right[i] the matrix of r_V(-, e_i),
-    both m x m on the module, m = module_dim.  The module dimension is given,
-    not read off the actions: a 0-dim algebra has no action matrices.
-    module_operator is the module-side operator and may be None for a plain
-    Leibniz representation.
+    The actions are stored once (`table`), as the module part of the bracket
+    table of the semidirect product g (+) V, the basis of g first and v_b at
+    index d + b: table[i, d + b] = {d + k: c} for l(e_i) v_b = sum_k c v_k,
+    and table[d + b, i] the same for r(e_i) v_b, nonzeros only.  left[i],
+    the m x m matrix of l_V(e_i, -), and right[i], that of r_V(-, e_i), are
+    views of it, built when first read; the constructor converts the given
+    matrices once.  Both dimensions are stored: a 0-dim algebra has no action
+    matrices.  module_operator is the module-side operator and may be None
+    for a plain Leibniz representation.  Equality reads the dimensions, the
+    table and the module operator.
     """
 
     left: tuple[Matrix, ...]
@@ -313,26 +291,41 @@ class Representation:
     ):
         if len(left) != len(right):
             raise ShapeError(f"{len(left)} left but {len(right)} right action matrices")
-        m = module_dim
+        m, d = module_dim, len(left)
         for mat in (*left, *right):
             if mat.rows != m or mat.cols != m:
                 raise ShapeError("action matrices must all be module_dim x module_dim")
+        table: dict = {}
+        for side, actions in enumerate((left, right)):
+            for i, mat in enumerate(actions):
+                for k, row in enumerate(mat.nz):
+                    for b, c in row.items():
+                        table.setdefault((d + b, i) if side else (i, d + b), {})[d + k] = c
+        vars(self).update(vars(Representation._of(table, module_operator, d, m)))
+
+    @classmethod
+    def _of(cls, table: dict, module_operator: Optional[Matrix], algebra_dim: int, module_dim: int):
+        """The representation with the module table `table`, taken as is."""
+        m, rep = module_dim, object.__new__(cls)
         if module_operator is not None and (module_operator.rows != m or module_operator.cols != m):
             raise ShapeError("module operator must be module_dim x module_dim")
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "module_operator", module_operator)
-        _set(self, "module_dim", module_dim)
+        vars(rep).update(table=table, module_operator=module_operator, algebra_dim=algebra_dim, module_dim=m)
+        return rep
+
+    @cached_property
+    def _actions(self) -> tuple:
+        d, m = self.algebra_dim, self.module_dim
+        slots = _module_slots(self.table, d)
+        return tuple(tuple(_module_matrix(slots.get((i, side), {}), d, m) for i in range(d)) for side in (0, 1))
+
+    left = property(lambda self: self._actions[0])
+    right = property(lambda self: self._actions[1])
+
+    def _key(self) -> tuple:
+        return self.algebra_dim, self.module_dim, self.table, self.module_operator
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right, self.module_operator, self.module_dim) == (
-                other.left,
-                other.right,
-                other.module_operator,
-                other.module_dim,
-            )
-        return NotImplemented
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -341,32 +334,19 @@ class Representation:
     def _hash(self) -> int:
         return hash((self.left, self.right, self.module_operator, self.module_dim))
 
-    @property
-    def algebra_dim(self) -> int:
-        return len(self.left)
-
     def with_module_operator(self, op: Optional[Matrix]) -> "Representation":
-        return Representation(self.left, self.right, op, module_dim=self.module_dim)
+        return Representation._of(self.table, op, self.algebra_dim, self.module_dim)
 
 
 def _semidirect_table(alg: LeibnizAlgebra, rep: Representation, psi: Optional[dict] = None) -> dict:
     """The bracket table on g (+) V, the basis of g first and v_b at index
-    n + b: [e_i, e_j] is the bracket of g plus psi(e_i, e_j) in V, [e_i, v_b]
-    is column b of l(e_i), [v_b, e_i] column b of r(e_i), and [V, V] = 0.
-    `psi` is a table {(i, j): {k: c}} in module coordinates; without it this
-    is the semidirect product of g and V."""
-    n, psi = alg.dim, psi or {}
-    table = {
-        key: {**alg.table.get(key, {}), **{n + k: c for k, c in psi.get(key, {}).items()}}
-        for key in sorted(alg.table.keys() | psi.keys())
-    }
-    for i in range(n):
-        for k, row in enumerate(rep.left[i].nz):
-            for b, c in row.items():
-                table.setdefault((i, n + b), {})[n + k] = c
-        for k, row in enumerate(rep.right[i].nz):
-            for b, c in row.items():
-                table.setdefault((n + b, i), {})[n + k] = c
+    n + b: the bracket of g plus psi(e_i, e_j) in V on the pairs of g, the
+    stored module table of `rep` on the mixed pairs, and [V, V] = 0.  `psi`
+    is a table {(i, j): {k: c}} in module coordinates; without it this is
+    the semidirect product of g and V."""
+    n, table = alg.dim, {**alg.table, **rep.table}
+    for key, value in (psi or {}).items():
+        table[key] = {**alg.table.get(key, {}), **{n + k: c for k, c in value.items()}}
     return table
 
 
@@ -459,14 +439,15 @@ def adjoint_representation(alg: LeibnizAlgebra, n_op: Optional[Matrix] = None) -
     bad = check_leibniz(alg)
     if bad is not None:
         raise PreconditionError(bad.describe())
-    left = tuple(alg.left_multiplier(i) for i in range(alg.dim))
-    right = tuple(alg.right_multiplier(i) for i in range(alg.dim))
-    return Representation(left, right, n_op, module_dim=alg.dim)
+    # [e_a, v_b] = l(e_a) v_b and [v_a, e_b] = r(e_b) v_a are both [e_a, e_b]
+    n, table = alg.dim, {}
+    for (a, b), value in alg.table.items():
+        table[a, n + b] = table[n + a, b] = {n + k: c for k, c in value.items()}
+    return Representation._of(table, n_op, n, n)
 
 
 def trivial_representation(alg_dim: int, module_dim: int, module_operator: Optional[Matrix] = None) -> Representation:
-    z = Matrix.zero(module_dim, module_dim)
-    return Representation((z,) * alg_dim, (z,) * alg_dim, module_operator, module_dim=module_dim)
+    return Representation._of({}, module_operator, alg_dim, module_dim)
 
 
 def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:

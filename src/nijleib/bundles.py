@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._record import _set, record
+from ._record import record
 from .algebra import (
     LeibnizAlgebra,
     Representation,
@@ -120,9 +120,7 @@ class AlgebraBundle:
         operator: Optional[Matrix],
         representation: Optional[Union[str, Representation]],
     ):
-        _set(self, "algebra", algebra)
-        _set(self, "operator", operator)
-        _set(self, "representation", representation)
+        vars(self).update(algebra=algebra, operator=operator, representation=representation)
 
     def resolve_representation(self) -> Representation:
         if self.representation is None or self.representation == "adjoint":

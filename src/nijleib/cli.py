@@ -17,7 +17,6 @@ import argparse
 import functools
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .algebra import (
@@ -55,7 +54,7 @@ from .deformation import (
 from .deformation import _check_base
 from .errors import BundleError, NijleibError, PreconditionError
 from .extensions import build_extension, section_to_cocycle, transport_cocycle_via_isomorphism
-from .linalg import Matrix, format_rational
+from .linalg import Matrix, format_rational, parse_rational
 from .operators import (
     OPERATOR_KINDS,
     WEIGHT_CONVENTIONS,
@@ -89,12 +88,9 @@ def _kind_from_args(args) -> OperatorKind:
     if args.convention is not None and args.kind != "rota_baxter_weighted":
         raise BundleError(f"--convention applies only to rota_baxter_weighted, not {args.kind}")
     try:
-        weight = None if args.weight is None else Fraction(args.weight)
-    except (ValueError, ZeroDivisionError):
-        raise BundleError(f"bad --weight {args.weight!r}; expected a rational") from None
-    try:
+        weight = None if args.weight is None else parse_rational(args.weight)
         return OperatorKind(args.kind, weight, args.convention or "standard")
-    except ValueError as exc:
+    except ValueError as exc:  # a BundleError of the parser, or the kind's own check
         raise BundleError(f"--weight: {exc}") from None
 
 
@@ -214,7 +210,10 @@ def _cmd_search(args) -> int:
     m = _RANGE_RE.match(args.range)
     if not m:
         raise BundleError(f"bad --range {args.range!r}; expected 'lo..hi'")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    try:
+        lo, hi = int(m.group(1)), int(m.group(2))
+    except ValueError as exc:  # an end past the interpreter's int-digit limit
+        raise BundleError(f"bad --range: {exc}") from None
     kind = _kind_from_args(args)
     found = search_operators_grid(bundle.algebra, kind, lo, hi, args.den)
     report = {

@@ -46,8 +46,11 @@ its docstring.
 
 Flattening is canonical everywhere: basis tuples in lexicographic order,
 module coordinate fastest; combined-complex blocks ordered [upper; lower].
-A `Cochain` stores exactly this vector (`Cochain.vec`), so every coboundary
-acts on it as a matrix; `Cochain.values` is a tuple-keyed view of it.
+A `Cochain` stores the nonzero entries of this vector, {index: value}
+(`Cochain.nz`), so every coboundary acts on it as a matrix, one sparse dot
+product per stored row (`_apply`), and sums are one `linalg.combine`.  The
+dense vector `Cochain.vec` and the tuple-keyed `Cochain.values` are views of
+it; kernel bases become cochains straight from `linalg._kernel_rows`.
 `Cochain` and the report classes are frozen records (`_record.record`);
 `Cochain`, built by every cochain sum, writes its constructor out.
 """
@@ -55,29 +58,26 @@ acts on it as a matrix; `Cochain.values` is a tuple-keyed view of it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional, Union
 
-from ._record import _set, record
+from ._record import record
 from .algebra import LeibnizAlgebra, Representation
 from .errors import PreconditionError, ResourceLimitError, ShapeError
 from .linalg import (
     Matrix,
     Vector,
+    _dense,
     _entry,
+    _kernel_rows,
+    _sparse,
     combine,
     frac,
-    is_zero_vector,
-    kernel_basis,
     kron,
     rank,
     row_times,
     solve_linear,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vector,
 )
 from .operators import induced_bracket, induced_representation
 
@@ -97,9 +97,12 @@ def space_dim(alg_dim: int, module_dim: int, degree: int) -> int:
 
 @record
 class Cochain:
-    """Degree-n multilinear map g^(x)n -> V, stored as its canonical flat
-    vector `vec`: basis tuples in lexicographic order, module coordinate
-    fastest.  `values` is a tuple-keyed view of the same numbers."""
+    """Degree-n multilinear map g^(x)n -> V, stored as the nonzero entries
+    `nz` = {index: value} of its canonical flat vector: basis tuples in
+    lexicographic order, module coordinate fastest.  `vec` is the tuple the
+    public constructor was given, else a dense Fraction view built when first
+    read; `values` is a tuple-keyed view.  Equality reads the dimensions and
+    `nz`."""
 
     degree: int
     alg_dim: int
@@ -109,37 +112,53 @@ class Cochain:
     def __init__(self, degree: int, alg_dim: int, module_dim: int, vec: Vector):
         if len(vec) != space_dim(alg_dim, module_dim, degree):
             raise ShapeError("cochain vector length must be module_dim * alg_dim**degree")
-        _set(self, "degree", degree)
-        _set(self, "alg_dim", alg_dim)
-        _set(self, "module_dim", module_dim)
-        _set(self, "vec", vec)
+        vars(self).update(degree=degree, alg_dim=alg_dim, module_dim=module_dim, vec=vec, nz=_sparse(vec))
+
+    @classmethod
+    def _of(cls, degree: int, alg_dim: int, module_dim: int, nz: dict) -> "Cochain":
+        """The cochain with nonzero coordinates `nz`, taken as is: in range,
+        no zero stored."""
+        f = object.__new__(cls)
+        vars(f).update(degree=degree, alg_dim=alg_dim, module_dim=module_dim, nz=nz)
+        return f
+
+    @cached_property
+    def vec(self) -> Vector:
+        return _dense(self.nz, space_dim(self.alg_dim, self.module_dim, self.degree))
+
+    def _key(self) -> tuple:
+        return self.degree, self.alg_dim, self.module_dim, self.nz
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.alg_dim, self.module_dim, self.vec))
 
     @classmethod
     def zero(cls, degree: int, alg_dim: int, module_dim: int) -> "Cochain":
-        return cls(degree, alg_dim, module_dim, zero_vector(space_dim(alg_dim, module_dim, degree)))
+        return cls._of(degree, alg_dim, module_dim, {})
 
     @classmethod
     def from_table(cls, degree: int, alg_dim: int, module_dim: int, table: dict) -> "Cochain":
         """A cochain from {basis tuple: value}; missing tuples map to zero."""
-        tuples = all_tuples(alg_dim, degree)
-        if not set(table) <= set(tuples):
+        index = {t: i for i, t in enumerate(all_tuples(alg_dim, degree))}
+        if not index.keys() >= table.keys():
             raise ShapeError("cochain table has a key that is not a basis tuple")
         if any(len(v) != module_dim for v in table.values()):
             raise ShapeError(f"cochain table has a value whose length is not {module_dim}")
-        z = zero_vector(module_dim)
-        vec = tuple(Fraction(c) for t in tuples for c in table.get(t, z))
-        return cls(degree, alg_dim, module_dim, vec)
+        nz = {index[t] * module_dim + k: c for t, v in table.items() for k, c in _sparse(v).items()}
+        return cls._of(degree, alg_dim, module_dim, nz)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Cochain":
         """A linear map as a degree-1 cochain (columns are basis values)."""
-        return cls(1, m.cols, m.rows, tuple(c for col in m.transpose().data for c in col))
+        return cls._of(1, m.cols, m.rows, {j * m.rows + i: x for i, row in enumerate(m.nz) for j, x in row.items()})
 
     @classmethod
     def from_bilinear_tensor(cls, tensor) -> "Cochain":
-        dim = len(tensor)
-        out_dim = len(tensor[0][0]) if dim else 0
-        return cls(2, dim, out_dim, tuple(c for row in tensor for v in row for c in v))
+        dim, out_dim = len(tensor), len(tensor[0][0]) if tensor else 0
+        return cls._of(2, dim, out_dim, _sparse([c for row in tensor for v in row for c in v]))
 
     def value(self, t: tuple) -> Vector:
         if len(t) != self.degree or not all(0 <= i < self.alg_dim for i in t):
@@ -154,31 +173,33 @@ class Cochain:
     def values(self) -> dict:
         return {t: self.value(t) for t in all_tuples(self.alg_dim, self.degree)}
 
-    def _with_vec(self, vec: Vector) -> "Cochain":
-        return Cochain(self.degree, self.alg_dim, self.module_dim, vec)
+    def _plus(self, other: "Cochain", sign: int) -> "Cochain":
+        if self._key()[:3] != other._key()[:3]:
+            raise ShapeError("incompatible cochains")
+        return Cochain._of(self.degree, self.alg_dim, self.module_dim, combine(((1, self.nz), (sign, other.nz))))
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        self._check_compatible(other)
-        return self._with_vec(vec_add(self.vec, other.vec))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        self._check_compatible(other)
-        return self._with_vec(vec_sub(self.vec, other.vec))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Cochain":
         return self.scale(-1)
 
     def scale(self, c) -> "Cochain":
-        return self._with_vec(vec_scale(c, self.vec))
+        return Cochain._of(self.degree, self.alg_dim, self.module_dim, combine(((_entry(c), self.nz),)))
 
     def is_zero(self) -> bool:
-        return is_zero_vector(self.vec)
+        return not self.nz
 
     def as_matrix(self) -> Matrix:
         if self.degree != 1:
             raise ShapeError("only degree-1 cochains are matrices")
-        n, m, vec = self.alg_dim, self.module_dim, self.vec
-        return Matrix.sparse([{j: vec[j * m + i] for j in range(n)} for i in range(m)], n)
+        m, rows = self.module_dim, [{} for _ in range(self.module_dim)]
+        for k, c in self.nz.items():
+            rows[k % m][k // m] = _entry(c)
+        return Matrix._of(tuple(rows), self.alg_dim)
 
     def as_tensor(self) -> tuple:
         """A degree-2 cochain as the nested tuple tensor[i][j] = value((i, j))."""
@@ -187,13 +208,10 @@ class Cochain:
         n = self.alg_dim
         return tuple(tuple(self.value((i, j)) for j in range(n)) for i in range(n))
 
-    def _check_compatible(self, other: "Cochain") -> None:
-        if (self.degree, self.alg_dim, self.module_dim) != (
-            other.degree,
-            other.alg_dim,
-            other.module_dim,
-        ):
-            raise ShapeError("incompatible cochains")
+
+def _apply(mat: Matrix, v: dict) -> dict:
+    """mat times the sparse vector v, one sparse dot product per stored row."""
+    return {i: x for i, row in enumerate(mat.nz) if (x := sum(a * v[j] for j, a in row.items() if j in v))}
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +285,7 @@ def delta_matrix(alg: LeibnizAlgebra, rep: Representation, degree: int) -> Matri
 
 
 def delta(alg: LeibnizAlgebra, rep: Representation, f: Cochain) -> Cochain:
-    mat = delta_matrix(alg, rep, f.degree)
-    return Cochain(f.degree + 1, alg.dim, rep.module_dim, mat.apply(f.vec))
+    return Cochain._of(f.degree + 1, alg.dim, rep.module_dim, _apply(delta_matrix(alg, rep, f.degree), f.nz))
 
 
 @lru_cache(maxsize=None)
@@ -422,15 +439,26 @@ class NLACochain:
     def vec(self) -> Vector:
         return self.upper.vec + self.lower.vec
 
+    @property
+    def nz(self) -> dict:
+        """The nonzero coordinates of `vec`, lower's shifted past upper."""
+        up = self.upper
+        split = space_dim(up.alg_dim, up.module_dim, up.degree)
+        return {**up.nz, **{split + k: c for k, c in self.lower.nz.items()}}
+
 
 def nla_unflatten(vec: Vector, degree: int, alg_dim: int, module_dim: int):
+    return _nla_split(_sparse(vec), len(vec), degree, alg_dim, module_dim)
+
+
+def _nla_split(nz: dict, length: int, degree: int, alg_dim: int, module_dim: int):
+    """`nla_unflatten` of the length-`length` vector with nonzeros `nz`."""
     if degree == 0:  # a module element
-        return Cochain(0, alg_dim, len(vec), tuple(vec))
+        return Cochain._of(0, alg_dim, length, nz)
     split = space_dim(alg_dim, module_dim, degree)
-    return NLACochain(
-        Cochain(degree, alg_dim, module_dim, vec[:split]),
-        Cochain(degree - 1, alg_dim, module_dim, vec[split:]),
-    )
+    upper = Cochain._of(degree, alg_dim, module_dim, {k: c for k, c in nz.items() if k < split})
+    lower = Cochain._of(degree - 1, alg_dim, module_dim, {k - split: c for k, c in nz.items() if k >= split})
+    return NLACochain(upper, lower)
 
 
 def nla_matrix(
@@ -474,7 +502,7 @@ def d_nla(
 ):
     degree = element.degree
     mat = nla_matrix(alg, n_op, rep, degree, variant)
-    return nla_unflatten(mat.apply(element.vec), degree + 1, alg.dim, rep.module_dim)
+    return _nla_split(_apply(mat, element.nz), mat.rows, degree + 1, alg.dim, rep.module_dim)
 
 
 @record
@@ -711,15 +739,14 @@ def cocycle_membership(
     element,
     variant: str = "full",
 ) -> MembershipResult:
-    degree = element.degree
-    flat = element.vec
+    degree, nz = element.degree, element.nz
     out_mat = coboundary_matrix(kind, alg, rep, n_op, degree, variant)
-    is_cocycle = is_zero_vector(out_mat.apply(flat))
+    is_cocycle = not _apply(out_mat, nz)
     if degree == 0:
         # no coboundaries below degree 0
-        return MembershipResult(is_cocycle, is_zero_vector(flat), None)
+        return MembershipResult(is_cocycle, not nz, None)
     in_mat = coboundary_matrix(kind, alg, rep, n_op, degree - 1, variant)
-    sol = solve_linear(in_mat, flat)
+    sol = solve_linear(in_mat, element.vec)
     if sol is None:
         return MembershipResult(is_cocycle, False, None)
     if kind == "nla":
@@ -740,10 +767,10 @@ def sample_cocycles(
     """Canonical kernel basis of the degree-n coboundary matrix, lifted back
     to cochains (or combined-complex pairs)."""
     mat = coboundary_matrix(kind, alg, rep, n_op, degree, variant)
-    basis = kernel_basis(mat)
+    basis = _kernel_rows(mat)
     if kind == "nla":
-        return [nla_unflatten(v, degree, alg.dim, rep.module_dim) for v in basis]
-    return [Cochain(degree, alg.dim, rep.module_dim, v) for v in basis]
+        return [_nla_split(v, mat.cols, degree, alg.dim, rep.module_dim) for v in basis]
+    return [Cochain._of(degree, alg.dim, rep.module_dim, v) for v in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +823,7 @@ def chain_map_residual(
     if rep.module_operator is None:
         raise PreconditionError("chain-map residual needs a module operator")
     diff = _chain_map_difference(alg, n_op, rep, f.degree, variant, corrected)
-    return Cochain(f.degree + 1, alg.dim, rep.module_dim, diff.apply(f.vec))
+    return Cochain._of(f.degree + 1, alg.dim, rep.module_dim, _apply(diff, f.nz))
 
 
 def chain_map_diagnostic(
@@ -821,6 +848,6 @@ def chain_map_diagnostic(
         in_tuples = all_tuples(alg.dim, n)
         col = min(min(row) for row in diff.nz if row)
         witness = (in_tuples[col // m], col % m)
-        residual = Cochain(n + 1, alg.dim, m, diff.column(col))
+        residual = Cochain._of(n + 1, alg.dim, m, {i: row[col] for i, row in enumerate(diff.nz) if col in row})
         entries.append(ChainMapEntry(n, False, witness, residual))
     return tuple(entries)

@@ -26,11 +26,11 @@ from itertools import product
 from typing import Optional
 
 from ._record import record
-from .algebra import BilinearTensor, LeibnizAlgebra, bilinear_tensor_is_zero
+from .algebra import BilinearTensor, LeibnizAlgebra
 from .algebra import _bracket, _defect_table, _dense_pairs, _leibniz_table, _table
 from .cochain import Cochain, NLACochain
 from .errors import PreconditionError, ShapeError
-from .linalg import Matrix, combine, row_times, vec_sub
+from .linalg import Matrix, combine, row_times
 
 
 @record
@@ -244,9 +244,8 @@ def equivalence_check(
         raise ShapeError("orders differ")
     twisted = twist_by_isomorphism(d_plain, iso)
     for n in range(iso.order + 1):
-        mu_p, mu_t = d_primed.mu_terms[n], twisted.mu_terms[n]
-        mu_res = tuple(tuple(map(vec_sub, p, t)) for p, t in zip(mu_p, mu_t))
+        mu_res = Cochain.from_bilinear_tensor(d_primed.mu_terms[n]) - Cochain.from_bilinear_tensor(twisted.mu_terms[n])
         n_res = d_primed.n_terms[n] - twisted.n_terms[n]
-        if not (bilinear_tensor_is_zero(mu_res) and n_res.is_zero()):
-            return EquivalenceReport(n, mu_res, n_res)
+        if not (mu_res.is_zero() and n_res.is_zero()):
+            return EquivalenceReport(n, mu_res.as_tensor(), n_res)
     return EquivalenceReport(None, None, None)

@@ -29,10 +29,10 @@ from .algebra import (
     check_leibniz,
     check_representation,
 )
-from .algebra import _bracket, _dense, _semidirect_table, _sparse
+from .algebra import _bracket, _semidirect_table
 from .cochain import Cochain, CoboundaryDifference, NLACochain, coboundary_difference
 from .errors import PreconditionError, ShapeError
-from .linalg import Matrix, Vector, combine, row_times
+from .linalg import Matrix, combine, row_times
 from .operators import check_operator, nijenhuis
 
 
@@ -123,7 +123,10 @@ def build_extension(
     if bad is not None:
         raise PreconditionError(f"invalid governing representation: {bad.describe()}")
 
-    psi = {t: v for t in product(range(n), repeat=2) if (v := _sparse(pair.psi.value(t)))}
+    psi: dict = {}  # flat index ((i, j), k) of psi's nonzeros, as a table
+    for index, c in pair.psi.nz.items():
+        pair_index, k = divmod(index, m)
+        psi.setdefault(divmod(pair_index, n), {})[k] = c
     table = _semidirect_table(alg, rep, psi)
     basis = alg.basis + tuple(f"v{b + 1}" for b in range(m))
     total = LeibnizAlgebra(n + m, basis, table)
@@ -150,20 +153,22 @@ def section_to_cocycle(ext: ExtensionDatum, s: Optional[Section] = None) -> Cocy
     def lift(v: dict) -> dict:
         return {**v, **{n + k: c for k, c in row_times(v, sigma_cols).items()}}
 
-    def fiber(name: str, z: dict, v: dict) -> Vector:
-        """z - s v, which must vanish on the base, as a fiber vector."""
+    def fiber(name: str, z: dict, v: dict, t: int) -> dict:
+        """z - s v, which must vanish on the base, as the nonzero
+        coordinates of the value at the t-th basis tuple of a cochain."""
         w = combine(((1, z), (-1, lift(v))))
         if any(k < n for k in w):
             raise PreconditionError(f"{name} does not land in the fiber")
-        return _dense({k - n: c for k, c in w.items()}, m)
+        return {t * m + k - n: c for k, c in w.items()}
 
     units = [lift({i: Fraction(1)}) for i in range(n)]
-    psi = {
-        (i, j): fiber(f"psi({i},{j})", _bracket(total, units[i], units[j]), base.get((i, j), {}))
-        for i, j in product(range(n), repeat=2)
-    }
-    chi = {(j,): fiber(f"chi({j})", row_times(units[j], hat_cols), base_cols[j]) for j in range(n)}
-    return CocyclePair(Cochain.from_table(2, n, m, psi), Cochain.from_table(1, n, m, chi))
+    psi = {}
+    for i, j in product(range(n), repeat=2):
+        psi.update(fiber(f"psi({i},{j})", _bracket(total, units[i], units[j]), base.get((i, j), {}), i * n + j))
+    chi = {}
+    for j in range(n):
+        chi.update(fiber(f"chi({j})", row_times(units[j], hat_cols), base_cols[j], j))
+    return CocyclePair(Cochain._of(2, n, m, psi), Cochain._of(1, n, m, chi))
 
 
 def section_difference_class(

@@ -1,7 +1,9 @@
 """Exact rational vectors and matrices.
 
-No floating point representation exists anywhere in the package.  A vector
-(`Vector`) is a tuple of `fractions.Fraction`.  A matrix stores an integral
+No floating point representation exists anywhere in the package.  Inside
+it a vector is sparse, an {index: value} dict of its nonzero entries, the
+form `combine` sums; the dense `Vector`, a tuple of `fractions.Fraction`, is
+only a public view of one (`_dense`, and `_sparse` back).  A matrix stores an integral
 entry as a Python `int` and any other entry as a `Fraction` (`_entry`): the
 constructors normalise to that form, and sums, products and Kronecker
 products of integral matrices stay on `int`, which needs no gcd.  The
@@ -25,17 +27,18 @@ builders of `cochain` and `extensions`.  A general block-grid assembler,
 
 `combine` (c1 v1 + c2 v2 + ... over {index: value} dicts) is the one sparse
 sum of the package, and `row_times` is a sparse row times a matrix by it.
-Matrix sums and products, the bracket evaluator and the search polynomials
-all run on this pair.
+Matrix sums and products, cochain sums, the bracket evaluator and the
+search polynomials all run on this pair.
 
 Rank, kernel and solve share one sparse Gauss-Jordan elimination that picks
 the sparsest row as pivot, the lowest row on a tie.  It keeps a column->rows
 index of every row, free or pivot, so each pivot search and update step costs
 in proportion to the rows that hold the column, not to all rows.  It runs on
 primitive integer rows and divides only once, at the end, so a pivot of 1
-or -1 costs no more than int arithmetic.  `kernel_basis` and `solve_linear`
-read the reduced echelon form off its pivot rows (`solve_linear` eliminates
-the augmented matrix [A | b]).  `rank` runs the same loop forward only: it
+or -1 costs no more than int arithmetic.  `_kernel_rows` reads the sparse
+kernel basis off its reduced pivot rows, and `kernel_basis` is the dense
+view of it; `solve_linear` reads its solution off the pivot rows of the
+augmented matrix [A | b].  `rank` runs the same loop forward only: it
 never updates a row once it is a pivot row, which leaves the pivots as they
 are, and it can report each pivot's original row and column, a row basis
 and a column basis of the matrix (`cochain.cohomology_dims` reads both).  A
@@ -130,33 +133,19 @@ def parse_rational(text: str) -> Fraction:
     return frac(_rational_entry(text))
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+def _sparse(v: Vector) -> dict:
+    """The nonzero entries {k: c} of the dense vector v, each as a matrix
+    stores it."""
+    return {k: _entry(c) for k, c in enumerate(v) if c}
 
 
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise ShapeError(f"vector lengths {len(a)} != {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise ShapeError(f"vector lengths {len(a)} != {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Vector) -> Vector:
-    c = frac(c)
-    return tuple(c * x for x in a)
-
-
-def is_zero_vector(a: Vector) -> bool:
-    return all(x == 0 for x in a)
+def _dense(v: dict, n: int) -> Vector:
+    """The length-n coordinate vector of sparse v, each entry a Fraction
+    whatever type the kernel left it."""
+    out = [_ZERO] * n
+    for k, c in v.items():
+        out[k] = frac(c)
+    return tuple(out)
 
 
 def combine(terms) -> dict:
@@ -478,24 +467,24 @@ def gauss_rank(m: Matrix, pivots: Optional[list] = None) -> int:
     return r
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Canonical basis of the right null space.
-
-    Free columns in ascending index order; each basis vector carries a 1 in
-    its own free slot, pivot slots filled from the reduced echelon form.
-    """
+def _kernel_rows(m: Matrix) -> list[dict]:
+    """The canonical basis of the right null space as sparse {column: value}
+    dicts, in ascending order of their free columns: each holds 1 at its own
+    free column and -row[free] at the pivot of each reduced pivot row."""
     pivots = _eliminate(m)
-    vectors = {}
-    for free in range(m.cols):
-        if free not in pivots:
-            vectors[free] = [Fraction(0)] * m.cols
-            vectors[free][free] = Fraction(1)
+    vectors = {free: {free: 1} for free in range(m.cols) if free not in pivots}
     # a reduced pivot row holds its own pivot and free columns only
     for p, row in pivots.items():
         for free, e in row.items():
             if free != p:
-                vectors[free][p] = frac(-e)
-    return [tuple(v) for v in vectors.values()]
+                vectors[free][p] = -e
+    return list(vectors.values())
+
+
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Canonical basis of the right null space: the dense view of
+    `_kernel_rows`, in the same order."""
+    return [_dense(v, m.cols) for v in _kernel_rows(m)]
 
 
 def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:
@@ -511,7 +500,4 @@ def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:
     pivots = _eliminate(Matrix._of(augmented, m.cols + 1))
     if m.cols in pivots:  # a row reduced to 0 = 1
         return None
-    x = [Fraction(0)] * m.cols
-    for p, row in pivots.items():
-        x[p] = frac(row.get(m.cols, 0))
-    return tuple(x)
+    return _dense({p: row[m.cols] for p, row in pivots.items() if m.cols in row}, m.cols)

@@ -30,10 +30,9 @@ from typing import Iterator, Optional
 
 from ._record import record
 from .algebra import Counterexample, LeibnizAlgebra, Representation
-from .algebra import _check_semidirect, _defect_table, _dense, _star_table
-from .algebra import _module_matrix, _module_slots
+from .algebra import _check_semidirect, _defect_table, _star_table
 from .errors import PreconditionError, ResourceLimitError, ShapeError
-from .linalg import Matrix, _entry, combine, frac
+from .linalg import Matrix, _dense, _entry, combine, frac
 
 OPERATOR_KINDS = ("nijenhuis", "rota_baxter", "rota_baxter_weighted", "modified_rota_baxter")
 WEIGHT_CONVENTIONS = ("standard", "as_printed")
@@ -173,19 +172,17 @@ def induced_representation(rep: Representation, alg: LeibnizAlgebra, n: Matrix) 
     operator is unchanged.
 
     Both are read off one `_star_table` of the semidirect product with the
-    operator N (+) N_V: column b of L'_i is its value at (e_i, v_b), and
-    column b of R'_i its value at (v_b, e_i)."""
+    operator N (+) N_V: its values on the pairs (e_i, v_b) and (v_b, e_i)
+    are the module table of the induced representation."""
     nv = rep.module_operator
     if nv is None:
         raise PreconditionError("induced representation needs a module operator")
     bad, table, rows = _check_semidirect(alg, rep, n)
     if bad is not None:
         raise PreconditionError(f"not a Nijenhuis representation: {bad.describe()}")
-    d, m = alg.dim, rep.module_dim
-    star = _star_table(table, rows)
-    slots = _module_slots(star, d)
-    left, right = (tuple(_module_matrix(slots.get((i, side), {}), d, m) for i in range(d)) for side in (0, 1))
-    return Representation(left, right, nv, module_dim=m)
+    d, star = alg.dim, _star_table(table, rows)
+    star = {(a, b): {k: _entry(c) for k, c in v.items()} for (a, b), v in star.items() if (a < d) != (b < d)}
+    return Representation._of(star, nv, d, rep.module_dim)
 
 
 GRID_GUARD = 10**7
@@ -309,10 +306,15 @@ def search_operators_grid(
     for _ in range(k if width > 1 else 0):
         count *= width
         if count > GRID_GUARD:
-            raise ResourceLimitError(f"grid of {width}^{k} candidates exceeds guard {GRID_GUARD}")
+            try:
+                grid = f"{width}^{k}"
+            except ValueError:  # a width past the int-to-str digit limit, named by its bits
+                grid = f"(at least 2^{width.bit_length() - 1})^{k}"
+            raise ResourceLimitError(f"grid of {grid} candidates exceeds guard {GRID_GUARD}")
     by_last = _compile_grid_tests(defect_polynomial(alg, kind), k, denominator)
     numerators = range(lo, hi + 1)
-    entry = {v: _entry(Fraction(v, denominator)) for v in numerators}
+    # a 0-dim algebra has one candidate, with no entries to read
+    entry = {v: _entry(Fraction(v, denominator)) for v in numerators} if k else {}
     p = [0] * k + [1]
     found = []
 

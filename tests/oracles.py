@@ -32,6 +32,14 @@ the operator [[N, 0], [chi, N_V]] of `extensions.build_extension`.
 `slow_parse_rational` reads every rational string through `Fraction(text)`
 and a format round trip, with no int fast path.
 
+The package keeps vectors sparse; the dense vector helpers `zero_vector`,
+`unit_vector`, `vec_add`, `vec_sub`, `vec_scale`, `is_zero_vector` and
+`bilinear_tensor_is_zero` serve the dense oracles here.  `dense_kernel_basis`
+fills the canonical kernel basis into dense vectors slot by slot, the way
+`linalg.kernel_basis` did before it became the view of `_kernel_rows`.
+`transport` moves an algebra, its operator and its adjoint representation
+to another basis by dense products (`dense_product`, `dense_inverse`).
+
 `slow_cohomology_dims` (on `slow_complex`) ranks every coboundary matrix
 whole and decides every junction by the whole product and its
 `first_nonzero` entry, as `cohomology_dims` did before it ranked top down
@@ -45,7 +53,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from nijleib.algebra import Counterexample, LeibnizAlgebra
+from nijleib.algebra import Counterexample, LeibnizAlgebra, Representation
 from nijleib.algebra import _bracket
 from nijleib.cochain import (
     Cochain,
@@ -58,6 +66,7 @@ from nijleib.cochain import (
 from nijleib.errors import BundleError, ShapeError
 from nijleib.linalg import (
     Matrix,
+    _eliminate,
     combine,
     format_rational,
     frac,
@@ -65,9 +74,57 @@ from nijleib.linalg import (
     mat_mul,
     rank,
     row_times,
-    unit_vector,
-    zero_vector,
 )
+
+
+def zero_vector(n: int):
+    return (Fraction(0),) * n
+
+
+def unit_vector(n: int, i: int):
+    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+
+
+def vec_add(a, b):
+    if len(a) != len(b):
+        raise ShapeError(f"vector lengths {len(a)} != {len(b)}")
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_sub(a, b):
+    if len(a) != len(b):
+        raise ShapeError(f"vector lengths {len(a)} != {len(b)}")
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vec_scale(c, a):
+    c = frac(c)
+    return tuple(c * x for x in a)
+
+
+def is_zero_vector(a) -> bool:
+    return all(x == 0 for x in a)
+
+
+def bilinear_tensor_is_zero(tensor) -> bool:
+    return all(is_zero_vector(v) for row in tensor for v in row)
+
+
+def dense_kernel_basis(m: Matrix):
+    """The canonical kernel basis filled into dense vectors slot by slot, off
+    the reduced pivot rows of `linalg._eliminate`: the body `kernel_basis`
+    had before it became the view of the sparse `_kernel_rows`."""
+    pivots = _eliminate(m)
+    vectors = {}
+    for free in range(m.cols):
+        if free not in pivots:
+            vectors[free] = [Fraction(0)] * m.cols
+            vectors[free][free] = Fraction(1)
+    for p, row in pivots.items():
+        for free, e in row.items():
+            if free != p:
+                vectors[free][p] = frac(-e)
+    return [tuple(v) for v in vectors.values()]
 
 
 def unit(alg, i):
@@ -116,6 +173,53 @@ def evaluate_cochain(f, *vectors):
             if c:
                 acc[k] += coeff * c
     return tuple(acc)
+
+
+def dense_product(a, b):
+    """The product of two dense matrices given as lists of rows."""
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def dense_inverse(q):
+    """The inverse of a square dense matrix by Gauss-Jordan elimination on
+    [q | I], or None if q is singular."""
+    n = len(q)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(q)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def transport(alg, n_op, q):
+    """(alg, N) and the adjoint representation with N_V = N, moved to the
+    basis f_a = sum_i q[i][a] e_i of an invertible dense q, entry by entry:
+    c'^c_ab = sum_ijk q_ia q_jb c^k_ij (q^-1)_ck, N' = q^-1 N q, and the
+    actions l'(f_a) = sum_i q_ia q^-1 L_i q, r'(f_a) the same with R_i, for
+    L_i and R_i the matrices of left and right multiplication by e_i.
+    Returns (alg', N', rep')."""
+    d, c, inv = alg.dim, alg.structure, dense_inverse(q)
+    basis = range(d)
+    moved = [[[sum((q[i][a] * q[j][b] * c[i][j][k] * inv[t][k] for i in basis for j in basis for k in basis),
+                   Fraction(0)) for t in basis] for b in basis] for a in basis]
+    n_moved = dense_product(dense_product(inv, [list(row) for row in n_op.data]), q)
+
+    def actions(left):
+        mult = [[[c[i][j][k] if left else c[j][i][k] for j in basis] for k in basis] for i in basis]
+        conj = [dense_product(dense_product(inv, m), q) for m in mult]
+        return tuple(Matrix([[sum((q[i][a] * conj[i][r][s] for i in basis), Fraction(0)) for s in basis]
+                             for r in basis]) for a in basis)
+
+    rep = Representation(actions(True), actions(False), Matrix(n_moved), module_dim=d)
+    return LeibnizAlgebra.from_structure(moved, alg.basis), Matrix(n_moved), rep
 
 
 def slow_direct_sum(a, b):

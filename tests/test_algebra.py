@@ -25,7 +25,7 @@ from nijleib.cochain import Cochain, cocycle_membership, delta, sample_cocycles
 from nijleib.deformation import residual_report, trivial_deformation
 from nijleib.errors import CatalogError, PreconditionError, ShapeError
 from nijleib.extensions import CocyclePair, build_extension, section_to_cocycle
-from nijleib.linalg import Matrix, block_diag, frac, unit_vector, vec_add, vec_sub
+from nijleib.linalg import Matrix, block_diag, frac
 from nijleib.operators import (
     check_operator,
     defect_polynomial,
@@ -36,6 +36,7 @@ from nijleib.operators import (
     rota_baxter,
     rota_baxter_weighted,
 )
+from oracles import unit_vector, vec_add, vec_sub
 from oracles import (
     any_brackets,
     bilinear_eval,
@@ -462,3 +463,91 @@ def test_counterexample_describe(loday2):
     text = cert.describe()
     assert "leibniz" in text
     assert str(cert.indices) in text or all(str(i) in text for i in cert.indices)
+
+
+# int, integral Fraction and Fraction entries, zero half of the time
+mixed_entries = st.one_of(
+    st.just(0),
+    st.integers(-2, 2),
+    st.integers(-2, 2).map(Fraction),
+    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)),
+)
+
+
+@st.composite
+def action_sets(draw, d=None, m=None):
+    """(left, right, module operator, d, m): 2d action matrices on an m-dim
+    module, d and m at most 2, 0 included."""
+    d = draw(st.integers(0, 2)) if d is None else d
+    m = draw(st.integers(0, 2)) if m is None else m
+
+    def matrix():
+        return Matrix([[draw(mixed_entries) for _ in range(m)] for _ in range(m)])
+
+    left, right = tuple(matrix() for _ in range(d)), tuple(matrix() for _ in range(d))
+    return left, right, draw(st.one_of(st.none(), st.builds(matrix))), d, m
+
+
+@st.composite
+def action_set_pairs(draw):
+    first = draw(action_sets())
+    left, right, op, d, m = first
+    second = draw(
+        st.one_of(
+            action_sets(),
+            action_sets(d=d, m=m),
+            st.just((right, left, op, d, m)),  # the sides swapped
+            st.just(tuple(tuple(Matrix([[Fraction(x) for x in row] for row in a.data]) for a in side)
+                          for side in (left, right)) + (op, d, m)),  # respelled as Fractions
+        )
+    )
+    return first, second
+
+
+def representation_routes(left, right, op, d, m):
+    """The representation with these actions, by the public constructor and
+    by the package's own builders."""
+    rep = Representation(left, right, op, module_dim=m)
+    routes = [rep, Representation(left, right, module_dim=m).with_module_operator(op)]
+    routes.append(Representation(rep.left, rep.right, rep.module_operator, module_dim=m))
+    if all(a.is_zero() for a in (*left, *right)):
+        routes.append(trivial_representation(d, m, op))
+    return routes
+
+
+@settings(max_examples=150, deadline=None)
+@given(action_set_pairs())
+def test_representation_table_agrees_with_its_action_matrices(pair):
+    """A representation stores its actions as one module table; built by any
+    route, its views `left` and `right` are the matrices it was given (also
+    as dense rows), two representations are equal exactly when their
+    matrices, operators and both dimensions are, and equal ones hash alike,
+    as the field tuple does."""
+    (la, ra, oa, da, ma), (lb, rb, ob, db, mb) = pair
+    dense_a, dense_b = (la, ra, oa, da, ma), (lb, rb, ob, db, mb)
+    routes_b = representation_routes(*dense_b)
+    for rep in representation_routes(*dense_a):
+        assert rep.left == la and rep.right == ra and (rep.algebra_dim, rep.module_dim) == (da, ma)
+        assert [x.data for x in (*rep.left, *rep.right)] == [x.data for x in (*la, *ra)]
+        assert hash(rep) == hash((rep.left, rep.right, rep.module_operator, rep.module_dim))
+        for other in routes_b:
+            assert (rep == other) == (dense_a == dense_b) and (rep != other) == (dense_a != dense_b)
+            if rep == other:
+                assert hash(rep) == hash(other)
+
+
+@pytest.mark.parametrize("name", ["loday2", "square2", "abelian3", "dsum(loday2,abelian1)", "abelian0"])
+def test_adjoint_table_agrees_with_the_multiplication_matrices(name):
+    """The adjoint representation's table, built off the bracket table in one
+    pass, equals the representation given by the matrices of left and right
+    multiplication, read off the dense structure tensor."""
+    alg = catalog_get(name)
+    c = alg.structure
+
+    def mult(i, left):
+        return Matrix([[c[i][j][k] if left else c[j][i][k] for j in range(alg.dim)] for k in range(alg.dim)])
+
+    left = tuple(mult(i, True) for i in range(alg.dim))
+    right = tuple(mult(i, False) for i in range(alg.dim))
+    assert adjoint_representation(alg) == Representation(left, right, module_dim=alg.dim)
+    assert adjoint_representation(alg).left == left and adjoint_representation(alg).right == right

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import resource
 import shlex
 import subprocess
 import sys
@@ -322,16 +323,17 @@ FILES = {
     "iso": ["iso_linear.json"],
     "corner": ["corner.json"],
 }
+NINES = "9" * 4300  # the longest digit string that int() reads
 # each option's fitting values and its unfitting ones; None marks a flag
 OPTION_VALUES = {
     "--kind": (["nijenhuis", "rota_baxter", "rota_baxter_weighted", "modified_rota_baxter"], JUNK),
-    "--weight": (["1", "-1", "1/2"], ["abc"] + JUNK),
+    "--weight": (["1", "-1", "1/2"], ["abc", "0.5", "1e5000", "1e-5000", "1" * 5000] + JUNK),
     "--convention": (list(WEIGHT_CONVENTIONS), JUNK),
     "--no-verify": None,
     "--complex": (list(COMPLEX_KINDS), JUNK),
     "--max-degree": (["0", "1", "2"], ["-1", "9", "abc"]),
     "--phi": (list(PHI_VARIANTS), JUNK),
-    "--range": (["-1..1", "0..1", "1..0"], ["2"] + JUNK),
+    "--range": (["-1..1", "0..1", "1..0"], ["2", "0..1e5000", "0.." + "1" * 5000, f"-{NINES}..{NINES}"] + JUNK),
     "--den": (["1", "2"], ["0", "abc"]),
     "--iso": (FILES["iso"], FIXTURE_NAMES + JUNK),
     "--corner": (FILES["corner"], FIXTURE_NAMES + JUNK),
@@ -552,6 +554,64 @@ def test_search_guard_trips_on_a_count_too_long_to_print(capsys, tmp_path):
     code, out, err = run(capsys, "search", str(bundle), "--range", "0..1")
     assert (code, out) == (EXIT_INVALID, "")
     assert err == f"error: grid of 2^{dim * dim} candidates exceeds guard 10000000\n"
+
+
+# spellings that the package's one rational parser refuses: exponents, a
+# numerator past the int-digit limit and non-canonical forms
+REFUSED_WEIGHTS = ["1e5000", "1e-5000", "1e999999999", "1" * 5000, "0.5", "2/4", "+1"]
+
+
+@pytest.mark.parametrize("weight", REFUSED_WEIGHTS, ids=lambda w: w[:12])
+def test_weight_is_a_canonical_rational(capsys, fixtures_dir, weight):
+    """--weight is read by `parse_rational`, like every rational of a bundle.
+    An exponent spelling once exited 1 with the int-digit ValueError, and a
+    non-canonical one such as 0.5 was accepted."""
+    bundle = fx(fixtures_dir, "loday2_classified.json")
+    for argv in (
+        ("verify", bundle, "--kind", "rota_baxter_weighted", "--weight", weight),
+        ("search", bundle, "--range", "0..1", "--kind", "modified_rota_baxter", "--weight", weight),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "") and err.startswith("error: --weight: ") and err.count("\n") == 1
+
+
+def test_search_range_past_the_digit_limit_is_invalid_input(capsys, fixtures_dir):
+    """An end too long for `int` and a width too long to print in the guard's
+    message once exited 1 with the interpreter's ValueError."""
+    for bounds in ("0.." + "1" * 5000, f"-{NINES}..{NINES}"):
+        code, out, err = run(capsys, "search", fx(fixtures_dir, "loday2_plain.json"), "--range", bounds)
+        assert (code, out) == (EXIT_INVALID, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_search_on_a_zero_dim_algebra_reads_no_entry_values(tmp_path):
+    """A 0-dim algebra has one candidate, the empty matrix, whatever the
+    range; the search once built the entry table over the whole range first.
+    On 10^4300 values that never ends, so the run has a time limit."""
+    bundle = tmp_path / "zero.json"
+    bundle.write_text(json.dumps({"algebra": {"basis": [], "brackets": {}, "dimension": 0}}))
+    proc = run_proc("search", str(bundle), "--range", f"-{NINES}..{NINES}", timeout=60)
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["count"], doc["operators"], doc["range"]) == (1, [[]], [-int(NINES), int(NINES)])
+
+
+def test_verify_large_abelian_bundle_with_the_adjoint_representation(tmp_path):
+    """The adjoint representation of a 20,000-dim abelian algebra has an empty
+    table, and checking it reads that table: the run fits in 2 GB of address
+    space and 10 s.  It once built 40,000 action matrices of 20,000 empty
+    rows and ran out of memory."""
+    dim = 20000
+    bundle = tmp_path / "abelian.json"
+    basis = [f"e{i}" for i in range(1, dim + 1)]
+    bundle.write_text(json.dumps({"algebra": {"basis": basis, "brackets": {}, "dimension": dim},
+                                  "representation": "adjoint"}))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = run_proc("verify", str(bundle), timeout=10, preexec_fn=limit_address_space)
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert json.loads(proc.stdout)["checks"] == {"leibniz": True, "representation": True}
 
 
 def test_search_bad_range(capsys, fixtures_dir):
@@ -962,10 +1022,11 @@ def test_report_entries_are_rational_strings(capsys, fixtures_dir, run_spec):
             assert field in COUNT_FIELDS and isinstance(leaf, int), (field, leaf)
 
 
-def run_proc(*argv):
+def run_proc(*argv, **options):
     return subprocess.run(
         [sys.executable, "-m", "nijleib.cli", *argv],
         capture_output=True,
+        **options,
     )
 
 

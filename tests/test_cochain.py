@@ -59,11 +59,9 @@ from nijleib.linalg import (
     kron,
     mat_mul,
     rank,
-    vec_add,
-    vec_scale,
-    zero_vector,
 )
 from nijleib.operators import induced_bracket, induced_representation
+from oracles import vec_add, vec_scale, zero_vector
 from oracles import (
     any_brackets,
     assert_same_matrix,
@@ -703,3 +701,58 @@ def test_junction_witness_reads_the_whole_product():
     assert pivots == [(2, 0), (0, 1)]
     for rank_fn in (rank, gauss_rank):
         assert _rank_complex([d0, d1], rank_fn) == ([1, 2], (False,), (JunctionFailure(0, 1, 0, Fraction(1)),))
+
+
+# int, integral Fraction and Fraction entries, zero half of the time
+mixed_entries = st.one_of(
+    st.just(0),
+    st.integers(-2, 2),
+    st.integers(-2, 2).map(Fraction),
+    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)),
+)
+
+
+@st.composite
+def cochain_vectors(draw):
+    """A cochain shape of degree <= 2 over dims <= 2, 0 included, and two flat
+    vectors of that length; the second is often the first, respelled."""
+    degree, d, m = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    n = space_dim(d, m, degree)
+    a = draw(st.lists(mixed_entries, min_size=n, max_size=n))
+    b = draw(st.one_of(st.lists(mixed_entries, min_size=n, max_size=n), st.just([Fraction(x) for x in a])))
+    return degree, d, m, a, b
+
+
+def cochain_routes(degree, d, m, vec):
+    """The cochain with flat vector `vec`, by the public constructor and by
+    the sparse builders and arithmetic."""
+    f, zero = Cochain(degree, d, m, tuple(vec)), Cochain.zero(degree, d, m)
+    table = {t: vec[i * m : (i + 1) * m] for i, t in enumerate(all_tuples(d, degree))}
+    routes = [f, zero + f, f + zero, f - zero, zero - (-f), f.scale(1), (f + f).scale(Fraction(1, 2))]
+    routes.append(Cochain.from_table(degree, d, m, table))
+    if degree == 1:
+        routes.append(Cochain.from_matrix(f.as_matrix()))
+    if degree == 2 and d:
+        routes.append(Cochain.from_bilinear_tensor(f.as_tensor()))
+    return routes
+
+
+@settings(max_examples=150, deadline=None)
+@given(cochain_vectors())
+def test_cochain_sparse_form_agrees_with_its_dense_vector(case):
+    """A cochain stores its nonzero coordinates; built by any route, its views
+    are the dense vector, two cochains are equal exactly when their dense
+    vectors are, and equal cochains hash alike, as the field tuple does."""
+    degree, d, m, a, b = case
+    dense_a, dense_b = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+    routes_b = cochain_routes(degree, d, m, b)
+    for f in cochain_routes(degree, d, m, a):
+        assert f.vec == dense_a and f.is_zero() == (not any(a))
+        assert all(type(x) is Fraction for x in f.vec) or f.vec == tuple(a)  # the public constructor keeps its tuple
+        assert all(f.nz.values()) and all(0 <= k < len(dense_a) for k in f.nz)
+        assert f.values == {t: dense_a[i * m : (i + 1) * m] for i, t in enumerate(all_tuples(d, degree))}
+        assert hash(f) == hash((degree, d, m, f.vec))
+        for g in routes_b:
+            assert (f == g) == (dense_a == dense_b) and (f != g) == (dense_a != dense_b)
+            if f == g:
+                assert hash(f) == hash(g)

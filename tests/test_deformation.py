@@ -12,7 +12,6 @@ from nijleib.algebra import (
     LeibnizAlgebra,
     adjoint_representation,
     bilinear_tensor,
-    bilinear_tensor_is_zero,
     catalog_get,
     catalog_nijenhuis_pairs,
     check_leibniz,
@@ -32,9 +31,9 @@ from nijleib.deformation import (
     twist_by_isomorphism,
 )
 from nijleib.errors import PreconditionError, ShapeError
-from nijleib.linalg import Matrix, frac, unit_vector, vec_add, vec_sub, zero_vector
+from nijleib.linalg import Matrix, frac
 from nijleib.operators import is_nijenhuis, nijenhuis, operator_defect
-from oracles import bilinear_eval
+from oracles import bilinear_eval, bilinear_tensor_is_zero, unit_vector, vec_add, vec_sub, zero_vector
 
 
 def compose_isomorphisms(a, b):

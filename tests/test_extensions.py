@@ -31,8 +31,9 @@ from nijleib.extensions import (
     section_to_cocycle,
     transport_cocycle_via_isomorphism,
 )
-from nijleib.linalg import Matrix, frac, is_zero_vector, zero_vector
+from nijleib.linalg import Matrix, frac
 from nijleib.operators import is_nijenhuis
+from oracles import is_zero_vector, zero_vector
 from oracles import any_brackets, assert_same_matrix, bilinear_eval, block_matrix, slow_extension_structure, unit
 
 

@@ -31,7 +31,9 @@ from nijleib.cochain import coboundary_matrix, delta_matrix, nla_matrix
 from nijleib.errors import BundleError, ShapeError
 from nijleib.linalg import (
     Matrix,
+    _dense,
     _eliminate,
+    _kernel_rows,
     _rational_entry,
     block_diag,
     combine,
@@ -47,7 +49,7 @@ from nijleib.linalg import (
     solve_linear,
 )
 from nijleib.operators import _Poly
-from oracles import assert_same_matrix, block_matrix, slow_eliminate, slow_parse_rational
+from oracles import assert_same_matrix, block_matrix, dense_kernel_basis, slow_eliminate, slow_parse_rational
 
 rationals = st.builds(
     Fraction,
@@ -306,6 +308,27 @@ def test_mixed_storage_agrees_with_oracles_and_returns_fractions(system):
         solutions.append(sol)
     assert kernels[0] == kernels[1] == kernels[2]
     assert solutions[0] == solutions[1] == solutions[2]
+
+
+def stored_as_drawn(system):
+    """The matrix of a drawn system with its int/Fraction mix stored as is."""
+    rows = system[0]
+    return Matrix._of(tuple({j: e for j, e in enumerate(row) if e} for row in rows), len(rows[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_systems().map(lambda system: system[0]), mixed_systems().map(stored_as_drawn)))
+def test_kernel_rows_are_the_dense_kernel_basis(m):
+    """`_kernel_rows` holds the canonical kernel basis sparse, and
+    `kernel_basis`, its dense view, gives the vectors, order and values that
+    the dense body it replaced gives (`oracles.dense_kernel_basis`), on the
+    matrices of the elimination property tests."""
+    rows = _kernel_rows(m)
+    assert kernel_basis(m) == dense_kernel_basis(m) == [_dense(v, m.cols) for v in rows]
+    assert all(all(v.values()) and all(0 <= j < m.cols for j in v) for v in rows)
+    assert all(type(x) is Fraction for v in kernel_basis(m) for x in v)
+    columns = m.transpose().nz
+    assert not any(combine((x, columns[j]) for j, x in v.items()) for v in rows)  # m v = 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,7 +30,7 @@ from nijleib.algebra import (
 from nijleib import operators
 from nijleib.algebra import _defect_table, _dense_pairs, _star_table
 from nijleib.errors import PreconditionError, ResourceLimitError
-from nijleib.linalg import Matrix, block_diag, frac, vec_add, vec_sub
+from nijleib.linalg import Matrix, block_diag, frac
 from nijleib.operators import (
     OPERATOR_KINDS,
     WEIGHT_CONVENTIONS,
@@ -50,6 +50,7 @@ from nijleib.operators import (
     search_operators_grid,
 )
 from nijleib.operators import _p_coefficients
+from oracles import vec_add, vec_sub
 from oracles import any_brackets, bilinear_eval, diag, slow_defect, slow_induced_actions, slow_star, unit
 
 
