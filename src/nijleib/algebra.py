@@ -46,18 +46,14 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._record import record
 from .errors import CatalogError, PreconditionError, ShapeError
-from .linalg import Matrix, Vector, _dense, _entry, _sparse, block_diag, combine, frac, row_times
+from .linalg import Matrix, Vector, _dense, _entry, _sparse, block_diag, combine, row_times
 
 # tensor[i][j] = coordinate vector of the image of (e_i, e_j)
 BilinearTensor = tuple[tuple[Vector, ...], ...]
-
-
-def bilinear_tensor(entries: Sequence[Sequence[Sequence]]) -> BilinearTensor:
-    return tuple(tuple(tuple(frac(c) for c in vec) for vec in row) for row in entries)
 
 
 def _table(tensor: BilinearTensor) -> dict:
@@ -219,16 +215,6 @@ class LeibnizAlgebra:
     def structure(self) -> BilinearTensor:
         """The dense view: structure[a][b] is the coordinate vector of [e_a, e_b]."""
         return _dense_pairs(self.table, self.dim)
-
-    @classmethod
-    def from_structure(cls, structure, basis=None) -> "LeibnizAlgebra":
-        tensor = bilinear_tensor(structure)
-        dim = len(tensor)
-        if any(len(row) != dim or any(len(v) != dim for v in row) for row in tensor):
-            raise ShapeError("structure tensor is not dim x dim x dim")
-        if basis is None:
-            basis = tuple(f"e{i + 1}" for i in range(dim))
-        return cls(dim, tuple(basis), _table(tensor))
 
     @classmethod
     def abelian(cls, dim: int, basis=None) -> "LeibnizAlgebra":

@@ -2,22 +2,23 @@
 
 One verb per construction: verify, cohomology, search, selfcheck, and the
 actions of induce (bracket, rep), deform (check, twist, cocycle) and extend
-(build, extract, compare).  `build_parser` declares each verb or action with
-its own operands, options and handler, so an operand or option that an
-action does not declare is invalid input; `main` builds the parsers of the
-verb it is given alone.  Reports are canonical JSON on
-stdout (byte-identical for identical invocations); diagnostics go to stderr.
+(build, extract, compare).  `_VERBS` is the command line as one table, each
+verb or action with its handler, operands and options, so an operand or option
+that an action does not declare is invalid input.  `build_parser` reads a
+command line off it in one pass, in argparse's grammar (unique prefixes,
+`--opt=value`, `--`) without importing argparse; -h prints its usage lines.
+Reports are canonical JSON on stdout (byte-identical for identical
+invocations); diagnostics go to stderr.
 Exit codes: 0 = pass, 1 = a mathematical property fails (certificate
 attached), 2 = invalid input or a resource guard.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import re
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .algebra import (
     Counterexample,
@@ -94,8 +95,13 @@ def _kind_from_args(args) -> OperatorKind:
         raise BundleError(f"--weight: {exc}") from None
 
 
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
 def _load_bundle(path: str, verify: bool = True) -> AlgebraBundle:
-    return parse_algebra_bundle(Path(path).read_text(), verify=verify)
+    return parse_algebra_bundle(_read(path), verify=verify)
 
 
 def _operator(bundle: AlgebraBundle, needed_by: str) -> Matrix:
@@ -272,7 +278,7 @@ def _deformation_args(args):
     reads, which must start at the bundle's (mu, N)."""
     bundle = _load_bundle(args.bundle)
     n_op = _operator(bundle, "deform")
-    d = parse_deformation(Path(args.deformation).read_text(), bundle.algebra.dim)
+    d = parse_deformation(_read(args.deformation), bundle.algebra.dim)
     _check_base(bundle.algebra, n_op, d)
     return bundle, n_op, d
 
@@ -292,7 +298,7 @@ def _cmd_deform_check(args) -> int:
 
 def _cmd_deform_twist(args) -> int:
     bundle, _, d = _deformation_args(args)
-    iso = parse_isomorphism(Path(args.iso).read_text(), bundle.algebra.dim)
+    iso = parse_isomorphism(_read(args.iso), bundle.algebra.dim)
     sys.stdout.write(serialize_deformation(twist_by_isomorphism(d, iso)))
     return EXIT_PASS
 
@@ -316,7 +322,7 @@ def _cmd_deform_cocycle(args) -> int:
 def _extension_args(args):
     """The bundle and the extension file that an extend action reads."""
     bundle = _load_bundle(args.bundle)
-    return bundle, parse_extension(Path(args.extension).read_text(), bundle.algebra.dim)
+    return bundle, parse_extension(_read(args.extension), bundle.algebra.dim)
 
 
 def _build_from_files(bundle: AlgebraBundle, ext_file: ExtensionFile):
@@ -348,8 +354,8 @@ def _cmd_extend_extract(args) -> int:
 
 def _cmd_extend_compare(args) -> int:
     bundle, ext_file = _extension_args(args)
-    other_file = parse_extension(Path(args.other).read_text(), bundle.algebra.dim)
-    corner = parse_corner(Path(args.corner).read_text(), (ext_file.fiber_dim, bundle.algebra.dim))
+    other_file = parse_extension(_read(args.other), bundle.algebra.dim)
+    corner = parse_corner(_read(args.corner), (ext_file.fiber_dim, bundle.algebra.dim))
     ext_a = _build_from_files(bundle, ext_file)
     ext_b = _build_from_files(bundle, other_file)
     result = transport_cocycle_via_isomorphism(ext_a, ext_b, corner)
@@ -362,158 +368,152 @@ def _cmd_extend_compare(args) -> int:
     return _finish(report, result.matches)
 
 
-def _add_kind_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", default="nijenhuis", choices=OPERATOR_KINDS)
-    p.add_argument("--weight", default=None, help="rational weight for weighted kinds")
+# The command line: (handler, operands, options) for each verb and each action
+# of a verb with actions.  An option maps to (metavar, read, default); `read` is
+# int, str or the tuple of its choices, None for a flag.  A metavar of None shows
+# the choices, and the default ... marks an option that must be given.
+_KIND_OPTIONS = {
+    "--kind": ("KIND", OPERATOR_KINDS, "nijenhuis"),
+    "--weight": ("W", str, None),
     # None when not given, so that a convention passed to another kind is an error
-    p.add_argument("--convention", default=None, choices=WEIGHT_CONVENTIONS)
-
-
-def _add_action(actions, name: str, fn, help: str, *operands: str) -> argparse.ArgumentParser:
-    """The parser of one action: its positional operands and its handler; the
-    caller adds its options.  An option it does not declare exits 2."""
-    p = actions.add_parser(name, help=help)
-    for operand in operands:
-        p.add_argument(operand)
-    p.set_defaults(fn=fn)
-    return p
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line like any other invalid input: one
-    `error:` line and exit 2, instead of a usage block.  -h/--help writes the
-    usage to stderr and then exits the same way, since it prints no report.
-    Subparsers, and their own subparsers, inherit it."""
-
-    def error(self, message):
-        raise BundleError(f"{self.prog}: {message}")
-
-    def print_help(self, file=None):
-        super().print_help(sys.stderr)
-
-    def exit(self, status=0, message=None):  # reached only through -h/--help
-        raise BundleError(f"{self.prog}: usage printed, no report")
-
-
-def _add_verify(sub) -> None:
-    p = _add_action(sub, "verify", _cmd_verify, "verify algebra/operator/representation identities", "bundle")
-    _add_kind_options(p)
-    p.add_argument("--no-verify", action="store_true", help="skip ingest verification")
-
-
-def _add_induce(sub) -> None:
-    induce = sub.add_parser("induce", help="induced star bracket or representation")
-    actions = induce.add_subparsers(dest="action", required=True)
-    _add_action(actions, "bracket", _cmd_induce_bracket, "the star bracket, as a bundle", "bundle")
-    _add_action(actions, "rep", _cmd_induce_rep, "the induced representation", "bundle")
-
-
-def _add_cohomology(sub) -> None:
-    p = _add_action(sub, "cohomology", _cmd_cohomology, "cohomology dimensions of a complex", "bundle")
-    p.add_argument("--complex", default="la", choices=COMPLEX_KINDS)
-    p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
-
-
-def _add_search(sub) -> None:
-    p = _add_action(sub, "search", _cmd_search, "exhaustive operator grid classification", "bundle")
-    _add_kind_options(p)
-    p.add_argument("--range", required=True, help="entry numerator range, e.g. -2..2")
-    p.add_argument("--den", type=int, default=1)
-
-
-def _add_selfcheck(sub) -> None:
-    p = _add_action(sub, "selfcheck", _cmd_selfcheck, "chain-map and d*d junction diagnostics", "bundle")
-    p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
-    p.add_argument("--max-degree", type=int, default=2)
-
-
-def _add_deform(sub) -> None:
-    deform = sub.add_parser("deform", help="truncated formal deformation checks")
-    actions = deform.add_subparsers(dest="action", required=True)
-    _add_action(actions, "check", _cmd_deform_check, "the deformation equations", "bundle", "deformation")
-    p = _add_action(actions, "twist", _cmd_deform_twist, "the deformation twisted by a formal isomorphism",
-                    "bundle", "deformation")
-    p.add_argument("--iso", required=True, help="JSON file with the formal isomorphism")
-    p = _add_action(actions, "cocycle", _cmd_deform_cocycle, "is the infinitesimal a cocycle",
-                    "bundle", "deformation")
-    p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
-
-
-def _add_extend(sub) -> None:
-    extend = sub.add_parser("extend", help="abelian extension build/extract/compare")
-    actions = extend.add_subparsers(dest="action", required=True)
-    _add_action(actions, "build", _cmd_extend_build, "build and check the extension", "bundle", "extension")
-    _add_action(actions, "extract", _cmd_extend_extract, "the cocycle pair of a section", "bundle", "extension")
-    p = _add_action(actions, "compare", _cmd_extend_compare, "are two extensions related by a corner",
-                    "bundle", "extension", "other")
-    p.add_argument("--corner", required=True, help="JSON file with the corner block")
-
-
-# Each verb's parser, in the order the root parser lists them.
-_VERBS = {
-    "verify": _add_verify,
-    "induce": _add_induce,
-    "cohomology": _add_cohomology,
-    "search": _add_search,
-    "selfcheck": _add_selfcheck,
-    "deform": _add_deform,
-    "extend": _add_extend,
+    "--convention": (None, WEIGHT_CONVENTIONS, None),
 }
+_PHI = {"--phi": (None, PHI_VARIANTS, "full")}
+_MAX_DEGREE = {"--max-degree": ("N", int, 2)}
+_VERBS = {
+    "verify": (_cmd_verify, ("bundle",), {**_KIND_OPTIONS, "--no-verify": (None, None, False)}),
+    "induce": {
+        "bracket": (_cmd_induce_bracket, ("bundle",), {}),
+        "rep": (_cmd_induce_rep, ("bundle",), {}),
+    },
+    "cohomology": (_cmd_cohomology, ("bundle",), {"--complex": (None, COMPLEX_KINDS, "la"), **_MAX_DEGREE, **_PHI}),
+    "search": (_cmd_search, ("bundle",), {"--range": ("LO..HI", str, ...), "--den": ("D", int, 1), **_KIND_OPTIONS}),
+    "selfcheck": (_cmd_selfcheck, ("bundle",), {**_PHI, **_MAX_DEGREE}),
+    "deform": {
+        "check": (_cmd_deform_check, ("bundle", "deformation"), {}),
+        "twist": (_cmd_deform_twist, ("bundle", "deformation"), {"--iso": ("ISOMORPHISM", str, ...)}),
+        "cocycle": (_cmd_deform_cocycle, ("bundle", "deformation"), _PHI),
+    },
+    "extend": {
+        "build": (_cmd_extend_build, ("bundle", "extension"), {}),
+        "extract": (_cmd_extend_extract, ("bundle", "extension"), {}),
+        "compare": (_cmd_extend_compare, ("bundle", "extension", "other"), {"--corner": ("CORNER", str, ...)}),
+    },
+}
+_HELP = ("-h", "--help")
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative number: an operand or a value
 
 
-def _root_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
-    """A root parser with no verb yet, and the action its verbs are added to."""
-    parser = _Parser(
-        prog="nijleib",
-        description="Exact verification engine for Nijenhuis operators on Leibniz algebras",
-    )
-    return parser, parser.add_subparsers(dest="command", required=True)
+def _usage(prog: str, entry) -> list[str]:
+    """One usage line per action under `entry`, as the README lists them."""
+    if isinstance(entry, dict):
+        return [line for name, sub in entry.items() for line in _usage(f"{prog} {name}", sub)]
+    words = [prog, *map(str.upper, entry[1])]
+    for option, (metavar, read, default) in entry[2].items():
+        word = f"{option} {metavar or '|'.join(read)}" if read else option
+        words.append(word if default is ... else f"[{word}]")
+    return [" ".join(words)]
 
 
-# The root parser that single verbs are added to as they are first named.
-_shared_root = functools.cache(_root_parser)
+def _option(prog: str, token: str, names) -> tuple | None:
+    """The option of `names` that `token` gives, exactly or as a unique prefix, and
+    its `=value` or None; ("", None) for an unknown option, None for an operand."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if name in names:
+        return name, value if eq else None
+    if token[1] == "-":
+        found = [(n, value if eq else None) for n in names if n.startswith(name)]
+    else:  # a short option runs into its value
+        found = [(token[:2], token[2:])] if token[:2] in names else []
+    if len(found) > 1:
+        raise BundleError(f"{prog}: ambiguous option: {token} could match {', '.join(n for n, _ in found)}")
+    if found:
+        return found[0]
+    return None if _NUMBER.match(token) or " " in token else ("", None)
 
 
-@functools.cache
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The root parser with the parsers of every verb, or one that holds the
-    parsers of `verb` and of the verbs named before it in this process.  A
-    command line whose first word is a verb parses the same way on either:
-    every token after the verb goes to that verb's parser."""
-    if verb is not None:
-        parser, sub = _shared_root()
-        if verb not in sub.choices:
-            _VERBS[verb](sub)
-        return parser
-    parser, sub = _root_parser()
-    for add in _VERBS.values():
-        add(sub)
-    return parser
+def _parse(verbs: dict, argv) -> tuple:
+    """The handler of the action that `argv` names, and its operands and options
+    as attributes, read left to right as argparse read them.  An option's value
+    is the next token unless that looks like an option; an exact --range or
+    --weight takes it whatever it is.  Unknown or missing words fail at the end."""
+    tokens = []
+    for token in argv:
+        if tokens and tokens[-1] in ("--range", "--weight"):
+            tokens[-1] += f"={token}"
+        else:
+            tokens.append(token)
+    prog, entry, names, values = "nijleib", verbs, _HELP, {}
+    extras, given, after, dashed, i = [], [], 0, False, 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token == "--" and not dashed and not isinstance(entry, dict):
+            dashed = True
+            continue
+        hit = None if dashed or token == "--" else _option(prog, token, names)
+        if hit is None:  # an operand, or the name of a verb or action
+            after += 1
+            if not isinstance(entry, dict):
+                given.append(token)
+            elif token in entry:
+                prog, entry = f"{prog} {token}", entry[token]
+                if not isinstance(entry, dict):
+                    names, values = (*_HELP, *entry[2]), {o: spec[2] for o, spec in entry[2].items()}
+            else:
+                raise BundleError(f"{prog}: invalid choice: {token!r} (choose from {', '.join(map(repr, entry))})")
+            continue
+        (name, value), after = hit, 0
+        if not name:
+            extras.append(token)
+            continue
+        read = None if name in _HELP else entry[2][name][1]
+        if read is None:
+            if value is not None:
+                raise BundleError(f"{prog}: argument {name}: ignored explicit argument {value!r}")
+            if name in _HELP:
+                sys.stderr.write("usage: " + "\n       ".join(_usage(prog, entry)) + "\n")
+                raise BundleError(f"{prog}: usage printed, no report")
+            value = True
+        elif value is None:
+            if i == len(tokens) or tokens[i] == "--" or _option(prog, tokens[i], names) is not None:
+                raise BundleError(f"{prog}: argument {name}: expected one argument")
+            value, i = tokens[i], i + 1
+        if read is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise BundleError(f"{prog}: argument {name}: invalid int value: {value!r}") from None
+        elif read not in (None, str) and value not in read:
+            choices = ", ".join(map(repr, read))
+            raise BundleError(f"{prog}: argument {name}: invalid choice: {value!r} (choose from {choices})")
+        values[name] = value
+    if isinstance(entry, dict):
+        raise BundleError(f"{prog}: expected one of {', '.join(map(repr, entry))}")
+    handler, operands, _ = entry
+    missing = [*operands[len(given):], *(o for o, v in values.items() if v is ...)]
+    if missing:
+        raise BundleError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    extras += given[len(operands):] + ["--"] * (dashed and not after)
+    if extras:
+        raise BundleError(f"nijleib: unrecognized arguments: {' '.join(extras)}")
+    options = {o[2:].replace("-", "_"): v for o, v in values.items()}
+    return handler, SimpleNamespace(**dict(zip(operands, given)), **options)
+
+
+def build_parser():
+    """The parser of every verb: a command line to its action's handler and arguments."""
+    return functools.partial(_parse, _VERBS)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # Only the named verb's parsers are built.  No verb, an unknown one or a
-    # help request gets the full parser, whose error and help lines name
-    # every verb.
-    verb = argv[0] if argv and argv[0] in _VERBS and not {"-h", "--help"} & set(argv) else None
-    parser = build_parser(verb)
-    # glue values onto options whose arguments may start with a minus sign
-    merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--range", "--weight") and i + 1 < len(argv):
-            merged.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            merged.append(tok)
-            i += 1
     try:
-        args = parser.parse_args(merged)
-        return args.fn(args)
+        handler, args = build_parser()(argv)
+        return handler(args)
     except (NijleibError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -37,8 +37,15 @@ The package keeps vectors sparse; the dense vector helpers `zero_vector`,
 `bilinear_tensor_is_zero` serve the dense oracles here.  `dense_kernel_basis`
 fills the canonical kernel basis into dense vectors slot by slot, the way
 `linalg.kernel_basis` did before it became the view of `_kernel_rows`.
+`from_structure` builds an algebra from dense structure constants
+(`bilinear_tensor`), the way the tests write small algebras out.
 `transport` moves an algebra, its operator and its adjoint representation
 to another basis by dense products (`dense_product`, `dense_inverse`).
+
+`argparse_parser` is the command line as argparse declared it, verb by
+verb, before `cli` read it from its own table; `argparse_parse` and
+`argparse_main` parse and run a command line through it, with the same
+handlers, as `cli.main` did.
 
 `slow_cohomology_dims` (on `slow_complex`) ranks every coboundary matrix
 whole and decides every junction by the whole product and its
@@ -46,6 +53,8 @@ whole and decides every junction by the whole product and its
 on pivot rows and compressed matrices.
 """
 
+import argparse
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
@@ -54,8 +63,25 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from nijleib.algebra import Counterexample, LeibnizAlgebra, Representation
-from nijleib.algebra import _bracket
+from nijleib.algebra import _bracket, _table
+from nijleib.cli import (
+    EXIT_INVALID,
+    _cmd_cohomology,
+    _cmd_deform_check,
+    _cmd_deform_cocycle,
+    _cmd_deform_twist,
+    _cmd_extend_build,
+    _cmd_extend_compare,
+    _cmd_extend_extract,
+    _cmd_induce_bracket,
+    _cmd_induce_rep,
+    _cmd_search,
+    _cmd_selfcheck,
+    _cmd_verify,
+)
 from nijleib.cochain import (
+    COMPLEX_KINDS,
+    PHI_VARIANTS,
     Cochain,
     CohomologyReport,
     DegreeEntry,
@@ -63,7 +89,7 @@ from nijleib.cochain import (
     coboundary_matrix,
     star_structures,
 )
-from nijleib.errors import BundleError, ShapeError
+from nijleib.errors import BundleError, NijleibError, ShapeError
 from nijleib.linalg import (
     Matrix,
     _eliminate,
@@ -75,6 +101,7 @@ from nijleib.linalg import (
     rank,
     row_times,
 )
+from nijleib.operators import OPERATOR_KINDS, WEIGHT_CONVENTIONS
 
 
 def zero_vector(n: int):
@@ -125,6 +152,24 @@ def dense_kernel_basis(m: Matrix):
             if free != p:
                 vectors[free][p] = frac(-e)
     return [tuple(v) for v in vectors.values()]
+
+
+def bilinear_tensor(entries):
+    """A nested list of structure constants as a tuple tensor of Fractions."""
+    return tuple(tuple(tuple(frac(c) for c in vec) for vec in row) for row in entries)
+
+
+def from_structure(structure, basis=None) -> LeibnizAlgebra:
+    """The algebra with the dense structure constants structure[a][b][k],
+    [e_a, e_b] = sum_k structure[a][b][k] e_k, on `basis` (e1, e2, ... by
+    default)."""
+    tensor = bilinear_tensor(structure)
+    dim = len(tensor)
+    if any(len(row) != dim or any(len(v) != dim for v in row) for row in tensor):
+        raise ShapeError("structure tensor is not dim x dim x dim")
+    if basis is None:
+        basis = tuple(f"e{i + 1}" for i in range(dim))
+    return LeibnizAlgebra(dim, tuple(basis), _table(tensor))
 
 
 def unit(alg, i):
@@ -219,7 +264,7 @@ def transport(alg, n_op, q):
                              for r in basis]) for a in basis)
 
     rep = Representation(actions(True), actions(False), Matrix(n_moved), module_dim=d)
-    return LeibnizAlgebra.from_structure(moved, alg.basis), Matrix(n_moved), rep
+    return from_structure(moved, alg.basis), Matrix(n_moved), rep
 
 
 def slow_direct_sum(a, b):
@@ -367,7 +412,7 @@ def any_brackets(draw, dim=None):
     entry = draw(
         st.sampled_from((st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2)), st.fractions(-3, 3, max_denominator=4)))
     )
-    return LeibnizAlgebra.from_structure(
+    return from_structure(
         [[[draw(entry) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     )
 
@@ -616,3 +661,151 @@ def assert_same_values(got, want, integral):
         assert all(row.values()), f"row {i} stores a zero"
         if integral:
             assert all(type(x) is int for x in row.values()), f"row {i} holds a non-int entry"
+
+
+# The command line as argparse declared it, the oracle of `cli.build_parser`:
+# the same verbs, actions, operands, options and handlers.
+
+
+def _add_kind_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", default="nijenhuis", choices=OPERATOR_KINDS)
+    p.add_argument("--weight", default=None, help="rational weight for weighted kinds")
+    # None when not given, so that a convention passed to another kind is an error
+    p.add_argument("--convention", default=None, choices=WEIGHT_CONVENTIONS)
+
+
+def _add_action(actions, name: str, fn, help: str, *operands: str) -> argparse.ArgumentParser:
+    """The parser of one action: its positional operands and its handler; the
+    caller adds its options.  An option it does not declare exits 2."""
+    p = actions.add_parser(name, help=help)
+    for operand in operands:
+        p.add_argument(operand)
+    p.set_defaults(fn=fn)
+    return p
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line like any other invalid input: one
+    `error:` line and exit 2, instead of a usage block.  -h/--help writes the
+    usage to stderr and then exits the same way, since it prints no report.
+    Subparsers, and their own subparsers, inherit it."""
+
+    def error(self, message):
+        raise BundleError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        super().print_help(sys.stderr)
+
+    def exit(self, status=0, message=None):  # reached only through -h/--help
+        raise BundleError(f"{self.prog}: usage printed, no report")
+
+
+def _add_verify(sub) -> None:
+    p = _add_action(sub, "verify", _cmd_verify, "verify algebra/operator/representation identities", "bundle")
+    _add_kind_options(p)
+    p.add_argument("--no-verify", action="store_true", help="skip ingest verification")
+
+
+def _add_induce(sub) -> None:
+    induce = sub.add_parser("induce", help="induced star bracket or representation")
+    actions = induce.add_subparsers(dest="action", required=True)
+    _add_action(actions, "bracket", _cmd_induce_bracket, "the star bracket, as a bundle", "bundle")
+    _add_action(actions, "rep", _cmd_induce_rep, "the induced representation", "bundle")
+
+
+def _add_cohomology(sub) -> None:
+    p = _add_action(sub, "cohomology", _cmd_cohomology, "cohomology dimensions of a complex", "bundle")
+    p.add_argument("--complex", default="la", choices=COMPLEX_KINDS)
+    p.add_argument("--max-degree", type=int, default=2)
+    p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
+
+
+def _add_search(sub) -> None:
+    p = _add_action(sub, "search", _cmd_search, "exhaustive operator grid classification", "bundle")
+    _add_kind_options(p)
+    p.add_argument("--range", required=True, help="entry numerator range, e.g. -2..2")
+    p.add_argument("--den", type=int, default=1)
+
+
+def _add_selfcheck(sub) -> None:
+    p = _add_action(sub, "selfcheck", _cmd_selfcheck, "chain-map and d*d junction diagnostics", "bundle")
+    p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
+    p.add_argument("--max-degree", type=int, default=2)
+
+
+def _add_deform(sub) -> None:
+    deform = sub.add_parser("deform", help="truncated formal deformation checks")
+    actions = deform.add_subparsers(dest="action", required=True)
+    _add_action(actions, "check", _cmd_deform_check, "the deformation equations", "bundle", "deformation")
+    p = _add_action(actions, "twist", _cmd_deform_twist, "the deformation twisted by a formal isomorphism",
+                    "bundle", "deformation")
+    p.add_argument("--iso", required=True, help="JSON file with the formal isomorphism")
+    p = _add_action(actions, "cocycle", _cmd_deform_cocycle, "is the infinitesimal a cocycle",
+                    "bundle", "deformation")
+    p.add_argument("--phi", default="full", choices=PHI_VARIANTS)
+
+
+def _add_extend(sub) -> None:
+    extend = sub.add_parser("extend", help="abelian extension build/extract/compare")
+    actions = extend.add_subparsers(dest="action", required=True)
+    _add_action(actions, "build", _cmd_extend_build, "build and check the extension", "bundle", "extension")
+    _add_action(actions, "extract", _cmd_extend_extract, "the cocycle pair of a section", "bundle", "extension")
+    p = _add_action(actions, "compare", _cmd_extend_compare, "are two extensions related by a corner",
+                    "bundle", "extension", "other")
+    p.add_argument("--corner", required=True, help="JSON file with the corner block")
+
+
+# Each verb's parser, in the order the root parser lists them.
+_VERBS = {
+    "verify": _add_verify,
+    "induce": _add_induce,
+    "cohomology": _add_cohomology,
+    "search": _add_search,
+    "selfcheck": _add_selfcheck,
+    "deform": _add_deform,
+    "extend": _add_extend,
+}
+
+
+def _root_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """A root parser with no verb yet, and the action its verbs are added to."""
+    parser = _Parser(
+        prog="nijleib",
+        description="Exact verification engine for Nijenhuis operators on Leibniz algebras",
+    )
+    return parser, parser.add_subparsers(dest="command", required=True)
+
+
+@lru_cache(maxsize=None)
+def argparse_parser() -> argparse.ArgumentParser:
+    """The root parser with the parsers of every verb."""
+    parser, sub = _root_parser()
+    for add in _VERBS.values():
+        add(sub)
+    return parser
+
+
+def argparse_parse(argv):
+    """`argv` parsed as `cli.main` parsed it with argparse: an exact --range or
+    --weight glued to the next token, which may then start with a minus sign."""
+    merged = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in ("--range", "--weight") and i + 1 < len(argv):
+            merged.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            merged.append(tok)
+            i += 1
+    return argparse_parser().parse_args(merged)
+
+
+def argparse_main(argv) -> int:
+    """`cli.main` on the argparse parser: the same handlers and exit codes."""
+    try:
+        args = argparse_parse(argv)
+        return args.fn(args)
+    except (NijleibError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID

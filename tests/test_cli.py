@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import resource
 import shlex
 import subprocess
@@ -17,8 +18,10 @@ from nijleib import adjoint_representation, cli, linalg
 from nijleib.bundles import AlgebraBundle, serialize_algebra_bundle
 from nijleib.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
 from nijleib.cochain import COMPLEX_KINDS, PHI_VARIANTS
+from nijleib.errors import BundleError
 from nijleib.linalg import format_rational, parse_rational
 from nijleib.operators import WEIGHT_CONVENTIONS
+from oracles import argparse_main, argparse_parse
 
 
 def run(capsys, *argv):
@@ -221,6 +224,11 @@ def _assert_one_error_line(err, help_asked, context):
     assert len(lines) == 1 or (help_asked and lines[0].startswith("usage: nijleib")), (context, err)
 
 
+def _asks_help(token):
+    """-h, --help or a prefix of it that no other option shares."""
+    return token == "-h" or (len(token) > 2 and "--help".startswith(token))
+
+
 def _assert_exit_contract(argv, where):
     """Exit 0, 1 or 2; exit 0/1 print a report and nothing on stderr, exit 2
     prints no report and exactly one error: line.  Returns the exit code."""
@@ -231,7 +239,7 @@ def _assert_exit_contract(argv, where):
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INVALID), (argv, where)
     if code == EXIT_INVALID:
         assert out == "", (argv, where)
-        _assert_one_error_line(err, {"-h", "--help"} & set(argv), (argv, where))
+        _assert_one_error_line(err, any(_asks_help(token) for token in argv), (argv, where))
     else:
         assert err == "", (argv, where, err)
         # a report without a verdict (a printed bundle or deformation) passes
@@ -340,13 +348,22 @@ OPTION_VALUES = {
 }
 
 
+# tokens at the edges of the option grammar: `--`, operands that start with
+# "-", prefixes, and values after `=`
+EDGE_TOKENS = ["--", "-", "-5", "-1.5", "-x", "-x y", "--max=1", "--ra", "--he", "--no-verify=1"]
+
+
 @st.composite
-def cli_argument_lists(draw, fixtures_dir):
+def cli_argument_lists(draw, fixtures_dir, edge=False):
     """A verb and an action, operands, and options of that action and of any
     other, each mostly fitting; with whether the table above makes the line
-    malformed."""
+    malformed.  With `edge`, options may be abbreviated, values may be
+    EDGE_TOKENS, and up to two more EDGE_TOKENS go anywhere in the line, which
+    then says nothing about whether it is malformed (None)."""
 
     def value(fitting, unfitting):
+        if edge and not draw(st.integers(0, 5)):
+            return draw(st.sampled_from(EDGE_TOKENS))
         name = draw(st.sampled_from(fitting if draw(st.integers(0, 3)) else unfitting))
         return fx(fixtures_dir, name) if name in FIXTURE_NAMES else name
 
@@ -363,7 +380,7 @@ def cli_argument_lists(draw, fixtures_dir):
     siblings = sorted({o for c, (_, opts, _) in CLI_ACTIONS.items() if c[0] == command[0] for o in opts})
     options += [draw(st.sampled_from(siblings + sorted(OPTION_VALUES)))] if draw(st.booleans()) else []
     for option in draw(st.permutations(options)):
-        argv.append(option)
+        argv.append(option[: draw(st.integers(4, len(option)))] if edge else option)
         if OPTION_VALUES[option] is not None:
             argv.append(value(*OPTION_VALUES[option]))
     malformed = (
@@ -372,6 +389,10 @@ def cli_argument_lists(draw, fixtures_dir):
         or any(option not in declared for option in options)
         or not set(required) <= set(options)
     )
+    if edge:
+        for token in draw(st.lists(st.sampled_from(EDGE_TOKENS), max_size=2)):
+            argv.insert(draw(st.integers(0, len(argv))), token)
+        malformed = None
     return argv, malformed
 
 
@@ -386,31 +407,60 @@ def test_exit_code_contract_on_argument_lists(fixtures_dir, data):
         assert code == EXIT_INVALID, argv
 
 
-def _outcome(argv):
+def _outcome(argv, entry=main):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = entry(argv)
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def _parsed(parse, argv):
+    """The handler and the values that `parse` reads off `argv`, or None when
+    it refuses the command line."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return parse(argv)
+    except BundleError:
+        return None
+
+
+def _by_argparse(argv):
+    args = vars(argparse_parse(argv))
+    del args["command"]
+    args.pop("action", None)
+    return args.pop("fn"), args
+
+
+def _by_table(argv):
+    handler, args = cli.build_parser()(argv)
+    return handler, vars(args)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_verb_parser_reports_like_the_full_parser(fixtures_dir, monkeypatch, data):
-    # main builds only the parsers of the verb it is given; any command line
-    # must give the same exit code, report and error line as on the parser
-    # of every verb
-    argv, _ = data.draw(cli_argument_lists(fixtures_dir))
-    verb_only = _outcome(argv)
-    full = cli.build_parser()
-    with monkeypatch.context() as m:
-        m.setattr(cli, "build_parser", lambda verb=None: full)
-        assert _outcome(argv) == verb_only, argv
+def test_parser_reads_like_argparse(fixtures_dir, data):
+    # the argparse declarations in tests/oracles.py are the oracle of the
+    # table parser: the same exit code and report on every command line, and
+    # on those argparse accepts, the same handler, operands and option values
+    argv, _ = data.draw(cli_argument_lists(fixtures_dir, edge=True))
+    want = _parsed(_by_argparse, argv)
+    if want is not None and [] in want[1].values():
+        # argparse strips a second `--`, an operand, to an empty list, on
+        # which the handlers raised TypeError; the table reads the file `--`
+        want = want[0], {key: "--" if value == [] else value for key, value in want[1].items()}
+        assert _parsed(_by_table, argv) == want and _outcome(argv)[0] == EXIT_INVALID, argv
+        return
+    assert _parsed(_by_table, argv) == want, argv
+    assert _outcome(argv)[:2] == _outcome(argv, argparse_main)[:2], argv
+
+
+def _readme_cli_block():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    return text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
 
 
 def _readme_cli_lines():
-    text = (Path(__file__).parent.parent / "README.md").read_text()
-    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("nijleib ")]
+    return [shlex.split(line)[1:] for line in _readme_cli_block().splitlines() if line.startswith("nijleib ")]
 
 
 def test_readme_cli_block_runs(monkeypatch):
@@ -422,6 +472,102 @@ def test_readme_cli_block_runs(monkeypatch):
         assert _assert_exit_contract(argv, "README") in (EXIT_PASS, EXIT_FAIL), argv
     shown = {tuple(argv[: len(command)]) for argv in lines for command in CLI_ACTIONS}
     assert set(CLI_ACTIONS) <= shown
+
+
+def test_usage_lines_are_the_readme_comment_lines(capsys):
+    # -h prints one usage line per action, generated from the table, and the
+    # README's CLI block opens each action's examples with the same line
+    comments = [line[2:] for line in _readme_cli_block().splitlines() if line.startswith("# ")]
+    lines = cli._usage("nijleib", cli._VERBS)
+    assert len(lines) == len(CLI_ACTIONS)
+    for line in lines:
+        usage = line.removeprefix("nijleib ")
+        assert any(c == usage or c.startswith(usage + "  ") for c in comments), usage
+    code, out, err = run(capsys, "deform", "-h")
+    deform = [line for line in lines if line.startswith("nijleib deform ")]
+    assert err.splitlines()[:-1] == ["usage: " + deform[0], *("       " + line for line in deform[1:])]
+
+
+def _args(*argv):
+    """The values the table parser reads off `argv`, or None if it refuses it."""
+    parsed = _parsed(_by_table, list(argv))
+    return parsed and parsed[1]
+
+
+def test_option_grammar(capsys, fixtures_dir):
+    bundle = fx(fixtures_dir, "loday2_classified.json")
+    # an option by its name or a unique prefix, its value next or after `=`;
+    # the last occurrence wins, and options and operands interleave
+    want = {"bundle": bundle, "complex": "nla", "max_degree": 1, "phi": "full"}
+    for argv in (
+        (bundle, "--max", "1", "--co", "nla"),
+        (bundle, "--max=1", "--co=nla"),
+        (bundle, "--max-degree", "0", "--complex", "no", "--max-degree=1", "--complex=nla"),
+        ("--complex", "nla", bundle, "--max-degree", "1"),
+    ):
+        assert _args("cohomology", *argv) == want, argv
+    # `--` is dropped and every token after it is an operand; after the last
+    # option some operand must follow
+    assert _args("verify", "--", bundle)["bundle"] == bundle
+    assert _args("verify", bundle, "--")["bundle"] == bundle
+    assert run(capsys, "verify", "--", bundle)[0] == run(capsys, "verify", bundle, "--")[0] == EXIT_PASS
+    assert _args("verify", "--", "-h")["bundle"] == "-h"
+    assert _args("verify", "--no-verify", bundle, "--")["no_verify"] is True
+    assert _args("verify", bundle, "--no-verify", "--") is None
+    # a second `--` is an operand too (argparse made it an empty list)
+    assert _args("deform", "check", "--", bundle, "--")["deformation"] == "--"
+    # an exact --range or --weight takes the next token whatever it is;
+    # every other option, an abbreviated --ra included, refuses one that
+    # looks like an option
+    assert _args("search", bundle, "--range", "-1..1")["range"] == "-1..1"
+    assert _args("search", bundle, "--range", "0..1", "--weight", "--kind")["weight"] == "--kind"
+    for argv in (("search", bundle, "--ra", "-1..1"), ("deform", "twist", bundle, bundle, "--iso", "-x"),
+                 ("verify", bundle, "--kind", "-h"), ("cohomology", bundle, "--phi", "--", "full")):
+        assert _args(*argv) is None, argv
+    # a negative number, `-` and a token with a space are operands or values
+    for operand in ("-5", "-", "-1.5", "-x y"):
+        assert _args("verify", operand)["bundle"] == operand
+    # int options are read by int()
+    for text, value in (("-1", -1), ("+1", 1), (" 1", 1), ("1_0", 10), ("\u0663", 3)):
+        assert _args("cohomology", bundle, "--max-degree", text)["max_degree"] == value
+    refused = [
+        ("verify", bundle, "--no-verify=1"),  # a flag takes no value
+        ("cohomology", bundle, "--max-degree", "1" * 5000),
+        ("cohomology", bundle, "--complex", "xyz"),
+        ("cohomology", bundle, "--=1"),  # a prefix of every option
+        ("search", bundle),  # --range is required
+        ("verify",),
+        ("verify", bundle, bundle),
+        ("deform", "--phi", "printed", "cocycle", bundle, bundle),  # an option before its action
+        ("deform", "--phi", "cocycle", bundle, bundle),
+        ("xyz", bundle),
+        ("deform", "xyz", bundle, bundle),
+        ("deform",),
+        ("cohomology", bundle, "-max-degree", "1"),
+    ]
+    for argv in refused:
+        assert _args(*argv) is None, argv
+
+
+def test_help_prints_usage_unless_an_earlier_token_fails(capsys, fixtures_dir):
+    bundle = fx(fixtures_dir, "loday2_classified.json")
+    for argv in (["--he"], ["verify", "--h"], ["cohomology", bundle, "--help", "--complex", "bad"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, ""), argv
+        assert err.startswith("usage: nijleib") and err.count("error:") == 1, (argv, err)
+    # tokens are read left to right: the bad choice fails before --help
+    for argv in (["cohomology", bundle, "--complex", "bad", "--help"], ["search", bundle, "--weight", "--kind"],
+                 ["-h=1"], ["verify", "-hx"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "") and err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+def test_operand_files_are_opened_as_named(capsys, fixtures_dir):
+    # an empty operand names no file; a path through a file names none either
+    code, out, err = run(capsys, "verify", "")
+    assert (code, out, err) == (EXIT_INVALID, "", "error: [Errno 2] No such file or directory: ''\n")
+    code, out, err = run(capsys, "verify", fx(fixtures_dir, "loday2_classified.json") + "/")
+    assert (code, out) == (EXIT_INVALID, "") and err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_missing_file_is_invalid(capsys, fixtures_dir):
@@ -1053,6 +1199,20 @@ def test_startup_imports_neither_dataclasses_nor_inspect():
     check = "import sys, nijleib.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_startup_imports_neither_argparse_nor_pathlib():
+    """The command line is read off a table and operand files with open(), so
+    importing `nijleib.cli` loads neither argparse nor the gettext it pulls in;
+    and without `site`, whose .pth files may load it, no pathlib either."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for flags, check, want in (
+        ([], "sorted({'argparse', 'gettext'} & set(sys.modules))", "[]"),
+        (["-S"], "'pathlib' in sys.modules", "False"),
+    ):
+        code = f"import sys, nijleib.cli; print({check})"
+        proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", ""), flags
 
 
 def test_entry_point_installed(fixtures_dir):

@@ -50,7 +50,7 @@ from nijleib.operators import (
     search_operators_grid,
 )
 from nijleib.operators import _p_coefficients
-from oracles import vec_add, vec_sub
+from oracles import from_structure, vec_add, vec_sub
 from oracles import any_brackets, bilinear_eval, diag, slow_defect, slow_induced_actions, slow_star, unit
 
 
@@ -148,7 +148,7 @@ def sparse_brackets(draw):
     operators pass; they need not satisfy the Leibniz identity."""
     dim = draw(st.sampled_from((1, 2, 3)))
     entry = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2))
-    return LeibnizAlgebra.from_structure(
+    return from_structure(
         [[[draw(entry) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     )
 
