@@ -121,6 +121,8 @@ def _defect_table(p: tuple, triples) -> dict:
     alpha, beta, gamma = p
     terms = defaultdict(list)
     for t, outer, inner in triples:
+        if not t:  # every term carries T
+            continue
         outer_cols = _columns(outer)
         inner_cols = outer_cols if inner is outer else _columns(inner)
         for (a, b), c in t.items():

@@ -54,14 +54,20 @@ def _require_count(obj, key, where) -> int:
     return value
 
 
-def to_json(value):
+def to_json(value, _rows=None):
     """The JSON form of a value: a Matrix becomes its list of rows, a tuple or
     a list a list of JSON forms, a Fraction its canonical string; anything
-    else is returned as is."""
+    else is returned as is.  A row object that several matrices share (as the
+    leaves of a grid search do) is formatted once per call, and its list is
+    shared too."""
+    rows = {} if _rows is None else _rows  # (id of a stored row, width) -> its list
     if isinstance(value, Matrix):  # an int entry formats as its Fraction would
-        return [[format_rational(row.get(j, 0)) for j in range(value.cols)] for row in value.nz]
+        for row in value.nz:
+            if (id(row), value.cols) not in rows:
+                rows[id(row), value.cols] = [format_rational(row.get(j, 0)) for j in range(value.cols)]
+        return [rows[id(row), value.cols] for row in value.nz]
     if isinstance(value, (tuple, list)):
-        return [to_json(v) for v in value]
+        return [to_json(v, rows) for v in value]
     if isinstance(value, Fraction):
         return format_rational(value)
     return value

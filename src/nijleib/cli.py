@@ -96,7 +96,11 @@ def _kind_from_args(args) -> OperatorKind:
 
 
 def _read(path: str) -> str:
-    with open(path) as f:
+    try:
+        f = open(path)
+    except ValueError as exc:  # a NUL byte in the operand, which no file name holds
+        raise BundleError(f"{exc}: {path!r}") from None
+    with f:
         return f.read()
 
 

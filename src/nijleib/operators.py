@@ -14,7 +14,10 @@ the bracket table to the basis pairs it reaches.  `operator_defect` runs it on
 the rows of the operator as stored (`Matrix.nz`) and returns its nonzero values,
 and `check_operator` reads the first witness off them; `defect_polynomial` runs
 it with the rows held as polynomials in the entries of N (`_Poly`), which is
-what compiles the grid search.  The star bracket is the kernel
+what compiles the grid search; its walk solves each level for integer roots
+and shares one row object per numerator tuple among its leaves, which are
+confirmed on ints (an operator with Fraction entries as the int matrix sN).
+The star bracket is the kernel
 `algebra._star_table`: `induced_bracket` is its value on the bracket table,
 and `induced_representation` reads the induced actions off its value on the
 semidirect product.  An `OperatorKind` is a frozen record
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterator, Optional
 
 from ._record import record
@@ -104,13 +107,19 @@ def operator_defect(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> dict:
 
     Bilinearity extends a vanishing defect to all inputs, so an empty table
     means the identity holds.  This is `_defect_table` over the bracket table
-    of `alg` and the rows of `n` as the matrix stores them (int entries stay
-    ints in the kernel); only the values it returns become Fractions.
+    of `alg` and rows of int entries; only the values it returns become
+    Fractions.  An `n` with int entries enters as stored (`Matrix.nz`), one
+    with Fraction entries as the int matrix M = sN, s the LCM of its
+    denominators, with p' = (alpha s^2, beta s, gamma), and the values are
+    divided by s^2, since D_K(M / s) = D_K'(M) / s^2.
     """
     if n.rows != alg.dim or n.cols != alg.dim:
         raise ShapeError("operator dimension does not match the algebra")
-    values = _defect_table(_p_coefficients(kind), ((alg.table, n.nz, n.nz),))
-    return {pair: {k: frac(c) for k, c in vec.items()} for pair, vec in values.items()}
+    alpha, beta, gamma = _p_coefficients(kind)
+    s = lcm(*[x.denominator for row in n.nz for x in row.values() if type(x) is not int])
+    rows = n.nz if s == 1 else tuple({j: x.numerator * (s // x.denominator) for j, x in row.items()} for row in n.nz)
+    values = _defect_table((alpha * s * s, beta * s, gamma), ((alg.table, rows, rows),))
+    return {pair: {k: Fraction(c, s * s) for k, c in vec.items()} for pair, vec in values.items()}
 
 
 def check_operator(alg: LeibnizAlgebra, n: Matrix, kind: OperatorKind) -> Optional[Counterexample]:
@@ -287,12 +296,17 @@ def search_operators_grid(
 
     The defect components are compiled once (`defect_polynomial`) into
     integer polynomials in the numerators.  A depth-first walk fixes the
-    entries in row-major order, values ascending, and cuts a subtree at the
-    first component that has all its variables fixed and does not vanish.
-    Each surviving candidate is confirmed by `check_operator`, whose cost is
-    one pass of `_defect_table` over the bracket table, so a leaf on an
-    abelian algebra costs no bracket work.  The leaf matrix is built from
-    trusted rows, its entries normalised by `_entry` once per grid value.
+    entries in row-major order.  At each level the components whose last
+    variable it is read base + v * (slope + square * v) = 0, and the level
+    takes only their common integer roots v in [lo, hi], ascending
+    (`_solve_level`); so the walk admits exactly the operators of the kind.
+    The entries past the deepest level with a component are free, and the
+    leaves below it are the product of each row's choices.  A leaf matrix
+    is built from trusted rows, one object per tuple of numerators shared by
+    every leaf, its entries normalised by `_entry` once per grid value.
+    Each leaf is confirmed by `check_operator`, one pass of
+    `_defect_table` over the bracket table on ints, so a leaf on an abelian
+    algebra costs no bracket work.
     """
     if denominator < 1:
         raise PreconditionError("denominator must be positive")
@@ -315,24 +329,57 @@ def search_operators_grid(
     numerators = range(lo, hi + 1)
     # a 0-dim algebra has one candidate, with no entries to read
     entry = {v: _entry(Fraction(v, denominator)) for v in numerators} if k else {}
-    p = [0] * k + [1]
+    deep = max((t + 1 for t in range(k) if by_last[t]), default=0)
+    first = deep // dim if k else 0
+    p, fixed_rows = [0] * k + [1], [None] * dim
+    rows: dict = {}  # numerator tuple -> its row, one object for every leaf
     found = []
 
+    def row(key: tuple) -> dict:
+        if key not in rows:
+            rows[key] = {c: entry[v] for c, v in enumerate(key) if v}
+        return rows[key]
+
     def walk(t: int) -> None:
-        if t == k:
-            rows = (p[r * dim : (r + 1) * dim] for r in range(dim))
-            m = Matrix._of(tuple({c: entry[v] for c, v in enumerate(row) if v} for row in rows), dim)
+        if t < deep:
+            tests = [
+                (sum(c * p[a] * p[b] for a, b, c in below), sum(c * p[a] for a, c in cross), square)
+                for below, cross, square in by_last[t]
+            ]
+            for v in _solve_level(tests, numerators):
+                p[t] = v
+                if t % dim == dim - 1:
+                    fixed_rows[t // dim] = row(tuple(p[t + 1 - dim : t + 1]))
+                walk(t + 1)
+            return
+        # no test reads the entries from `deep` on: each row holding one takes its choices in grid order
+        choices = []
+        for r in range(first, dim):
+            lead = tuple(p[r * dim : deep])  # empty past the row of `deep`
+            choices.append([row(lead + tail) for tail in product(numerators, repeat=dim - len(lead))])
+        head = tuple(fixed_rows[:first])
+        for tail in product(*choices):
+            m = Matrix._of(head + tail, dim)
             if check_operator(alg, m, kind) is None:
                 found.append(m)
-            return
-        tests = [
-            (sum(c * p[a] * p[b] for a, b, c in below), sum(c * p[a] for a, c in cross), square)
-            for below, cross, square in by_last[t]
-        ]
-        for v in numerators:
-            if all(base + v * (slope + square * v) == 0 for base, slope, square in tests):
-                p[t] = v
-                walk(t + 1)
 
     walk(0)
     return found
+
+
+def _solve_level(tests: list, numerators: range) -> list:
+    """The numerators v, ascending, with base + v * (slope + square * v) = 0
+    for every test (base, slope, square): the integer roots of the first test
+    that v enters, in range and passing the others."""
+    lead = next(((b, s, q) for b, s, q in tests if s or q), None)
+    if lead is None:
+        return [] if any(b for b, _, _ in tests) else numerators
+    base, slope, square = lead
+    if not square:
+        roots = [-base // slope] if base % slope == 0 else []
+    else:
+        disc = slope * slope - 4 * square * base
+        r = isqrt(max(disc, 0))
+        ends = (-r, r) if r * r == disc else ()
+        roots = sorted({(e - slope) // (2 * square) for e in ends if (e - slope) % (2 * square) == 0})
+    return [v for v in roots if v in numerators and all(b + v * (s + q * v) == 0 for b, s, q in tests)]

@@ -1,6 +1,7 @@
 """File formats: strict parsing, canonical serialization, round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -15,9 +16,12 @@ from nijleib.bundles import (
     serialize_deformation,
     serialize_extension,
     serialize_isomorphism,
+    to_json,
 )
+from nijleib.algebra import catalog_get
 from nijleib.errors import BundleError
 from nijleib.linalg import Matrix, frac
+from nijleib.operators import nijenhuis, search_operators_grid
 
 
 def test_parse_fixture_bundle(fixtures_dir):
@@ -160,6 +164,21 @@ def test_extension_with_a_zero_dim_fiber_round_trips():
     assert (ext.pair.chi.as_matrix().rows, ext.pair.chi.as_matrix().cols) == (0, 2)
     assert serialize_extension(ext) == text
     assert parse_extension(serialize_extension(ext), 2) == ext
+
+
+def test_to_json_of_shared_rows_formats_each_matrix_alone():
+    """Matrices that share row objects, at other positions and in matrices of
+    other widths, give the JSON of each matrix formatted alone; so do the
+    leaves of a grid search, which share their rows."""
+    r0, r1, r2 = {0: 1}, {1: Fraction(-1, 2)}, {}
+    a, b, c = Matrix._of((r0, r1), 2), Matrix._of((r1, r0), 2), Matrix._of((r2, r0, r1), 3)
+    value = [a, b, (c, [a, b]), Fraction(1, 3)]
+    alone = [to_json(a), to_json(b), [to_json(c), [to_json(a), to_json(b)]], "1/3"]
+    assert alone[:3] == [[["1", "0"], ["0", "-1/2"]], [["0", "-1/2"], ["1", "0"]], alone[2]]
+    assert alone[2][0] == [["0", "0", "0"], ["1", "0", "0"], ["0", "-1/2", "0"]]
+    assert to_json(value) == alone
+    found = search_operators_grid(catalog_get("dsum(loday2,abelian1)"), nijenhuis(), -1, 1, 2)
+    assert emit_json(to_json(found)) == emit_json([to_json(m) for m in found])
 
 
 def test_emit_json_is_canonical():

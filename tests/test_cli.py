@@ -570,6 +570,14 @@ def test_operand_files_are_opened_as_named(capsys, fixtures_dir):
     assert (code, out) == (EXIT_INVALID, "") and err.startswith("error:") and err.count("\n") == 1, err
 
 
+def test_operand_with_a_nul_byte_is_invalid(capsys):
+    # a shell cannot pass NUL in argv, but an in-process caller can
+    for argv in (["verify", "a\x00b"], ["search", "\x00", "--range", "0..1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "") and err.startswith("error: embedded null byte"), err
+        assert err.count("\n") == 1, err
+
+
 def test_missing_file_is_invalid(capsys, fixtures_dir):
     code, _, err = run(capsys, "verify", fx(fixtures_dir, "no_such_file.json"))
     assert code == EXIT_INVALID

@@ -97,16 +97,31 @@ def slow_operator_defect(alg, n, kind):
 
 
 def slow_check_operator(alg, n, kind):
-    defect = slow_operator_defect(alg, n, kind)
+    """The dense oracle's first failing pair, each pair evaluated only once
+    the pairs before it pass."""
     for i, j in product(range(alg.dim), repeat=2):
-        if any(defect[i][j]):
-            return Counterexample(kind.describe(), (i, j), defect[i][j])
+        value = _slow_defect_value(alg, n, kind, unit(alg, i), unit(alg, j))
+        if any(value):
+            return Counterexample(kind.describe(), (i, j), value)
     return None
+
+
+def counted_search(alg, kind, lo, hi, denominator=1):
+    """`search_operators_grid`, checking that the walk admits exactly the
+    operators it returns: every leaf is confirmed by one `operator_defect`
+    call, so a walk that admits a rejected candidate makes more calls than
+    there are operators found."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "operator_defect", lambda *args: calls.append(args) or operator_defect(*args))
+        found = search_operators_grid(alg, kind, lo, hi, denominator)
+    assert len(calls) == len(found)
+    return found
 
 
 def test_grid_classification_golden(loday2):
     # compared as lists: the order of the search is the order of the CLI report
-    found = search_operators_grid(loday2, nijenhuis(), -2, 2, 1)
+    found = counted_search(loday2, nijenhuis(), -2, 2, 1)
     assert len(found) == 39
     assert found == [op for op in iter_grid_matrices(2, -2, 2) if classification_filter(op)]
 
@@ -114,8 +129,8 @@ def test_grid_classification_golden(loday2):
 def test_grid_counts_on_three_dimensional_sum():
     # brute-force counts over the 3^9 candidates of dsum(loday2,abelian1)
     alg = catalog_get("dsum(loday2,abelian1)")
-    assert len(search_operators_grid(alg, nijenhuis(), -1, 1)) == 447
-    assert len(search_operators_grid(alg, rota_baxter(), -1, 1)) == 171
+    assert len(counted_search(alg, nijenhuis(), -1, 1)) == 447
+    assert len(counted_search(alg, rota_baxter(), -1, 1)) == 171
 
 
 def test_grid_search_on_zero_dimensional_algebra():
@@ -172,16 +187,18 @@ def test_defect_polynomial_reproduces_defect(alg, kind, data):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sparse_brackets(), KINDS, st.integers(-2, 0), st.integers(1, 3), st.data())
+@given(sparse_brackets(), KINDS, st.integers(-4, 0), st.integers(1, 3), st.data())
 def test_grid_search_matches_brute_force(alg, kind, lo, denominator, data):
     """The pruned search returns exactly the candidates of the brute-force
-    grid that the dense oracle accepts, in grid order."""
-    width = data.draw(st.integers(1, {1: 5, 2: 3, 3: 2}[alg.dim]))
+    grid that the dense oracle accepts, in grid order, and its walk admits
+    no other.  The ranges put roots of the quadratic level tests at both ends
+    of the range and outside it."""
+    width = data.draw(st.integers(1, {1: 9, 2: 5, 3: 2}[alg.dim]))
     hi = lo + width - 1
     expected = [
         m for m in iter_grid_matrices(alg.dim, lo, hi, denominator) if slow_check_operator(alg, m, kind) is None
     ]
-    assert search_operators_grid(alg, kind, lo, hi, denominator) == expected
+    assert counted_search(alg, kind, lo, hi, denominator) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -235,6 +252,23 @@ def test_check_operator_transposes_nothing(monkeypatch, integral):
     verdicts = [check_operator(alg, n, kind) is None for kind in kinds]
     assert verdicts == [True, False, False, False]
     assert calls == []
+
+
+def test_rational_operator_reaches_the_kernel_as_ints(monkeypatch):
+    """`operator_defect` on N with Fraction entries hands `_defect_table` the
+    int rows of sN, s = 6 the LCM of the denominators, and every kind still
+    gives the dense oracle's verdict and witness."""
+    seen = []
+    kernel = operators._defect_table
+    monkeypatch.setattr(operators, "_defect_table", lambda p, triples: seen.append(triples) or kernel(p, triples))
+    alg = catalog_get("dsum(loday2,abelian1)")
+    n = block_diag([Matrix([[2, Fraction(1, 2)], [0, 1]]), Matrix([[Fraction(5, 3)]])])
+    kinds = (nijenhuis(), rota_baxter(), rota_baxter_weighted(2), modified_rota_baxter(Fraction(1, 2)))
+    for kind in kinds:
+        assert check_operator(alg, n, kind) == slow_check_operator(alg, n, kind)
+    scaled = tuple({j: 6 * x for j, x in row.items()} for row in n.nz)
+    assert [(a, b) for (_, a, b), in seen] == [(scaled, scaled)] * len(kinds)
+    assert all(type(x) is int for (_, a, _), in seen for row in a for x in row.values())
 
 
 def any_operator(dim):
@@ -336,24 +370,16 @@ def test_all_accepted_grid(kind):
     # every bracket of abelian3 vanishes, so every candidate is confirmed
     grid = list(iter_grid_matrices(3, 0, 1))
     assert len(grid) == 512
-    assert search_operators_grid(catalog_get("abelian3"), kind, 0, 1) == grid
+    assert counted_search(catalog_get("abelian3"), kind, 0, 1) == grid
 
 
 @pytest.mark.parametrize("kind", [nijenhuis(), rota_baxter(), rota_baxter_weighted(2)], ids=OperatorKind.describe)
-def test_grid_compile_evaluates_no_defect_tensor(monkeypatch, kind):
+def test_grid_compile_evaluates_no_defect_tensor(kind):
     """The compile evaluates each identity once per basis pair on polynomial
     columns, not on sample operators: a one-candidate grid on the 7-dim sum
     calls `operator_defect` exactly once, to confirm its one leaf."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return operator_defect(*args)
-
-    monkeypatch.setattr(operators, "operator_defect", counted)
     alg = catalog_get("dsum(loday2,dsum(loday2,dsum(square2,abelian1)))")
-    assert search_operators_grid(alg, kind, 0, 0) == [Matrix.zero(7, 7)]
-    assert len(calls) == 1
+    assert counted_search(alg, kind, 0, 0) == [Matrix.zero(7, 7)]
 
 
 def test_grid_iteration_count():
