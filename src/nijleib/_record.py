@@ -5,22 +5,27 @@ immutable value type with the behaviour of `@dataclass(frozen=True)`:
 
 - a constructor that takes the fields by position or keyword, fills in the
   class-level defaults and then calls `__post_init__`, if the class has one;
-- `__eq__` on instances of the same class, comparing the tuples of their
-  fields, and `NotImplemented` for any other operand;
-- `__hash__` of that tuple, unless the class defines its own;
+- `__eq__` on instances of the same class, comparing their keys, and
+  `NotImplemented` for any other operand;
+- `__hash__` of the key;
 - `__repr__` in the form `Name(field=value, ...)`;
 - assignment and deletion that raise `AttributeError`.
+
+A record's key is the tuple of its fields, unless the class names what it
+stores in a `_key` method: the records whose fields are views
+(`Cochain.vec`, `Representation.left`) or hold a dict (`LeibnizAlgebra`)
+are equal when their stored forms are, and hash the key with every dict in
+it frozen, computed once and kept in the instance as `_hash`.  So a hash
+costs what the record stores, and builds no view.
 
 The methods are closures over the field names, built once per class with no
 `exec` and no import of `dataclasses`, which pulls in `inspect` and the
 compiler modules and compiles six methods per class at import time.  A
-class keeps any of these methods it defines itself: the records built and
-compared most often (`LeibnizAlgebra`, `Representation`, `Cochain`,
-`AlgebraBundle`) write their `__init__` out, so they validate and store
-their fields with no generic argument binding.  Instances keep a `__dict__`,
-so `functools.cached_property` works on them; a constructor stores the
-fields past the record's `__setattr__`, and a field may be a view of what
-the instance stores (`Cochain.vec`, `Representation.left`).
+class keeps a constructor it defines itself: the records built most
+often (`LeibnizAlgebra`, `Representation`, `Cochain`) write their `__init__`
+out, so they validate and store their fields with no generic argument
+binding.  Instances keep a `__dict__`, so `functools.cached_property` works
+on them; a constructor stores the fields past the record's `__setattr__`.
 
 `replace(obj, **changes)` builds a copy through the constructor, so the
 validation runs again.
@@ -39,9 +44,27 @@ def record(cls):
     names = tuple(cls.__annotations__)
     defaults = {name: own[name] for name in names if name in own}
     cls._fields = names
-    # the tuple of the fields, also for a single field, so that == and the
-    # hash are those of the field tuple
-    key = attrgetter(*names) if len(names) > 1 else (lambda self, name=names[0]: (getattr(self, name),))
+    if "_key" in own:
+        # the stored form that the class names; its hash is computed once
+        key = own["_key"]
+
+        def __hash__(self):
+            cached = vars(self)
+            if "_hash" not in cached:
+                cached["_hash"] = hash(tuple(map(_frozen, key(self))))
+            return cached["_hash"]
+
+    else:
+        # the tuple of the fields, also for a single field
+        key = attrgetter(*names) if len(names) > 1 else (lambda self, name=names[0]: (getattr(self, name),))
+
+        def __hash__(self):
+            return hash(key(self))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
 
     if "__init__" not in own:
         post_init = own.get("__post_init__")
@@ -72,23 +95,6 @@ def record(cls):
 
         cls.__init__ = __init__
 
-    if "__eq__" not in own:
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return key(self) == key(other)
-            return NotImplemented
-
-        cls.__eq__ = __eq__
-
-    # a class body that defines __eq__ alone gets __hash__ = None
-    if own.get("__hash__") is None:
-
-        def __hash__(self):
-            return hash(key(self))
-
-        cls.__hash__ = __hash__
-
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({fields})"
@@ -99,10 +105,19 @@ def record(cls):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    cls.__eq__ = __eq__
+    cls.__hash__ = __hash__
     cls.__repr__ = __repr__
     cls.__setattr__ = __setattr__
     cls.__delattr__ = __delattr__
     return cls
+
+
+def _frozen(value):
+    """`value` with each dict in it, at any depth, made a frozenset of its items."""
+    if isinstance(value, dict):
+        return frozenset((k, _frozen(v)) for k, v in value.items())
+    return value
 
 
 def replace(obj, /, **changes):

@@ -35,9 +35,10 @@ of the semidirect product g (+) V, its values on the pairs (e_i, v_b) and
 matrices `Representation.left` and `right` are views.
 
 `Counterexample`, `LeibnizAlgebra` and `Representation` are frozen records
-(`_record.record`).  The last two are built and compared on every verb and
-key the caches of `cochain`, so their constructors and `__eq__` are written
-out, and each keeps its hash once computed.
+(`_record.record`).  The last two are built on every verb and key the caches
+of `cochain`, so their constructors are written out, and each names its
+stored form in `_key`: equality reads the tables, and the hash is that of
+the tables, kept once computed, never of the dense views.
 """
 
 from __future__ import annotations
@@ -200,18 +201,8 @@ class LeibnizAlgebra:
             entries[key] = {k: _entry(c) for k, c in vec.items()}
         vars(self).update(dim=dim, basis=basis, table=entries)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.dim, self.basis, self.table) == (other.dim, other.basis, other.table)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        entries = frozenset((key, frozenset(vec.items())) for key, vec in self.table.items())
-        return hash((self.dim, self.basis, entries))
+    def _key(self) -> tuple:
+        return self.dim, self.basis, self.table
 
     @cached_property
     def structure(self) -> BilinearTensor:
@@ -260,8 +251,8 @@ class Representation:
     views of it, built when first read; the constructor converts the given
     matrices once.  Both dimensions are stored: a 0-dim algebra has no action
     matrices.  module_operator is the module-side operator and may be None
-    for a plain Leibniz representation.  Equality reads the dimensions, the
-    table and the module operator.
+    for a plain Leibniz representation.  Equality and the hash read the
+    dimensions, the table and the module operator, never the views.
     """
 
     left: tuple[Matrix, ...]
@@ -311,16 +302,6 @@ class Representation:
 
     def _key(self) -> tuple:
         return self.algebra_dim, self.module_dim, self.table, self.module_operator
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.left, self.right, self.module_operator, self.module_dim))
 
     def with_module_operator(self, op: Optional[Matrix]) -> "Representation":
         return Representation._of(self.table, op, self.algebra_dim, self.module_dim)

@@ -120,14 +120,6 @@ class AlgebraBundle:
     operator: Optional[Matrix]
     representation: Optional[Union[str, Representation]]  # "adjoint" or explicit
 
-    def __init__(
-        self,
-        algebra: LeibnizAlgebra,
-        operator: Optional[Matrix],
-        representation: Optional[Union[str, Representation]],
-    ):
-        vars(self).update(algebra=algebra, operator=operator, representation=representation)
-
     def resolve_representation(self) -> Representation:
         if self.representation is None or self.representation == "adjoint":
             return adjoint_representation(self.algebra, self.operator)

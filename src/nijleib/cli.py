@@ -96,12 +96,13 @@ def _kind_from_args(args) -> OperatorKind:
 
 
 def _read(path: str) -> str:
+    """The operand file's text, decoded as strict UTF-8 whatever the locale; a
+    byte-order mark is kept, and the JSON parser rejects it."""
     try:
-        f = open(path)
-    except ValueError as exc:  # a NUL byte in the operand, which no file name holds
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except ValueError as exc:  # a NUL byte in the operand, or a file that is not UTF-8
         raise BundleError(f"{exc}: {path!r}") from None
-    with f:
-        return f.read()
 
 
 def _load_bundle(path: str, verify: bool = True) -> AlgebraBundle:

@@ -52,7 +52,8 @@ product per stored row (`_apply`), and sums are one `linalg.combine`.  The
 dense vector `Cochain.vec` and the tuple-keyed `Cochain.values` are views of
 it; kernel bases become cochains straight from `linalg._kernel_rows`.
 `Cochain` and the report classes are frozen records (`_record.record`);
-`Cochain`, built by every cochain sum, writes its constructor out.
+`Cochain`, built by every cochain sum, writes its constructor out, and its
+`_key` names `nz` as what equality and the hash read.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ class Cochain:
     `nz` = {index: value} of its canonical flat vector: basis tuples in
     lexicographic order, module coordinate fastest.  `vec` is the tuple the
     public constructor was given, else a dense Fraction view built when first
-    read; `values` is a tuple-keyed view.  Equality reads the dimensions and
-    `nz`."""
+    read; `values` is a tuple-keyed view.  Equality and the hash read the
+    dimensions and `nz`, never `vec`."""
 
     degree: int
     alg_dim: int
@@ -128,12 +129,6 @@ class Cochain:
 
     def _key(self) -> tuple:
         return self.degree, self.alg_dim, self.module_dim, self.nz
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.alg_dim, self.module_dim, self.vec))
 
     @classmethod
     def zero(cls, degree: int, alg_dim: int, module_dim: int) -> "Cochain":

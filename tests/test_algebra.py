@@ -521,15 +521,17 @@ def test_representation_table_agrees_with_its_action_matrices(pair):
     """A representation stores its actions as one module table; built by any
     route, its views `left` and `right` are the matrices it was given (also
     as dense rows), two representations are equal exactly when their
-    matrices, operators and both dimensions are, and equal ones hash alike,
-    as the field tuple does."""
+    matrices, operators and both dimensions are, and equal ones hash alike.
+    The hash is that of the stored form: a representation rebuilt from its
+    table hashes the same, without building a view."""
     (la, ra, oa, da, ma), (lb, rb, ob, db, mb) = pair
     dense_a, dense_b = (la, ra, oa, da, ma), (lb, rb, ob, db, mb)
     routes_b = representation_routes(*dense_b)
     for rep in representation_routes(*dense_a):
+        stored = Representation._of(dict(rep.table), rep.module_operator, rep.algebra_dim, rep.module_dim)
+        assert hash(stored) == hash(rep) and "_actions" not in vars(stored)
         assert rep.left == la and rep.right == ra and (rep.algebra_dim, rep.module_dim) == (da, ma)
         assert [x.data for x in (*rep.left, *rep.right)] == [x.data for x in (*la, *ra)]
-        assert hash(rep) == hash((rep.left, rep.right, rep.module_operator, rep.module_dim))
         for other in routes_b:
             assert (rep == other) == (dense_a == dense_b) and (rep != other) == (dense_a != dense_b)
             if rep == other:

@@ -208,11 +208,11 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _write_fresh(path, text):
+def _write_fresh(path, content):
     # a new file each time: on some filesystems truncating an existing file
     # costs tens of milliseconds, creating one a few microseconds
     path.unlink(missing_ok=True)
-    path.write_text(text)
+    (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
 
 
 def _assert_one_error_line(err, help_asked, context):
@@ -229,13 +229,19 @@ def _asks_help(token):
     return token == "-h" or (len(token) > 2 and "--help".startswith(token))
 
 
-def _assert_exit_contract(argv, where):
+def _assert_exit_contract(argv, where, proc=False):
     """Exit 0, 1 or 2; exit 0/1 print a report and nothing on stderr, exit 2
-    prints no report and exactly one error: line.  Returns the exit code."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    prints no report and exactly one error: line.  `argv` runs through `main`
+    in process, or with `proc` as `python -m nijleib.cli` in a subprocess.
+    Returns the exit code."""
+    if proc:
+        done = run_proc(*argv, text=True)
+        code, out, err = done.returncode, done.stdout, done.stderr
+    else:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INVALID), (argv, where)
     if code == EXIT_INVALID:
         assert out == "", (argv, where)
@@ -303,6 +309,80 @@ def test_exit_code_contract_on_mutated_deformation_files(fixtures_dir, tmp_path,
         ],
         "iso_linear.json": [["deform", "twist", bundle, deformation, "--iso", FUZZED]],
     })
+
+
+def _byte_fuzz_runs(fixtures_dir):
+    """Each fixture with the argument lists that read it (FUZZED stands for
+    the mutated copy), the others taken from the valid fixtures."""
+    bundle, deformation = fx(fixtures_dir, "loday2_classified.json"), fx(fixtures_dir, "deformation_twisted.json")
+    extension, other = fx(fixtures_dir, "extension_related.json"), fx(fixtures_dir, "extension_cocycle.json")
+    by_prefix = {
+        "deformation_": [["deform", "check", bundle, FUZZED]],
+        "extension_": [["extend", "build", bundle, FUZZED]],
+        "iso_": [["deform", "twist", bundle, deformation, "--iso", FUZZED]],
+        "corner": [["extend", "compare", bundle, extension, other, "--corner", FUZZED]],
+    }
+    bundle_runs = [["verify", FUZZED], ["cohomology", FUZZED, "--max-degree", "1"]]
+    return {
+        name: next((runs for prefix, runs in by_prefix.items() if name.startswith(prefix)), bundle_runs)
+        for name in FIXTURE_NAMES
+    }
+
+
+# the byte strings a mutation inserts: bytes that never occur in UTF-8 (ff,
+# fe), NUL, and the overlong encoding c0 80 of NUL
+INSERTED = [b"\xff", b"\xfe", b"\x00", b"\xc0\x80"]
+BOM = b"\xef\xbb\xbf"
+
+
+@st.composite
+def byte_mutations(draw, size):
+    """A function that mutates a file of `size` bytes: flips the bits of a
+    mask in one byte, inserts one of INSERTED, truncates, or prepends a
+    UTF-8 byte-order mark."""
+    kind = draw(st.sampled_from(["flip", "insert", "truncate", "bom"]))
+    at = draw(st.integers(0, size - 1))
+    if kind == "flip":
+        mask = draw(st.integers(1, 255))
+        return lambda data: data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :]
+    if kind == "insert":
+        token = draw(st.sampled_from(INSERTED))
+        return lambda data: data[:at] + token + data[at:]
+    if kind == "truncate":
+        return lambda data: data[:at]
+    return lambda data: BOM + data
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_exit_code_contract_on_byte_mutated_fixtures(fixtures_dir, tmp_path, data):
+    # a fixture with a byte flipped, inserted or cut off is any file a user
+    # may pass, UTF-8 or not: always exit 0, 1 or 2, never a traceback
+    name = data.draw(st.sampled_from(FIXTURE_NAMES))
+    raw = (fixtures_dir / name).read_bytes()
+    fuzzed = tmp_path / "fuzzed.json"
+    _write_fresh(fuzzed, data.draw(byte_mutations(len(raw)))(raw))
+    for argv in _byte_fuzz_runs(fixtures_dir)[name]:
+        _assert_exit_contract([str(fuzzed) if a == FUZZED else a for a in argv], name)
+
+
+# one mutation of each kind, by the fixture, the offset and the mutated bytes
+BYTE_SAMPLES = [
+    ("loday2_classified.json", lambda raw: raw[:40] + bytes([raw[40] ^ 0x80]) + raw[41:]),
+    ("deformation_twisted.json", lambda raw: raw[:7] + b"\xc0\x80" + raw[7:]),
+    ("extension_related.json", lambda raw: raw[:-5]),
+    ("corner.json", lambda raw: BOM + raw),
+    ("iso_linear.json", lambda raw: b"\xff\xfe" + raw),
+]
+
+
+@pytest.mark.parametrize("name, mutate", BYTE_SAMPLES, ids=[name for name, _ in BYTE_SAMPLES])
+def test_exit_code_contract_on_byte_mutated_fixtures_in_a_subprocess(fixtures_dir, tmp_path, name, mutate):
+    fuzzed = tmp_path / "fuzzed.json"
+    fuzzed.write_bytes(mutate((fixtures_dir / name).read_bytes()))
+    for argv in _byte_fuzz_runs(fixtures_dir)[name]:
+        argv = [str(fuzzed) if a == FUZZED else a for a in argv]
+        assert _assert_exit_contract(argv, name, proc=True) == _assert_exit_contract(argv, name), argv
 
 
 # Each action of the CLI: the kinds of its operands, the options it declares
@@ -576,6 +656,29 @@ def test_operand_with_a_nul_byte_is_invalid(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_INVALID, "") and err.startswith("error: embedded null byte"), err
         assert err.count("\n") == 1, err
+
+
+def test_operand_that_is_not_utf8_is_invalid(capsys, fixtures_dir, tmp_path):
+    # operands are decoded as strict UTF-8 whatever the locale: a file in
+    # another encoding is invalid input with one error: line, not a traceback,
+    # and so is a UTF-8 byte-order mark, which the JSON parser refuses
+    bundle = fx(fixtures_dir, "loday2_classified.json")
+    raw = Path(bundle).read_bytes()
+    utf16, bom = tmp_path / "utf16.json", tmp_path / "bom.json"
+    utf16.write_bytes(b"\xff\xfe" + raw.decode().encode("utf-16-le"))
+    bom.write_bytes(BOM + raw)
+    deformation = tmp_path / "deformation.json"
+    deformation.write_bytes(b"\xff\xfe" + (fixtures_dir / "deformation_twisted.json").read_bytes())
+    for argv in (["verify", str(utf16)], ["deform", "check", bundle, str(deformation)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "") and err.count("\n") == 1, err
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position 0") and err.endswith(f"{argv[-1]!r}\n")
+    code, out, err = run(capsys, "verify", str(bom))
+    assert (code, out) == (EXIT_INVALID, "") and err.count("\n") == 1, err
+    assert err.startswith("error: malformed JSON: Unexpected UTF-8 BOM"), err
+    done = run_proc("verify", str(utf16), text=True)
+    assert (done.returncode, done.stdout) == (EXIT_INVALID, "") and done.stderr.count("\n") == 1, done.stderr
+    assert done.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff"), done.stderr
 
 
 def test_missing_file_is_invalid(capsys, fixtures_dir):

@@ -41,8 +41,9 @@ DEFAULTS = {
     Representation: {"module_operator": None},
 }
 KW_ONLY = {Representation: {"module_dim"}}
-# classes that hash their own way: a bracket table is a dict
-OWN_HASH = {LeibnizAlgebra}
+# classes that hash their stored form (`_key`), not their field tuple: a
+# bracket table is a dict, and the actions and the dense vector are views
+OWN_HASH = {LeibnizAlgebra, Representation, Cochain}
 
 
 def _vec(n, start=0):
@@ -121,7 +122,7 @@ def _twin(cls):
 
     namespace = {"__post_init__": __post_init__}
     if cls in OWN_HASH:
-        namespace.update(__hash__=vars(cls)["__hash__"], _hash=vars(cls)["_hash"])
+        namespace["__hash__"] = lambda self: hash(cls(**{name: getattr(self, name) for name in cls._fields}))
     return dataclasses.make_dataclass(cls.__name__, spec, frozen=True, namespace=namespace)
 
 
@@ -180,17 +181,64 @@ def test_record_behaves_as_its_frozen_dataclass_twin(cls):
     assert replace(a) == a and replace(a) is not a
 
 
+def test_identity_is_written_once():
+    """Every record compares and hashes by the methods `record` builds; a class
+    that keys on its stored form names it in `_key` and writes neither out."""
+    for cls in RECORDS:
+        assert cls.__eq__.__qualname__ == "record.<locals>.__eq__", cls
+        assert cls.__hash__.__qualname__ == "record.<locals>.__hash__", cls
+        assert "_hash" not in vars(cls), cls
+    assert {cls for cls in RECORDS if "_key" in vars(cls)} == OWN_HASH
+
+
 def test_representation_module_dim_is_keyword_only():
     with pytest.raises(TypeError):
         Representation(rep.left, rep.right, op, 2)
 
 
 def test_cached_properties_live_on_the_instance():
-    """`LeibnizAlgebra.structure`, its hash and `ExtensionDatum.certificates`
-    are computed once and kept in the instance's `__dict__`."""
+    """`LeibnizAlgebra.structure`, the hash of a record with a `_key` and
+    `ExtensionDatum.certificates` are computed once and kept in the
+    instance's `__dict__`."""
     alg = LeibnizAlgebra(2, ("e1", "e2"), dict(loday2.table))
     assert alg.structure is alg.structure and "structure" in vars(alg)
-    assert hash(alg) == hash(loday2) and "_hash" in vars(alg)
+    for a, b in ((alg, loday2), (Representation._of(dict(rep.table), op, 2, 2), rep), (Cochain._of(1, 2, 2, dict(c1.nz)), c1)):
+        assert "_hash" not in vars(a) and hash(a) == hash(b) and vars(a)["_hash"] == hash(a)
     datum = ExtensionDatum(*(getattr(ext, name) for name in ExtensionDatum._fields))
     assert datum.certificates == () and datum.ok and "certificates" in vars(datum)
     assert datum == ext and repr(datum) == repr(ext)
+
+
+def test_hash_reads_the_stored_form_and_builds_no_view():
+    """A representation hashes its module table and N_V, a cochain its
+    nonzero coordinates: hashing builds neither the action matrices nor the
+    dense vector."""
+    reps = (
+        adjoint_representation(LeibnizAlgebra.abelian(200)),
+        adjoint_representation(loday2, op),
+        Representation(rep.left, rep.right, op, module_dim=2),
+    )
+    for r in reps:
+        hash(r)
+        assert "_hash" in vars(r) and "_actions" not in vars(r)
+    for f in (Cochain._of(2, 2, 2, {1: 3, 6: F(1, 2)}), Cochain.zero(3, 2, 1), c1 + c1):
+        hash(f)
+        assert "_hash" in vars(f) and "vec" not in vars(f)
+
+
+def test_equal_records_hash_equal_across_constructions():
+    """Action matrices or a module table, a dense vector or its nonzeros, int
+    or integral Fraction values: equal records hash alike however built."""
+    pairs = [
+        (adjoint_representation(loday2, op), Representation(rep.left, rep.right, op, module_dim=2)),
+        (Representation._of({(0, 2): {2: F(2)}}, None, 2, 1), Representation._of({(0, 2): {2: 2}}, None, 2, 1)),
+        (Representation._of({}, op, 3, 2), Representation((Matrix.zero(2, 2),) * 3, (Matrix.zero(2, 2),) * 3, op, module_dim=2)),
+        (Cochain(1, 2, 2, (F(0), F(3), F(0), F(1, 2))), Cochain._of(1, 2, 2, {1: 3, 3: F(1, 2)})),
+        (Cochain(1, 2, 2, (0, 3, 0, 1)), Cochain._of(1, 2, 2, {1: F(3), 3: F(1)})),
+        (LeibnizAlgebra(2, ("e1", "e2"), {(1, 0): {0: F(2)}}), LeibnizAlgebra(2, ("e1", "e2"), {(1, 0): {0: 2}})),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b), (a, b)
+    # N_V is part of the key: the same table with another operator is another record
+    assert adjoint_representation(loday2, op) != adjoint_representation(loday2, ident)
+    assert adjoint_representation(loday2, op) != adjoint_representation(loday2)
