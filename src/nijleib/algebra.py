@@ -23,7 +23,8 @@ serve `check_leibniz`, the operator identities, the induced bracket and the
 deformation equations.
 
 A linear map enters the kernels as the rows N[a] its matrix stores
-(`Matrix.nz`), and each kernel builds the columns it applies the map by once.
+(`Matrix.nz`), and each kernel reads the columns it applies the map by off
+those rows once, by `linalg._transpose`.
 Kernel values keep the types the arithmetic gives them, so an int constant,
 module action or operator entry stays an int; they become Fractions in the
 dense view `_dense` and in the public values of `operators.operator_defect`
@@ -51,7 +52,7 @@ from typing import Optional
 
 from ._record import record
 from .errors import CatalogError, PreconditionError, ShapeError
-from .linalg import Matrix, Vector, _dense, _entry, _sparse, block_diag, combine, row_times
+from .linalg import Matrix, Vector, _dense, _entry, _sparse, _transpose, block_diag, combine, row_times
 
 # tensor[i][j] = coordinate vector of the image of (e_i, e_j)
 BilinearTensor = tuple[tuple[Vector, ...], ...]
@@ -96,15 +97,6 @@ def _leibniz_table(pairs) -> dict:
     return {t: v for t, ts in terms.items() if (v := combine(ts))}
 
 
-def _columns(rows) -> list[dict]:
-    """The columns {a: N[a][i]} of the square matrix with sparse rows `rows`."""
-    cols: list[dict] = [{} for _ in rows]
-    for a, row in enumerate(rows):
-        for i, x in row.items():
-            cols[i][a] = x
-    return cols
-
-
 def _defect_table(p: tuple, triples) -> dict:
     """The nonzero values {(i, j): {k: c}} of the sum over the triples
     (T, A, B) of T(Ax, By) - A(T(Bx, y) + T(x, By)) + (alpha + beta A +
@@ -124,8 +116,8 @@ def _defect_table(p: tuple, triples) -> dict:
     for t, outer, inner in triples:
         if not t:  # every term carries T
             continue
-        outer_cols = _columns(outer)
-        inner_cols = outer_cols if inner is outer else _columns(inner)
+        outer_cols = _transpose(outer, len(outer))
+        inner_cols = outer_cols if inner is outer else _transpose(inner, len(inner))
         for (a, b), c in t.items():
             ac = row_times(c, outer_cols)
             for i, x in outer[a].items():
@@ -146,7 +138,7 @@ def _star_table(table: dict, rows) -> dict:
     is the bracket and `rows` are the rows of N.  Each entry
     [e_a, e_b] = c sends N[a][i] c to (i, b), N[b][j] c to (a, j) and -Nc to
     (a, b)."""
-    cols = _columns(rows)
+    cols = _transpose(rows, len(rows))
     terms = defaultdict(list)
     for (a, b), c in table.items():
         for i, x in rows[a].items():
@@ -222,10 +214,6 @@ class LeibnizAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError(f"expected vectors of length {self.dim}, got {len(x)} and {len(y)}")
         return _dense(_bracket(self.table, _sparse(x), _sparse(y)), self.dim)
-
-    def left_multiplier(self, i: int) -> Matrix:
-        """L_i with column j = [e_i, e_j]."""
-        return Matrix.sparse([self.table.get((i, j), {}) for j in range(self.dim)], self.dim).transpose()
 
 
 def check_leibniz(alg: LeibnizAlgebra) -> Optional[Counterexample]:
@@ -332,7 +320,7 @@ def _module_matrix(columns: dict, n: int, m: int) -> Matrix:
     for b, value in columns.items():
         for k, c in value.items():
             rows[k - n][b] = c
-    return Matrix.sparse(rows, m)
+    return Matrix._of(tuple(rows), m)
 
 
 def _module_slots(values: dict, n: int) -> dict:

@@ -9,17 +9,17 @@ the corrected operator differential `combined_partial_matrix`.  Every
 differential is a matrix; `delta` and `d_nla` apply two of them to a cochain.
 
 Every matrix is assembled one row at a time: each row is a {column: value}
-dict summed once (`_accumulate`), with no intermediate Kronecker product,
-matrix sum or block stacking.  In Kronecker form delta_0 stacks -R_a over a
-and delta_n = stack_a(I (x) L_a - S_a (x) I_m) - I_d (x) delta_(n-1), S_a
-the sum over the n slots of ad_a^T in that slot; row (a, t, i) of delta_n is
-read off it directly, from row i of L_a, the bracket table and row (t, i) of
-the cached delta_(n-1).  The test oracles keep the Kronecker form; delta and
-partial give every entry the type it gives (int where the arithmetic stays
-on ints, else Fraction) and every row its column order.  phi, partial' and
-the nla matrix follow recursions of their own, so they keep its values, and
-its types on integral input, but not its column order within a row, which
-no report reads.
+dict summed once (`linalg._accumulate`), with no intermediate Kronecker
+product, matrix sum or block stacking.  In Kronecker form delta_0 stacks
+-R_a over a and delta_n = stack_a(I (x) L_a - S_a (x) I_m) - I_d (x)
+delta_(n-1), S_a the sum over the n slots of ad_a^T in that slot; row
+(a, t, i) of delta_n is read off it directly, from row i of L_a, the bracket
+table and row (t, i) of the cached delta_(n-1).  The test oracles keep the
+Kronecker form.  delta, partial, phi, partial' and the nla matrix keep its
+values, and int entries on integral input, but neither its column order
+within a row nor the type of an integral entry on rational input; no report
+reads either.  delta asks of its values only +, unary - and truth, so it is
+built over any ring, such as polynomials in the structure constants.
 
 phi is the identity at degree 0.  At degree n >= 1 `full` is the product over
 the slots of (precompose with N in that slot) - (postcompose with N_V); the
@@ -69,6 +69,7 @@ from .errors import PreconditionError, ResourceLimitError, ShapeError
 from .linalg import (
     Matrix,
     Vector,
+    _accumulate,
     _dense,
     _entry,
     _kernel_rows,
@@ -213,19 +214,6 @@ def _apply(mat: Matrix, v: dict) -> dict:
 # Matrix assembly: every row built once, as a {column: value} dict.
 
 
-def _accumulate(row: dict, terms) -> dict:
-    """Add the (column, value) pairs `terms` to `row` in place, in order; an
-    entry that cancels is deleted, never stored as a zero."""
-    for j, v in terms:
-        if j in row:
-            v = row[j] + v
-            if not v:
-                del row[j]
-                continue
-        row[j] = v
-    return row
-
-
 @lru_cache(maxsize=None)
 def delta_matrix(alg: LeibnizAlgebra, rep: Representation, degree: int) -> Matrix:
     """Matrix of the Loday-Pirashvili coboundary at the given degree.
@@ -235,38 +223,26 @@ def delta_matrix(alg: LeibnizAlgebra, rep: Representation, degree: int) -> Matri
     theta_x f = l(x, f(...)) - sum_j f(..., [x, y_j], ...).  So row (a, t, i)
     of delta_n is row i of L_a at block t, minus c^k_(a, t_p) at column t with
     t_p replaced by k for each slot p and each coordinate k of [e_a, e_(t_p)],
-    minus row (t, i) of delta_(n-1) shifted to block a, summed in that order
-    as the Kronecker form sums them.
+    minus row (t, i) of delta_(n-1) shifted to block a, summed in that order.
+    Each row is summed by `_accumulate`, and the values need only +, unary -
+    and truth, so delta is built over any ring.
     """
     if rep.algebra_dim != alg.dim:
         raise ShapeError("representation does not match the algebra")
     d, m, n = alg.dim, rep.module_dim, degree
     if n == 0:
-        return Matrix.sparse([row for r in rep.right for row in (-r).nz], m)
+        return Matrix._of(tuple(row for r in rep.right for row in (-r).nz), m)
     below = delta_matrix(alg, rep, n - 1)
     strides = [d ** (n - 1 - p) for p in range(n)]  # column step of slot p, in tuples
     rows = []
     for a in range(d):
         left, shift = rep.left[a].nz, a * below.cols
-        ad = [sorted((k, _entry(c)) for k, c in alg.table.get((a, l), {}).items()) for l in range(d)]
+        ad = [alg.table.get((a, l), {}).items() for l in range(d)]
+        acts = any(ad)  # else [e_a, -] = 0 and S_a = 0
         for s, t in enumerate(all_tuples(d, n)):
-            # row t of S_a: ad_a^T in each slot in turn, summed in slot order and
-            # ascending k.  Only t itself is hit twice (by each slot that keeps
-            # t_p), and there the Kronecker form's unit copy turns a partial sum
-            # equal to 1 into int 1
-            insert: dict = {}
-            for l, stride in zip(t, strides):
-                for k, c in ad[l]:
-                    u = s + (k - l) * stride
-                    if u in insert:
-                        v = insert[u]
-                        c = (1 if v == 1 else v) + c
-                        if not c:
-                            del insert[u]
-                            continue
-                    insert[u] = c
-            if insert.get(s) == 1:
-                insert[s] = 1
+            insert: dict = {}  # row t of S_a: ad_a^T in each slot p, which moves t_p to k
+            if acts:
+                _accumulate(insert, ((s + (k - l) * stride, c) for l, stride in zip(t, strides) for k, c in ad[l]))
             for i, li in enumerate(left):
                 row = {s * m + j: x for j, x in li.items()} if li else {}
                 if insert:
@@ -442,12 +418,10 @@ class NLACochain:
         return {**up.nz, **{split + k: c for k, c in self.lower.nz.items()}}
 
 
-def nla_unflatten(vec: Vector, degree: int, alg_dim: int, module_dim: int):
-    return _nla_split(_sparse(vec), len(vec), degree, alg_dim, module_dim)
-
-
 def _nla_split(nz: dict, length: int, degree: int, alg_dim: int, module_dim: int):
-    """`nla_unflatten` of the length-`length` vector with nonzeros `nz`."""
+    """The degree-n element of the combined complex whose flat vector, of
+    length `length`, has the nonzeros `nz`: a module element at degree 0,
+    else the pair (upper, lower) split after the upper block."""
     if degree == 0:  # a module element
         return Cochain._of(0, alg_dim, length, nz)
     split = space_dim(alg_dim, module_dim, degree)
@@ -745,7 +719,7 @@ def cocycle_membership(
     if sol is None:
         return MembershipResult(is_cocycle, False, None)
     if kind == "nla":
-        preimage = nla_unflatten(sol, degree - 1, alg.dim, rep.module_dim)
+        preimage = _nla_split(_sparse(sol), len(sol), degree - 1, alg.dim, rep.module_dim)
     else:
         preimage = Cochain(degree - 1, alg.dim, rep.module_dim, sol)
     return MembershipResult(is_cocycle, True, preimage)

@@ -25,10 +25,15 @@ to its left: `block_diag` here, [A | b] in `solve_linear`, and the row
 builders of `cochain` and `extensions`.  A general block-grid assembler,
 `block_matrix`, exists only as a test oracle (`tests/oracles.py`).
 
-`combine` (c1 v1 + c2 v2 + ... over {index: value} dicts) is the one sparse
-sum of the package, and `row_times` is a sparse row times a matrix by it.
-Matrix sums and products, cochain sums, the bracket evaluator and the
-search polynomials all run on this pair.
+`_accumulate` adds (index, value) pairs to a sparse row in place and
+deletes an entry that cancels: outside the elimination, which keeps its own
+column index, it is the one sparse merge of the package.  `combine`
+(c1 v1 + c2 v2 + ... over {index: value} dicts) builds a new sum over it,
+and `row_times` is a sparse row times a matrix by `combine`.  Matrix sums
+and products, cochain sums, the bracket evaluator, the search polynomials
+and the row builders of `cochain` all run on these three.  `_transpose`
+reads the columns off sparse rows, for `Matrix.transpose` and the table
+kernels of `algebra`.
 
 Rank, kernel and solve share one sparse Gauss-Jordan elimination that picks
 the sparsest row as pivot, the lowest row on a tie.  It keeps a column->rows
@@ -148,11 +153,26 @@ def _dense(v: dict, n: int) -> Vector:
     return tuple(out)
 
 
+def _accumulate(row: dict, terms) -> dict:
+    """Add the (index, value) pairs `terms` to `row` in place, in order; an
+    entry that cancels is deleted, never stored as a zero.  Values need
+    only + and truth."""
+    for j, v in terms:
+        if j in row:
+            v = row[j] + v
+            if not v:
+                del row[j]
+                continue
+        row[j] = v
+    return row
+
+
 def combine(terms) -> dict:
     """c1*v1 + c2*v2 + ... over (c, v) terms, each v an {index: value} dict
     without zeros; the sum holds no zero and shares no dict with its inputs.
     A zero coefficient is skipped, a unit first term copied, -1 negates (no
-    gcd) and a cancelled entry deleted.  Values need only +, unary - and *."""
+    gcd), and each later term is merged by `_accumulate`.  Values need only
+    +, unary - and *."""
     out: dict = {}
     for c, v in terms:
         if not v or not c:
@@ -161,22 +181,26 @@ def combine(terms) -> dict:
             v = {k: -a for k, a in v.items()} if c == -1 else {k: c * a for k, a in v.items()}
         elif not out:
             v = dict(v)
-        if not out:  # the first term is the sum so far, as a dict of its own
+        if out:
+            _accumulate(out, v.items())
+        else:  # the first term is the sum so far, as a dict of its own
             out = v
-            continue
-        for k, a in v.items():
-            if k in out:
-                a = out[k] + a
-                if not a:
-                    del out[k]
-                    continue
-            out[k] = a
     return out
 
 
 def row_times(v: dict, rows) -> dict:
     """The sparse row vector v times the matrix whose rows are `rows`."""
     return combine((a, rows[k]) for k, a in v.items())
+
+
+def _transpose(rows, cols: int) -> list[dict]:
+    """The columns {i: rows[i][j]} of the matrix with sparse rows `rows` and
+    `cols` columns, one dict per column j."""
+    out: list[dict] = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            out[j][i] = a
+    return out
 
 
 class Matrix:
@@ -280,11 +304,7 @@ class Matrix:
         return tuple(sum((a * v[j] for j, a in row.items() if v[j]), _ZERO) for row in self.nz)
 
     def transpose(self) -> "Matrix":
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.nz):
-            for j, a in row.items():
-                out[j][i] = a
-        return Matrix._of(tuple(out), self.rows)
+        return Matrix._of(tuple(_transpose(self.nz, self.cols)), self.rows)
 
     def is_zero(self) -> bool:
         return not any(self.nz)

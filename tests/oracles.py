@@ -18,15 +18,19 @@ The cochain matrices have two oracles each.  `kron_delta_matrix`,
 `kron_phi_matrix` and `kron_nla_matrix` (with `kron_partial_matrix` and
 `kron_combined_partial_matrix`) are the Kronecker-product assembly that
 `nijleib.cochain` builds row by row, stacked by the general block-grid
-assembler `block_matrix`.  `assert_same_matrix` compares delta and partial
-with theirs entry by entry, types and column order included.  phi, partial'
-and the nla matrix are built by recursions of their own, so
-`assert_same_values` holds them to the oracle's values only, with no stored
-zero and int entries on integral input (`is_integral`).  `block_matrix` is
-also the oracle of the stacked
-matrices that the package builds from stored rows: `linalg.block_diag` and
-the operator [[N, 0], [chi, N_V]] of `extensions.build_extension`.
-`slow_phi` is the comparison map as its defining 2^n-term sum.
+assembler `block_matrix`; `left_multiplier` gives the L_a they read.
+`assert_same_values` holds each row builder to its oracle's values, with no
+stored zero and int entries on integral input (`is_integral`), but not to
+the column order within a row or the type of an integral entry on rational
+input, which no report reads.  `block_matrix` is also the oracle of the
+stacked matrices that the package builds from stored rows, `linalg.block_diag`
+and the operator [[N, 0], [chi, N_V]] of `extensions.build_extension`; only
+these exact copies are held by `assert_same_matrix`, entry types and column
+order included.  `naive_delta_rows` is delta as its defining
+Loday-Pirashvili sum on the tables, and `generic_delta_inputs` a bracket and
+actions whose every entry is its own `operators._Poly` variable, on which the
+two must agree as polynomials.  `slow_phi` is the comparison map as its
+defining 2^n-term sum.
 `identity_cochain` is the identity map as a degree-1 cochain.
 
 `slow_parse_rational` reads every rational string through `Fraction(text)`
@@ -57,7 +61,7 @@ import argparse
 import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import count, product
 from typing import Sequence
 
 from hypothesis import strategies as st
@@ -101,7 +105,7 @@ from nijleib.linalg import (
     rank,
     row_times,
 )
-from nijleib.operators import OPERATOR_KINDS, WEIGHT_CONVENTIONS
+from nijleib.operators import OPERATOR_KINDS, WEIGHT_CONVENTIONS, _Poly
 
 
 def zero_vector(n: int):
@@ -530,10 +534,17 @@ def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
 # ---------------------------------------------------------------------------
 # Kronecker oracles of the cochain matrices: each matrix as a chain of whole
 # `kron`, `Matrix` sum and `block_matrix` results, the way `nijleib.cochain`
-# assembled them before it built each row once.  `assert_same_matrix` holds
-# delta and partial to their entries, entry types (int where the arithmetic
-# stays on ints, else Fraction) and column order within each row;
-# `assert_same_values` holds phi, partial' and the nla matrix to their values.
+# assembled them before it built each row once.  `assert_same_values` holds
+# delta, partial, phi, partial' and the nla matrix to their values; the row
+# builders sum a row's terms in another order than the Kronecker form.
+# `assert_same_matrix`, which also compares entry types and column order,
+# holds only the exact stacked copies (`block_diag` and the extension
+# operator).
+
+
+def left_multiplier(alg, i):
+    """L_i with column j = [e_i, e_j]."""
+    return Matrix.sparse([alg.table.get((i, j), {}) for j in range(alg.dim)], alg.dim).transpose()
 
 
 @lru_cache(maxsize=None)
@@ -546,7 +557,7 @@ def kron_delta_matrix(alg, rep, degree):
         return Matrix.sparse([row for r in rep.right for row in (-r).nz], m)
     ident_d, ident_m, blocks = Matrix.identity(d), Matrix.identity(m), []
     for a in range(d):
-        ad_t = alg.left_multiplier(a).transpose()
+        ad_t = left_multiplier(alg, a).transpose()
         insert = ad_t
         for k in range(2, n + 1):
             insert = kron(insert, ident_d) + kron(Matrix.identity(d ** (k - 1)), ad_t)
@@ -626,6 +637,66 @@ def kron_nla_matrix(alg, n_op, rep, degree, variant="full"):
     phi = kron_phi_matrix(n_op, rep.module_operator, degree, variant)
     par = kron_combined_partial_matrix(alg, n_op, rep, degree - 1)
     return block_matrix([[dlt, Matrix.zero(dlt.rows, par.cols)], [-phi, -par]])
+
+
+def generic_delta_inputs(d, m):
+    """A d-dim bracket and actions on an m-dim module in which every
+    structure constant and every action entry is its own `_Poly` variable.
+    The algebra is built past its constructor, which would normalise each
+    constant to an int or a Fraction; the representation is its module
+    table on the semidirect product (`Representation._of`)."""
+    variables = count()
+
+    def vector(offset, size):
+        return {offset + k: _Poly({(next(variables),): 1}) for k in range(size)}
+
+    alg = object.__new__(LeibnizAlgebra)
+    table = {(a, b): vector(0, d) for a, b in product(range(d), repeat=2)}
+    vars(alg).update(dim=d, basis=tuple(f"e{i + 1}" for i in range(d)), table=table)
+    actions = {}
+    for i, b in product(range(d), range(m)):  # l(e_i) v_b, then r(e_i) v_b
+        actions[i, d + b] = vector(d, m)
+        actions[d + b, i] = vector(d, m)
+    return alg, Representation._of(actions, None, d, m)
+
+
+def naive_delta_rows(alg, rep, degree):
+    """The rows of delta_n by the defining Loday-Pirashvili sum that
+    `test_cochain.slow_delta` evaluates, written on the tables: entry
+    ((t, q), (u, b)) is coordinate q of (delta f)(e_t) for the cochain f
+    that sends e_u to v_b and every other basis tuple to 0,
+
+        sum_(i <= n) (-1)^(i+1) l(e_(t_i), f(t without t_i))
+        + (-1)^(n+1) r(f(t_1..t_n), e_(t_(n+1)))
+        + sum_(i < j) (-1)^i f(t without t_i, t_j replaced by [e_(t_i), e_(t_j)]),
+
+    positions 1-based.  Each term is added with `+` into a plain dict, and
+    the zeros are dropped at the end.  Values need only +, unary - and
+    truth, so the rows hold polynomials on `generic_delta_inputs`."""
+    d, m, n = alg.dim, rep.module_dim, degree
+    index = {u: k for k, u in enumerate(product(range(d), repeat=n))}
+    rows = []
+    for t in product(range(d), repeat=n + 1):
+        terms = []  # (u, b, q, value)
+        for i in range(n):  # 1-based position i + 1: sign (-1)^i
+            u = t[:i] + t[i + 1 :]
+            for b in range(m):
+                for q, c in rep.table.get((t[i], d + b), {}).items():
+                    terms.append((u, b, q - d, c if i % 2 == 0 else -c))
+        for b in range(m):
+            for q, c in rep.table.get((d + b, t[n]), {}).items():
+                terms.append((t[:n], b, q - d, c if n % 2 else -c))
+        for i in range(n + 1):  # 1-based position i + 1: sign (-1)^(i + 1)
+            for j in range(i + 1, n + 1):
+                for k, c in alg.table.get((t[i], t[j]), {}).items():
+                    u = t[:i] + t[i + 1 : j] + (k,) + t[j + 1 :]
+                    terms.extend((u, b, b, c if i % 2 else -c) for b in range(m))
+        block = [{} for _ in range(m)]
+        for u, b, q, c in terms:
+            col = index[u] * m + b
+            block[q][col] = block[q][col] + c if col in block[q] else c
+        rows.extend({col: c for col, c in row.items() if c} for row in block)
+    return tuple(rows)
 
 
 def assert_same_matrix(got, want):

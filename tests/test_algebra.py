@@ -40,6 +40,7 @@ from oracles import from_structure, unit_vector, vec_add, vec_sub
 from oracles import (
     any_brackets,
     bilinear_eval,
+    left_multiplier,
     slow_check_representation,
     slow_direct_sum,
     slow_leibniz,
@@ -63,10 +64,10 @@ def test_loday2_is_leibniz(loday2):
 
 def test_loday2_left_multipliers(loday2):
     # column j of the left multiplier of e_i is [e_i, e_j]
-    L2 = loday2.left_multiplier(1)
+    L2 = left_multiplier(loday2, 1)
     assert L2.column(0) == unit_vector(2, 0)
     assert L2.column(1) == unit_vector(2, 0)
-    assert loday2.left_multiplier(0).is_zero()
+    assert left_multiplier(loday2, 0).is_zero()
 
 
 def test_perturbed_structure_fails_with_certificate(loday2):

@@ -64,9 +64,9 @@ from nijleib.operators import induced_bracket, induced_representation
 from oracles import vec_add, vec_scale, zero_vector
 from oracles import (
     any_brackets,
-    assert_same_matrix,
     assert_same_values,
     evaluate_cochain,
+    generic_delta_inputs,
     identity_cochain,
     is_integral,
     kron_combined_partial_matrix,
@@ -74,6 +74,7 @@ from oracles import (
     kron_nla_matrix,
     kron_partial_matrix,
     kron_phi_matrix,
+    naive_delta_rows,
     slow_cohomology_dims,
     slow_complex,
     slow_phi,
@@ -228,14 +229,30 @@ def test_delta_matches_slow_oracle_on_any_bracket(alg, degree, data):
     # brackets that need not be Leibniz and actions that need not form a
     # representation, on a module whose dimension differs from the algebra's:
     # the row-by-row matrix must match the defining sum term by term, and the
-    # Kronecker form entry by entry, types included
+    # Kronecker form by value
     m = data.draw(st.sampled_from([k for k in (1, 2, 3) if k != alg.dim]))
     left = tuple(data.draw(_square_matrices(m)) for _ in range(alg.dim))
     right = tuple(data.draw(_square_matrices(m)) for _ in range(alg.dim))
     rep = Representation(left, right, module_dim=m)
     f = random_cochain(random.Random(data.draw(st.integers(0, 2**16))), degree, alg.dim, rep.module_dim)
     assert delta(alg, rep, f) == slow_delta(alg, rep, f)
-    assert_same_matrix(delta_matrix(alg, rep, degree), kron_delta_matrix(alg, rep, degree))
+    integral = is_integral(*left, *right, alg=alg)
+    assert_same_values(delta_matrix(alg, rep, degree), kron_delta_matrix(alg, rep, degree), integral)
+
+
+@pytest.mark.parametrize("d, m, n", [(d, m, n) for d in (2, 3) for m in (1, 2, 3) for n in (0, 1, 2)] + [(2, 2, 3)])
+def test_delta_is_the_loday_pirashvili_sum_on_generic_input(d, m, n):
+    """delta_n on a bracket and actions whose every entry is its own
+    variable equals the defining sum (`oracles.naive_delta_rows`) as
+    polynomials, so the row builder's formula holds for every input of
+    these dimensions over any commutative ring.  A specific input is the
+    generic one with each variable set to its value, and the builder
+    branches only on which entries a row or a table stores (an absent one
+    adds what a zero would) and on cancellation (a deleted entry is a zero):
+    both commute with setting the variables, so every entry is the same
+    signed sum of inputs as on the generic one."""
+    alg, rep = generic_delta_inputs(d, m)
+    assert delta_matrix(alg, rep, n).nz == naive_delta_rows(alg, rep, n)
 
 
 def test_delta_squares_to_zero_all_catalog():
@@ -424,25 +441,23 @@ def test_combined_partial_is_the_correction(loday2, classified_op, loday2_adjoin
 
 # --- row-by-row assembly against the Kronecker oracles ----------------------
 # Each matrix is compared with the chain of whole Kronecker products, sums and
-# block stackings it replaced.  delta and partial keep that chain's columns
-# and values, each value of the same type (int or Fraction), in the same
-# column order; phi, partial' and the nla matrix, built by their own
-# recursions, keep its values, hold no zero, and are ints on integral input.
-# delta and phi on random inputs are compared the same way in the
-# any-bracket and random phi tests.
+# block stackings it replaced.  delta, partial, phi, partial' and the nla
+# matrix keep that chain's values, hold no zero, and are ints on integral
+# input; the column order within a row is not compared.  delta and phi on
+# random inputs are compared the same way in the any-bracket and random phi
+# tests.
 
 
 def test_assembly_matches_kronecker_oracles_all_catalog():
-    # loday2 with its brackets halved puts 1/2 on the diagonal of ad_(e2)^T,
-    # so at degree >= 2 the slots of S_(e2) sum 1/2 + 1/2 = 1 at (e1, e1, ...)
-    # and more, a sum the Kronecker form stores as int 1
+    # loday2 with its brackets halved: Fraction constants, whose sums in the
+    # slots of S_(e2) at degree >= 2 are integral
     halved = LeibnizAlgebra(2, ("e1", "e2"), {(1, 0): {0: Fraction(1, 2)}, (1, 1): {0: Fraction(1, 2)}})
     for name, alg, op in [*catalog_nijenhuis_pairs(), ("loday2/halved", halved, Matrix.identity(2))]:
         rep = adjoint_representation(alg, op)
         integral = is_integral(op, alg=alg)
         for n in range(4):
-            assert_same_matrix(delta_matrix(alg, rep, n), kron_delta_matrix(alg, rep, n))
-            assert_same_matrix(partial_matrix(alg, op, rep, n), kron_partial_matrix(alg, op, rep, n))
+            assert_same_values(delta_matrix(alg, rep, n), kron_delta_matrix(alg, rep, n), integral)
+            assert_same_values(partial_matrix(alg, op, rep, n), kron_partial_matrix(alg, op, rep, n), integral)
             assert_same_values(
                 combined_partial_matrix(alg, op, rep, n), kron_combined_partial_matrix(alg, op, rep, n), integral
             )
