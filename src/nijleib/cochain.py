@@ -8,26 +8,26 @@ complex acts on pairs by d(f, g) = (delta f, -partial' g - phi f), partial'
 the corrected operator differential `combined_partial_matrix`.  Every
 differential is a matrix; `delta` and `d_nla` apply two of them to a cochain.
 
-Every matrix is assembled one row at a time: each row is a {column: value}
-dict summed once (`linalg._accumulate`), with no intermediate Kronecker
-product, matrix sum or block stacking.  In Kronecker form delta_0 stacks
--R_a over a and delta_n = stack_a(I (x) L_a - S_a (x) I_m) - I_d (x)
-delta_(n-1), S_a the sum over the n slots of ad_a^T in that slot; row
-(a, t, i) of delta_n is read off it directly, from row i of L_a, the bracket
-table and row (t, i) of the cached delta_(n-1).  The test oracles keep the
-Kronecker form.  delta, partial, phi, partial' and the nla matrix keep its
-values, and int entries on integral input, but neither its column order
-within a row nor the type of an integral entry on rational input; no report
-reads either.  delta asks of its values only +, unary - and truth, so it is
-built over any ring, such as polynomials in the structure constants.
+Every matrix is assembled one row at a time: each row is a {column: value} dict
+summed once (`linalg._accumulate`), with no matrix sum or block stacking; phi's
+rows start as those of `linalg.kron`.  In Kronecker form delta_0 stacks -R_a
+over a and delta_n = stack_a(I (x) L_a - S_a (x) I_m) - I_d (x) delta_(n-1),
+S_a the sum over the n slots of ad_a^T in that slot; row (a, t, i) of delta_n
+is read off it directly, from row i of L_a, the bracket table and row (t, i) of
+the cached delta_(n-1).  The test oracles keep the Kronecker form.  delta,
+partial, phi, partial' and the nla matrix keep its values, and int entries on
+integral input, but neither its column order within a row nor the type of an
+integral entry on rational input; no report reads either.  delta asks of its
+values only +, unary - and truth, and phi also *, so both are built over any
+ring, such as polynomials in their inputs.
 
 phi is the identity at degree 0.  At degree n >= 1 `full` is the product over
 the slots of (precompose with N in that slot) - (postcompose with N_V); the
 factors commute, so phi_n = sum_k C_k (x) N_V^k with C_k the x^k coefficient
 of (N^T - x I)^(x)n.  Splitting off the first slot gives the recursion
-phi_n = N^T (x) phi_(n-1) - I_d (x) ((I (x) N_V) phi_(n-1)), and each row of
-phi_n is read off two rows of the cached phi_(n-1) by it, as each row of
-delta_n is read off delta_(n-1).  `printed` keeps C_0 and C_1, whose sum
+phi_n = N^T (x) phi_(n-1) - I_d (x) ((I (x) N_V) phi_(n-1)): row (a, s) of
+phi_n is row (a, s) of `kron(N^T, phi_(n-1))` plus row s of
+-(I (x) N_V) phi_(n-1) at block a.  `printed` keeps C_0 and C_1, whose sum
 follows the same recursion truncated to k <= 1, and adds I (x) N_V^2.  The
 variants agree at degrees 0 and 2 and differ at degree 1 and at degrees
 >= 3 unless N_V^2 = 0.  `full` is the default because it is the only
@@ -308,17 +308,14 @@ def combined_partial_matrix(
 
 
 def _slot_step(n_op: Matrix, below: Matrix, plus) -> Matrix:
-    """N^T (x) below + I_d (x) P, P the matrix whose rows are `plus`, one row
-    at a time.  Row (a, s) holds N[b][a] times row s of `below` at block b
-    for each b, blocks that do not overlap, then row s of P added at block
-    a."""
-    width, rows = below.cols, []
-    for a, column in enumerate(n_op.transpose().nz):
-        blocks, shift = [(b * width, c) for b, c in column.items()], a * width
-        for prev, add in zip(below.nz, plus):
-            row = {base + j: c * x for base, c in blocks for j, x in prev.items()}
-            rows.append(_accumulate(row, ((shift + j, y) for j, y in add.items())))
-    return Matrix._of(tuple(rows), width * n_op.rows)
+    """N^T (x) below + I_d (x) P, P the matrix whose rows are `plus`: row s
+    of P accumulated in place into row (a, s) of `kron(N^T, below)` at block a."""
+    out, width, height = kron(n_op.transpose(), below), below.cols, below.rows
+    for a in range(n_op.rows):
+        shift = a * width
+        for add, row in zip(plus, out.nz[a * height : (a + 1) * height]):
+            _accumulate(row, ((shift + j, y) for j, y in add.items()))
+    return out
 
 
 def _module_mixed(module_op: Matrix, rows) -> list:
@@ -352,11 +349,11 @@ def phi_matrix(n_op: Matrix, module_op: Matrix, degree: int, variant: str = "ful
     `full` is sum_k C_k (x) N_V^k, C_k the x^k coefficient of (N^T - x I)^(x)n;
     degree 0 is the identity.  Splitting off the first slot gives
     phi_n = N^T (x) phi_(n-1) + I_d (x) ((I (x) -N_V) phi_(n-1)), and phi_n
-    is built by it one row at a time from the cached rows of phi_(n-1)
-    (`_slot_step`).  At degree n >= 1 `printed` keeps the k = 0, 1 terms,
-    t_n (`_printed_part`), and adds I (x) N_V^2 row by row.  Every entry is a
-    product and sum of entries of N and N_V, so it is an int when both are
-    integral; no stored entry is zero.
+    is built by it on the rows of `kron(N^T, phi_(n-1))` (`_slot_step`).  At
+    degree n >= 1 `printed` keeps the k = 0, 1 terms, t_n (`_printed_part`),
+    and adds I (x) N_V^2 row by row.  Every entry is a product and sum of
+    entries of N and N_V, so it is an int when both are integral; no stored
+    entry is zero.
     """
     if variant not in PHI_VARIANTS:
         raise ValueError(f"unknown phi variant {variant!r}")

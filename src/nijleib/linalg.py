@@ -23,7 +23,10 @@ is the coefficient of basis vector i in the image of basis vector j.
 matrix is built by concatenating stored rows, each shifted past the columns
 to its left: `block_diag` here, [A | b] in `solve_linear`, and the row
 builders of `cochain` and `extensions`.  A general block-grid assembler,
-`block_matrix`, exists only as a test oracle (`tests/oracles.py`).
+`block_matrix`, exists only as a test oracle (`tests/oracles.py`).  `kron`
+is the one Kronecker product, read by phi's slot step (`cochain._slot_step`)
+and the test oracles.  A `Matrix` hashes its rows frozen as the records do
+(`_record._frozen`), so a matrix of polynomials keys a cache too.
 
 `_accumulate` adds (index, value) pairs to a sparse row in place and
 deletes an entry that cancels: outside the elimination, which keeps its own
@@ -58,6 +61,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from ._record import _frozen
 from .errors import BundleError, ShapeError
 
 Vector = tuple[Fraction, ...]
@@ -258,7 +262,7 @@ class Matrix:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.cols, tuple(frozenset(row.items()) for row in self.nz)))
+            self._hash = hash((self.cols, *map(_frozen, self.nz)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -328,18 +332,14 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product over the nonzero entries of both factors; a unit
-    entry on either side is copied, not multiplied, since most factors here
-    are identities."""
-    rows = [
-        {
-            j * b.cols + col: x if aij == 1 else aij if x == 1 else aij * x
-            for j, aij in arow.items()
-            for col, x in brow.items()
-        }
-        for arow in a.nz
-        for brow in b.nz
-    ]
+    """Kronecker product, one product per pair of nonzero entries: row (i, s)
+    holds a[i][j] times row s of b at block j, the blocks (j * b.cols,
+    a[i][j]) computed once per row i.  Each row is a fresh dict, which
+    `cochain._slot_step` adds to in place."""
+    rows = []
+    for arow in a.nz:
+        blocks = [(j * b.cols, aij) for j, aij in arow.items()]
+        rows.extend({base + col: aij * x for base, aij in blocks for col, x in brow.items()} for brow in b.nz)
     return Matrix._of(tuple(rows), a.cols * b.cols)
 
 

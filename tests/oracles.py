@@ -30,7 +30,10 @@ order included.  `naive_delta_rows` is delta as its defining
 Loday-Pirashvili sum on the tables, and `generic_delta_inputs` a bracket and
 actions whose every entry is its own `operators._Poly` variable, on which the
 two must agree as polynomials.  `slow_phi` is the comparison map as its
-defining 2^n-term sum.
+defining 2^n-term sum.  It and `kron_phi_matrix` share `linalg.kron` with
+the builder of phi, so the generic proof of phi reads `naive_phi_rows`
+instead, phi block by block with plain `+` and `*`, on an N and an N_V from
+`generic_matrix`, whose every entry is its own variable.
 `identity_cochain` is the identity map as a degree-1 cochain.
 
 `slow_parse_rational` reads every rational string through `Fraction(text)`
@@ -696,6 +699,51 @@ def naive_delta_rows(alg, rep, degree):
             col = index[u] * m + b
             block[q][col] = block[q][col] + c if col in block[q] else c
         rows.extend({col: c for col, c in row.items() if c} for row in block)
+    return tuple(rows)
+
+
+def generic_matrix(rows, cols, first):
+    """A rows x cols matrix whose every entry is its own `_Poly` variable,
+    numbered row by row from `first`."""
+    return Matrix._of(tuple({c: _Poly({(first + r * cols + c,): 1}) for c in range(cols)} for r in range(rows)), cols)
+
+
+def naive_phi_rows(n_op, module_op, degree, variant):
+    """The rows of phi_n by its definition, block by block: block (t, s) is
+    p(N_V) with p(x) = prod_a (N[s_a][t_a] - [s_a = t_a] x), the block of
+    (N^T - x I)^(x)n, and `printed` keeps the x^0 and x^1 coefficients of p
+    and adds [s = t] x^2; degree 0 is the identity for both.  The powers of
+    N_V and the coefficients of p are dense lists, and every entry is formed
+    with plain `+` and `*` (no `kron`, `mat_mul` or `Matrix` sum), so the
+    rows hold polynomials on `generic_matrix` input."""
+    d, m, n = n_op.rows, module_op.rows, degree
+    if n == 0:
+        return tuple({q: 1} for q in range(m))
+    nv = [[module_op.nz[q].get(c, 0) for c in range(m)] for q in range(m)]
+    powers = [[[int(q == c) for c in range(m)] for q in range(m)]]
+    for _ in range(max(n, 2)):
+        last = powers[-1]
+        powers.append([[sum((last[q][k] * nv[k][c] for k in range(m)), 0) for c in range(m)] for q in range(m)])
+    tuples = list(product(range(d), repeat=n))
+    rows = []
+    for t in tuples:
+        block = [{} for _ in range(m)]
+        for u, s in enumerate(tuples):
+            coeffs = [1]  # the coefficients of p, lowest power first
+            for a, b in zip(s, t):  # times N[a][b] - [a = b] x
+                grown = [n_op.nz[a].get(b, 0) * c for c in coeffs] + [0]
+                if a == b:
+                    for k, c in enumerate(coeffs):
+                        grown[k + 1] = grown[k + 1] + -1 * c
+                coeffs = grown
+            if variant == "printed":
+                coeffs = coeffs[:2] + [int(s == t)]
+            for q, row in enumerate(block):
+                for c in range(m):
+                    x = sum((coeff * power[q][c] for coeff, power in zip(coeffs, powers)), 0)
+                    if x:
+                        row[u * m + c] = x
+        rows.extend(block)
     return tuple(rows)
 
 

@@ -5,7 +5,9 @@ delta and partial are assembled as matrices one row at a time, so the main
 oracle here is a slow pointwise evaluator written straight from the defining
 sum (signs and hat-slots spelled out) that never touches the matrix path.
 The comparison map is checked against its defining sum of Kronecker
-products.  Every matrix is also checked against the Kronecker-product
+products, and on generic input (every entry of N and N_V its own variable)
+against its definition block by block, as delta is against its defining
+sum.  Every matrix is also checked against the Kronecker-product
 assembly it replaced: delta and partial with entry types and column order
 included, phi, partial' and the nla matrix by value, with int entries on
 integral input.  Cohomology reports, ranked top
@@ -29,6 +31,7 @@ from nijleib.algebra import (
     catalog_nijenhuis_pairs,
     trivial_representation,
 )
+from nijleib import cochain
 from nijleib.cochain import (
     COMPLEX_KINDS,
     PHI_VARIANTS,
@@ -67,6 +70,7 @@ from oracles import (
     assert_same_values,
     evaluate_cochain,
     generic_delta_inputs,
+    generic_matrix,
     identity_cochain,
     is_integral,
     kron_combined_partial_matrix,
@@ -75,6 +79,7 @@ from oracles import (
     kron_partial_matrix,
     kron_phi_matrix,
     naive_delta_rows,
+    naive_phi_rows,
     slow_cohomology_dims,
     slow_complex,
     slow_phi,
@@ -345,6 +350,46 @@ def test_recursive_phi_and_partial_prime_match_oracles(d, m, degree, variant, da
         assert_same_values(got, kron_combined_partial_matrix(alg, scalar, rep, degree), integral)
     got = nla_matrix(alg, scalar, rep, degree, variant)
     assert_same_values(got, kron_nla_matrix(alg, scalar, rep, degree, variant), integral)
+
+
+@pytest.mark.parametrize("variant", PHI_VARIANTS)
+@pytest.mark.parametrize(
+    "d, m, n",
+    [(1, 1, n) for n in range(5)]
+    + [(d, m, n) for d, m in ((2, 1), (1, 2), (2, 2)) for n in range(4)]
+    + [(d, m, n) for d, m in ((3, 2), (2, 3), (3, 3)) for n in range(3)],
+)
+def test_phi_is_its_defining_sum_on_generic_input(d, m, n, variant):
+    """phi_n on an N and an N_V whose every entry is its own variable equals
+    its definition block by block (`oracles.naive_phi_rows`) as
+    polynomials, so the builder's formula holds for every N and N_V of
+    these dimensions over any commutative ring.  A specific input is the
+    generic one with each variable set to its value, and the builder
+    branches only on which entries a row stores (an absent one adds what a
+    zero would), on cancellation (a deleted entry is a zero) and on
+    `combine`'s coefficient c in {0, 1, -1}, whose skip, copy and negation
+    each compute c v: all commute with setting the variables, so every
+    entry is the same sum of products of inputs as on the generic one."""
+    n_op, module_op = generic_matrix(d, d, 0), generic_matrix(m, m, d * d)
+    assert phi_matrix(n_op, module_op, n, variant).nz == naive_phi_rows(n_op, module_op, n, variant)
+
+
+@pytest.mark.parametrize("d, m, n", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)])
+def test_partial_prime_row_builder_on_generic_rows(d, m, n, monkeypatch):
+    """partial' = partial - delta (I (x) N_V), row by row, on a partial, a
+    delta and an N_V whose every entry is its own variable: the builder's
+    formula holds for any rows of these shapes, by the coverage argument of
+    the phi test.  partial' as a whole cannot take a generic N: the star
+    structures that partial is built from exist only for a Nijenhuis pair,
+    and `star_structures` checks that, so partial and delta are put in by
+    hand here."""
+    rows, cols = m * d ** (n + 1), m * d**n
+    module_op = generic_matrix(m, m, 0)
+    par, dlt = generic_matrix(rows, cols, m * m), generic_matrix(rows, cols, m * m + rows * cols)
+    monkeypatch.setattr(cochain, "partial_matrix", lambda alg, n_op, rep, degree: par)
+    monkeypatch.setattr(cochain, "delta_matrix", lambda alg, rep, degree: dlt)
+    got = combined_partial_matrix.__wrapped__(None, None, Representation._of({}, module_op, d, m), n)
+    assert got == par - mat_mul(dlt, kron(Matrix.identity(d**n), module_op))
 
 
 def test_phi_variants_agree_at_degree2(classified_op):

@@ -624,6 +624,11 @@ def test_matrix_hashable():
     b = Matrix.identity(2)
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    # a polynomial entry is frozen like a record's dicts, so a generic
+    # matrix can key the caches of phi and partial'
+    x = Matrix._of(({0: _Poly({(0,): 1})}, {1: _Poly({(0, 1): 2, (): -1})}), 2)
+    y = Matrix._of(({0: _Poly({(0,): 1})}, {1: _Poly({(): -1, (0, 1): 2})}), 2)
+    assert x == y and hash(x) == hash(y)
 
 
 coefficients = st.sampled_from((0, 1, -1, 2, Fraction(-1, 2)))
